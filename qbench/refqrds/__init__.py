@@ -1,0 +1,123 @@
+"""qrds: exact q-series engine for double-sum identities.
+
+Evaluates q-hypergeometric double sums, Bailey-pair transforms, Hecke-type
+indefinite theta sums, and real-quadratic ideal-norm generating functions,
+entirely in exact rational arithmetic, and cross-verifies them coefficient
+by coefficient.
+"""
+
+from .bailey import (
+    RHO_INFINITY,
+    BaileyPair,
+    RhoSpec,
+    SteppedPair,
+    bailey_step,
+    form_labels,
+    limit_form,
+    pair_catalog,
+    pair_labels,
+    verify_pair_relation,
+)
+from .catalog import catalog_ids, classical_sum, eval_named, normalize_id, star_sum
+from .errors import (
+    Beta0NotZero,
+    FormPairMismatch,
+    NonTerminating,
+    NoStabilization,
+    UnknownId,
+    UnknownPair,
+    UnsupportedField,
+    UnsupportedRho,
+)
+from .hecke import HeckeBlock, HeckeBlockSet, eval_blocks, flip_j, hecke_catalog, hecke_ids
+from .ideals import (
+    FieldSpec,
+    IdealQuery,
+    canonical_reps,
+    field_spec,
+    ideal_count,
+    ideal_series,
+    kronecker_symbol,
+    sieve_counts,
+)
+from .series import (
+    BadLength,
+    InvertZero,
+    LaurentSeries,
+    PochhammerSpec,
+    UnknownCoefficient,
+    dilate_shift,
+    first_mismatch,
+    qpoch,
+)
+from .verify import (
+    TheoremSpec,
+    VerificationReport,
+    check_support_residue,
+    lacunarity_report,
+    theorem_table,
+    verify_all,
+    verify_corollary,
+    verify_sigma,
+    verify_theorem,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "LaurentSeries",
+    "PochhammerSpec",
+    "qpoch",
+    "dilate_shift",
+    "first_mismatch",
+    "InvertZero",
+    "UnknownCoefficient",
+    "BadLength",
+    "HeckeBlock",
+    "HeckeBlockSet",
+    "eval_blocks",
+    "flip_j",
+    "hecke_catalog",
+    "hecke_ids",
+    "FieldSpec",
+    "IdealQuery",
+    "field_spec",
+    "kronecker_symbol",
+    "canonical_reps",
+    "ideal_count",
+    "ideal_series",
+    "sieve_counts",
+    "catalog_ids",
+    "normalize_id",
+    "eval_named",
+    "classical_sum",
+    "star_sum",
+    "BaileyPair",
+    "SteppedPair",
+    "RhoSpec",
+    "RHO_INFINITY",
+    "pair_catalog",
+    "pair_labels",
+    "form_labels",
+    "bailey_step",
+    "limit_form",
+    "verify_pair_relation",
+    "TheoremSpec",
+    "theorem_table",
+    "VerificationReport",
+    "verify_theorem",
+    "verify_corollary",
+    "verify_sigma",
+    "verify_all",
+    "check_support_residue",
+    "lacunarity_report",
+    "UnknownId",
+    "UnknownPair",
+    "NonTerminating",
+    "NoStabilization",
+    "FormPairMismatch",
+    "Beta0NotZero",
+    "UnsupportedRho",
+    "UnsupportedField",
+    "__version__",
+]

@@ -1,0 +1,53 @@
+"""Domain-level exceptions shared across the package.
+
+Arithmetic-level errors (InvertZero, UnknownCoefficient, BadLength) live in
+``series``; everything tied to catalogs, summation control, or field data is
+collected here so modules can share them without import cycles.
+"""
+
+__all__ = [
+    "UnknownId",
+    "UnknownPair",
+    "NonTerminating",
+    "NoStabilization",
+    "FormPairMismatch",
+    "Beta0NotZero",
+    "UnsupportedRho",
+    "UnsupportedField",
+]
+
+
+class UnknownId(KeyError):
+    """An identity id outside the registry (and thus likely a typo)."""
+
+
+class UnknownPair(KeyError):
+    """A Bailey-pair label outside the catalog."""
+
+
+class NonTerminating(RuntimeError):
+    """A block sum failed to leave the truncation window within budget."""
+
+
+class NoStabilization(RuntimeError):
+    """Averaged partial sums failed to stabilize within the term budget."""
+
+    def __init__(self, message: str, n_limit: int | None = None):
+        super().__init__(message)
+        self.n_limit = n_limit
+
+
+class FormPairMismatch(ValueError):
+    """A limit form applied to a pair with the wrong defining relation."""
+
+
+class Beta0NotZero(ValueError):
+    """A limit form that starts at n = 1 needs beta_0 = 0, and it is not."""
+
+
+class UnsupportedRho(ValueError):
+    """A specialization parameter that makes the transform degenerate."""
+
+
+class UnsupportedField(ValueError):
+    """A quadratic field outside the supported discriminant list."""

@@ -1,0 +1,540 @@
+"""Exact truncated Laurent series over the rationals.
+
+The one value type everything else in this package computes with.  A series
+is stored densely: ``coeffs[i]`` is the coefficient of ``q**(offset + i)``.
+``order`` is the *knowledge horizon*: coefficients are correct for every
+exponent ``<= order`` and unknown beyond it.  ``order = None`` means the
+series is an exact Laurent polynomial (known everywhere, zero off-support).
+
+Coefficients are Python ints whenever possible and ``fractions.Fraction``
+otherwise; the hot loops (``mul_binomial`` / ``div_binomial`` with unit
+coefficients) never leave the integers.
+
+Order propagation is conservative: an operation claims a coefficient only
+when its inputs determine it.  For a product this means
+
+    order = min(a.order + val(b), b.order + val(a))
+
+where ``val`` is the lowest exponent that could carry a nonzero coefficient.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Iterator, Union
+
+Coeff = Union[int, Fraction]
+
+__all__ = [
+    "LaurentSeries",
+    "PochhammerSpec",
+    "InvertZero",
+    "UnknownCoefficient",
+    "BadLength",
+    "qpoch",
+    "dilate_shift",
+    "first_mismatch",
+]
+
+
+class InvertZero(ZeroDivisionError):
+    """Raised when inverting a series with no visible nonzero coefficient."""
+
+
+class UnknownCoefficient(ValueError):
+    """Raised when a coefficient beyond the tracked order is requested."""
+
+
+class BadLength(ValueError):
+    """Raised for Pochhammer lengths that are undefined at the given n."""
+
+
+def _norm(x: Coeff) -> Coeff:
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
+class LaurentSeries:
+    """Immutable truncated Laurent series with exact rational coefficients."""
+
+    __slots__ = ("offset", "coeffs", "order")
+
+    def __init__(self, offset: int, coeffs: Iterable[Coeff], order: int | None = None):
+        co = list(coeffs)
+        # trim leading zeros (raising offset) and trailing zeros
+        lo = 0
+        while lo < len(co) and not co[lo]:
+            lo += 1
+        hi = len(co)
+        while hi > lo and not co[hi - 1]:
+            hi -= 1
+        co = co[lo:hi]
+        offset += lo
+        if order is not None and co and offset + len(co) - 1 > order:
+            raise ValueError("coefficient stored beyond declared order")
+        if not co:
+            offset = 0 if order is None else order + 1
+        self.offset = offset
+        self.coeffs = co
+        self.order = order
+
+    # ----------------------------------------------------------- constructors
+
+    @classmethod
+    def zero(cls, order: int | None = None) -> "LaurentSeries":
+        return cls(0, [], order)
+
+    @classmethod
+    def one(cls, order: int | None = None) -> "LaurentSeries":
+        return cls.monomial(1, 0, order)
+
+    @classmethod
+    def monomial(cls, c: Coeff = 1, e: int = 0, order: int | None = None) -> "LaurentSeries":
+        if order is not None and e > order:
+            return cls.zero(order)
+        return cls(e, [_norm(c)], order)
+
+    @classmethod
+    def from_items(cls, items: Iterable[tuple[int, Coeff]], order: int | None = None) -> "LaurentSeries":
+        """Build from (exponent, coefficient) pairs; repeats accumulate."""
+        acc: dict[int, Coeff] = {}
+        for e, c in items:
+            if order is not None and e > order:
+                continue
+            acc[e] = acc.get(e, 0) + c
+        if not acc:
+            return cls.zero(order)
+        lo = min(acc)
+        hi = max(acc)
+        co: list[Coeff] = [0] * (hi - lo + 1)
+        for e, c in acc.items():
+            co[e - lo] = _norm(c)
+        return cls(lo, co, order)
+
+    # -------------------------------------------------------------- accessors
+
+    def is_zero(self) -> bool:
+        """True when every tracked coefficient vanishes."""
+        return not self.coeffs
+
+    def valuation(self) -> int | None:
+        """Lowest exponent with a nonzero tracked coefficient (None if zero)."""
+        return self.offset if self.coeffs else None
+
+    def degree(self) -> int | None:
+        """Highest exponent with a nonzero tracked coefficient (None if zero)."""
+        return self.offset + len(self.coeffs) - 1 if self.coeffs else None
+
+    def coefficient(self, e: int) -> Coeff:
+        """Coefficient of q**e; raises beyond the knowledge horizon."""
+        if self.order is not None and e > self.order:
+            raise UnknownCoefficient(f"exponent {e} beyond tracked order {self.order}")
+        i = e - self.offset
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return 0
+
+    def items(self) -> Iterator[tuple[int, Coeff]]:
+        """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                yield (self.offset + i, c)
+
+    # ------------------------------------------------------------- arithmetic
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        order = _min_order(self.order, other.order)
+        if self.is_zero():
+            return other.truncate(order) if order != other.order else other
+        if other.is_zero():
+            return self.truncate(order) if order != self.order else self
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs)) - 1
+        if order is not None:
+            hi = min(hi, order)
+        out: list[Coeff] = [0] * (hi - lo + 1)
+        for src in (self, other):
+            base = src.offset - lo
+            for i, c in enumerate(src.coeffs):
+                if c and base + i <= hi - lo:
+                    out[base + i] += c
+        return LaurentSeries(lo, out, order)
+
+    def __neg__(self) -> "LaurentSeries":
+        return LaurentSeries(self.offset, [-c for c in self.coeffs], self.order)
+
+    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        # An exactly-zero factor annihilates regardless of the other order.
+        if self.is_zero() and self.order is None:
+            return self
+        if other.is_zero() and other.order is None:
+            return other
+        order = _mul_order(self, other)
+        if self.is_zero() or other.is_zero():
+            return LaurentSeries.zero(order)
+        a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        lo = a.offset + b.offset
+        hi = a.offset + len(a.coeffs) + b.offset + len(b.coeffs) - 2
+        if order is not None:
+            hi = min(hi, order)
+        if hi < lo:
+            return LaurentSeries.zero(order)
+        out: list[Coeff] = [0] * (hi - lo + 1)
+        bco = b.coeffs
+        for i, av in enumerate(a.coeffs):
+            if not av:
+                continue
+            base = i  # (a.offset+i) + (b.offset+j) - lo == i + j
+            jmax = min(len(bco), hi - lo - base + 1)
+            if av == 1:
+                for j in range(jmax):
+                    bv = bco[j]
+                    if bv:
+                        out[base + j] += bv
+            elif av == -1:
+                for j in range(jmax):
+                    bv = bco[j]
+                    if bv:
+                        out[base + j] -= bv
+            else:
+                for j in range(jmax):
+                    bv = bco[j]
+                    if bv:
+                        out[base + j] += av * bv
+        return LaurentSeries(lo, out, order)
+
+    def scale(self, c: Coeff) -> "LaurentSeries":
+        """Multiply every coefficient by the constant c."""
+        if not c:
+            return LaurentSeries.zero(self.order)
+        if c == 1:
+            return self
+        return LaurentSeries(self.offset, [_norm(c * x) for x in self.coeffs], self.order)
+
+    def mul_monomial(self, c: Coeff, e: int) -> "LaurentSeries":
+        """Multiply by c * q**e."""
+        if not c:
+            return LaurentSeries.zero(None if self.order is None else self.order + e)
+        order = None if self.order is None else self.order + e
+        co = self.coeffs if c == 1 else [_norm(c * x) for x in self.coeffs]
+        if co is self.coeffs:
+            co = list(co)
+        return LaurentSeries(self.offset + e, co, order)
+
+    def mul_binomial(self, c: Coeff, e: int) -> "LaurentSeries":
+        """Multiply by (1 - c * q**e), e >= 1.  Exact; order is preserved."""
+        if e < 1:
+            raise ValueError("binomial exponent must be >= 1")
+        if self.is_zero() or not c:
+            return self
+        co = self.coeffs
+        n = len(co)
+        if self.order is None:
+            m = n + e
+        else:
+            m = min(n + e, self.order - self.offset + 1)
+        if m <= e:
+            # the shifted copy lies entirely beyond the horizon
+            return self
+        out = co[:m] + [0] * (m - n)
+        if c == 1:
+            for i in range(e, m):
+                out[i] -= co[i - e]
+        elif c == -1:
+            for i in range(e, m):
+                out[i] += co[i - e]
+        else:
+            for i in range(e, m):
+                out[i] -= c * co[i - e]
+        return LaurentSeries(self.offset, out, self.order)
+
+    def div_binomial(self, c: Coeff, e: int, order: int | None = None) -> "LaurentSeries":
+        """Divide by (1 - c * q**e), e >= 1, truncating at ``order``.
+
+        The quotient is an infinite series, so a finite horizon is required:
+        either the series already has one or ``order`` must be given.
+        """
+        if e < 1:
+            raise ValueError("binomial exponent must be >= 1")
+        if order is None:
+            order = self.order
+        elif self.order is not None:
+            order = min(order, self.order)
+        if self.is_zero():
+            return LaurentSeries.zero(order)
+        if order is None:
+            raise ValueError("dividing by a binomial needs a truncation order")
+        if not c:
+            return self.truncate(order)
+        m = order - self.offset + 1
+        if m <= 0:
+            return LaurentSeries.zero(order)
+        co = self.coeffs
+        out = co[:m] + [0] * (m - len(co))
+        if c == 1:
+            for i in range(e, m):
+                out[i] += out[i - e]
+        elif c == -1:
+            for i in range(e, m):
+                out[i] -= out[i - e]
+        else:
+            for i in range(e, m):
+                out[i] += c * out[i - e]
+        return LaurentSeries(self.offset, out, order)
+
+    def inverse(self, order: int | None = None) -> "LaurentSeries":
+        """Multiplicative inverse, truncated at ``order``.
+
+        The lowest visible coefficient must be nonzero.  A pure monomial
+        inverts exactly (no horizon needed); anything else is an infinite
+        series and requires one.
+        """
+        if self.is_zero():
+            raise InvertZero("cannot invert a series with no nonzero coefficient")
+        v = self.offset
+        lead = self.coeffs[0]
+        if self.order is None and len(self.coeffs) == 1:
+            # an exact monomial inverts exactly
+            return LaurentSeries.monomial(_norm(Fraction(1, 1) / lead), -v, order)
+        if order is None:
+            order = None if self.order is None else self.order - 2 * v
+        if order is None:
+            raise ValueError("inverting a non-monomial needs a truncation order")
+        # g = 1 / f with f = q^v * (lead + higher): g_0 = 1/lead,
+        # g_k = -(1/lead) * sum_{i=1..k} f_{v+i} g_{k-i}
+        n = order + v + 1  # number of g-coefficients to produce (exponent -v..order)
+        if n <= 0:
+            return LaurentSeries.zero(order)
+        inv_lead = _norm(Fraction(1, 1) / lead)
+        g: list[Coeff] = [inv_lead]
+        f = self.coeffs
+        for k in range(1, n):
+            s: Coeff = 0
+            imax = min(k, len(f) - 1)
+            for i in range(1, imax + 1):
+                fi = f[i]
+                if fi:
+                    s += fi * g[k - i]
+            g.append(_norm(-inv_lead * s) if s else 0)
+        return LaurentSeries(-v, g, order)
+
+    def truncate(self, order: int | None) -> "LaurentSeries":
+        """Restrict the knowledge horizon to ``order`` (drops higher terms)."""
+        if order is None:
+            if self.order is None:
+                return self
+            raise ValueError("cannot extend a truncated series to an exact one")
+        if self.order is not None and self.order <= order:
+            return self
+        keep = max(0, order - self.offset + 1)
+        return LaurentSeries(self.offset, self.coeffs[:keep], order)
+
+    def dilate_shift(self, t: int, s: int) -> "LaurentSeries":
+        """Return q**s * f(q**t): exponent e maps to t*e + s."""
+        if t < 1:
+            raise ValueError("dilation factor must be a positive integer")
+        order = None if self.order is None else t * self.order + s
+        if not self.coeffs:
+            return LaurentSeries.zero(order)
+        out: list[Coeff] = [0] * ((len(self.coeffs) - 1) * t + 1)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                out[i * t] = c
+        return LaurentSeries(t * self.offset + s, out, order)
+
+    def alternate(self) -> "LaurentSeries":
+        """Substitute q -> -q (negate coefficients at odd exponents)."""
+        co = [(-c if (self.offset + i) % 2 else c) for i, c in enumerate(self.coeffs)]
+        return LaurentSeries(self.offset, co, self.order)
+
+    # ------------------------------------------------------------- comparison
+
+    def __eq__(self, other: object) -> bool:
+        """Mathematical equality: coefficient-wise up to the common horizon."""
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        return first_mismatch(self, other) is None
+
+    __hash__ = None  # type: ignore[assignment]
+
+    # ---------------------------------------------------------- serialization
+
+    def to_payload(self) -> dict:
+        """JSON-ready dict: offset, order, and the nonzero coefficients."""
+        if self.order is not None:
+            order = self.order
+        else:
+            d = self.degree()
+            order = d if d is not None else 0
+        return {
+            "offset": self.offset if self.coeffs else 0,
+            "order": order,
+            "coefficients": [
+                {"exp": e, "num": str(Fraction(c).numerator), "den": str(Fraction(c).denominator)}
+                for e, c in self.items()
+            ],
+        }
+
+    def to_csv_rows(self) -> list[tuple[int, str, str]]:
+        return [
+            (e, str(Fraction(c).numerator), str(Fraction(c).denominator))
+            for e, c in self.items()
+        ]
+
+    def __repr__(self) -> str:
+        parts = []
+        for e, c in list(self.items())[:8]:
+            parts.append(f"{c}*q^{e}" if e else f"{c}")
+        body = " + ".join(parts) if parts else "0"
+        if len(self.coeffs) > 8:
+            body += " + ..."
+        tail = f" + O(q^{self.order + 1})" if self.order is not None else ""
+        return f"<{body}{tail}>"
+
+
+def _min_order(a: int | None, b: int | None) -> int | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _mul_order(a: LaurentSeries, b: LaurentSeries) -> int | None:
+    """Conservative product horizon: unknown tail of one factor times the
+    lowest possible exponent of the other."""
+
+    def lowest_possible(f: LaurentSeries) -> int:
+        v = f.valuation()
+        if v is not None:
+            return v
+        # an all-zero truncated series could first be nonzero just past its horizon
+        return f.order + 1 if f.order is not None else 0
+
+    cand = []
+    if a.order is not None:
+        cand.append(a.order + lowest_possible(b))
+    if b.order is not None:
+        cand.append(b.order + lowest_possible(a))
+    return min(cand) if cand else None
+
+
+def first_mismatch(
+    a: LaurentSeries, b: LaurentSeries, through: int | None = None
+) -> tuple[int, Coeff, Coeff] | None:
+    """First exponent where a and b disagree, with both coefficients.
+
+    Compares through ``min(a.order, b.order, through)`` (None = unbounded,
+    possible only when both series are exact).  Returns None on agreement.
+    """
+    horizon = _min_order(_min_order(a.order, b.order), through)
+    lo_candidates = [v for v in (a.valuation(), b.valuation()) if v is not None]
+    if not lo_candidates:
+        return None
+    lo = min(lo_candidates)
+    his = [d for d in (a.degree(), b.degree()) if d is not None]
+    hi = max(his)
+    if horizon is not None:
+        hi = min(hi, horizon)
+    for e in range(lo, hi + 1):
+        ia = e - a.offset
+        ib = e - b.offset
+        ca = a.coeffs[ia] if 0 <= ia < len(a.coeffs) else 0
+        cb = b.coeffs[ib] if 0 <= ib < len(b.coeffs) else 0
+        if ca != cb:
+            return (e, ca, cb)
+    return None
+
+
+# --------------------------------------------------------------- Pochhammer
+
+
+class PochhammerSpec:
+    """A finite product prod_{k=1..len} (1 - sign * q^(power + step*(k-1))).
+
+    ``power`` may be the string ``"n"`` for start exponents that track the
+    length argument (products whose base is q**n).  ``length`` selects how the
+    argument n maps to the number of factors: "n", "n-1" (undefined at n=0),
+    or "n+1".
+    """
+
+    __slots__ = ("sign", "power", "step", "length")
+
+    def __init__(self, sign: int, power: int | str, step: int, length: str = "n"):
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if isinstance(power, str):
+            if power != "n":
+                raise ValueError("symbolic power must be the string 'n'")
+        elif power < 0:
+            raise ValueError("power must be >= 0")
+        if step < 1:
+            raise ValueError("step must be >= 1")
+        if length not in ("n", "n-1", "n+1"):
+            raise ValueError("length must be one of 'n', 'n-1', 'n+1'")
+        self.sign = sign
+        self.power = power
+        self.step = step
+        self.length = length
+
+    def factor_count(self, n: int) -> int:
+        if n < 0:
+            raise BadLength("Pochhammer argument must be >= 0")
+        if self.length == "n":
+            return n
+        if self.length == "n+1":
+            return n + 1
+        if n == 0:
+            raise BadLength("length n-1 is undefined at n = 0")
+        return n - 1
+
+    def start_power(self, n: int) -> int:
+        return n if self.power == "n" else self.power
+
+    def __repr__(self) -> str:
+        a = f"{'-' if self.sign < 0 else ''}q^{self.power}"
+        return f"PochhammerSpec({a}; q^{self.step})_{self.length}"
+
+
+def qpoch(spec: PochhammerSpec, n: int, order: int | None = None) -> LaurentSeries:
+    """Evaluate the q-Pochhammer product for the given argument n.
+
+    Factors whose exponent exceeds ``order`` are congruent to 1 and are
+    skipped; the result then carries that finite horizon.  With
+    ``order=None`` the exact polynomial is returned.
+    """
+    count = spec.factor_count(n)
+    start = spec.start_power(n)
+    out = LaurentSeries.one()
+    skipped = False
+    for k in range(count):
+        e = start + spec.step * k
+        if order is not None and e > order:
+            skipped = True
+            continue
+        if e == 0:
+            # factor (1 - sign * q^0) is the constant 1 -/+ 1
+            out = out.scale(1 - spec.sign)
+        else:
+            out = out.mul_binomial(spec.sign, e)
+        if order is not None and out.degree() is not None and out.degree() > order:
+            out = out.truncate(order)
+            skipped = True
+    if order is not None and skipped:
+        out = out.truncate(order) if out.order is None or out.order > order else out
+    return out
+
+
+def dilate_shift(f: LaurentSeries, t: int, s: int) -> LaurentSeries:
+    """Module-level alias for ``f.dilate_shift(t, s)``."""
+    return f.dilate_shift(t, s)

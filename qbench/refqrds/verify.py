@@ -1,0 +1,284 @@
+"""End-to-end identity verification.
+
+Each of the twelve theorem entries ties one double sum to three other
+descriptions of the same coefficients:
+
+* ``ideal``     — after the substitution q -> q^t shifted by s, the series
+                  matches a weighted ideal-count generating function of a
+                  real quadratic field, restricted to one residue class;
+* ``theta``     — the series equals its indefinite theta-function form;
+* ``pipeline``  — the series is reproduced from its Bailey pair through the
+                  iteration step and a bounded limit transform.
+
+``verify_theorem`` runs all three legs and reports the first mismatching
+coefficient of any leg, exactly — there are no tolerances anywhere.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .bailey import bailey_step, limit_form, pair_catalog
+from .catalog import eval_named
+from .errors import UnknownId
+from .hecke import eval_blocks, hecke_catalog
+from .ideals import IdealQuery, ideal_series
+from .series import LaurentSeries, first_mismatch
+
+__all__ = [
+    "TheoremSpec",
+    "theorem_table",
+    "VerificationReport",
+    "verify_theorem",
+    "verify_corollary",
+    "verify_sigma",
+    "verify_all",
+    "check_support_residue",
+    "lacunarity_report",
+]
+
+
+HALF = Fraction(1, 2)
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One dilation/ideal correspondence: series_id(q) -> q^shift * f(q^dilate)
+    supported on norm values ``residue`` mod ``modulus`` of the field with
+    squarefree part ``field_d``."""
+
+    index: int
+    series_id: str
+    dilate: int
+    shift: int
+    field_d: int
+    residue: int
+    modulus: int
+    restriction: str  # "all" | "neg"
+    weight: Fraction
+
+
+_THEOREMS: tuple[TheoremSpec, ...] = (
+    TheoremSpec(1, "L1", 32, -17, 2, 15, 32, "all", HALF),
+    TheoremSpec(2, "L2", 32, 7, 2, 7, 32, "all", HALF),
+    TheoremSpec(3, "L3", 32, -33, 2, 31, 32, "all", HALF),
+    TheoremSpec(4, "L4", 32, -9, 2, 23, 32, "all", HALF),
+    TheoremSpec(5, "L5", 2, -2, 3, 0, 2, "neg", Fraction(2)),
+    TheoremSpec(6, "L6", 2, -1, 3, 1, 2, "neg", Fraction(2)),
+    TheoremSpec(7, "L7", 6, 1, 3, 1, 6, "all", Fraction(1)),
+    TheoremSpec(8, "L8", 6, -2, 3, 4, 6, "all", Fraction(1)),
+    TheoremSpec(9, "L9", 16, -9, 6, 7, 16, "all", Fraction(1)),
+    TheoremSpec(10, "L10", 16, -17, 6, 15, 16, "all", Fraction(1)),
+    TheoremSpec(11, "L11", 48, 5, 6, 5, 48, "all", HALF),
+    TheoremSpec(12, "L12", 48, -19, 6, 29, 48, "all", HALF),
+)
+
+# series id -> (pair label, limit form, scale, additive constant)
+_PIPELINES: dict[str, tuple[str, str, int, int]] = {
+    "L1": ("P2A", "A1", 1, 0),
+    "L2": ("P2B", "AQ", 1, 0),
+    "L3": ("P3A", "A1", 1, 0),
+    "L4": ("P3B", "AQ", 1, -1),
+    "L5": ("P1A", "A1ALSO", 1, 0),
+    "L6": ("BK1", "A1ALSO", 1, 0),
+    "L7": ("BK2", "AQALSO", 2, 0),
+    "L8": ("P1B", "AQALSO", 2, -1),
+    "L9": ("P2A", "A1ALSO", 1, 0),
+    "L10": ("P3A", "A1ALSO", 1, 0),
+    "L11": ("P2B", "AQALSO", 2, 0),
+    "L12": ("P3B", "AQALSO", 2, -2),
+}
+
+
+def theorem_table() -> tuple[TheoremSpec, ...]:
+    return _THEOREMS
+
+
+def _theorem(index: int) -> TheoremSpec:
+    if not 1 <= index <= len(_THEOREMS):
+        raise UnknownId(f"theorem index must be 1..{len(_THEOREMS)}, got {index}")
+    return _THEOREMS[index - 1]
+
+
+def _mm_payload(mm):
+    if mm is None:
+        return None
+    e, lhs, rhs = mm
+    return {"exp": e, "lhs": str(lhs), "rhs": str(rhs)}
+
+
+@dataclass
+class LegReport:
+    name: str
+    mismatch: tuple | None
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatch is None
+
+    def to_payload(self) -> dict:
+        return {
+            "name": self.name,
+            "status": "pass" if self.ok else "fail",
+            "first_mismatch": _mm_payload(self.mismatch),
+        }
+
+
+@dataclass
+class VerificationReport:
+    report_id: str
+    order: int
+    legs: list[LegReport]
+    elapsed_ms: int
+
+    @property
+    def ok(self) -> bool:
+        return all(leg.ok for leg in self.legs)
+
+    @property
+    def first_mismatch(self) -> tuple | None:
+        for leg in self.legs:
+            if leg.mismatch is not None:
+                return leg.mismatch
+        return None
+
+    def to_payload(self) -> dict:
+        return {
+            "id": self.report_id,
+            "order": self.order,
+            "status": "pass" if self.ok else "fail",
+            "first_mismatch": _mm_payload(self.first_mismatch),
+            "legs": [leg.to_payload() for leg in self.legs],
+            "elapsed_ms": self.elapsed_ms,
+        }
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def base_order_for(spec: TheoremSpec, order: int) -> int:
+    """Smallest base horizon whose dilation covers exponents through order."""
+    return max(0, _ceil_div(order - spec.shift, spec.dilate))
+
+
+def verify_theorem(index: int, order: int = 400) -> VerificationReport:
+    """Check one dilation/ideal entry at the given horizon, all legs exact."""
+    spec = _theorem(index)
+    t0 = time.perf_counter()
+    base_order = base_order_for(spec, order)
+    series = eval_named(spec.series_id, base_order)
+
+    dilated = series.dilate_shift(spec.dilate, spec.shift)
+    query = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
+    ideal = ideal_series(query, order, weight=spec.weight)
+    legs = [LegReport("ideal", first_mismatch(dilated, ideal, through=order))]
+
+    theta = eval_blocks(hecke_catalog(spec.series_id), base_order)
+    legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
+
+    pair_label, form_id, scale, const = _PIPELINES[spec.series_id]
+    lhs, _ = limit_form(bailey_step(pair_catalog(pair_label)), form_id, base_order)
+    piped = lhs.scale(scale)
+    if const:
+        piped = piped + LaurentSeries.monomial(const, 0)
+    legs.append(LegReport("pipeline", first_mismatch(piped, series, through=base_order)))
+
+    elapsed = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(f"theorem-{index:02d}", order, legs, elapsed)
+
+
+def _dilated_term(series_id: str, t: int, s: int, order: int, coeff: int = 1) -> LaurentSeries:
+    base = eval_named(series_id, max(0, _ceil_div(order - s, t)))
+    out = base.dilate_shift(t, s)
+    return out.scale(coeff) if coeff != 1 else out
+
+
+def verify_corollary(index: int, order: int = 400) -> VerificationReport:
+    """Check one of the four dissection identities between the single-sum
+    series Z2..Z5 and the double sums."""
+    t0 = time.perf_counter()
+    if index == 1:
+        lhs = eval_named("Z2", order)
+        rhs = (
+            _dilated_term("L1", 4, -2, order)
+            + _dilated_term("L2", 4, 1, order)
+            + _dilated_term("L3", 4, -4, order)
+            + _dilated_term("L4", 4, -1, order)
+        )
+    elif index == 2:
+        lhs = eval_named("Z3", order).scale(2)
+        rhs = _dilated_term("L5", 2, -2, order, coeff=-1) + _dilated_term("L6", 2, -1, order)
+    elif index == 3:
+        lhs = eval_named("Z4", order).alternate()
+        rhs = _dilated_term("L7", 2, 0, order) + _dilated_term("L8", 2, -1, order)
+    elif index == 4:
+        lhs = eval_named("Z5", _ceil_div(order, 2)).dilate_shift(2, 0).scale(-2)
+        rhs = eval_named("L6", order)
+    else:
+        raise UnknownId(f"corollary index must be 1..4, got {index}")
+    legs = [LegReport("identity", first_mismatch(lhs, rhs, through=order))]
+    elapsed = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(f"corollary-{index}", order, legs, elapsed)
+
+
+def verify_sigma(order: int = 400) -> VerificationReport:
+    """Check the weighted-count single sum against its indefinite theta form."""
+    t0 = time.perf_counter()
+    series = eval_named("SIGMA", order)
+    theta = eval_blocks(hecke_catalog("SIGMA"), order)
+    legs = [LegReport("theta", first_mismatch(series, theta, through=order))]
+    elapsed = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport("sigma", order, legs, elapsed)
+
+
+def verify_all(order: int = 400) -> list[VerificationReport]:
+    """Every check at one horizon, reports sorted by id."""
+    reports = [verify_corollary(j, order) for j in (1, 2, 3, 4)]
+    reports.append(verify_sigma(order))
+    reports.extend(verify_theorem(i, order) for i in range(1, 13))
+    return sorted(reports, key=lambda r: r.report_id)
+
+
+def check_support_residue(index: int, order: int = 400) -> bool:
+    """Every nonzero coefficient of the dilated series sits in the residue
+    class the ideal leg restricts to."""
+    spec = _theorem(index)
+    base = eval_named(spec.series_id, base_order_for(spec, order))
+    dilated = base.dilate_shift(spec.dilate, spec.shift)
+    return all(
+        e % spec.modulus == spec.residue % spec.modulus
+        for e, c in dilated.items()
+        if c and e <= order
+    )
+
+
+def lacunarity_report(series_id: str, order: int) -> dict:
+    """Dyadic nonzero-density profile of a named series; descriptive only."""
+    f = eval_named(series_id, order)
+    windows = []
+    lo = 1
+    while lo <= order:
+        hi = min(2 * lo - 1, order)
+        nonzero = sum(1 for e in range(lo, hi + 1) if f.coefficient(e))
+        windows.append({
+            "lo": lo,
+            "hi": hi,
+            "size": hi - lo + 1,
+            "nonzero": nonzero,
+            "density": round(nonzero / (hi - lo + 1), 6),
+        })
+        lo *= 2
+    values: dict[str, int] = {}
+    for e, c in f.items():
+        if 0 <= e <= order and c:
+            key = str(c)
+            values[key] = values.get(key, 0) + 1
+    return {
+        "id": series_id,
+        "order": order,
+        "windows": windows,
+        "values": dict(sorted(values.items(), key=lambda kv: (len(kv[0]), kv[0]))),
+    }
