@@ -7,9 +7,7 @@ by coefficient.
 """
 
 from .bailey import (
-    RHO_INFINITY,
     BaileyPair,
-    RhoSpec,
     SteppedPair,
     bailey_step,
     form_labels,
@@ -22,12 +20,12 @@ from .catalog import catalog_ids, classical_sum, eval_named, normalize_id, star_
 from .errors import (
     Beta0NotZero,
     FormPairMismatch,
+    InvariantViolation,
     NonTerminating,
     NoStabilization,
     UnknownId,
     UnknownPair,
     UnsupportedField,
-    UnsupportedRho,
 )
 from .hecke import HeckeBlock, HeckeBlockSet, eval_blocks, flip_j, hecke_catalog, hecke_ids
 from .ideals import (
@@ -40,16 +38,7 @@ from .ideals import (
     kronecker_symbol,
     sieve_counts,
 )
-from .series import (
-    BadLength,
-    InvertZero,
-    LaurentSeries,
-    PochhammerSpec,
-    UnknownCoefficient,
-    dilate_shift,
-    first_mismatch,
-    qpoch,
-)
+from .series import LaurentSeries, UnknownCoefficient, first_mismatch
 from .verify import (
     TheoremSpec,
     VerificationReport,
@@ -66,13 +55,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LaurentSeries",
-    "PochhammerSpec",
-    "qpoch",
-    "dilate_shift",
     "first_mismatch",
-    "InvertZero",
     "UnknownCoefficient",
-    "BadLength",
     "HeckeBlock",
     "HeckeBlockSet",
     "eval_blocks",
@@ -94,8 +78,6 @@ __all__ = [
     "star_sum",
     "BaileyPair",
     "SteppedPair",
-    "RhoSpec",
-    "RHO_INFINITY",
     "pair_catalog",
     "pair_labels",
     "form_labels",
@@ -117,7 +99,7 @@ __all__ = [
     "NoStabilization",
     "FormPairMismatch",
     "Beta0NotZero",
-    "UnsupportedRho",
     "UnsupportedField",
+    "InvariantViolation",
     "__version__",
 ]

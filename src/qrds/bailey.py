@@ -8,14 +8,13 @@ A pair (alpha, beta) relative to ``a`` (here always a = 1 or a = q) satisfies
 keeping one row per k and dividing in the two new Pochhammer factors as n
 advances, so nothing is ever recomputed from scratch.
 
-``bailey_step`` specializes the two free parameters of the standard
-iteration.  With both sent to infinity,
+``bailey_step`` applies the standard iteration with both free parameters
+sent to infinity,
 
     alpha'_n = a^n q^(n^2) alpha_n,
     beta'_n  = sum_k a^k q^(k^2) beta_k / (q)_{n-k},
 
-which is the only step the double-sum pipelines need; finite monomial
-specializations (rho = -1, q, -q) are supported generically.
+which is the only step the double-sum pipelines need.
 
 ``limit_form`` applies one of four prepackaged n -> infinity transforms,
 returning the two sides of the resulting identity as series.  Forms A1 and
@@ -31,18 +30,10 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .catalog import Ratio, _apply, classical_sum, star_sum
-from .errors import (
-    Beta0NotZero,
-    FormPairMismatch,
-    UnknownId,
-    UnknownPair,
-    UnsupportedRho,
-)
+from .errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
 from .series import LaurentSeries, first_mismatch
 
 __all__ = [
-    "RhoSpec",
-    "RHO_INFINITY",
     "BaileyPair",
     "SteppedPair",
     "pair_catalog",
@@ -255,6 +246,8 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     Returns a list of (n, (exponent, beta, sum)) mismatches; empty means the
     relation holds through q**order for every checked n.
     """
+    if n_max < 0 or order < 0:
+        raise ValueError("n_max and order must be >= 0")
     a_exp = 0 if pair.rel == "1" else 1
     rows: list[LaurentSeries] = []
     failures = []
@@ -277,28 +270,6 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
 
 
 # ------------------------------------------------------------------ stepping
-
-
-@dataclass(frozen=True)
-class RhoSpec:
-    """A specialization value for one free parameter of the iteration step:
-    either the infinite limit or a monomial sign * q**power."""
-
-    kind: str  # "infinity" | "monomial"
-    sign: int = 1
-    power: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("infinity", "monomial"):
-            raise ValueError("kind must be 'infinity' or 'monomial'")
-        if self.kind == "monomial":
-            if self.sign not in (1, -1):
-                raise ValueError("sign must be +1 or -1")
-            if self.power < 0:
-                raise ValueError("power must be >= 0")
-
-
-RHO_INFINITY = RhoSpec("infinity")
 
 
 class SteppedPair:
@@ -336,123 +307,9 @@ class SteppedPair:
         return betas[m]
 
 
-class GenericSteppedPair:
-    """The step with at least one finite monomial parameter.
-
-    Computed straight from the transform, term by term; meant for small n.
-    """
-
-    def __init__(self, base, rho1: RhoSpec, rho2: RhoSpec):
-        self.base = base
-        self.rho1 = rho1
-        self.rho2 = rho2
-        self.label = f"{base.label}*rho"
-        self.rel = base.rel
-        a_exp = 0 if base.rel == "1" else 1
-        # x = aq / (rho1 rho2); y_i = aq / rho_i  (as sign * q^power)
-        sign = 1
-        xe = a_exp + 1
-        self._ys: list[tuple[int, int]] = []
-        for rho in (rho1, rho2):
-            if rho.kind == "infinity":
-                continue
-            sign *= rho.sign
-            xe -= rho.power
-            ye = a_exp + 1 - rho.power
-            if ye < 0 or (ye == 0 and rho.sign == 1):
-                raise UnsupportedRho(
-                    f"specialization rho = {rho.sign:+d} q^{rho.power} degenerates "
-                    f"the transform for a = {'1' if a_exp == 0 else 'q'}"
-                )
-            self._ys.append((rho.sign, ye))
-        self._n_inf = sum(1 for rho in (rho1, rho2) if rho.kind == "infinity")
-        self._x = (sign, xe)
-        if self._n_inf == 0 and xe < 0:
-            raise UnsupportedRho(
-                "combined specialization pushes the transform argument below q^0"
-            )
-
-    def _rho_poly(self, rho: RhoSpec, count: int) -> LaurentSeries:
-        # (rho; q)_count as an exact polynomial
-        f = LaurentSeries.one()
-        for i in range(count):
-            e = rho.power + i
-            if e == 0:
-                f = f.scale(1 - rho.sign)
-            else:
-                f = f.mul_binomial(rho.sign, e)
-        return f
-
-    def _x_pochhammer(self, count: int, order: int) -> LaurentSeries:
-        # with any infinite slot the product's argument tends to 0
-        if self._n_inf:
-            return LaurentSeries.one()
-        cx, ex = self._x
-        f = LaurentSeries.one()
-        for i in range(count):
-            e = ex + i
-            if e == 0:
-                f = f.scale(1 - cx)
-            else:
-                f = f.mul_binomial(cx, e)
-        return f
-
-    def _div_y_factors(self, f: LaurentSeries, n: int, order: int) -> LaurentSeries:
-        for cy, ey in self._ys:
-            for i in range(n):
-                e = ey + i
-                if e == 0:
-                    f = f.scale(Fraction(1, 1 - cy))
-                else:
-                    f = f.div_binomial(cy, e, order=order)
-        return f
-
-    def _limit_weight(self, k: int) -> tuple[int, int]:
-        # each infinite parameter contributes (-1)^k q^(k(k-1)/2) x_partial^k;
-        # combined with x^k the exponents below come out right for 0, 1 or 2
-        # infinite slots.
-        cx, ex = self._x
-        c = (cx ** k) * ((-1) ** (k * self._n_inf))
-        e = ex * k + self._n_inf * (k * (k - 1) // 2)
-        return (c, e)
-
-    def alpha(self, m: int, order: int) -> LaurentSeries:
-        f = self.base.alpha(m, order)
-        for rho in (self.rho1, self.rho2):
-            if rho.kind == "monomial":
-                f = f * self._rho_poly(rho, m)
-        c, e = self._limit_weight(m)
-        f = f.mul_monomial(c, e)
-        f = self._div_y_factors(f, m, order)
-        if f.order is not None and f.order > order:
-            f = f.truncate(order)
-        return f
-
-    def beta(self, m: int, order: int) -> LaurentSeries:
-        total = LaurentSeries.zero(order)
-        for k in range(m + 1):
-            t = self.base.beta(k, order)
-            if t.is_zero():
-                continue
-            for rho in (self.rho1, self.rho2):
-                if rho.kind == "monomial":
-                    t = t * self._rho_poly(rho, k)
-            c, e = self._limit_weight(k)
-            t = t.mul_monomial(c, e)
-            t = t * self._x_pochhammer(m - k, order)
-            for i in range(1, m - k + 1):
-                t = t.div_binomial(1, i, order=order)
-            if t.order is not None and t.order > order:
-                t = t.truncate(order)
-            total = total + t
-        return self._div_y_factors(total, m, order)
-
-
-def bailey_step(pair, rho1: RhoSpec = RHO_INFINITY, rho2: RhoSpec = RHO_INFINITY):
-    """Apply one iteration step, specializing the two free parameters."""
-    if rho1.kind == "infinity" and rho2.kind == "infinity":
-        return SteppedPair(pair)
-    return GenericSteppedPair(pair, rho1, rho2)
+def bailey_step(pair) -> SteppedPair:
+    """Apply one iteration step with both free parameters at infinity."""
+    return SteppedPair(pair)
 
 
 # ---------------------------------------------------------------- limit forms
@@ -467,9 +324,8 @@ class LimitForm:
     w_seed: tuple[int, int]  # weight w_{n0} as coeff, exponent
     w_ratio: Callable[[int], Ratio]  # w_n -> w_{n+1}
     rhs_term: Callable[[int], Ratio]  # applied to alpha_n
-    rhs_scale_half: bool = False
     rhs_mul_one_minus_q: bool = False
-    rhs_scale_two: bool = False
+    rhs_scale: int | Fraction = 1  # applied after the (1 - q) factor
 
 
 def _sgn(n: int) -> int:
@@ -486,7 +342,7 @@ _FORMS: dict[str, LimitForm] = {
         form_id="A1ALSO", rel="1", starred=False, n0=1, w_seed=(-2, 1),
         w_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()),
         rhs_term=lambda n: (_sgn(n), n, (), ((1, 2 * n),)),
-        rhs_scale_two=True,
+        rhs_scale=2,
     ),
     "AQ": LimitForm(
         form_id="AQ", rel="q", starred=False, n0=0, w_seed=(1, 0),
@@ -499,7 +355,7 @@ _FORMS: dict[str, LimitForm] = {
         w_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
         rhs_term=lambda n: (_sgn(n), 0, (), ()),
         rhs_mul_one_minus_q=True,
-        rhs_scale_half=True,
+        rhs_scale=Fraction(1, 2),
     ),
 }
 
@@ -565,18 +421,6 @@ def _stepped_lhs_terms(stepped: SteppedPair, form: LimitForm, order: int) -> Ite
         n += 1
 
 
-def _generic_lhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
-    w = LaurentSeries.monomial(*form.w_seed, order=order)
-    n = form.n0
-    while True:
-        t = w * pair.beta(n, order)
-        if t.order is not None and t.order > order:
-            t = t.truncate(order)
-        yield t
-        w = _apply(w, order, form.w_ratio(n))
-        n += 1
-
-
 def _rhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
     n = form.n0
     while True:
@@ -585,7 +429,7 @@ def _rhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
 
 
 def limit_form(pair, form_id: str, order: int, star_budget: int | None = None):
-    """Both sides of a limit transform applied to a pair, as series.
+    """Both sides of a limit transform applied to a stepped catalog pair.
 
     Returns (lhs, rhs).  lhs sums the beta side, rhs the alpha side; for a
     matching pair/form combination the two agree through q**order.
@@ -598,10 +442,9 @@ def limit_form(pair, form_id: str, order: int, star_budget: int | None = None):
         )
     if form.n0 > 0 and not pair.beta(0, 0).is_zero():
         raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
-    if isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair):
-        lhs_terms = _stepped_lhs_terms(pair, form, order)
-    else:
-        lhs_terms = _generic_lhs_terms(pair, form, order)
+    if not (isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair)):
+        raise TypeError(f"limit_form needs a stepped catalog pair, got {pair.label}")
+    lhs_terms = _stepped_lhs_terms(pair, form, order)
     rhs_terms = _rhs_terms(pair, form, order)
     if form.starred:
         lhs = star_sum(lhs_terms, order, budget=star_budget)
@@ -609,10 +452,6 @@ def limit_form(pair, form_id: str, order: int, star_budget: int | None = None):
     else:
         lhs = classical_sum(lhs_terms, order)
         rhs = classical_sum(rhs_terms, order)
-    if form.rhs_scale_two:
-        rhs = rhs.scale(2)
     if form.rhs_mul_one_minus_q:
         rhs = rhs.mul_binomial(1, 1)
-    if form.rhs_scale_half:
-        rhs = rhs.scale(Fraction(1, 2))
-    return lhs, rhs
+    return lhs, rhs.scale(form.rhs_scale)

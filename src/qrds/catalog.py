@@ -15,8 +15,9 @@ Two summation modes:
   four consecutive vanishing consecutive-term sums T_n + T_{n-1}.
 
 Each series also carries a proven lower bound for the valuation of its n-th
-outer term; the bound is asserted while summing, so a transcription slip in
-a ratio cannot silently produce plausible-looking output.
+outer term; the bound is checked while summing (``InvariantViolation``, which
+survives ``python -O``), so a transcription slip in a ratio cannot silently
+produce plausible-looking output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import NoStabilization, NonTerminating, UnknownId
+from .errors import InvariantViolation, NoStabilization, NonTerminating, UnknownId
 from .series import LaurentSeries
 
 _HALF = Fraction(1, 2)
@@ -268,7 +269,8 @@ def _single_terms(entry: _Single, bound: Callable[[int], int], order: int) -> It
     n = n0
     while True:
         v = term.valuation()
-        assert v is None or v >= bound(n), f"term valuation below bound at n={n}"
+        if v is not None and v < bound(n):
+            raise InvariantViolation(f"term valuation below bound at n={n}")
         yield term
         term = _apply(term, order, ratio(n))
         n += 1
@@ -287,7 +289,8 @@ def _double_terms(entry: _Double, order: int) -> Iterator[LaurentSeries]:
                 break
             total = total + term
         v = total.valuation()
-        assert v is None or v >= bound(n), f"row valuation below bound at n={n}"
+        if v is not None and v < bound(n):
+            raise InvariantViolation(f"row valuation below bound at n={n}")
         yield total
         start = _apply(start, order, start_ratio(n))
         n += 1

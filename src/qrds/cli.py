@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 all requested checks passed (or output produced), 1 at least
 one check failed, 2 bad usage or a computation that cannot be completed
-(unknown id, non-terminating sum, unsupported specialization, ...).
+(unknown id, bad weight, negative order, non-terminating sum, ...).  An
+internal fault (such as ``InvariantViolation``) is not a usage error and
+surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .errors import (
     UnknownId,
     UnknownPair,
     UnsupportedField,
-    UnsupportedRho,
 )
 from .hecke import eval_blocks, hecke_catalog
 from .ideals import IdealQuery, ideal_series
-from .series import BadLength, LaurentSeries
+from .series import LaurentSeries
 from .verify import (
     lacunarity_report,
     verify_all,
@@ -49,10 +50,8 @@ _USAGE_ERRORS = (
     UnknownId,
     UnknownPair,
     UnsupportedField,
-    UnsupportedRho,
     FormPairMismatch,
     Beta0NotZero,
-    BadLength,
     NonTerminating,
     NoStabilization,
     ValueError,
@@ -91,8 +90,15 @@ def _cmd_hecke(args) -> int:
     return 0
 
 
+def _parse_weight(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"weight {text!r} has a zero denominator") from None
+
+
 def _cmd_ideals(args) -> int:
-    weight = Fraction(args.weight)
+    weight = _parse_weight(args.weight)
     query = IdealQuery(
         args.d,
         args.residue,

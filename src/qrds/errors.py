@@ -1,8 +1,8 @@
 """Domain-level exceptions shared across the package.
 
-Arithmetic-level errors (InvertZero, UnknownCoefficient, BadLength) live in
-``series``; everything tied to catalogs, summation control, or field data is
-collected here so modules can share them without import cycles.
+The one arithmetic-level error, UnknownCoefficient, lives in ``series``;
+everything tied to catalogs, summation control, field data, or internal
+invariants is collected here so modules can share them without import cycles.
 """
 
 __all__ = [
@@ -12,8 +12,8 @@ __all__ = [
     "NoStabilization",
     "FormPairMismatch",
     "Beta0NotZero",
-    "UnsupportedRho",
     "UnsupportedField",
+    "InvariantViolation",
 ]
 
 
@@ -45,9 +45,12 @@ class Beta0NotZero(ValueError):
     """A limit form that starts at n = 1 needs beta_0 = 0, and it is not."""
 
 
-class UnsupportedRho(ValueError):
-    """A specialization parameter that makes the transform degenerate."""
-
-
 class UnsupportedField(ValueError):
     """A quadratic field outside the supported discriminant list."""
+
+
+class InvariantViolation(RuntimeError):
+    """A proven bound failed while computing: an internal fault, not bad input.
+
+    Raised explicitly rather than asserted, so the check survives ``python -O``.
+    """

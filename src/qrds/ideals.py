@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import UnsupportedField
+from .errors import InvariantViolation, UnsupportedField
 from .series import Coeff, LaurentSeries
 
 __all__ = [
@@ -134,17 +134,17 @@ def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
     for m < 0 it is          v > 0  and  -D y1 v < u (x1+1) <= D y1 v.
     Everything is compared exactly in cross-multiplied integers.  The
     enumeration range carries a 2x safety margin over the bound the window
-    implies, and the margin is asserted empty afterwards.
+    implies, and the margin is checked empty afterwards.
     """
     f = field_spec(D)
     if m == 0:
         raise ValueError("m must be nonzero")
     x1p = f.x1 + 1
     reps: list[tuple[int, int]] = []
+    margin: list[tuple[int, int]] = []
     if m > 0:
         # window forces 2 u^2 / (x1+1) <= m
         bound = isqrt(m * x1p // 2) + 1
-        margin: list[tuple[int, int]] = []
         for u in range(1, 2 * bound + 1):
             t = u * u - m
             if t < 0:
@@ -158,12 +158,10 @@ def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
             for vv in ({v, -v} if v else {0}):
                 if -f.y1 * u < vv * x1p <= f.y1 * u:
                     (reps if u <= bound else margin).append((u, vv))
-        assert not margin, f"canonical window bound too small for D={D}, m={m}"
     else:
         a = -m
         # window forces 2 D v^2 / (x1+1) <= |m|
         bound = isqrt(a * x1p // (2 * f.D)) + 1
-        margin = []
         for v in range(1, 2 * bound + 1):
             t = f.D * v * v - a
             if t < 0:
@@ -174,7 +172,8 @@ def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
             for uu in ({u, -u} if u else {0}):
                 if -f.D * f.y1 * v < uu * x1p <= f.D * f.y1 * v:
                     (reps if v <= bound else margin).append((uu, v))
-        assert not margin, f"canonical window bound too small for D={D}, m={m}"
+    if margin:
+        raise InvariantViolation(f"canonical window bound too small for D={D}, m={m}")
     reps.sort()
     return reps
 

@@ -27,26 +27,13 @@ Coeff = Union[int, Fraction]
 
 __all__ = [
     "LaurentSeries",
-    "PochhammerSpec",
-    "InvertZero",
     "UnknownCoefficient",
-    "BadLength",
-    "qpoch",
-    "dilate_shift",
     "first_mismatch",
 ]
 
 
-class InvertZero(ZeroDivisionError):
-    """Raised when inverting a series with no visible nonzero coefficient."""
-
-
 class UnknownCoefficient(ValueError):
     """Raised when a coefficient beyond the tracked order is requested."""
-
-
-class BadLength(ValueError):
-    """Raised for Pochhammer lengths that are undefined at the given n."""
 
 
 def _norm(x: Coeff) -> Coeff:
@@ -227,8 +214,6 @@ class LaurentSeries:
             return LaurentSeries.zero(None if self.order is None else self.order + e)
         order = None if self.order is None else self.order + e
         co = self.coeffs if c == 1 else [_norm(c * x) for x in self.coeffs]
-        if co is self.coeffs:
-            co = list(co)
         return LaurentSeries(self.offset + e, co, order)
 
     def mul_binomial(self, c: Coeff, e: int) -> "LaurentSeries":
@@ -291,42 +276,6 @@ class LaurentSeries:
             for i in range(e, m):
                 out[i] += c * out[i - e]
         return LaurentSeries(self.offset, out, order)
-
-    def inverse(self, order: int | None = None) -> "LaurentSeries":
-        """Multiplicative inverse, truncated at ``order``.
-
-        The lowest visible coefficient must be nonzero.  A pure monomial
-        inverts exactly (no horizon needed); anything else is an infinite
-        series and requires one.
-        """
-        if self.is_zero():
-            raise InvertZero("cannot invert a series with no nonzero coefficient")
-        v = self.offset
-        lead = self.coeffs[0]
-        if self.order is None and len(self.coeffs) == 1:
-            # an exact monomial inverts exactly
-            return LaurentSeries.monomial(_norm(Fraction(1, 1) / lead), -v, order)
-        if order is None:
-            order = None if self.order is None else self.order - 2 * v
-        if order is None:
-            raise ValueError("inverting a non-monomial needs a truncation order")
-        # g = 1 / f with f = q^v * (lead + higher): g_0 = 1/lead,
-        # g_k = -(1/lead) * sum_{i=1..k} f_{v+i} g_{k-i}
-        n = order + v + 1  # number of g-coefficients to produce (exponent -v..order)
-        if n <= 0:
-            return LaurentSeries.zero(order)
-        inv_lead = _norm(Fraction(1, 1) / lead)
-        g: list[Coeff] = [inv_lead]
-        f = self.coeffs
-        for k in range(1, n):
-            s: Coeff = 0
-            imax = min(k, len(f) - 1)
-            for i in range(1, imax + 1):
-                fi = f[i]
-                if fi:
-                    s += fi * g[k - i]
-            g.append(_norm(-inv_lead * s) if s else 0)
-        return LaurentSeries(-v, g, order)
 
     def truncate(self, order: int | None) -> "LaurentSeries":
         """Restrict the knowledge horizon to ``order`` (drops higher terms)."""
@@ -454,87 +403,3 @@ def first_mismatch(
         if ca != cb:
             return (e, ca, cb)
     return None
-
-
-# --------------------------------------------------------------- Pochhammer
-
-
-class PochhammerSpec:
-    """A finite product prod_{k=1..len} (1 - sign * q^(power + step*(k-1))).
-
-    ``power`` may be the string ``"n"`` for start exponents that track the
-    length argument (products whose base is q**n).  ``length`` selects how the
-    argument n maps to the number of factors: "n", "n-1" (undefined at n=0),
-    or "n+1".
-    """
-
-    __slots__ = ("sign", "power", "step", "length")
-
-    def __init__(self, sign: int, power: int | str, step: int, length: str = "n"):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if isinstance(power, str):
-            if power != "n":
-                raise ValueError("symbolic power must be the string 'n'")
-        elif power < 0:
-            raise ValueError("power must be >= 0")
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        if length not in ("n", "n-1", "n+1"):
-            raise ValueError("length must be one of 'n', 'n-1', 'n+1'")
-        self.sign = sign
-        self.power = power
-        self.step = step
-        self.length = length
-
-    def factor_count(self, n: int) -> int:
-        if n < 0:
-            raise BadLength("Pochhammer argument must be >= 0")
-        if self.length == "n":
-            return n
-        if self.length == "n+1":
-            return n + 1
-        if n == 0:
-            raise BadLength("length n-1 is undefined at n = 0")
-        return n - 1
-
-    def start_power(self, n: int) -> int:
-        return n if self.power == "n" else self.power
-
-    def __repr__(self) -> str:
-        a = f"{'-' if self.sign < 0 else ''}q^{self.power}"
-        return f"PochhammerSpec({a}; q^{self.step})_{self.length}"
-
-
-def qpoch(spec: PochhammerSpec, n: int, order: int | None = None) -> LaurentSeries:
-    """Evaluate the q-Pochhammer product for the given argument n.
-
-    Factors whose exponent exceeds ``order`` are congruent to 1 and are
-    skipped; the result then carries that finite horizon.  With
-    ``order=None`` the exact polynomial is returned.
-    """
-    count = spec.factor_count(n)
-    start = spec.start_power(n)
-    out = LaurentSeries.one()
-    skipped = False
-    for k in range(count):
-        e = start + spec.step * k
-        if order is not None and e > order:
-            skipped = True
-            continue
-        if e == 0:
-            # factor (1 - sign * q^0) is the constant 1 -/+ 1
-            out = out.scale(1 - spec.sign)
-        else:
-            out = out.mul_binomial(spec.sign, e)
-        if order is not None and out.degree() is not None and out.degree() > order:
-            out = out.truncate(order)
-            skipped = True
-    if order is not None and skipped:
-        out = out.truncate(order) if out.order is None or out.order > order else out
-    return out
-
-
-def dilate_shift(f: LaurentSeries, t: int, s: int) -> LaurentSeries:
-    """Module-level alias for ``f.dilate_shift(t, s)``."""
-    return f.dilate_shift(t, s)

@@ -1,12 +1,8 @@
 """Pair catalog: defining relation, iteration step, limit transforms."""
 
-from fractions import Fraction
-
 import pytest
 
 from qrds.bailey import (
-    RHO_INFINITY,
-    RhoSpec,
     bailey_step,
     form_labels,
     limit_form,
@@ -15,13 +11,7 @@ from qrds.bailey import (
     verify_pair_relation,
 )
 from qrds.catalog import eval_named
-from qrds.errors import (
-    Beta0NotZero,
-    FormPairMismatch,
-    UnknownId,
-    UnknownPair,
-    UnsupportedRho,
-)
+from qrds.errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
 from qrds.series import LaurentSeries
 
 ALL_PAIRS = ("BK1", "BK2", "P1A", "P1B", "P2A", "P2B", "P3A", "P3B")
@@ -101,31 +91,6 @@ def test_stepped_alpha_shift():
     assert items(stepped.alpha(1, 40), 10) == [(1, -1), (3, 1)]
 
 
-GENERIC_CASES = [
-    ("P2A", RhoSpec("monomial", -1, 0), RHO_INFINITY),
-    ("P2B", RhoSpec("monomial", -1, 1), RHO_INFINITY),
-    ("BK1", RhoSpec("monomial", -1, 0), RhoSpec("monomial", -1, 1)),
-    ("P1B", RhoSpec("monomial", -1, 0), RhoSpec("monomial", -1, 1)),
-    ("P3B", RhoSpec("monomial", -1, 1), RhoSpec("monomial", -1, 1)),
-]
-
-
-@pytest.mark.parametrize("label,r1,r2", GENERIC_CASES)
-def test_generic_step_relation(label, r1, r2):
-    stepped = bailey_step(pair_catalog(label), r1, r2)
-    assert verify_pair_relation(stepped, n_max=6, order=50) == []
-
-
-def test_generic_matches_double_limit():
-    # sending both parameters to infinity explicitly must agree with the
-    # dedicated stepped-pair implementation
-    full = bailey_step(pair_catalog("P2A"))
-    generic = bailey_step(pair_catalog("P2A"), RHO_INFINITY, RHO_INFINITY)
-    for m in range(4):
-        assert generic.alpha(m, 40) == full.alpha(m, 40)
-        assert generic.beta(m, 40).truncate(30) == full.beta(m, 40).truncate(30)
-
-
 # ------------------------------------------------------------ limit forms
 
 PIPELINES = {
@@ -178,23 +143,6 @@ def test_beta0_must_vanish_for_shifted_forms():
         limit_form(_NonzeroBeta0(), "A1", 20)
 
 
-def test_rho_validation():
-    with pytest.raises(ValueError):
-        RhoSpec("finite")
-    with pytest.raises(ValueError):
-        RhoSpec("monomial", sign=2)
-    with pytest.raises(ValueError):
-        RhoSpec("monomial", sign=1, power=-1)
-
-
-def test_unsupported_rho_combinations():
-    # a = 1 and rho = q makes aq/rho degenerate to 1 with the wrong sign
-    with pytest.raises(UnsupportedRho):
-        bailey_step(pair_catalog("P2A"), RhoSpec("monomial", 1, 1), RHO_INFINITY)
-    # both parameters at -q with a = 1 pushes the remaining base below q^0
-    with pytest.raises(UnsupportedRho):
-        bailey_step(
-            pair_catalog("P2A"),
-            RhoSpec("monomial", -1, 1),
-            RhoSpec("monomial", -1, 1),
-        )
+def test_limit_form_needs_stepped_catalog_pair():
+    with pytest.raises(TypeError):
+        limit_form(pair_catalog("P2A"), "A1", 20)

@@ -1,9 +1,15 @@
 """Catalog evaluation: frozen heads, independent product forms, summation budgets."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qrds
+import qrds.catalog as catalog
 from qrds.catalog import (
     catalog_ids,
     classical_sum,
@@ -11,7 +17,7 @@ from qrds.catalog import (
     normalize_id,
     star_sum,
 )
-from qrds.errors import NonTerminating, NoStabilization, UnknownId
+from qrds.errors import InvariantViolation, NonTerminating, NoStabilization, UnknownId
 from qrds.series import LaurentSeries
 
 # ------------------------------------------------------------------ oracles
@@ -250,3 +256,39 @@ def test_star_sum_no_stabilization():
 def test_star_sum_exhausted_stream():
     with pytest.raises(NoStabilization):
         star_sum(iter([LaurentSeries.one()]), 5)
+
+
+# -------------------------------------------------------- valuation bounds
+
+# L5 with a valuation bound no row can meet: the first row (n = 1) has
+# valuation 2, far below n + 100.
+_BROKEN_BOUND = """
+import qrds.catalog as catalog
+from qrds.errors import InvariantViolation
+entry = catalog._DOUBLES["L5"]
+catalog._DOUBLES["L5"] = entry[:6] + (lambda n: n + 100,) + entry[7:]
+try:
+    catalog.eval_named("L5", 40)
+except InvariantViolation:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_valuation_bound_violation_raises(monkeypatch):
+    entry = catalog._DOUBLES["L5"]
+    monkeypatch.setitem(catalog._DOUBLES, "L5", entry[:6] + (lambda n: n + 100,) + entry[7:])
+    with pytest.raises(InvariantViolation, match="n=1"):
+        eval_named("L5", 40)
+
+
+def test_valuation_bound_survives_optimized_mode():
+    src = str(Path(qrds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_BOUND],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -177,11 +177,26 @@ def test_usage_error_unknown_pair(capsys):
 
 
 def test_usage_error_bad_weight(capsys):
-    rc, _, err = run(
-        capsys, "ideals", "--d", "2", "--residue", "0", "--modulus", "1",
-        "--order", "10", "--weight", "a/b",
-    )
+    for weight in ("a/b", "1/0"):
+        rc, _, err = run(
+            capsys, "ideals", "--d", "2", "--residue", "0", "--modulus", "1",
+            "--order", "10", "--weight", weight,
+        )
+        assert rc == 2, weight
+        assert err.startswith("error:"), weight
+
+
+def test_usage_error_bailey_negative_nmax(capsys):
+    rc, out, err = run(capsys, "bailey", "--pair", "p2a", "--check", "--nmax", "-2")
     assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_usage_error_bailey_negative_order(capsys):
+    rc, out, err = run(capsys, "bailey", "--pair", "p2a", "--check", "--order", "-1")
+    assert rc == 2
+    assert out == ""
     assert err.startswith("error:")
 
 

@@ -4,15 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrds.series import (
-    BadLength,
-    InvertZero,
-    LaurentSeries,
-    PochhammerSpec,
-    UnknownCoefficient,
-    first_mismatch,
-    qpoch,
-)
+from qrds.series import LaurentSeries, UnknownCoefficient, first_mismatch
 
 
 def poly(*items):
@@ -117,35 +109,6 @@ def test_truncate_semantics():
     assert f.truncate(None) is f
 
 
-def test_inverse_round_trip_random_units():
-    rng = random.Random(20260819)
-    one = LaurentSeries.one()
-    for _ in range(100):
-        lead = rng.choice([1, -1, 2, -3, Fraction(1, 2)])
-        items = [(0, lead)] + [
-            (rng.randrange(1, 12), rng.randrange(-9, 10)) for _ in range(rng.randrange(0, 6))
-        ]
-        f = LaurentSeries.from_items(items, None)
-        inv = f.inverse(order=30)
-        assert first_mismatch(f * inv, one, through=30) is None
-    # shifted units invert to shifted inverses
-    f = poly((3, 2), (5, 1))
-    inv = f.inverse(order=20)
-    assert first_mismatch(f * inv, one, through=20) is None
-    assert inv.valuation() == -3
-
-
-def test_inverse_monomial_is_exact():
-    inv = poly((4, 2)).inverse()
-    assert inv.order is None
-    assert dict(inv.items()) == {-4: Fraction(1, 2)}
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(InvertZero):
-        LaurentSeries.zero(5).inverse()
-
-
 coeffs = st.integers(min_value=-9, max_value=9)
 polys = st.builds(
     lambda items: LaurentSeries.from_items(items, None),
@@ -175,80 +138,6 @@ def test_equality_tracks_common_horizon(f, g):
         e, cf, cg = mm
         assert cf != cg
         assert f.coefficient(e) == cf and g.coefficient(e) == cg
-
-
-# ----------------------------------------------------------- q-Pochhammer
-
-# (name, spec) pairs exercised in the recurrence test below; each recurrence
-# multiplies in exactly the factors the product gains when n grows by one.
-REPERTOIRE = {
-    "q;q,n": PochhammerSpec(1, 1, 1, "n"),
-    "q;q,n-1": PochhammerSpec(1, 1, 1, "n-1"),
-    "-1;q,n": PochhammerSpec(-1, 0, 1, "n"),
-    "-q;q,n": PochhammerSpec(-1, 1, 1, "n"),
-    "q;q2,n": PochhammerSpec(1, 1, 2, "n"),
-    "q;q2,n-1": PochhammerSpec(1, 1, 2, "n-1"),
-    "q2;q2,n": PochhammerSpec(1, 2, 2, "n"),
-    "q2;q2,n-1": PochhammerSpec(1, 2, 2, "n-1"),
-}
-
-
-def test_qpoch_small_exact_values():
-    assert qpoch(REPERTOIRE["q;q,n"], 0) == LaurentSeries.one()
-    assert qpoch(REPERTOIRE["q;q,n"], 2) == poly((0, 1), (1, -1), (2, -1), (3, 1))
-    assert qpoch(REPERTOIRE["-1;q,n"], 1) == poly((0, 2))
-    assert qpoch(REPERTOIRE["-q;q,n"], 2) == poly((0, 1), (1, 1), (2, 1), (3, 1))
-
-
-def test_qpoch_recurrences_at_order():
-    order = 200
-    for name, spec in REPERTOIRE.items():
-        n_lo = 1 if spec.length != "n-1" else 2
-        prev = qpoch(spec, n_lo - 1, order) if spec.length != "n-1" else qpoch(spec, 1, order)
-        for n in range((2 if spec.length == "n-1" else 1), 31):
-            cur = qpoch(spec, n, order)
-            count_gain = spec.factor_count(n) - spec.factor_count(n - 1)
-            stepped = prev
-            for k in range(spec.factor_count(n - 1), spec.factor_count(n)):
-                e = spec.start_power(n) + spec.step * k
-                if e == 0:
-                    stepped = stepped.scale(1 - spec.sign)
-                elif e <= order:
-                    stepped = stepped.mul_binomial(spec.sign, e)
-            assert count_gain == 1
-            assert first_mismatch(stepped, cur, through=order) is None, (name, n)
-            prev = cur
-
-
-def test_qpoch_symbolic_base_recurrence():
-    # start exponent tracks n, so consecutive values share no factors and the
-    # recurrence is cross-checked against a from-scratch product instead
-    spec = PochhammerSpec(1, "n", 1, "n+1")
-    order = 200
-    for n in range(0, 31):
-        f = qpoch(spec, n, order)
-        direct = LaurentSeries.one()
-        for k in range(n + 1):
-            if n + k == 0:
-                direct = direct.scale(0)  # the n = 0 product contains (1 - q^0)
-            elif n + k <= order:
-                direct = direct.mul_binomial(1, n + k)
-        direct = direct if direct.order is not None else direct.truncate(order)
-        assert first_mismatch(f, direct, through=order) is None, n
-
-
-def test_qpoch_skips_factors_beyond_order():
-    f = qpoch(PochhammerSpec(1, 1, 1, "n"), 30, 10)
-    g = qpoch(PochhammerSpec(1, 1, 1, "n"), 10, 10)
-    assert f.order == 10
-    assert first_mismatch(f, g, through=10) is None
-
-
-def test_qpoch_bad_length():
-    with pytest.raises(BadLength):
-        qpoch(PochhammerSpec(1, 1, 1, "n-1"), 0)
-    with pytest.raises(BadLength):
-        qpoch(PochhammerSpec(1, 1, 1, "n"), -1)
 
 
 def test_payload_and_csv_shapes():
