@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .catalog import Ratio, _apply, classical_sum, star_sum
+from .catalog import Ratio, _apply, _row_totals, classical_sum, star_sum
 from .errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
 from .series import LaurentSeries, first_mismatch
 
@@ -402,23 +402,12 @@ def _stepped_lhs_terms(stepped: SteppedPair, form: LimitForm, order: int) -> Ite
     seed = base.beta(k0, order).mul_monomial(wc, we + stepped._u_exp(k0))
     if seed.order is not None and seed.order > order:
         seed = seed.truncate(order)
-    start = seed
-    n = form.n0
-    while True:
-        term = start
-        total = term
-        for k in range(k0, n):
-            u_step = (1, 2 * k + 1 + (1 if stepped.rel == "q" else 0), (), ())
-            term = _apply(
-                term, order,
-                _compose(u_step, base.beta_ratio(k), (1, 0, ((1, n - k),), ())),
-            )
-            if term.is_zero():
-                break
-            total = total + term
-        yield total
-        start = _apply(start, order, _compose(form.w_ratio(n), (1, 0, (), ((1, n + 1 - k0),))))
-        n += 1
+    u = 2 if stepped.rel == "q" else 1
+    return _row_totals(
+        seed, order, form.n0, k0,
+        lambda n, k: _compose((1, 2 * k + u, (), ()), base.beta_ratio(k), (1, 0, ((1, n - k),), ())),
+        lambda n: _compose(form.w_ratio(n), (1, 0, (), ((1, n + 1 - k0),))),
+    )
 
 
 def _rhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:

@@ -5,6 +5,14 @@ sum, entirely in integer arithmetic.  Successive outer terms are produced
 by exact term ratios (a monomial times a few binomials over binomials), so
 no Pochhammer product is ever expanded twice.
 
+A double sum is summed row by row: row n is sum_k T(n, k), where T(n, k + 1)
+comes from T(n, k) by a ratio.  ``_row_totals`` walks a row in place: the
+current term and the running row total are plain int lists mutated by the
+series kernel's list operations, a monomial only changes the term's scalar
+factor (a sign, in every catalog ratio) and offset, and each row becomes
+exactly one ``LaurentSeries``.  The Bailey pipeline sums its left-hand rows
+with the same walker.
+
 Two summation modes:
 
 * ``classical_sum`` — stops once four consecutive outer terms vanish below
@@ -23,10 +31,12 @@ produce plausible-looking output.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantViolation, NoStabilization, NonTerminating, UnknownId
-from .series import LaurentSeries
+from .series import LaurentSeries, div_binomial_into, mul_binomial_into
 
 _HALF = Fraction(1, 2)
 
@@ -276,24 +286,114 @@ def _single_terms(entry: _Single, bound: Callable[[int], int], order: int) -> It
         n += 1
 
 
+class _Term:
+    """The term ``c * q**offset * sum(buf[i] * q**i)``, known through q**horizon.
+
+    The row walker's working state: ``apply`` does what ``_apply`` does, but
+    on the one list ``buf`` in place, and its monomial only changes the
+    scalars ``c`` and ``offset``.  ``buf[0]`` is nonzero unless ``buf`` is
+    empty, which is how a vanished term shows.
+    """
+
+    __slots__ = ("c", "offset", "buf", "horizon")
+
+    def __init__(self, c: int, offset: int, buf: list, horizon: int):
+        self.c = c
+        self.offset = offset
+        self.buf = buf
+        self.horizon = horizon
+
+    def copy(self) -> "_Term":
+        return _Term(self.c, self.offset, self.buf[:], self.horizon)
+
+    def apply(self, ratio: Ratio, order: int) -> None:
+        c, e, num, den = ratio
+        self.c *= c
+        self.offset += e
+        self.horizon += e
+        buf = self.buf
+        if not self.c:
+            buf.clear()
+        if self.horizon > order:
+            del buf[max(0, order - self.offset + 1):]
+            self.horizon = order
+        if not buf:
+            return
+        m = self.horizon - self.offset + 1
+        for cc, ee in num:
+            mul_binomial_into(buf, cc, ee, m)
+        for cc, ee in den:
+            div_binomial_into(buf, cc, ee, m)
+
+    def add_into(self, total: list, low: int) -> int:
+        """Add this term to ``total`` (index i is q**(low + i)); return the new low."""
+        buf = self.buf
+        if not buf:
+            return low
+        a = self.offset - low
+        if a < 0:
+            total[:0] = repeat(0, -a)
+            low, a = self.offset, 0
+        b = a + len(buf)
+        if b > len(total):
+            total.extend(repeat(0, b - len(total)))
+        if self.c == 1:
+            total[a:b] = map(add, total[a:b], buf)
+        elif self.c == -1:
+            total[a:b] = map(sub, total[a:b], buf)
+        else:
+            total[a:b] = map(add, total[a:b], map(mul, repeat(self.c), buf))
+        return low
+
+
+def _row_totals(
+    start: LaurentSeries,
+    order: int,
+    n0: int,
+    k0: int,
+    k_ratio: Callable[[int, int], Ratio],
+    start_ratio: Callable[[int], Ratio],
+) -> Iterator[LaurentSeries]:
+    """Rows sum_{k=k0}^{n} T(n, k) of a double sum, for n = n0, n0 + 1, ...
+
+    T(n0, k0) is ``start`` (which must carry a finite horizon), T(n + 1, k0)
+    is T(n, k0) times ``start_ratio(n)`` and T(n, k + 1) is T(n, k) times
+    ``k_ratio(n, k)``.  The same ratios applied with ``_apply`` give the same
+    rows; here each row is summed in one int list and becomes one series.
+    A row stops at its first vanished term.
+    """
+    # copy: ``start.coeffs`` may be shared with other series
+    head = _Term(1, start.offset, list(start.coeffs), start.order)
+    n = n0
+    while True:
+        term = head.copy()
+        total: list = []
+        low = term.offset
+        horizon = term.horizon
+        k = k0
+        while True:
+            horizon = min(horizon, term.horizon)
+            low = term.add_into(total, low)
+            if k >= n:
+                break
+            term.apply(k_ratio(n, k), order)
+            k += 1
+            if not term.buf:
+                break
+        yield LaurentSeries(low, total[:max(0, horizon - low + 1)], horizon)
+        head.apply(start_ratio(n), order)
+        n += 1
+
+
 def _double_terms(entry: _Double, order: int) -> Iterator[LaurentSeries]:
     n0, k0, c0, e0, start_ratio, k_ratio, bound, _starred, _scale, _const = entry
     start = LaurentSeries.monomial(c0, e0, order).div_binomial(1, 1, order=order)
-    n = n0
-    while True:
-        term = start
-        total = term
-        for k in range(k0, n):
-            term = _apply(term, order, k_ratio(n, k))
-            if term.is_zero():
-                break
-            total = total + term
+    rows = _row_totals(start, order, n0, k0, k_ratio, start_ratio)
+    for n, total in enumerate(rows, n0):
         v = total.valuation()
         if v is not None and v < bound(n):
             raise InvariantViolation(f"row valuation below bound at n={n}")
         yield total
-        start = _apply(start, order, start_ratio(n))
-        n += 1
 
 
 def normalize_id(series_id: str) -> str:

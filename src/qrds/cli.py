@@ -11,9 +11,11 @@ Subcommands:
 
 Exit codes: 0 all requested checks passed (or output produced), 1 at least
 one check failed, 2 bad usage or a computation that cannot be completed
-(unknown id, bad weight, negative order, non-terminating sum, ...).  An
-internal fault (such as ``InvariantViolation``) is not a usage error and
-surfaces as a traceback.
+(unknown id, bad weight, negative order, non-terminating sum, ...), 3 an
+internal fault.  Arguments are checked before any computation starts, so
+an exception the engine raises itself, such as ``InvariantViolation`` or a
+``ValueError`` from a broken invariant, is never taken for bad usage: it is
+reported as ``internal error: ...`` with its traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .bailey import bailey_step, pair_catalog, pair_labels, verify_pair_relation
@@ -46,7 +49,13 @@ from .verify import (
     verify_theorem,
 )
 
+
+class UsageError(Exception):
+    """A command-line argument outside its domain."""
+
+
 _USAGE_ERRORS = (
+    UsageError,
     UnknownId,
     UnknownPair,
     UnsupportedField,
@@ -54,7 +63,6 @@ _USAGE_ERRORS = (
     Beta0NotZero,
     NonTerminating,
     NoStabilization,
-    ValueError,
 )
 
 
@@ -94,7 +102,25 @@ def _parse_weight(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"weight {text!r} has a zero denominator") from None
+        raise UsageError(f"weight {text!r} has a zero denominator") from None
+    except ValueError:
+        raise UsageError(f"weight {text!r} is not a rational number") from None
+
+
+def _check_args(args) -> None:
+    """Reject out-of-domain arguments before any computation starts."""
+    if getattr(args, "order", 0) < 0:
+        raise UsageError("--order must be >= 0")
+    if getattr(args, "nmax", 0) < 0:
+        raise UsageError("--nmax must be >= 0")
+    if args.command == "ideals":
+        if args.modulus < 1:
+            raise UsageError("--modulus must be >= 1")
+        if not 0 <= args.residue < args.modulus:
+            raise UsageError("--residue must lie in [0, modulus)")
+        _parse_weight(args.weight)
+    if args.command == "report" and not args.lacunarity:
+        raise UsageError("choose a report kind (--lacunarity)")
 
 
 def _cmd_ideals(args) -> int:
@@ -173,8 +199,6 @@ def _cmd_bailey(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if not args.lacunarity:
-        raise ValueError("choose a report kind (--lacunarity)")
     _emit_json(lacunarity_report(normalize_id(args.id), args.order))
     return 0
 
@@ -251,12 +275,17 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_args(args)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         # str() of a KeyError subclass is the repr of its message
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ one of the two signs, so the counts for +m and -m add up to the divisor sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import InvariantViolation, UnsupportedField

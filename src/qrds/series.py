@@ -10,6 +10,15 @@ Coefficients are Python ints whenever possible and ``fractions.Fraction``
 otherwise; the hot loops (``mul_binomial`` / ``div_binomial`` with unit
 coefficients) never leave the integers.
 
+The per-coefficient work runs in C-level slice operations, not Python
+loops: ``__add__`` and ``mul_binomial`` are one ``map`` over aligned
+slices, ``div_binomial`` is a prefix sum along each residue class of the
+index mod e (see ``div_binomial_into``), and ``mul_monomial`` by +-1 only
+moves or negates.  The two binomial kernels also work in place on a bare
+coefficient list (``mul_binomial_into``, ``div_binomial_into``), which is
+how ``catalog`` sums a double-sum row without building a series per term.
+Each coefficient is the one the plain per-index loop gives, type included.
+
 Order propagation is conservative: an operation claims a coefficient only
 when its inputs determine it.  For a product this means
 
@@ -21,6 +30,8 @@ where ``val`` is the lowest exponent that could carry a nonzero coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Union
 
 Coeff = Union[int, Fraction]
@@ -37,9 +48,74 @@ class UnknownCoefficient(ValueError):
 
 
 def _norm(x: Coeff) -> Coeff:
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def mul_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
+    """Multiply the coefficient list ``buf`` by (1 - c * q**e) in place.
+
+    Index i stands for q**i; coefficients from index ``m`` on are beyond the
+    horizon and are not produced.  ``buf`` grows by up to e zeros first.
+    Every right-hand slice is a copy taken before the assignment, so the
+    update reads the old coefficients.
+    """
+    if e < 1:
+        raise ValueError("binomial exponent must be >= 1")
+    n = len(buf)
+    m = min(n + e, m)
+    if m <= e:
+        return
+    if m > n:
+        buf.extend(repeat(0, m - n))
+    low = buf[:m - e]
+    if c == 1:
+        buf[e:m] = map(sub, buf[e:m], low)
+    elif c == -1:
+        buf[e:m] = map(add, buf[e:m], low)
+    else:
+        buf[e:m] = map(sub, buf[e:m], map(mul, repeat(c), low))
+
+
+def div_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
+    """Divide the coefficient list ``buf`` by (1 - c * q**e) in place, through index m - 1.
+
+    ``buf`` is padded with zeros to length ``m``; it must not be longer.  The
+    quotient satisfies out[i] = buf[i] + c * out[i - e]: a prefix sum along
+    each residue class of the index mod e.  With e*e <= 4*m there are few
+    long classes, summed one strided slice at a time by ``accumulate``;
+    otherwise there are few blocks of e consecutive indices, each updated
+    from the block before it by one ``map``.  Division by 1 + q**e is done
+    as multiplication by 1 - q**e and division by 1 - q**(2e), which keeps
+    that case on the unit prefix sum.
+    """
+    if e < 1:
+        raise ValueError("binomial exponent must be >= 1")
+    if len(buf) < m:
+        buf.extend(repeat(0, m - len(buf)))
+    if c == -1:
+        mul_binomial_into(buf, 1, e, m)
+        c, e = 1, 2 * e
+    if e >= m:
+        return
+    if e * e <= 4 * m:
+        if c == 1:
+            for r in range(e):
+                buf[r:m:e] = accumulate(buf[r:m:e])
+        else:
+            for r in range(e):
+                buf[r:m:e] = accumulate(buf[r:m:e], lambda acc, x: x + c * acc)
+        return
+    for lo in range(e, m, e):
+        hi = min(lo + e, m)
+        prev = buf[lo - e:hi - e]
+        if c == 1:
+            buf[lo:hi] = map(add, buf[lo:hi], prev)
+        else:
+            buf[lo:hi] = map(add, buf[lo:hi], map(mul, repeat(c), prev))
 
 
 class LaurentSeries:
@@ -143,11 +219,14 @@ class LaurentSeries:
         if order is not None:
             hi = min(hi, order)
         out: list[Coeff] = [0] * (hi - lo + 1)
-        for src in (self, other):
-            base = src.offset - lo
-            for i, c in enumerate(src.coeffs):
-                if c and base + i <= hi - lo:
-                    out[base + i] += c
+        a = self.offset - lo
+        k = min(len(self.coeffs), len(out) - a)
+        if k > 0:
+            out[a:a + k] = self.coeffs[:k]
+        b = other.offset - lo
+        k = min(len(other.coeffs), len(out) - b)
+        if k > 0:
+            out[b:b + k] = map(add, out[b:b + k], other.coeffs[:k])
         return LaurentSeries(lo, out, order)
 
     def __neg__(self) -> "LaurentSeries":
@@ -213,7 +292,12 @@ class LaurentSeries:
         if not c:
             return LaurentSeries.zero(None if self.order is None else self.order + e)
         order = None if self.order is None else self.order + e
-        co = self.coeffs if c == 1 else [_norm(c * x) for x in self.coeffs]
+        if c == 1:
+            co = self.coeffs
+        elif c == -1:
+            co = list(map(neg, self.coeffs))
+        else:
+            co = [_norm(c * x) for x in self.coeffs]
         return LaurentSeries(self.offset + e, co, order)
 
     def mul_binomial(self, c: Coeff, e: int) -> "LaurentSeries":
@@ -231,16 +315,8 @@ class LaurentSeries:
         if m <= e:
             # the shifted copy lies entirely beyond the horizon
             return self
-        out = co[:m] + [0] * (m - n)
-        if c == 1:
-            for i in range(e, m):
-                out[i] -= co[i - e]
-        elif c == -1:
-            for i in range(e, m):
-                out[i] += co[i - e]
-        else:
-            for i in range(e, m):
-                out[i] -= c * co[i - e]
+        out = co[:m]
+        mul_binomial_into(out, c, e, m)
         return LaurentSeries(self.offset, out, self.order)
 
     def div_binomial(self, c: Coeff, e: int, order: int | None = None) -> "LaurentSeries":
@@ -264,17 +340,8 @@ class LaurentSeries:
         m = order - self.offset + 1
         if m <= 0:
             return LaurentSeries.zero(order)
-        co = self.coeffs
-        out = co[:m] + [0] * (m - len(co))
-        if c == 1:
-            for i in range(e, m):
-                out[i] += out[i - e]
-        elif c == -1:
-            for i in range(e, m):
-                out[i] -= out[i - e]
-        else:
-            for i in range(e, m):
-                out[i] += c * out[i - e]
+        out = self.coeffs[:m]
+        div_binomial_into(out, c, e, m)
         return LaurentSeries(self.offset, out, order)
 
     def truncate(self, order: int | None) -> "LaurentSeries":

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qrds
+import qrds.bailey as bailey
 import qrds.catalog as catalog
 from qrds.catalog import (
     catalog_ids,
@@ -292,3 +294,102 @@ def test_valuation_bound_survives_optimized_mode():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------------------------------ row walker
+#
+# The in-place row walker against rows built one series at a time with
+# ``_apply`` and ``LaurentSeries.__add__``: same offsets, horizons,
+# coefficients and coefficient types.
+
+
+def shape(f: LaurentSeries):
+    return (f.offset, f.order, [(type(c), c) for c in f.coeffs])
+
+
+def _rows_by_terms(start, order, n0, k0, k_ratio, start_ratio, count):
+    rows = []
+    n = n0
+    while len(rows) < count:
+        term = total = start
+        for k in range(k0, n):
+            term = catalog._apply(term, order, k_ratio(n, k))
+            if term.is_zero():
+                break
+            total = total + term
+        rows.append(total)
+        start = catalog._apply(start, order, start_ratio(n))
+        n += 1
+    return rows
+
+
+@pytest.mark.parametrize("sid", ["L5", "L7", "L11"])
+@pytest.mark.parametrize("order", [0, 7, 60])
+def test_double_rows_match_term_by_term(sid, order):
+    n0, k0, c0, e0, start_ratio, k_ratio = catalog._DOUBLES[sid][:6]
+    start = LaurentSeries.monomial(c0, e0, order).div_binomial(1, 1, order=order)
+    count = 2 * order + 8
+    want = _rows_by_terms(start, order, n0, k0, k_ratio, start_ratio, count)
+    got = list(itertools.islice(catalog._double_terms(catalog._DOUBLES[sid], order), count))
+    assert [shape(r) for r in got] == [shape(r) for r in want]
+
+
+@pytest.mark.parametrize("label, form_id", [("BK2", "AQALSO"), ("P2A", "A1")])
+@pytest.mark.parametrize("order", [0, 7, 60])
+def test_stepped_rows_match_term_by_term(label, form_id, order):
+    stepped = bailey.bailey_step(bailey.pair_catalog(label))
+    form = bailey._lookup_form(form_id)
+    base, k0 = stepped.base, form.n0
+    wc, we = form.w_seed
+    seed = base.beta(k0, order).mul_monomial(wc, we + stepped._u_exp(k0)).truncate(order)
+    u = 2 if stepped.rel == "q" else 1
+    count = 2 * order + 8
+    want = _rows_by_terms(
+        seed, order, k0, k0,
+        lambda n, k: bailey._compose((1, 2 * k + u, (), ()), base.beta_ratio(k), (1, 0, ((1, n - k),), ())),
+        lambda n: bailey._compose(form.w_ratio(n), (1, 0, (), ((1, n + 1 - k0),))),
+        count,
+    )
+    got = list(itertools.islice(bailey._stepped_lhs_terms(stepped, form, order), count))
+    assert [shape(r) for r in got] == [shape(r) for r in want]
+
+
+binomials = st.tuples(st.sampled_from([1, -1, 0, 3]), st.integers(min_value=1, max_value=12))
+ratios = st.tuples(
+    st.sampled_from([1, -1, 2, 0]),
+    st.integers(min_value=-3, max_value=6),
+    st.lists(binomials, max_size=2).map(tuple),
+    st.lists(binomials, max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=-4, max_value=6),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=12),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=-2, max_value=30),
+    st.lists(ratios, min_size=1, max_size=5),
+    st.lists(ratios, min_size=1, max_size=5),
+)
+def test_row_walker_matches_term_by_term_for_any_ratios(offset, co, order, start_order, ks, ss):
+    # negative exponents lower a term's horizon, zero multipliers end it
+    start = LaurentSeries(offset, co, None).truncate(start_order)
+    k_ratio = lambda n, k: ks[(n + k) % len(ks)]
+    start_ratio = lambda n: ss[n % len(ss)]
+    want = _rows_by_terms(start, order, 0, 0, k_ratio, start_ratio, 12)
+    got = list(itertools.islice(catalog._row_totals(start, order, 0, 0, k_ratio, start_ratio), 12))
+    assert [shape(r) for r in got] == [shape(r) for r in want]
+
+
+def test_row_walker_leaves_start_untouched():
+    n0, k0, c0, e0, start_ratio, k_ratio = catalog._DOUBLES["L5"][:6]
+    start = LaurentSeries.monomial(c0, e0, 30).div_binomial(1, 1, order=30)
+    before = shape(start)
+    list(itertools.islice(catalog._row_totals(start, 30, n0, k0, k_ratio, start_ratio), 40))
+    assert shape(start) == before
+
+
+@pytest.mark.parametrize("sid", sorted(HEADS))
+def test_eval_named_repeats(sid):
+    assert shape(eval_named(sid, 50)) == shape(eval_named(sid, 50))

@@ -206,6 +206,38 @@ def test_usage_error_report_kind(capsys):
     assert "--lacunarity" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "--id", "L5", "--order", "-1"),
+    ("hecke", "--id", "L5", "--order", "-3"),
+    ("verify", "--sigma", "--order", "-1"),
+    ("report", "--lacunarity", "--id", "sigma", "--order", "-1"),
+    ("ideals", "--d", "2", "--residue", "0", "--modulus", "0", "--order", "10"),
+    ("ideals", "--d", "2", "--residue", "3", "--modulus", "3", "--order", "10"),
+    ("ideals", "--d", "2", "--residue", "-1", "--modulus", "3", "--order", "10"),
+])
+def test_usage_error_checked_before_computing(capsys, monkeypatch, argv):
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine must not run on bad arguments")
+
+    for name in ("eval_named", "eval_blocks", "verify_sigma", "lacunarity_report", "ideal_series"):
+        monkeypatch.setattr(cli, name, engine)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_internal_value_error_is_not_usage(capsys, monkeypatch):
+    def broken(series_id, order):
+        raise ValueError("coefficient stored beyond declared order")
+
+    monkeypatch.setattr(cli, "eval_named", broken)
+    rc, out, err = run(capsys, "series", "--id", "L5", "--order", "30")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error: ValueError: coefficient stored beyond declared order")
+
+
 def test_argparse_rejections():
     with pytest.raises(SystemExit) as info:
         main(["verify"])  # selector required

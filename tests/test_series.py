@@ -151,3 +151,143 @@ def test_payload_and_csv_shapes():
     assert f.to_csv_rows() == [(-2, "1", "2"), (3, "-4", "1")]
     # exact polynomials report their degree as the horizon
     assert poly((5, 1)).to_payload()["order"] == 5
+
+
+# ------------------------------------------------- kernel against naive loops
+#
+# Each reference below is the plain per-index loop for its operation.  The
+# kernel must match it in offset, order, coefficients and coefficient types,
+# and must leave its input untouched.
+
+def _ref_norm(x):
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _ref_mul_binomial(f, c, e):
+    co = f.coeffs
+    n = len(co)
+    m = n + e if f.order is None else min(n + e, f.order - f.offset + 1)
+    if not co or not c or m <= e:
+        return f
+    out = co[:m] + [0] * (m - n)
+    for i in range(e, m):
+        out[i] = out[i] - c * co[i - e]
+    return LaurentSeries(f.offset, out, f.order)
+
+
+def _ref_div_binomial(f, c, e, order):
+    if order is None or f.order is not None and f.order < order:
+        order = f.order
+    if not f.coeffs:
+        return LaurentSeries.zero(order)
+    if not c:
+        return f.truncate(order)
+    m = order - f.offset + 1
+    if m <= 0:
+        return LaurentSeries.zero(order)
+    out = f.coeffs[:m] + [0] * (m - len(f.coeffs))
+    for i in range(e, m):
+        out[i] = out[i] + c * out[i - e]
+    return LaurentSeries(f.offset, out, order)
+
+
+def _ref_add(f, g):
+    orders = [h.order for h in (f, g) if h.order is not None]
+    order = min(orders) if orders else None
+    acc = {}
+    for h in (f, g):
+        for i, c in enumerate(h.coeffs):
+            x = h.offset + i
+            if order is None or x <= order:
+                acc[x] = acc[x] + c if x in acc else c
+    if not acc:
+        return LaurentSeries.zero(order)
+    lo, hi = min(acc), max(acc)
+    return LaurentSeries(lo, [acc.get(x, 0) for x in range(lo, hi + 1)], order)
+
+
+def _ref_mul_monomial(f, c, e):
+    order = None if f.order is None else f.order + e
+    if not c:
+        return LaurentSeries.zero(order)
+    if c == 1:
+        co = list(f.coeffs)
+    elif c == -1:
+        co = [-x for x in f.coeffs]
+    else:
+        co = [_ref_norm(c * x) for x in f.coeffs]
+    return LaurentSeries(f.offset + e, co, order)
+
+
+def shape(f):
+    return (f.offset, f.order, [(type(c), c) for c in f.coeffs])
+
+
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from([1, 2, 3])),
+)
+
+
+@st.composite
+def horizon_series(draw):
+    """Exact series, or one truncated at a horizon that may cut into it."""
+    offset = draw(st.integers(min_value=-10, max_value=10))
+    co = draw(st.lists(st.one_of(coeffs, mixed_coeffs), max_size=25))
+    f = LaurentSeries(offset, co, None)
+    if draw(st.booleans()):
+        return f
+    return f.truncate(draw(st.integers(min_value=offset - 3, max_value=offset + len(co) + 15)))
+
+
+multipliers = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+# up to past every series length, so div_binomial meets both its strided
+# (e*e <= 4*m) and its block-wise branch
+exponents = st.integers(min_value=1, max_value=80)
+
+
+def _check_kernel(op, ref, *operands):
+    before = [shape(f) for f in operands]
+    assert shape(op()) == shape(ref())
+    assert [shape(f) for f in operands] == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_series(), multipliers, exponents)
+def test_mul_binomial_matches_naive_loop(f, c, e):
+    _check_kernel(lambda: f.mul_binomial(c, e), lambda: _ref_mul_binomial(f, c, e), f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_series(), multipliers, exponents,
+       st.one_of(st.none(), st.integers(min_value=-12, max_value=60)))
+def test_div_binomial_matches_naive_loop(f, c, e, order):
+    if order is None and f.order is None:
+        if f.is_zero():
+            assert f.div_binomial(c, e).is_zero()
+        else:
+            with pytest.raises(ValueError):
+                f.div_binomial(c, e)
+        return
+    _check_kernel(lambda: f.div_binomial(c, e, order=order), lambda: _ref_div_binomial(f, c, e, order), f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_series(), horizon_series())
+def test_add_matches_naive_loop(f, g):
+    _check_kernel(lambda: f + g, lambda: _ref_add(f, g), f, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_series(), st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2)]),
+       st.integers(min_value=-20, max_value=20))
+def test_mul_monomial_matches_naive_loop(f, c, e):
+    _check_kernel(lambda: f.mul_monomial(c, e), lambda: _ref_mul_monomial(f, c, e), f)
+
+
+def test_div_binomial_switches_strategy_on_exponent():
+    # m = 41 coefficients: e = 12 sums strided classes, e = 13 whole blocks
+    f = LaurentSeries(0, list(range(1, 30)), 40)
+    for e in (1, 2, 12, 13, 20, 40, 41):
+        for c in (1, -1, 2):
+            assert shape(f.div_binomial(c, e)) == shape(_ref_div_binomial(f, c, e, None))
