@@ -27,7 +27,7 @@ from .errors import (
     UnknownPair,
     UnsupportedField,
 )
-from .hecke import HeckeBlock, HeckeBlockSet, eval_blocks, flip_j, hecke_catalog, hecke_ids
+from .hecke import HeckeBlock, HeckeBlockSet, eval_blocks, hecke_catalog, hecke_ids
 from .ideals import (
     FieldSpec,
     IdealQuery,
@@ -60,7 +60,6 @@ __all__ = [
     "HeckeBlock",
     "HeckeBlockSet",
     "eval_blocks",
-    "flip_j",
     "hecke_catalog",
     "hecke_ids",
     "FieldSpec",

@@ -417,7 +417,7 @@ def _rhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
         n += 1
 
 
-def limit_form(pair, form_id: str, order: int, star_budget: int | None = None):
+def limit_form(pair, form_id: str, order: int):
     """Both sides of a limit transform applied to a stepped catalog pair.
 
     Returns (lhs, rhs).  lhs sums the beta side, rhs the alpha side; for a
@@ -436,8 +436,8 @@ def limit_form(pair, form_id: str, order: int, star_budget: int | None = None):
     lhs_terms = _stepped_lhs_terms(pair, form, order)
     rhs_terms = _rhs_terms(pair, form, order)
     if form.starred:
-        lhs = star_sum(lhs_terms, order, budget=star_budget)
-        rhs = star_sum(rhs_terms, order, budget=star_budget)
+        lhs = star_sum(lhs_terms, order)
+        rhs = star_sum(rhs_terms, order)
     else:
         lhs = classical_sum(lhs_terms, order)
         rhs = classical_sum(rhs_terms, order)

@@ -70,12 +70,12 @@ def _apply(f: LaurentSeries, order: int, ratio: Ratio) -> LaurentSeries:
 _VANISH_STREAK = 4
 
 
-def classical_sum(
-    terms: Iterable[LaurentSeries], order: int, budget: int | None = None
-) -> LaurentSeries:
-    """Sum outer terms until four in a row vanish below the horizon."""
-    if budget is None:
-        budget = 4 * order + 64
+def classical_sum(terms: Iterable[LaurentSeries], order: int) -> LaurentSeries:
+    """Sum outer terms until four in a row vanish below the horizon.
+
+    Raises NonTerminating if terms are still visible after 4*order + 64 of them.
+    """
+    budget = 4 * order + 64
     total = LaurentSeries.zero(order)
     streak = 0
     count = 0

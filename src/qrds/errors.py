@@ -26,7 +26,7 @@ class UnknownPair(KeyError):
 
 
 class NonTerminating(RuntimeError):
-    """A block sum failed to leave the truncation window within budget."""
+    """classical_sum still saw visible outer terms when its term budget ran out."""
 
 
 class NoStabilization(RuntimeError):

@@ -2,14 +2,18 @@
 
 A block is the sum
 
-    sum_{n >= n0}  sum_{j = -n+p}^{n+r}  sgn * q^(A n^2 + B n + C + D j^2 + E j)
+    coeff * sum_{n >= n0}  sum_{j = -n+p}^{n+r}  q^(A n^2 + B n + C + D j^2 + E j)
 
-with ``sgn = sign * (-1)^(sn*n + sj*j)``, and optionally an extra factor
-``(1 - q^(G n + H))`` attached to every term.  The quadratic form is
-indefinite in the wedge direction: A > 0 and D < 0, with A + D > 0 so the
-exponent still runs off to infinity along the window edges.  Because D < 0
-the exponent is concave in j, so its minimum over a window sits at one of
-the two endpoints; that is what the termination test inspects.
+with one nonzero integer ``coeff``, and optionally an extra factor
+``(1 - q^(G n + H))`` attached to every term; such a block is evaluated as
+two factor-free ones, the second with ``B + G``, ``C + H`` and ``-coeff``.
+The quadratic form is indefinite in the wedge direction: A > 0 and D < 0,
+with A + D > 0 so the exponent still runs off to infinity along the window
+edges.  Because D < 0 the exponent is concave in j, so its minimum over a
+row sits at one of the two edges j = -n + p and j = n + r.  Each edge
+exponent is a quadratic in n with leading coefficient A + D > 0, so the sum
+stops at the first row where both edges are above the horizon and neither
+falls to the next row: every later row is above the horizon too.
 
 A block set bundles blocks with constant monomials, and the catalog maps
 the public series ids (SIGMA, L1..L12) to their block sets.
@@ -17,16 +21,15 @@ the public series ids (SIGMA, L1..L12) to their block sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import NonTerminating, UnknownId
+from .errors import UnknownId
 from .series import LaurentSeries
 
 __all__ = [
     "HeckeBlock",
     "HeckeBlockSet",
     "eval_blocks",
-    "flip_j",
     "hecke_catalog",
     "hecke_ids",
 ]
@@ -42,9 +45,7 @@ class HeckeBlock:
     C: int
     D: int
     E: int
-    sign: int = 1
-    sign_n: int = 0
-    sign_j: int = 0
+    coeff: int = 1
     factor: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -52,19 +53,11 @@ class HeckeBlock:
             raise ValueError("need A > 0 and D < 0")
         if self.A + self.D <= 0:
             raise ValueError("need A + D > 0 for exponents to grow")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.sign_n not in (0, 1) or self.sign_j not in (0, 1):
-            raise ValueError("parity-sign flags must be 0 or 1")
+        if not self.coeff:
+            raise ValueError("coeff must be nonzero")
 
     def exponent(self, n: int, j: int) -> int:
         return self.A * n * n + self.B * n + self.C + self.D * j * j + self.E * j
-
-    def term_sign(self, n: int, j: int) -> int:
-        s = self.sign
-        if (self.sign_n * n + self.sign_j * j) % 2:
-            s = -s
-        return s
 
     def to_payload(self) -> dict:
         return {
@@ -76,9 +69,7 @@ class HeckeBlock:
             "C": self.C,
             "D": self.D,
             "E": self.E,
-            "sign": self.sign,
-            "sn": self.sign_n,
-            "sj": self.sign_j,
+            "coeff": self.coeff,
             "factor": list(self.factor) if self.factor else None,
         }
 
@@ -95,58 +86,23 @@ class HeckeBlockSet:
         }
 
 
-def flip_j(block: HeckeBlock) -> HeckeBlock:
-    """The same block summed over j -> -j (an exact symmetry of the wedge)."""
-    return HeckeBlock(
-        n0=block.n0,
-        p=-block.r,
-        r=-block.p,
-        A=block.A,
-        B=block.B,
-        C=block.C,
-        D=block.D,
-        E=-block.E,
-        sign=block.sign,
-        sign_n=block.sign_n,
-        sign_j=block.sign_j,
-        factor=block.factor,
-    )
-
-
-_STOP_STREAK = 4
-
-
 def _eval_block(block: HeckeBlock, order: int, acc: dict[int, int]) -> None:
-    budget = block.n0 + 4 * order + 64
-    streak = 0
+    """Add the factor-free sum of ``block`` through q**order into ``acc``."""
+    D, E, coeff, edge = block.D, block.E, block.coeff, block.exponent
     n = block.n0
     while True:
-        if n > budget:
-            raise NonTerminating(
-                f"block {block.to_payload()} still inside the window at n = {n}"
-            )
-        jlo = -n + block.p
-        jhi = n + block.r
-        if jlo <= jhi:
-            # concave in j, so the window minimum is at an endpoint
-            wmin = min(block.exponent(n, jlo), block.exponent(n, jhi))
-            if wmin > order:
-                streak += 1
-                if streak >= _STOP_STREAK:
-                    return
-            else:
-                streak = 0
-                for j in range(jlo, jhi + 1):
-                    e = block.exponent(n, j)
-                    if e > order:
-                        continue
-                    s = block.term_sign(n, j)
-                    acc[e] = acc.get(e, 0) + s
-                    if block.factor is not None:
-                        g, h = block.factor
-                        e2 = e + g * n + h
-                        if e2 <= order:
-                            acc[e2] = acc.get(e2, 0) - s
+        jlo, jhi = -n + block.p, n + block.r
+        lo, hi = edge(n, jlo), edge(n, jhi)
+        # A row's minimum is at an edge (concave in j), and each edge is a
+        # quadratic in n with leading coefficient A + D > 0: once its forward
+        # difference is >= 0 it stays >= 0, so every later row is above too.
+        if lo > order and hi > order and edge(n + 1, jlo - 1) >= lo and edge(n + 1, jhi + 1) >= hi:
+            return
+        row = block.A * n * n + block.B * n + block.C
+        for j in range(jlo, jhi + 1):
+            e = row + D * j * j + E * j
+            if e <= order:
+                acc[e] = acc.get(e, 0) + coeff
         n += 1
 
 
@@ -160,123 +116,115 @@ def eval_blocks(blockset: HeckeBlockSet, order: int) -> LaurentSeries:
             acc[e] = acc.get(e, 0) + c
     for block in blockset.blocks:
         _eval_block(block, order, acc)
+        if block.factor is not None:
+            g, h = block.factor
+            shifted = replace(block, B=block.B + g, C=block.C + h, coeff=-block.coeff, factor=None)
+            _eval_block(shifted, order, acc)
     return LaurentSeries.from_items(acc.items(), order)
 
 
 # ------------------------------------------------------------------ catalog
 
 
-def _b(n0, p, r, A, B, C, D, E, sign=1, factor=None) -> HeckeBlock:
-    return HeckeBlock(n0=n0, p=p, r=r, A=A, B=B, C=C, D=D, E=E, sign=sign, factor=factor)
-
-
 _CATALOG: dict[str, HeckeBlockSet] = {
     # sigma's wedge has a (1 - q^(2n+1)) factor and a (-1)^(n+j) sign; both
-    # parities of n and j are split out so every piece fits the block shape.
+    # parities of n and j are split out, so each piece has a constant coeff.
     "SIGMA": HeckeBlockSet(
         blocks=(
-            _b(0, 0, 0, 6, 1, 0, -4, 0, sign=+1, factor=(4, 1)),
-            _b(0, 0, -1, 6, 1, -1, -4, -4, sign=-1, factor=(4, 1)),
-            _b(0, 0, 0, 6, 7, 2, -4, 0, sign=-1, factor=(4, 3)),
-            _b(0, -1, 0, 6, 7, 1, -4, -4, sign=+1, factor=(4, 3)),
+            HeckeBlock(0, 0, 0, 6, 1, 0, -4, 0, coeff=1, factor=(4, 1)),
+            HeckeBlock(0, 0, -1, 6, 1, -1, -4, -4, coeff=-1, factor=(4, 1)),
+            HeckeBlock(0, 0, 0, 6, 7, 2, -4, 0, coeff=-1, factor=(4, 3)),
+            HeckeBlock(0, -1, 0, 6, 7, 1, -4, -4, coeff=1, factor=(4, 3)),
         ),
     ),
     "L1": HeckeBlockSet(
         blocks=(
-            _b(1, 0, -1, 8, -1, 0, -4, -3),
-            _b(1, 0, -1, 8, 1, 0, -4, -3),
-            _b(0, 0, 0, 8, 7, 2, -4, -1),
-            _b(0, 0, 0, 8, 9, 3, -4, -1),
+            HeckeBlock(1, 0, -1, 8, -1, 0, -4, -3),
+            HeckeBlock(1, 0, -1, 8, 1, 0, -4, -3),
+            HeckeBlock(0, 0, 0, 8, 7, 2, -4, -1),
+            HeckeBlock(0, 0, 0, 8, 9, 3, -4, -1),
         ),
     ),
     "L2": HeckeBlockSet(
         blocks=(
-            _b(0, 0, 0, 8, 3, 0, -4, -1),
-            _b(0, 0, 0, 8, 13, 5, -4, -1),
-            _b(0, -1, 0, 8, 11, 3, -4, -3),
-            _b(0, -1, 0, 8, 21, 13, -4, -3),
+            HeckeBlock(0, 0, 0, 8, 3, 0, -4, -1),
+            HeckeBlock(0, 0, 0, 8, 13, 5, -4, -1),
+            HeckeBlock(0, -1, 0, 8, 11, 3, -4, -3),
+            HeckeBlock(0, -1, 0, 8, 21, 13, -4, -3),
         ),
     ),
     "L3": HeckeBlockSet(
         blocks=(
-            _b(1, 0, -1, 8, -1, 1, -4, -1),
-            _b(1, 0, -1, 8, 1, 1, -4, -1),
-            _b(0, 0, 0, 8, 7, 2, -4, -3),
-            _b(0, 0, 0, 8, 9, 3, -4, -3),
+            HeckeBlock(1, 0, -1, 8, -1, 1, -4, -1),
+            HeckeBlock(1, 0, -1, 8, 1, 1, -4, -1),
+            HeckeBlock(0, 0, 0, 8, 7, 2, -4, -3),
+            HeckeBlock(0, 0, 0, 8, 9, 3, -4, -3),
         ),
     ),
     "L4": HeckeBlockSet(
         blocks=(
-            _b(0, 0, 0, 8, 3, 0, -4, -3),
-            _b(0, 0, 0, 8, 13, 5, -4, -3),
-            _b(0, -1, 0, 8, 11, 4, -4, -1),
-            _b(0, -1, 0, 8, 21, 14, -4, -1),
+            HeckeBlock(0, 0, 0, 8, 3, 0, -4, -3),
+            HeckeBlock(0, 0, 0, 8, 13, 5, -4, -3),
+            HeckeBlock(0, -1, 0, 8, 11, 4, -4, -1),
+            HeckeBlock(0, -1, 0, 8, 21, 14, -4, -1),
         ),
         constants=((-1, 0),),
     ),
     "L5": HeckeBlockSet(
         blocks=(
-            _b(1, 0, -1, 6, 0, 1, -2, 0),
-            _b(1, 0, -1, 6, 0, 1, -2, 0),
-            _b(0, 0, 0, 6, 6, 2, -2, -2),
-            _b(0, 0, 0, 6, 6, 2, -2, -2),
+            HeckeBlock(1, 0, -1, 6, 0, 1, -2, 0, coeff=2),
+            HeckeBlock(0, 0, 0, 6, 6, 2, -2, -2, coeff=2),
         ),
     ),
     "L6": HeckeBlockSet(
         blocks=(
-            _b(1, 0, -1, 6, 0, 0, -2, -2),
-            _b(1, 0, -1, 6, 0, 0, -2, -2),
-            _b(0, 0, 0, 6, 6, 2, -2, 0),
-            _b(0, 0, 0, 6, 6, 2, -2, 0),
+            HeckeBlock(1, 0, -1, 6, 0, 0, -2, -2, coeff=2),
+            HeckeBlock(0, 0, 0, 6, 6, 2, -2, 0, coeff=2),
         ),
     ),
     "L7": HeckeBlockSet(
         blocks=(
-            _b(0, -1, 0, 6, 16, 10, -2, -2),
-            _b(0, -1, 0, 6, 8, 2, -2, -2),
-            _b(0, 0, 0, 6, 2, 0, -2, 0),
-            _b(0, 0, 0, 6, 10, 4, -2, 0),
+            HeckeBlock(0, -1, 0, 6, 16, 10, -2, -2),
+            HeckeBlock(0, -1, 0, 6, 8, 2, -2, -2),
+            HeckeBlock(0, 0, 0, 6, 2, 0, -2, 0),
+            HeckeBlock(0, 0, 0, 6, 10, 4, -2, 0),
         ),
     ),
     "L8": HeckeBlockSet(
         blocks=(
-            _b(0, 0, 0, 6, 2, 0, -2, -2),
-            _b(0, 0, 0, 6, 10, 4, -2, -2),
-            _b(0, -1, 0, 6, 16, 11, -2, 0),
-            _b(0, -1, 0, 6, 8, 3, -2, 0),
+            HeckeBlock(0, 0, 0, 6, 2, 0, -2, -2),
+            HeckeBlock(0, 0, 0, 6, 10, 4, -2, -2),
+            HeckeBlock(0, -1, 0, 6, 16, 11, -2, 0),
+            HeckeBlock(0, -1, 0, 6, 8, 3, -2, 0),
         ),
         constants=((-1, 0),),
     ),
     "L9": HeckeBlockSet(
         blocks=(
-            _b(1, 0, -1, 6, 0, 0, -4, -3),
-            _b(1, 0, -1, 6, 0, 0, -4, -3),
-            _b(0, 0, 0, 6, 6, 2, -4, -1),
-            _b(0, 0, 0, 6, 6, 2, -4, -1),
+            HeckeBlock(1, 0, -1, 6, 0, 0, -4, -3, coeff=2),
+            HeckeBlock(0, 0, 0, 6, 6, 2, -4, -1, coeff=2),
         ),
     ),
     "L10": HeckeBlockSet(
         blocks=(
-            _b(1, 0, -1, 6, 0, 1, -4, -1),
-            _b(1, 0, -1, 6, 0, 1, -4, -1),
-            _b(0, 0, 0, 6, 6, 2, -4, -3),
-            _b(0, 0, 0, 6, 6, 2, -4, -3),
+            HeckeBlock(1, 0, -1, 6, 0, 1, -4, -1, coeff=2),
+            HeckeBlock(0, 0, 0, 6, 6, 2, -4, -3, coeff=2),
         ),
     ),
     "L11": HeckeBlockSet(
         blocks=(
-            _b(0, 0, 0, 6, 2, 0, -4, -1),
-            _b(0, 0, 0, 6, 10, 4, -4, -1),
-            _b(0, -1, 0, 6, 16, 10, -4, -3),
-            _b(0, -1, 0, 6, 8, 2, -4, -3),
+            HeckeBlock(0, 0, 0, 6, 2, 0, -4, -1),
+            HeckeBlock(0, 0, 0, 6, 10, 4, -4, -1),
+            HeckeBlock(0, -1, 0, 6, 16, 10, -4, -3),
+            HeckeBlock(0, -1, 0, 6, 8, 2, -4, -3),
         ),
     ),
     "L12": HeckeBlockSet(
         blocks=(
-            _b(0, 0, 0, 6, 2, 0, -4, -3),
-            _b(0, 0, 0, 6, 10, 4, -4, -3),
-            _b(0, -1, 0, 6, 16, 11, -4, -1),
-            _b(0, -1, 0, 6, 8, 3, -4, -1),
+            HeckeBlock(0, 0, 0, 6, 2, 0, -4, -3),
+            HeckeBlock(0, 0, 0, 6, 10, 4, -4, -3),
+            HeckeBlock(0, -1, 0, 6, 16, 11, -4, -1),
+            HeckeBlock(0, -1, 0, 6, 8, 3, -4, -1),
         ),
         constants=((-2, 0),),
     ),

@@ -260,23 +260,9 @@ class LaurentSeries:
         for i, av in enumerate(a.coeffs):
             if not av:
                 continue
-            base = i  # (a.offset+i) + (b.offset+j) - lo == i + j
-            jmax = min(len(bco), hi - lo - base + 1)
-            if av == 1:
-                for j in range(jmax):
-                    bv = bco[j]
-                    if bv:
-                        out[base + j] += bv
-            elif av == -1:
-                for j in range(jmax):
-                    bv = bco[j]
-                    if bv:
-                        out[base + j] -= bv
-            else:
-                for j in range(jmax):
-                    bv = bco[j]
-                    if bv:
-                        out[base + j] += av * bv
+            # (a.offset+i) + (b.offset+j) - lo == i + j
+            for j in range(min(len(bco), hi - lo - i + 1)):
+                out[i + j] += av * bco[j]
         return LaurentSeries(lo, out, order)
 
     def scale(self, c: Coeff) -> "LaurentSeries":

@@ -227,9 +227,17 @@ def test_classical_sum_skips_short_gaps():
 
 
 def test_classical_sum_budget_exceeded():
-    ones = (LaurentSeries.one() for _ in itertools.count())
+    # the budget is 4*order + 64 terms; the term after it raises
+    taken = []
+
+    def ones():
+        while True:
+            taken.append(1)
+            yield LaurentSeries.one()
+
     with pytest.raises(NonTerminating):
-        classical_sum(ones, 5, budget=20)
+        classical_sum(ones(), 5)
+    assert len(taken) == 4 * 5 + 64 + 1
 
 
 def test_star_sum_handles_two_periodic_tail():

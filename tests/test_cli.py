@@ -61,7 +61,7 @@ def test_hecke_json(capsys):
     assert payload["id"] == "L1"
     assert payload["blocks"], "needs at least one block"
     for block in payload["blocks"]:
-        assert {"n0", "p", "r", "A", "B", "C", "D", "E", "sign"} <= set(block)
+        assert set(block) == {"n0", "p", "r", "A", "B", "C", "D", "E", "coeff", "factor"}
     got = coeff_map(payload["series"])
     want = eval_named("L1", 40)
     assert got == {

@@ -1,30 +1,42 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrds.errors import NonTerminating, UnknownId
-from qrds.hecke import HeckeBlock, HeckeBlockSet, eval_blocks, flip_j, hecke_catalog, hecke_ids
-from qrds.series import first_mismatch
+from qrds.errors import UnknownId
+from qrds.hecke import HeckeBlock, HeckeBlockSet, eval_blocks, hecke_catalog, hecke_ids
+
+
+def rows_to_sum(b, order):
+    """A row index from which on no term of ``b`` reaches q**order.
+
+    Along a window edge j = s*n + t (s = +-1, t = p or r) the exponent is
+    (A+D) n^2 + beta n + gamma with A + D >= 1, and the factor term only adds
+    G n + H.  With |beta| and |gamma| bounded as below, every n past
+    |beta| + |gamma| + order puts both edges above the horizon, and D < 0
+    puts each row's minimum at an edge.
+    """
+    g, h = b.factor or (0, 0)
+    last = 0
+    for t in (b.p, b.r):
+        beta = abs(b.B) + abs(g) + 2 * abs(b.D * t) + abs(b.E)
+        gamma = abs(b.C) + abs(h) + abs(b.D) * t * t + abs(b.E * t)
+        last = max(last, beta + gamma + order + 1)
+    return last
 
 
 def brute_block_set(block_set, order):
-    """Direct (n, j) double loop, sharing no code with the block evaluator.
-
-    A + D >= 1, so min-exponent growth is at least quadratic in n once n
-    dominates the linear terms; running n out to order + 64 is far past the
-    point where any window can still reach the horizon.
-    """
+    """Direct (n, j) double loop, sharing no code with the block evaluator."""
     acc = {}
     for b in block_set.blocks:
-        for n in range(b.n0, order + 64):
+        for n in range(b.n0, rows_to_sum(b, order)):
             for j in range(-n + b.p, n + b.r + 1):
                 e = b.A * n * n + b.B * n + b.C + b.D * j * j + b.E * j
-                s = b.sign * (-1 if (b.sign_n * n + b.sign_j * j) % 2 else 1)
                 if e <= order:
-                    acc[e] = acc.get(e, 0) + s
+                    acc[e] = acc.get(e, 0) + b.coeff
                 if b.factor is not None:
                     g, h = b.factor
                     e2 = e + g * n + h
                     if e2 <= order:
-                        acc[e2] = acc.get(e2, 0) - s
+                        acc[e2] = acc.get(e2, 0) - b.coeff
     for c, e in block_set.constants:
         if e <= order:
             acc[e] = acc.get(e, 0) + c
@@ -58,15 +70,6 @@ def test_l5_head():
     assert {e: c for e, c in f.items()} == L5_HEAD
 
 
-def test_flip_j_is_a_symmetry():
-    for sid in ("SIGMA", "L1", "L6", "L12"):
-        bs = hecke_catalog(sid)
-        flipped = HeckeBlockSet(tuple(flip_j(b) for b in bs.blocks), bs.constants)
-        a = eval_blocks(bs, 80)
-        b = eval_blocks(flipped, 80)
-        assert first_mismatch(a, b, through=80) is None, sid
-
-
 def test_catalog_lookup_case_insensitive_and_unknown():
     assert hecke_catalog("sigma") is hecke_catalog("SIGMA")
     with pytest.raises(UnknownId):
@@ -80,22 +83,64 @@ def test_block_validation():
         HeckeBlock(0, 0, 0, A=2, B=0, C=0, D=1, E=0)
     with pytest.raises(ValueError):
         HeckeBlock(0, 0, 0, A=1, B=0, C=0, D=-1, E=0)  # A + D = 0
+    with pytest.raises(ValueError):
+        HeckeBlock(0, 0, 0, A=2, B=0, C=0, D=-1, E=0, coeff=0)
 
 
-def test_nonterminating_budget():
-    # a deep dip (B very negative) keeps low-exponent terms appearing long
-    # past any reasonable streak, overrunning the budget at a tiny horizon
-    block = HeckeBlock(0, 0, 0, A=2, B=0, C=0, D=-1, E=0, factor=None)
-    bad = HeckeBlock(n0=0, p=0, r=0, A=2, B=-200, C=0, D=-1, E=0)
-    with pytest.raises(NonTerminating):
-        eval_blocks(HeckeBlockSet((bad,)), 2)
-    # the same block at a horizon past its dip terminates fine
-    f = eval_blocks(HeckeBlockSet((block,)), 30)
-    assert f.order == 30
+def test_falling_edges_above_horizon_do_not_stop_the_sum():
+    # rows n = 0..3 are above q^0 at both edges, (n - 4)^2, but still
+    # falling; row n = 4 reaches q^0 at j = -4 and j = 4
+    block = HeckeBlock(0, 0, 0, A=2, B=-8, C=16, D=-1, E=0)
+    f = eval_blocks(HeckeBlockSet((block,)), 0)
+    assert dict(f.items()) == {0: 2}
+    assert dict(f.items()) == brute_block_set(HeckeBlockSet((block,)), 0)
+
+
+def test_deep_dip_block_matches_brute_force():
+    # a deep dip (B very negative): the edges, n^2 - 200n, stay inside a
+    # tiny horizon out to row n = 200
+    bad = HeckeBlockSet((HeckeBlock(n0=0, p=0, r=0, A=2, B=-200, C=0, D=-1, E=0),))
+    f = eval_blocks(bad, 2)
+    assert f.order == 2
+    assert dict(f.items()) == brute_block_set(bad, 2)
+
+
+@st.composite
+def blocks(draw):
+    A = draw(st.integers(2, 8))  # A + D > 0 leaves no D < 0 for A = 1
+    small = st.integers(-20, 20)
+    return HeckeBlock(
+        n0=draw(st.integers(-2, 2)),
+        p=draw(st.integers(-2, 2)),
+        r=draw(st.integers(-2, 2)),
+        A=A,
+        B=draw(small),
+        C=draw(small),
+        D=draw(st.integers(-(A - 1), -1)),
+        E=draw(small),
+        coeff=draw(st.sampled_from((1, -1, 2, -2, 3))),
+        factor=draw(st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=blocks(), order=st.integers(0, 60))
+def test_eval_blocks_matches_brute_force(block, order):
+    bs = HeckeBlockSet((block,))
+    f = eval_blocks(bs, order)
+    assert f.order == order
+    assert dict(f.items()) == brute_block_set(bs, order)
 
 
 def test_payload_schema():
     p = hecke_catalog("L1").to_payload()
     assert set(p) == {"blocks", "constants"}
     for b in p["blocks"]:
-        assert set(b) == {"n0", "p", "r", "A", "B", "C", "D", "E", "sign", "sn", "sj", "factor"}
+        assert set(b) == {"n0", "p", "r", "A", "B", "C", "D", "E", "coeff", "factor"}
+
+
+def test_duplicate_blocks_folded():
+    for sid in ("L5", "L6", "L9", "L10"):
+        folded = hecke_catalog(sid).blocks
+        assert len(folded) == 2 and {b.coeff for b in folded} == {2}, sid
+    assert {b.coeff for b in hecke_catalog("SIGMA").blocks} == {1, -1}
