@@ -372,29 +372,14 @@ def _lookup_form(form_id: str) -> LimitForm:
         raise UnknownId(f"unknown limit form {form_id!r}") from None
 
 
-def _compose(*ratios: Ratio) -> Ratio:
-    """Combine ratios, cancelling binomials shared by num and den."""
-    c, e = 1, 0
-    num: list[tuple[int, int]] = []
-    den: list[tuple[int, int]] = []
-    for cc, ee, nn, dd in ratios:
-        c *= cc
-        e += ee
-        num.extend(nn)
-        den.extend(dd)
-    for f in list(num):
-        if f in den:
-            num.remove(f)
-            den.remove(f)
-    return (c, e, tuple(num), tuple(den))
-
-
 def _stepped_lhs_terms(stepped: SteppedPair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
     """Outer terms of sum_n w_n beta'_n for a double-infinity stepped pair.
 
-    Row (n, k) is w_n * q^(u(k)) beta_k / (q)_{n-k}; the walk along k uses
-    ratios composed from the base pair's beta ratio, so this path shares no
-    transcription with the direct double-sum catalog.
+    Term (n, k) is w_n * q^(u(k)) beta_k / (q)_{n-k}, summed by the column
+    walker with S_n = w_n and P_k = q^(u(k)) beta_k: the n-step is the
+    form's weight ratio and the k-step is q^(u(k+1) - u(k)) times the base
+    pair's beta ratio, so this path shares no transcription with the direct
+    double-sum catalog.
     """
     base = stepped.base
     k0 = form.n0
@@ -403,11 +388,12 @@ def _stepped_lhs_terms(stepped: SteppedPair, form: LimitForm, order: int) -> Ite
     if seed.order is not None and seed.order > order:
         seed = seed.truncate(order)
     u = 2 if stepped.rel == "q" else 1
-    return _row_totals(
-        seed, order, form.n0, k0,
-        lambda n, k: _compose((1, 2 * k + u, (), ()), base.beta_ratio(k), (1, 0, ((1, n - k),), ())),
-        lambda n: _compose(form.w_ratio(n), (1, 0, (), ((1, n + 1 - k0),))),
-    )
+
+    def p_ratio(k: int) -> Ratio:
+        c, e, num, den = base.beta_ratio(k)
+        return (c, e + 2 * k + u, num, den)
+
+    return _row_totals(seed, order, k0, p_ratio, form.w_ratio)
 
 
 def _rhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:

@@ -5,13 +5,19 @@ sum, entirely in integer arithmetic.  Successive outer terms are produced
 by exact term ratios (a monomial times a few binomials over binomials), so
 no Pochhammer product is ever expanded twice.
 
-A double sum is summed row by row: row n is sum_k T(n, k), where T(n, k + 1)
-comes from T(n, k) by a ratio.  ``_row_totals`` walks a row in place: the
-current term and the running row total are plain int lists mutated by the
-series kernel's list operations, a monomial only changes the term's scalar
-factor (a sign, in every catalog ratio) and offset, and each row becomes
-exactly one ``LaurentSeries``.  The Bailey pipeline sums its left-hand rows
-with the same walker.
+A double sum is summed row by row: row n is sum_k T(n, k), and every
+double sum here, direct or on the Bailey pipeline's left-hand side, has
+terms T(n, k) = S_n * P_k / (q)_{n-k}, given by the factor ratios
+S_(n+1)/S_n and P_(k+1)/P_k.  ``_row_totals`` walks the sum column by
+column: it keeps the current term of every live column k as a plain int
+list, moves each one row down with S_(n+1)/S_n / (1 - q^(n+1-k)) through
+the series kernel's in-place list operations, and opens a new column only
+at the diagonal.  The row-step binomials have exponents near n, so their
+cost grows with the number of coefficients past the n-th, not with the
+whole term; rows past half the horizon cost little beyond the additions.
+A monomial only changes a
+term's scalar factor (a sign, in every catalog ratio) and offset, the row
+total is one int list, and each row becomes exactly one ``LaurentSeries``.
 
 Two summation modes:
 
@@ -33,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, NoStabilization, NonTerminating, UnknownId
 from .series import LaurentSeries, div_binomial_into, mul_binomial_into
@@ -178,93 +184,102 @@ _SINGLES: dict[str, tuple[_Single, Callable[[int], int]]] = {
     ),
 }
 
-# each double-sum entry:
-#   (n0, k0, start_coeff, start_exp, start_ratio(n), k_ratio(n, k),
-#    val_bound(n), starred, scale, const)
-# start = start_coeff * q^start_exp / (1-q) is the k = k0 term at n = n0
 
-_Double = tuple
+class _Double(NamedTuple):
+    """The double sum of T(n, k) = S_n * P_k / (q)_{n-k} over n >= k >= k0.
 
+    T(k0, k0) = c0 * q^e0 / (1 - q), ``s_ratio(n)`` is S_(n+1) / S_n and
+    ``p_ratio(k)`` is P_(k+1) / P_k; ``bound(n)`` is a proven lower bound for
+    the valuation of row n.  The series is ``scale`` times the sum (starred
+    if ``starred``) plus ``const``.
+    """
 
-def _d(n0, k0, c0, e0, start_ratio, k_ratio, val_bound, starred=False, scale=1, const=0):
-    return (n0, k0, c0, e0, start_ratio, k_ratio, val_bound, starred, scale, const)
+    k0: int
+    c0: int
+    e0: int
+    s_ratio: Callable[[int], Ratio]
+    p_ratio: Callable[[int], Ratio]
+    bound: Callable[[int], int]
+    starred: bool = False
+    scale: int = 1
+    const: int = 0
 
 
 _DOUBLES: dict[str, _Double] = {
-    "L1": _d(
-        1, 1, 1, 2,
-        lambda n: (-1, n + 1, (), ()),
-        lambda n, k: (-1, k + 1, ((1, n - k), (1, 2 * k - 1)), ((1, k), (1, 2 * k + 1))),
+    "L1": _Double(
+        1, 1, 2,
+        lambda n: (-1, n + 1, ((1, n),), ()),
+        lambda k: (-1, k + 1, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
         lambda n: n * (n + 1) // 2,
     ),
-    "L2": _d(
-        0, 0, 1, 0,
-        lambda n: (-1, n + 1, (), ()),
-        lambda n, k: (-1, k + 1, ((1, n - k), (1, 2 * k + 1)), ((1, k + 1), (1, 2 * k + 3))),
+    "L2": _Double(
+        0, 1, 0,
+        lambda n: (-1, n + 1, ((1, n + 1),), ()),
+        lambda k: (-1, k + 1, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
         lambda n: n * (n + 1) // 2,
     ),
-    "L3": _d(
-        1, 1, 1, 2,
-        lambda n: (-1, n + 1, (), ()),
-        lambda n, k: (-1, k, ((1, n - k), (1, 2 * k - 1)), ((1, k), (1, 2 * k + 1))),
+    "L3": _Double(
+        1, 1, 2,
+        lambda n: (-1, n + 1, ((1, n),), ()),
+        lambda k: (-1, k, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
         lambda n: n * (n + 1) // 2,
     ),
-    "L4": _d(
-        0, 0, 1, 0,
-        lambda n: (-1, n + 1, (), ()),
-        lambda n, k: (-1, k, ((1, n - k), (1, 2 * k + 1)), ((1, k + 1), (1, 2 * k + 3))),
+    "L4": _Double(
+        0, 1, 0,
+        lambda n: (-1, n + 1, ((1, n + 1),), ()),
+        lambda k: (-1, k, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
         lambda n: n * (n + 1) // 2,
         const=-1,
     ),
-    "L5": _d(
-        1, 1, 2, 2,
-        lambda n: (-1, 1, ((-1, n),), ()),
-        lambda n, k: (-1, 2 * k, ((1, n - k), (1, 2 * k - 1)), ((1, 2 * k), (1, 2 * k + 1))),
+    "L5": _Double(
+        1, 2, 2,
+        lambda n: (-1, 1, ((1, 2 * n),), ()),
+        lambda k: (-1, 2 * k, ((1, 2 * k - 1),), ((1, 2 * k), (1, 2 * k + 1))),
         lambda n: n,
     ),
-    "L6": _d(
-        1, 1, 2, 2,
-        lambda n: (-1, 1, ((-1, n),), ()),
-        lambda n, k: (-1, 2 * k + 1, ((1, n - k), (1, 2 * k - 1)), ((1, 2 * k), (1, 2 * k + 1))),
+    "L6": _Double(
+        1, 2, 2,
+        lambda n: (-1, 1, ((1, 2 * n),), ()),
+        lambda k: (-1, 2 * k + 1, ((1, 2 * k - 1),), ((1, 2 * k), (1, 2 * k + 1))),
         lambda n: n,
     ),
-    "L7": _d(
-        0, 0, 1, 0,
-        lambda n: (-1, 0, ((-1, n + 1),), ()),
-        lambda n, k: (-1, 2 * k + 2, ((1, n - k), (1, 2 * k + 1)), ((1, 2 * k + 2), (1, 2 * k + 3))),
+    "L7": _Double(
+        0, 1, 0,
+        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
+        lambda k: (-1, 2 * k + 2, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
         lambda n: 0,
         starred=True, scale=2,
     ),
-    "L8": _d(
-        0, 0, 1, 0,
-        lambda n: (-1, 0, ((-1, n + 1),), ()),
-        lambda n, k: (-1, 2 * k + 1, ((1, n - k), (1, 2 * k + 1)), ((1, 2 * k + 2), (1, 2 * k + 3))),
+    "L8": _Double(
+        0, 1, 0,
+        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
+        lambda k: (-1, 2 * k + 1, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
         lambda n: 0,
         starred=True, scale=2, const=-1,
     ),
-    "L9": _d(
-        1, 1, 2, 2,
-        lambda n: (-1, 1, ((-1, n),), ()),
-        lambda n, k: (-1, k + 1, ((1, n - k), (1, 2 * k - 1)), ((1, k), (1, 2 * k + 1))),
+    "L9": _Double(
+        1, 2, 2,
+        lambda n: (-1, 1, ((1, 2 * n),), ()),
+        lambda k: (-1, k + 1, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
         lambda n: n,
     ),
-    "L10": _d(
-        1, 1, 2, 2,
-        lambda n: (-1, 1, ((-1, n),), ()),
-        lambda n, k: (-1, k, ((1, n - k), (1, 2 * k - 1)), ((1, k), (1, 2 * k + 1))),
+    "L10": _Double(
+        1, 2, 2,
+        lambda n: (-1, 1, ((1, 2 * n),), ()),
+        lambda k: (-1, k, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
         lambda n: n,
     ),
-    "L11": _d(
-        0, 0, 1, 0,
-        lambda n: (-1, 0, ((-1, n + 1),), ()),
-        lambda n, k: (-1, k + 1, ((1, n - k), (1, 2 * k + 1)), ((1, k + 1), (1, 2 * k + 3))),
+    "L11": _Double(
+        0, 1, 0,
+        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
+        lambda k: (-1, k + 1, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
         lambda n: 0,
         starred=True, scale=2,
     ),
-    "L12": _d(
-        0, 0, 1, 0,
-        lambda n: (-1, 0, ((-1, n + 1),), ()),
-        lambda n, k: (-1, k, ((1, n - k), (1, 2 * k + 1)), ((1, k + 1), (1, 2 * k + 3))),
+    "L12": _Double(
+        0, 1, 0,
+        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
+        lambda k: (-1, k, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
         lambda n: 0,
         starred=True, scale=2, const=-2,
     ),
@@ -289,7 +304,7 @@ def _single_terms(entry: _Single, bound: Callable[[int], int], order: int) -> It
 class _Term:
     """The term ``c * q**offset * sum(buf[i] * q**i)``, known through q**horizon.
 
-    The row walker's working state: ``apply`` does what ``_apply`` does, but
+    The column walker's working state: ``apply`` does what ``_apply`` does, but
     on the one list ``buf`` in place, and its monomial only changes the
     scalars ``c`` and ``offset``.  ``buf[0]`` is nonzero unless ``buf`` is
     empty, which is how a vanished term shows.
@@ -346,52 +361,69 @@ class _Term:
         return low
 
 
+def _factor_ratio(ratio: Ratio) -> Ratio:
+    """``ratio``, once its monomial exponent is checked to be >= 0.
+
+    The column walker relies on it: with no negative exponent a vanished
+    term stays vanished along both n and k, and a term's horizon,
+    min(order, start horizon + exponents so far), is the same whichever
+    path builds it.
+    """
+    if ratio[1] < 0:
+        raise InvariantViolation(f"factor ratio {ratio} has a negative monomial exponent")
+    return ratio
+
+
 def _row_totals(
     start: LaurentSeries,
     order: int,
-    n0: int,
     k0: int,
-    k_ratio: Callable[[int, int], Ratio],
-    start_ratio: Callable[[int], Ratio],
+    p_ratio: Callable[[int], Ratio],
+    s_ratio: Callable[[int], Ratio],
 ) -> Iterator[LaurentSeries]:
-    """Rows sum_{k=k0}^{n} T(n, k) of a double sum, for n = n0, n0 + 1, ...
+    """Rows sum_{k=k0}^{n} T(n, k) of T(n, k) = S_n * P_k / (q)_{n-k}, for n = k0, k0 + 1, ...
 
-    T(n0, k0) is ``start`` (which must carry a finite horizon), T(n + 1, k0)
-    is T(n, k0) times ``start_ratio(n)`` and T(n, k + 1) is T(n, k) times
-    ``k_ratio(n, k)``.  The same ratios applied with ``_apply`` give the same
-    rows; here each row is summed in one int list and becomes one series.
-    A row stops at its first vanished term.
+    T(k0, k0) is ``start`` (which must carry a finite horizon), S_(n+1) is
+    S_n times ``s_ratio(n)`` and P_(k+1) is P_k times ``p_ratio(k)``.  The
+    walker keeps one term per live column k and moves each from row n to
+    row n + 1 with the n-step s_ratio(n) / (1 - q^(n+1-k)), whose binomials
+    have exponents near n and so touch few coefficients.  A column is opened
+    only at the diagonal: T(n, n) is T(n, n - 1) times p_ratio(n - 1) * (1 - q).
+    A vanished column stays vanished and every column right of it has
+    vanished too, so vanished columns are dropped from the right; column k0
+    is kept, because its horizon is the row's.  The row sum is one int list
+    and becomes one series.  Raises InvariantViolation for a ratio with a
+    negative monomial exponent.
     """
     # copy: ``start.coeffs`` may be shared with other series
-    head = _Term(1, start.offset, list(start.coeffs), start.order)
-    n = n0
+    cols = [_Term(1, start.offset, list(start.coeffs), start.order)]
+    n = k0
     while True:
-        term = head.copy()
         total: list = []
-        low = term.offset
-        horizon = term.horizon
-        k = k0
-        while True:
-            horizon = min(horizon, term.horizon)
+        low = cols[0].offset
+        for term in cols:
             low = term.add_into(total, low)
-            if k >= n:
-                break
-            term.apply(k_ratio(n, k), order)
-            k += 1
-            if not term.buf:
-                break
+        horizon = cols[0].horizon
         yield LaurentSeries(low, total[:max(0, horizon - low + 1)], horizon)
-        head.apply(start_ratio(n), order)
+        c, e, num, den = _factor_ratio(s_ratio(n))
+        for k, term in enumerate(cols, k0):
+            term.apply((c, e, num, den + ((1, n + 1 - k),)), order)
+        while len(cols) > 1 and not cols[-1].buf:
+            cols.pop()
+        if k0 + len(cols) - 1 == n and cols[-1].buf:
+            c, e, num, den = _factor_ratio(p_ratio(n))
+            term = cols[-1].copy()
+            term.apply((c, e, num + ((1, 1),), den), order)
+            cols.append(term)
         n += 1
 
 
 def _double_terms(entry: _Double, order: int) -> Iterator[LaurentSeries]:
-    n0, k0, c0, e0, start_ratio, k_ratio, bound, _starred, _scale, _const = entry
-    start = LaurentSeries.monomial(c0, e0, order).div_binomial(1, 1, order=order)
-    rows = _row_totals(start, order, n0, k0, k_ratio, start_ratio)
-    for n, total in enumerate(rows, n0):
+    start = LaurentSeries.monomial(entry.c0, entry.e0, order).div_binomial(1, 1, order=order)
+    rows = _row_totals(start, order, entry.k0, entry.p_ratio, entry.s_ratio)
+    for n, total in enumerate(rows, entry.k0):
         v = total.valuation()
-        if v is not None and v < bound(n):
+        if v is not None and v < entry.bound(n):
             raise InvariantViolation(f"row valuation below bound at n={n}")
         yield total
 
@@ -417,14 +449,13 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
         entry, bound = _SINGLES[key]
         return classical_sum(_single_terms(entry, bound, order), order)
     entry = _DOUBLES[key]
-    starred, scale, const = entry[7], entry[8], entry[9]
     terms = _double_terms(entry, order)
-    if starred:
+    if entry.starred:
         total = star_sum(terms, order, budget=star_budget)
     else:
         total = classical_sum(terms, order)
-    if scale != 1:
-        total = total.scale(scale)
-    if const:
-        total = total + LaurentSeries.monomial(const, 0, order)
+    if entry.scale != 1:
+        total = total.scale(entry.scale)
+    if entry.const:
+        total = total + LaurentSeries.monomial(entry.const, 0, order)
     return total

@@ -349,9 +349,7 @@ class LaurentSeries:
         if not self.coeffs:
             return LaurentSeries.zero(order)
         out: list[Coeff] = [0] * ((len(self.coeffs) - 1) * t + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * t] = c
+        out[::t] = self.coeffs
         return LaurentSeries(t * self.offset + s, out, order)
 
     def alternate(self) -> "LaurentSeries":

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import qrds
 import qrds.bailey as bailey
 import qrds.catalog as catalog
+import qrds.verify as verify
 from qrds.catalog import (
     catalog_ids,
     classical_sum,
@@ -275,8 +276,7 @@ def test_star_sum_exhausted_stream():
 _BROKEN_BOUND = """
 import qrds.catalog as catalog
 from qrds.errors import InvariantViolation
-entry = catalog._DOUBLES["L5"]
-catalog._DOUBLES["L5"] = entry[:6] + (lambda n: n + 100,) + entry[7:]
+catalog._DOUBLES["L5"] = catalog._DOUBLES["L5"]._replace(bound=lambda n: n + 100)
 try:
     catalog.eval_named("L5", 40)
 except InvariantViolation:
@@ -286,8 +286,7 @@ raise SystemExit(1)
 
 
 def test_valuation_bound_violation_raises(monkeypatch):
-    entry = catalog._DOUBLES["L5"]
-    monkeypatch.setitem(catalog._DOUBLES, "L5", entry[:6] + (lambda n: n + 100,) + entry[7:])
+    monkeypatch.setitem(catalog._DOUBLES, "L5", catalog._DOUBLES["L5"]._replace(bound=lambda n: n + 100))
     with pytest.raises(InvariantViolation, match="n=1"):
         eval_named("L5", 40)
 
@@ -304,45 +303,51 @@ def test_valuation_bound_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
-# ------------------------------------------------------------ row walker
+# ---------------------------------------------------------- column walker
 #
-# The in-place row walker against rows built one series at a time with
-# ``_apply`` and ``LaurentSeries.__add__``: same offsets, horizons,
-# coefficients and coefficient types.
+# The column walker against rows built one series at a time with ``_apply``
+# and ``LaurentSeries.__add__``, down column k0 and then along each row
+# (the other path through T(n, k) = S_n * P_k / (q)_{n-k}): same offsets,
+# horizons, coefficients and coefficient types.
 
 
 def shape(f: LaurentSeries):
     return (f.offset, f.order, [(type(c), c) for c in f.coeffs])
 
 
-def _rows_by_terms(start, order, n0, k0, k_ratio, start_ratio, count):
+def _rows_by_terms(start, order, k0, p_ratio, s_ratio, count):
     rows = []
-    n = n0
+    n = k0
     while len(rows) < count:
         term = total = start
         for k in range(k0, n):
-            term = catalog._apply(term, order, k_ratio(n, k))
+            c, e, num, den = p_ratio(k)
+            term = catalog._apply(term, order, (c, e, num + ((1, n - k),), den))
             if term.is_zero():
                 break
             total = total + term
         rows.append(total)
-        start = catalog._apply(start, order, start_ratio(n))
+        c, e, num, den = s_ratio(n)
+        start = catalog._apply(start, order, (c, e, num, den + ((1, n + 1 - k0),)))
         n += 1
     return rows
 
 
-@pytest.mark.parametrize("sid", ["L5", "L7", "L11"])
+@pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
 @pytest.mark.parametrize("order", [0, 7, 60])
 def test_double_rows_match_term_by_term(sid, order):
-    n0, k0, c0, e0, start_ratio, k_ratio = catalog._DOUBLES[sid][:6]
-    start = LaurentSeries.monomial(c0, e0, order).div_binomial(1, 1, order=order)
+    entry = catalog._DOUBLES[sid]
+    start = LaurentSeries.monomial(entry.c0, entry.e0, order).div_binomial(1, 1, order=order)
     count = 2 * order + 8
-    want = _rows_by_terms(start, order, n0, k0, k_ratio, start_ratio, count)
-    got = list(itertools.islice(catalog._double_terms(catalog._DOUBLES[sid], order), count))
+    want = _rows_by_terms(start, order, entry.k0, entry.p_ratio, entry.s_ratio, count)
+    got = list(itertools.islice(catalog._double_terms(entry, order), count))
     assert [shape(r) for r in got] == [shape(r) for r in want]
 
 
-@pytest.mark.parametrize("label, form_id", [("BK2", "AQALSO"), ("P2A", "A1")])
+_PIPELINE_PAIRS = sorted({(label, form_id) for label, form_id, _, _ in verify._PIPELINES.values()})
+
+
+@pytest.mark.parametrize("label, form_id", _PIPELINE_PAIRS)
 @pytest.mark.parametrize("order", [0, 7, 60])
 def test_stepped_rows_match_term_by_term(label, form_id, order):
     stepped = bailey.bailey_step(bailey.pair_catalog(label))
@@ -351,13 +356,13 @@ def test_stepped_rows_match_term_by_term(label, form_id, order):
     wc, we = form.w_seed
     seed = base.beta(k0, order).mul_monomial(wc, we + stepped._u_exp(k0)).truncate(order)
     u = 2 if stepped.rel == "q" else 1
+
+    def p_ratio(k):
+        c, e, num, den = base.beta_ratio(k)
+        return (c, e + 2 * k + u, num, den)
+
     count = 2 * order + 8
-    want = _rows_by_terms(
-        seed, order, k0, k0,
-        lambda n, k: bailey._compose((1, 2 * k + u, (), ()), base.beta_ratio(k), (1, 0, ((1, n - k),), ())),
-        lambda n: bailey._compose(form.w_ratio(n), (1, 0, (), ((1, n + 1 - k0),))),
-        count,
-    )
+    want = _rows_by_terms(seed, order, k0, p_ratio, form.w_ratio, count)
     got = list(itertools.islice(bailey._stepped_lhs_terms(stepped, form, order), count))
     assert [shape(r) for r in got] == [shape(r) for r in want]
 
@@ -365,7 +370,7 @@ def test_stepped_rows_match_term_by_term(label, form_id, order):
 binomials = st.tuples(st.sampled_from([1, -1, 0, 3]), st.integers(min_value=1, max_value=12))
 ratios = st.tuples(
     st.sampled_from([1, -1, 2, 0]),
-    st.integers(min_value=-3, max_value=6),
+    st.integers(min_value=0, max_value=6),
     st.lists(binomials, max_size=2).map(tuple),
     st.lists(binomials, max_size=2).map(tuple),
 )
@@ -377,24 +382,36 @@ ratios = st.tuples(
     st.lists(st.integers(min_value=-5, max_value=5), max_size=12),
     st.integers(min_value=0, max_value=30),
     st.integers(min_value=-2, max_value=30),
+    st.integers(min_value=0, max_value=3),
     st.lists(ratios, min_size=1, max_size=5),
     st.lists(ratios, min_size=1, max_size=5),
 )
-def test_row_walker_matches_term_by_term_for_any_ratios(offset, co, order, start_order, ks, ss):
-    # negative exponents lower a term's horizon, zero multipliers end it
+def test_row_walker_matches_term_by_term_for_any_ratios(offset, co, order, start_order, k0, ps, ss):
+    # a start horizon below ``order`` makes horizons differ between terms,
+    # zero multipliers end a column
     start = LaurentSeries(offset, co, None).truncate(start_order)
-    k_ratio = lambda n, k: ks[(n + k) % len(ks)]
-    start_ratio = lambda n: ss[n % len(ss)]
-    want = _rows_by_terms(start, order, 0, 0, k_ratio, start_ratio, 12)
-    got = list(itertools.islice(catalog._row_totals(start, order, 0, 0, k_ratio, start_ratio), 12))
+    p_ratio = lambda k: ps[k % len(ps)]
+    s_ratio = lambda n: ss[n % len(ss)]
+    want = _rows_by_terms(start, order, k0, p_ratio, s_ratio, 12)
+    got = list(itertools.islice(catalog._row_totals(start, order, k0, p_ratio, s_ratio), 12))
     assert [shape(r) for r in got] == [shape(r) for r in want]
 
 
+@pytest.mark.parametrize("negative", ["p_ratio", "s_ratio"])
+def test_row_walker_rejects_negative_exponent(negative):
+    ratio = {"p_ratio": (1, 0, (), ()), "s_ratio": (1, 0, (), ()), negative: (1, -1, (), ())}
+    rows = catalog._row_totals(
+        LaurentSeries.one(10), 10, 0, lambda k: ratio["p_ratio"], lambda n: ratio["s_ratio"]
+    )
+    with pytest.raises(InvariantViolation, match="negative monomial exponent"):
+        list(itertools.islice(rows, 3))
+
+
 def test_row_walker_leaves_start_untouched():
-    n0, k0, c0, e0, start_ratio, k_ratio = catalog._DOUBLES["L5"][:6]
-    start = LaurentSeries.monomial(c0, e0, 30).div_binomial(1, 1, order=30)
+    entry = catalog._DOUBLES["L5"]
+    start = LaurentSeries.monomial(entry.c0, entry.e0, 30).div_binomial(1, 1, order=30)
     before = shape(start)
-    list(itertools.islice(catalog._row_totals(start, 30, n0, k0, k_ratio, start_ratio), 40))
+    list(itertools.islice(catalog._row_totals(start, 30, entry.k0, entry.p_ratio, entry.s_ratio), 40))
     assert shape(start) == before
 
 

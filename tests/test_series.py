@@ -219,6 +219,17 @@ def _ref_mul_monomial(f, c, e):
     return LaurentSeries(f.offset + e, co, order)
 
 
+def _ref_dilate_shift(f, t, s):
+    order = None if f.order is None else t * f.order + s
+    if not f.coeffs:
+        return LaurentSeries.zero(order)
+    out = [0] * ((len(f.coeffs) - 1) * t + 1)
+    for i, c in enumerate(f.coeffs):
+        if c:
+            out[i * t] = c
+    return LaurentSeries(t * f.offset + s, out, order)
+
+
 def shape(f):
     return (f.offset, f.order, [(type(c), c) for c in f.coeffs])
 
@@ -283,6 +294,26 @@ def test_add_matches_naive_loop(f, g):
        st.integers(min_value=-20, max_value=20))
 def test_mul_monomial_matches_naive_loop(f, c, e):
     _check_kernel(lambda: f.mul_monomial(c, e), lambda: _ref_mul_monomial(f, c, e), f)
+
+
+def _no_stored_fraction_zero(f):
+    return all(type(c) is int or c for c in f.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_series().filter(_no_stored_fraction_zero), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=-20, max_value=20))
+def test_dilate_shift_matches_naive_loop(f, t, s):
+    _check_kernel(lambda: f.dilate_shift(t, s), lambda: _ref_dilate_shift(f, t, s), f)
+
+
+def test_dilate_shift_copies_stored_zeros():
+    # the one difference from the loop: a stored Fraction(0) is copied as it
+    # is, where the loop left an int 0 (equal values either way)
+    f = LaurentSeries(1, [1, Fraction(0), Fraction(1, 2)], 4)
+    g = f.dilate_shift(2, 1)
+    assert shape(g) == (3, 9, [(int, 1), (int, 0), (Fraction, 0), (int, 0), (Fraction, Fraction(1, 2))])
+    assert g == _ref_dilate_shift(f, 2, 1)
 
 
 def test_div_binomial_switches_strategy_on_exponent():
