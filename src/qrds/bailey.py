@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .catalog import Ratio, _apply, _row_totals, classical_sum, star_sum
+from .catalog import Ratio, _apply, _ratio_sum, classical_sum, star_sum
 from .errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
 from .series import LaurentSeries, first_mismatch
 
@@ -372,30 +372,6 @@ def _lookup_form(form_id: str) -> LimitForm:
         raise UnknownId(f"unknown limit form {form_id!r}") from None
 
 
-def _stepped_lhs_terms(stepped: SteppedPair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
-    """Outer terms of sum_n w_n beta'_n for a double-infinity stepped pair.
-
-    Term (n, k) is w_n * q^(u(k)) beta_k / (q)_{n-k}, summed by the column
-    walker with S_n = w_n and P_k = q^(u(k)) beta_k: the n-step is the
-    form's weight ratio and the k-step is q^(u(k+1) - u(k)) times the base
-    pair's beta ratio, so this path shares no transcription with the direct
-    double-sum catalog.
-    """
-    base = stepped.base
-    k0 = form.n0
-    wc, we = form.w_seed
-    seed = base.beta(k0, order).mul_monomial(wc, we + stepped._u_exp(k0))
-    if seed.order is not None and seed.order > order:
-        seed = seed.truncate(order)
-    u = 2 if stepped.rel == "q" else 1
-
-    def p_ratio(k: int) -> Ratio:
-        c, e, num, den = base.beta_ratio(k)
-        return (c, e + 2 * k + u, num, den)
-
-    return _row_totals(seed, order, k0, p_ratio, form.w_ratio)
-
-
 def _rhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
     n = form.n0
     while True:
@@ -407,7 +383,15 @@ def limit_form(pair, form_id: str, order: int):
     """Both sides of a limit transform applied to a stepped catalog pair.
 
     Returns (lhs, rhs).  lhs sums the beta side, rhs the alpha side; for a
-    matching pair/form combination the two agree through q**order.
+    matching pair/form combination the two agree through q**order.  The
+    beta side sum_n w_n beta'_n is the double sum of terms
+    w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out by the catalog's
+    ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k: the n-step
+    is the form's weight ratio, the k-step is q^(u(k+1) - u(k)) times the
+    base pair's beta ratio and the seed is beta_n0 in closed form, so this
+    path shares no transcription with the direct double-sum catalog.  A
+    starred beta side comes back doubled and is halved here; the alpha side,
+    a sum of closed forms, is summed term by term.
     """
     form = _lookup_form(form_id)
     if pair.rel != form.rel:
@@ -419,13 +403,22 @@ def limit_form(pair, form_id: str, order: int):
         raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
     if not (isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair)):
         raise TypeError(f"limit_form needs a stepped catalog pair, got {pair.label}")
-    lhs_terms = _stepped_lhs_terms(pair, form, order)
+    base, k0 = pair.base, form.n0
+    wc, we = form.w_seed
+    u = 2 if pair.rel == "q" else 1
+
+    def p_ratio(k: int) -> Ratio:
+        c, e, num, den = base.beta_ratio(k)
+        return (c, e + 2 * k + u, num, den)
+
+    seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
+            tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
+    lhs = _ratio_sum(order, seed, k0, form.w_ratio, p_ratio, starred=form.starred)
     rhs_terms = _rhs_terms(pair, form, order)
     if form.starred:
-        lhs = star_sum(lhs_terms, order)
+        lhs = lhs.scale(Fraction(1, 2))
         rhs = star_sum(rhs_terms, order)
     else:
-        lhs = classical_sum(lhs_terms, order)
         rhs = classical_sum(rhs_terms, order)
     if form.rhs_mul_one_minus_q:
         rhs = rhs.mul_binomial(1, 1)

@@ -1,45 +1,45 @@
 """Direct evaluation of the named q-series (SIGMA, L1..L12, Z2..Z5).
 
 Every series here is summed straight from its defining single or double
-sum, entirely in integer arithmetic.  Successive outer terms are produced
-by exact term ratios (a monomial times a few binomials over binomials), so
-no Pochhammer product is ever expanded twice.
+sum, entirely in integer arithmetic.  Successive terms are given by exact
+ratios (a monomial times a few binomials over binomials), so no Pochhammer
+product is ever expanded.
 
-A double sum is summed row by row: row n is sum_k T(n, k), and every
-double sum here, direct or on the Bailey pipeline's left-hand side, has
-terms T(n, k) = S_n * P_k / (q)_{n-k}, given by the factor ratios
-S_(n+1)/S_n and P_(k+1)/P_k.  ``_row_totals`` walks the sum column by
-column: it keeps the current term of every live column k as a plain int
-list, moves each one row down with S_(n+1)/S_n / (1 - q^(n+1-k)) through
-the series kernel's in-place list operations, and opens a new column only
-at the diagonal.  The row-step binomials have exponents near n, so their
-cost grows with the number of coefficients past the n-th, not with the
-whole term; rows past half the horizon cost little beyond the additions.
-A monomial only changes a
-term's scalar factor (a sign, in every catalog ratio) and offset, the row
-total is one int list, and each row becomes exactly one ``LaurentSeries``.
+Every sum is a ratio chain, summed inside out by Horner's rule.  A single
+sum is 1 + r(n0) * (1 + r(n0 + 1) * (...)) times its first term.  A double
+sum, direct or on the Bailey pipeline's beta side, has terms
+T(n, k) = S_n * P_k / (q)_{n-k}; its column k is such a chain with ratio
+S_(n+1) / S_n / (1 - q^(n+1-k)), and the columns fold outwards the same
+way, column k + 1 entering column k with the ratio of the diagonal terms.
+Each level works on one plain int list in place with the series kernel's
+list operations; nothing is added row by row.
 
-Two summation modes:
-
-* ``classical_sum`` — stops once four consecutive outer terms vanish below
-  the truncation horizon (valuations of these sums grow without bound);
-* ``star_sum`` — for the four series whose outer terms do *not* die off, the
-  partial sums eventually alternate between two values modulo q^(order+1);
-  the star value is the average of the two.  Stabilization is detected by
-  four consecutive vanishing consecutive-term sums T_n + T_{n-1}.
+The last level comes from a proof, not from a streak of vanishing terms:
+every binomial has constant term 1 and every monomial exponent is >= 0
+(checked), so each level's valuation is known exactly before any
+arithmetic, and the chain stops at the last level that reaches the
+truncation horizon.  The four starred sums (L7, L8, L11, L12) have terms
+that do not die off: once a level's ratio is -1 through its horizon, the
+tail 1 - 1 + 1 - ... has star value 1/2, so such a chain is summed doubled,
+from 2W = 1 outwards, and stays in the integers.
 
 Each series also carries a proven lower bound for the valuation of its n-th
-outer term; the bound is checked while summing (``InvariantViolation``, which
-survives ``python -O``), so a transcription slip in a ratio cannot silently
-produce plausible-looking output.
+term, checked against every level's derived valuation, outermost first
+(``InvariantViolation``, which survives ``python -O``), so a transcription
+slip in a ratio cannot silently produce plausible-looking output.
+
+``classical_sum`` and ``star_sum`` add a stream of term series until a
+streak of vanishing terms (or term pairs) ends it; they serve only the
+Bailey pipeline's alpha side, a sum of closed forms rather than a ratio
+chain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import add, sub
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvariantViolation, NoStabilization, NonTerminating, UnknownId
 from .series import LaurentSeries, div_binomial_into, mul_binomial_into
@@ -190,8 +190,8 @@ class _Double(NamedTuple):
 
     T(k0, k0) = c0 * q^e0 / (1 - q), ``s_ratio(n)`` is S_(n+1) / S_n and
     ``p_ratio(k)`` is P_(k+1) / P_k; ``bound(n)`` is a proven lower bound for
-    the valuation of row n.  The series is ``scale`` times the sum (starred
-    if ``starred``) plus ``const``.
+    the valuation of every term of row n.  The series is the sum, or twice
+    its star value if ``starred``, plus ``const``.
     """
 
     k0: int
@@ -201,7 +201,6 @@ class _Double(NamedTuple):
     p_ratio: Callable[[int], Ratio]
     bound: Callable[[int], int]
     starred: bool = False
-    scale: int = 1
     const: int = 0
 
 
@@ -248,14 +247,14 @@ _DOUBLES: dict[str, _Double] = {
         lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
         lambda k: (-1, 2 * k + 2, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
         lambda n: 0,
-        starred=True, scale=2,
+        starred=True,
     ),
     "L8": _Double(
         0, 1, 0,
         lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
         lambda k: (-1, 2 * k + 1, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
         lambda n: 0,
-        starred=True, scale=2, const=-1,
+        starred=True, const=-1,
     ),
     "L9": _Double(
         1, 2, 2,
@@ -274,158 +273,135 @@ _DOUBLES: dict[str, _Double] = {
         lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
         lambda k: (-1, k + 1, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
         lambda n: 0,
-        starred=True, scale=2,
+        starred=True,
     ),
     "L12": _Double(
         0, 1, 0,
         lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
         lambda k: (-1, k, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
         lambda n: 0,
-        starred=True, scale=2, const=-2,
+        starred=True, const=-2,
     ),
 }
-
-
-def _single_terms(entry: _Single, bound: Callable[[int], int], order: int) -> Iterator[LaurentSeries]:
-    n0, c0, e0, den, ratio = entry
-    term = LaurentSeries.monomial(c0, e0, order)
-    for cc, ee in den:
-        term = term.div_binomial(cc, ee, order=order)
-    n = n0
-    while True:
-        v = term.valuation()
-        if v is not None and v < bound(n):
-            raise InvariantViolation(f"term valuation below bound at n={n}")
-        yield term
-        term = _apply(term, order, ratio(n))
-        n += 1
-
-
-class _Term:
-    """The term ``c * q**offset * sum(buf[i] * q**i)``, known through q**horizon.
-
-    The column walker's working state: ``apply`` does what ``_apply`` does, but
-    on the one list ``buf`` in place, and its monomial only changes the
-    scalars ``c`` and ``offset``.  ``buf[0]`` is nonzero unless ``buf`` is
-    empty, which is how a vanished term shows.
-    """
-
-    __slots__ = ("c", "offset", "buf", "horizon")
-
-    def __init__(self, c: int, offset: int, buf: list, horizon: int):
-        self.c = c
-        self.offset = offset
-        self.buf = buf
-        self.horizon = horizon
-
-    def copy(self) -> "_Term":
-        return _Term(self.c, self.offset, self.buf[:], self.horizon)
-
-    def apply(self, ratio: Ratio, order: int) -> None:
-        c, e, num, den = ratio
-        self.c *= c
-        self.offset += e
-        self.horizon += e
-        buf = self.buf
-        if not self.c:
-            buf.clear()
-        if self.horizon > order:
-            del buf[max(0, order - self.offset + 1):]
-            self.horizon = order
-        if not buf:
-            return
-        m = self.horizon - self.offset + 1
-        for cc, ee in num:
-            mul_binomial_into(buf, cc, ee, m)
-        for cc, ee in den:
-            div_binomial_into(buf, cc, ee, m)
-
-    def add_into(self, total: list, low: int) -> int:
-        """Add this term to ``total`` (index i is q**(low + i)); return the new low."""
-        buf = self.buf
-        if not buf:
-            return low
-        a = self.offset - low
-        if a < 0:
-            total[:0] = repeat(0, -a)
-            low, a = self.offset, 0
-        b = a + len(buf)
-        if b > len(total):
-            total.extend(repeat(0, b - len(total)))
-        if self.c == 1:
-            total[a:b] = map(add, total[a:b], buf)
-        elif self.c == -1:
-            total[a:b] = map(sub, total[a:b], buf)
-        else:
-            total[a:b] = map(add, total[a:b], map(mul, repeat(self.c), buf))
-        return low
 
 
 def _factor_ratio(ratio: Ratio) -> Ratio:
     """``ratio``, once its monomial exponent is checked to be >= 0.
 
-    The column walker relies on it: with no negative exponent a vanished
-    term stays vanished along both n and k, and a term's horizon,
-    min(order, start horizon + exponents so far), is the same whichever
-    path builds it.
+    The proven last level relies on it: with no negative exponent the
+    valuations along a chain never fall.
     """
     if ratio[1] < 0:
         raise InvariantViolation(f"factor ratio {ratio} has a negative monomial exponent")
     return ratio
 
 
-def _row_totals(
-    start: LaurentSeries,
-    order: int,
-    k0: int,
-    p_ratio: Callable[[int], Ratio],
-    s_ratio: Callable[[int], Ratio],
-) -> Iterator[LaurentSeries]:
-    """Rows sum_{k=k0}^{n} T(n, k) of T(n, k) = S_n * P_k / (q)_{n-k}, for n = k0, k0 + 1, ...
+def _horner(ratios: list[Ratio], heads: list[list], buf: list, h: int) -> list:
+    """W_0 of W_i = heads[i] + ratios[i] * W_(i+1), from the innermost W_L = ``buf``.
 
-    T(k0, k0) is ``start`` (which must carry a finite horizon), S_(n+1) is
-    S_n times ``s_ratio(n)`` and P_(k+1) is P_k times ``p_ratio(k)``.  The
-    walker keeps one term per live column k and moves each from row n to
-    row n + 1 with the n-step s_ratio(n) / (1 - q^(n+1-k)), whose binomials
-    have exponents near n and so touch few coefficients.  A column is opened
-    only at the diagonal: T(n, n) is T(n, n - 1) times p_ratio(n - 1) * (1 - q).
-    A vanished column stays vanished and every column right of it has
-    vanished too, so vanished columns are dropped from the right; column k0
-    is kept, because its horizon is the row's.  The row sum is one int list
-    and becomes one series.  Raises InvariantViolation for a ratio with a
-    negative monomial exponent.
+    ``buf`` is W_L through q**h, index i standing for q**i.  Each level works
+    on ``buf`` in place: the binomials through the inner horizon, then the
+    monomial as a front insert.  The value is kept as a sign times ``buf``,
+    so a unit multiplier only flips the sign.
     """
-    # copy: ``start.coeffs`` may be shared with other series
-    cols = [_Term(1, start.offset, list(start.coeffs), start.order)]
-    n = k0
+    sgn = 1
+    for (c, e, num, den), head in zip(reversed(ratios), reversed(heads)):
+        m = h + 1
+        for cc, ee in num:
+            mul_binomial_into(buf, cc, ee, m)
+        for cc, ee in den:
+            div_binomial_into(buf, cc, ee, m)
+        buf[:0] = repeat(0, e)
+        h += e
+        if c == 1 or c == -1:
+            sgn *= c
+        else:
+            buf[:] = [sgn * c * x for x in buf]
+            sgn = 1
+        buf.extend(repeat(0, len(head) - len(buf)))
+        buf[:len(head)] = map(add if sgn == 1 else sub, buf, head)
+    return buf if sgn == 1 else [-x for x in buf]
+
+
+def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int,
+           head: Callable[[int, int, int], list], cap: int, starred: bool = False) -> list:
+    """W_j through q**h of the chain W_n = head(n, h_n, v_n) + ratio(n) * W_(n+1).
+
+    Every binomial has constant term 1 and every exponent is >= 0, so level n
+    has valuation exactly v_n = v + e_j + ... + e_(n-1) and is needed through
+    h_n = h - (e_j + ... + e_(n-1)), both known before any arithmetic.  The
+    last level is the last with h_n >= 0, or one whose ratio is 0, and its
+    value is its head.  A starred chain also ends at a level whose ratio is
+    -1 through its horizon, where the tail 1 - 1 + 1 - ... has star value
+    1/2; its heads are doubled and that level's value is 1.  More than
+    ``cap`` levels raise NoStabilization.
+    """
+    ratios: list[Ratio] = []
+    heads: list[list] = []
     while True:
-        total: list = []
-        low = cols[0].offset
-        for term in cols:
-            low = term.add_into(total, low)
-        horizon = cols[0].horizon
-        yield LaurentSeries(low, total[:max(0, horizon - low + 1)], horizon)
-        c, e, num, den = _factor_ratio(s_ratio(n))
-        for k, term in enumerate(cols, k0):
-            term.apply((c, e, num, den + ((1, n + 1 - k),)), order)
-        while len(cols) > 1 and not cols[-1].buf:
-            cols.pop()
-        if k0 + len(cols) - 1 == n and cols[-1].buf:
-            c, e, num, den = _factor_ratio(p_ratio(n))
-            term = cols[-1].copy()
-            term.apply((c, e, num + ((1, 1),), den), order)
-            cols.append(term)
-        n += 1
+        top = head(j, h, v)
+        c, e, num, den = r = _factor_ratio(ratio(j))
+        if starred and c == -1 and not e and all(ee > h or not cc for cc, ee in num + den):
+            return _horner(ratios, heads, [1], h)
+        if not c or e > h:
+            return _horner(ratios, heads, top[:], h)
+        if len(ratios) >= cap:
+            raise NoStabilization(f"no last level within {cap} levels from n={j - cap}", n_limit=cap)
+        ratios.append(r)
+        heads.append(top)
+        h -= e
+        v += e
+        j += 1
 
 
-def _double_terms(entry: _Double, order: int) -> Iterator[LaurentSeries]:
-    start = LaurentSeries.monomial(entry.c0, entry.e0, order).div_binomial(1, 1, order=order)
-    rows = _row_totals(start, order, entry.k0, entry.p_ratio, entry.s_ratio)
-    for n, total in enumerate(rows, entry.k0):
-        v = total.valuation()
-        if v is not None and v < entry.bound(n):
-            raise InvariantViolation(f"row valuation below bound at n={n}")
-        yield total
+def _ratio_sum(order: int, seed: Ratio, k0: int, s_ratio: Callable[[int], Ratio],
+               p_ratio: Callable[[int], Ratio] | None = None,
+               bound: Callable[[int], int] | None = None,
+               starred: bool = False, cap: int | None = None) -> LaurentSeries:
+    """A single or double ratio-chain sum through q**order, summed inside out.
+
+    With no ``p_ratio``, the sum of the terms t_n, n >= k0, where t_k0 is
+    ``seed`` and t_(n+1) / t_n is ``s_ratio(n)``.  With one, the sum of
+    T(n, k) = S_n * P_k / (q)_{n-k} over n >= k >= k0, where T(k0, k0) is
+    ``seed``, S_(n+1) / S_n is ``s_ratio(n)`` and P_(k+1) / P_k is
+    ``p_ratio(k)``: column k is D_k * U_k with D_k = T(k, k) and the chain
+    U_k = 1 + rho_k(k) * (1 + rho_k(k + 1) * (...)),
+    rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)), and the columns fold as the
+    chain V_k = U_k + s_ratio(k) * p_ratio(k) * V_(k+1), the sum being
+    seed * V_k0.  A starred sum comes back doubled.  ``bound(n)`` is checked
+    against the valuation of every level n, outermost first
+    (InvariantViolation); ``cap`` (default 4 * order + 64) bounds the levels
+    of one chain.
+    """
+    c, v = _factor_ratio(seed)[:2]
+    if order < v or not c:
+        return LaurentSeries.zero(order)
+    one = [2 if starred else 1]
+
+    def unit(n: int, h: int, v: int) -> list:
+        if bound is not None and v < bound(n):
+            raise InvariantViolation(f"valuation {v} below its bound {bound(n)} at n={n}")
+        return one
+
+    def column(k: int, h: int, v: int) -> list:
+        def down(n: int) -> Ratio:  # T(n, k) -> T(n + 1, k)
+            c, e, num, den = s_ratio(n)
+            return c, e, num, den + ((1, n + 1 - k),)
+
+        return _chain(down, k, h, v, unit, cap, starred)
+
+    def diagonal(k: int) -> Ratio:  # T(k, k) -> T(k + 1, k + 1)
+        cs, es, ns, ds = _factor_ratio(s_ratio(k))
+        cp, ep, np, dp = _factor_ratio(p_ratio(k))
+        return cs * cp, es + ep, ns + np, ds + dp
+
+    if cap is None:
+        cap = 4 * order + 64
+    if p_ratio is None:
+        buf = _chain(s_ratio, k0, order - v, v, unit, cap, starred)
+    else:
+        buf = _chain(diagonal, k0, order - v, v, column, cap)
+    return LaurentSeries(0, _horner([seed], [[]], buf, order - v), order)
 
 
 def normalize_id(series_id: str) -> str:
@@ -446,16 +422,13 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
         raise ValueError("order must be >= 0")
     key = normalize_id(series_id)
     if key in _SINGLES:
-        entry, bound = _SINGLES[key]
-        return classical_sum(_single_terms(entry, bound, order), order)
+        (n0, c0, e0, den, ratio), bound = _SINGLES[key]
+        return _ratio_sum(order, (c0, e0, (), den), n0, ratio, bound=bound, cap=star_budget)
     entry = _DOUBLES[key]
-    terms = _double_terms(entry, order)
-    if entry.starred:
-        total = star_sum(terms, order, budget=star_budget)
-    else:
-        total = classical_sum(terms, order)
-    if entry.scale != 1:
-        total = total.scale(entry.scale)
+    total = _ratio_sum(
+        order, (entry.c0, entry.e0, (), ((1, 1),)), entry.k0, entry.s_ratio, entry.p_ratio,
+        entry.bound, entry.starred, star_budget,
+    )
     if entry.const:
         total = total + LaurentSeries.monomial(entry.const, 0, order)
     return total

@@ -11,11 +11,12 @@ Subcommands:
 
 Exit codes: 0 all requested checks passed (or output produced), 1 at least
 one check failed, 2 bad usage or a computation that cannot be completed
-(unknown id, bad weight, negative order, non-terminating sum, ...), 3 an
-internal fault.  Arguments are checked before any computation starts, so
-an exception the engine raises itself, such as ``InvariantViolation`` or a
-``ValueError`` from a broken invariant, is never taken for bad usage: it is
-reported as ``internal error: ...`` with its traceback.
+(unknown id, bad weight, negative order, ...), 3 an internal fault.
+Arguments are checked before any computation starts, so an exception the
+engine raises itself, such as ``InvariantViolation``, a sum that does not
+terminate (``NonTerminating``, ``NoStabilization``) or a ``ValueError`` from
+a broken invariant, is never taken for bad usage: it is reported as
+``internal error: ...`` with its traceback.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .catalog import catalog_ids, eval_named, normalize_id
 from .errors import (
     Beta0NotZero,
     FormPairMismatch,
-    NonTerminating,
-    NoStabilization,
     UnknownId,
     UnknownPair,
     UnsupportedField,
@@ -61,8 +60,6 @@ _USAGE_ERRORS = (
     UnsupportedField,
     FormPairMismatch,
     Beta0NotZero,
-    NonTerminating,
-    NoStabilization,
 )
 
 

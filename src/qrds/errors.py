@@ -26,11 +26,16 @@ class UnknownPair(KeyError):
 
 
 class NonTerminating(RuntimeError):
-    """classical_sum still saw visible outer terms when its term budget ran out."""
+    """classical_sum still saw visible outer terms when its term budget ran out.
+
+    Only the Bailey alpha side is summed that way; every catalog ratio chain
+    stops at a last level proven from its valuations.
+    """
 
 
 class NoStabilization(RuntimeError):
-    """Averaged partial sums failed to stabilize within the term budget."""
+    """star_sum's averaged partial sums, or the levels of a catalog ratio
+    chain, did not stop within their budget."""
 
     def __init__(self, message: str, n_limit: int | None = None):
         super().__init__(message)

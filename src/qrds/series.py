@@ -16,7 +16,7 @@ slices, ``div_binomial`` is a prefix sum along each residue class of the
 index mod e (see ``div_binomial_into``), and ``mul_monomial`` by +-1 only
 moves or negates.  The two binomial kernels also work in place on a bare
 coefficient list (``mul_binomial_into``, ``div_binomial_into``), which is
-how ``catalog`` sums a double-sum row without building a series per term.
+how ``catalog`` sums its ratio chains without building a series per term.
 Each coefficient is the one the plain per-index loop gives, type included.
 
 Order propagation is conservative: an operation claims a coefficient only

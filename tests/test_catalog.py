@@ -212,6 +212,9 @@ def test_star_budget_stability():
         a = eval_named(sid, 120, star_budget=default_budget)
         b = eval_named(sid, 120, star_budget=2 * default_budget)
         assert a == b, sid
+    # the budget caps the levels of one column: L7's first column has ~300
+    with pytest.raises(NoStabilization):
+        eval_named("L7", 300, star_budget=10)
 
 
 def test_classical_sum_skips_short_gaps():
@@ -303,22 +306,22 @@ def test_valuation_bound_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
-# ---------------------------------------------------------- column walker
+# --------------------------------------------------------- inside-out sum
 #
-# The column walker against rows built one series at a time with ``_apply``
-# and ``LaurentSeries.__add__``, down column k0 and then along each row
-# (the other path through T(n, k) = S_n * P_k / (q)_{n-k}): same offsets,
+# The inside-out sum against rows built one term at a time with
+# ``_apply`` and summed by ``classical_sum`` / ``star_sum`` (down column k0,
+# then along each row: the other path through T(n, k) = S_n * P_k / (q)_{n-k},
+# with a streak, not a proven last level, ending the sum): same offsets,
 # horizons, coefficients and coefficient types.
 
 
 def shape(f: LaurentSeries):
-    return (f.offset, f.order, [(type(c), c) for c in f.coeffs])
+    return (f.offset, f.order, [(type(c).__name__, c) for c in f.coeffs])
 
 
-def _rows_by_terms(start, order, k0, p_ratio, s_ratio, count):
-    rows = []
+def _rows_by_terms(start, order, k0, p_ratio, s_ratio):
     n = k0
-    while len(rows) < count:
+    while True:
         term = total = start
         for k in range(k0, n):
             c, e, num, den = p_ratio(k)
@@ -326,11 +329,15 @@ def _rows_by_terms(start, order, k0, p_ratio, s_ratio, count):
             if term.is_zero():
                 break
             total = total + term
-        rows.append(total)
+        yield total
         c, e, num, den = s_ratio(n)
         start = catalog._apply(start, order, (c, e, num, den + ((1, n + 1 - k0),)))
         n += 1
-    return rows
+
+
+def _oracle_sum(start, order, k0, p_ratio, s_ratio, starred):
+    rows = _rows_by_terms(start, order, k0, p_ratio, s_ratio)
+    return star_sum(rows, order) if starred else classical_sum(rows, order)
 
 
 @pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
@@ -338,10 +345,11 @@ def _rows_by_terms(start, order, k0, p_ratio, s_ratio, count):
 def test_double_rows_match_term_by_term(sid, order):
     entry = catalog._DOUBLES[sid]
     start = LaurentSeries.monomial(entry.c0, entry.e0, order).div_binomial(1, 1, order=order)
-    count = 2 * order + 8
-    want = _rows_by_terms(start, order, entry.k0, entry.p_ratio, entry.s_ratio, count)
-    got = list(itertools.islice(catalog._double_terms(entry, order), count))
-    assert [shape(r) for r in got] == [shape(r) for r in want]
+    want = _oracle_sum(start, order, entry.k0, entry.p_ratio, entry.s_ratio, entry.starred)
+    if entry.starred:
+        want = want.scale(2)
+    want = want + LaurentSeries.monomial(entry.const, 0, order)
+    assert shape(eval_named(sid, order)) == shape(want)
 
 
 _PIPELINE_PAIRS = sorted({(label, form_id) for label, form_id, _, _ in verify._PIPELINES.values()})
@@ -361,58 +369,71 @@ def test_stepped_rows_match_term_by_term(label, form_id, order):
         c, e, num, den = base.beta_ratio(k)
         return (c, e + 2 * k + u, num, den)
 
-    count = 2 * order + 8
-    want = _rows_by_terms(seed, order, k0, p_ratio, form.w_ratio, count)
-    got = list(itertools.islice(bailey._stepped_lhs_terms(stepped, form, order), count))
-    assert [shape(r) for r in got] == [shape(r) for r in want]
+    want = _oracle_sum(seed, order, k0, p_ratio, form.w_ratio, form.starred)
+    lhs, _ = bailey.limit_form(stepped, form_id, order)
+    assert shape(lhs) == shape(want)
 
 
 binomials = st.tuples(st.sampled_from([1, -1, 0, 3]), st.integers(min_value=1, max_value=12))
-ratios = st.tuples(
-    st.sampled_from([1, -1, 2, 0]),
-    st.integers(min_value=0, max_value=6),
-    st.lists(binomials, max_size=2).map(tuple),
-    st.lists(binomials, max_size=2).map(tuple),
-)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=-4, max_value=6),
-    st.lists(st.integers(min_value=-5, max_value=5), max_size=12),
-    st.integers(min_value=0, max_value=30),
-    st.integers(min_value=-2, max_value=30),
-    st.integers(min_value=0, max_value=3),
-    st.lists(ratios, min_size=1, max_size=5),
-    st.lists(ratios, min_size=1, max_size=5),
-)
-def test_row_walker_matches_term_by_term_for_any_ratios(offset, co, order, start_order, k0, ps, ss):
-    # a start horizon below ``order`` makes horizons differ between terms,
-    # zero multipliers end a column
-    start = LaurentSeries(offset, co, None).truncate(start_order)
-    p_ratio = lambda k: ps[k % len(ps)]
-    s_ratio = lambda n: ss[n % len(ss)]
-    want = _rows_by_terms(start, order, k0, p_ratio, s_ratio, 12)
-    got = list(itertools.islice(catalog._row_totals(start, order, k0, p_ratio, s_ratio), 12))
-    assert [shape(r) for r in got] == [shape(r) for r in want]
-
-
-@pytest.mark.parametrize("negative", ["p_ratio", "s_ratio"])
-def test_row_walker_rejects_negative_exponent(negative):
-    ratio = {"p_ratio": (1, 0, (), ()), "s_ratio": (1, 0, (), ()), negative: (1, -1, (), ())}
-    rows = catalog._row_totals(
-        LaurentSeries.one(10), 10, 0, lambda k: ratio["p_ratio"], lambda n: ratio["s_ratio"]
+def ratios(min_exponent=0):
+    return st.tuples(
+        st.sampled_from([1, -1, 2, 0]),
+        st.integers(min_value=min_exponent, max_value=6),
+        st.lists(binomials, max_size=2).map(tuple),
+        st.lists(binomials, max_size=2).map(tuple),
     )
+
+
+def _listed(items, k0, tail):
+    return lambda j: items[j - k0] if j - k0 < len(items) else tail
+
+
+_STOP = (0, 0, (), ())
+_FLIP = (-1, 0, (), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["single", "double", "starred"]),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=3),
+    ratios().filter(lambda r: r[0] != 0),
+    st.lists(ratios(), max_size=4),
+    st.lists(ratios(min_exponent=1), max_size=4),
+    st.lists(ratios(), max_size=4),
+)
+def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss, ss_starred, ps):
+    # listed ratios, then a 0 multiplier ends each chain; a starred chain
+    # instead runs into the -1 tail, and its listed ratios have an exponent
+    # >= 1, so no listed level can pass for that tail
+    start = catalog._apply(LaurentSeries.one(order), order, seed)
+    if mode == "single":
+        s_ratio = _listed(ss, k0, _STOP)
+        want, n, term = LaurentSeries.zero(order), k0, start
+        while not term.is_zero():
+            want = want + term
+            term = catalog._apply(term, order, s_ratio(n))
+            n += 1
+        got = catalog._ratio_sum(order, seed, k0, s_ratio)
+    else:
+        starred = mode == "starred"
+        s_ratio = _listed(ss_starred, k0, _FLIP) if starred else _listed(ss, k0, _STOP)
+        p_ratio = _listed(ps, k0, _STOP)
+        want = _oracle_sum(start, order, k0, p_ratio, s_ratio, starred)
+        if starred:
+            want = want.scale(2)
+        got = catalog._ratio_sum(order, seed, k0, s_ratio, p_ratio, starred=starred)
+    assert shape(got) == shape(want)
+
+
+@pytest.mark.parametrize("negative", ["p_ratio", "s_ratio", "seed"])
+def test_ratio_sum_rejects_negative_exponent(negative):
+    ratio = {"p_ratio": (1, 1, (), ()), "s_ratio": (1, 1, (), ()), "seed": (1, 0, (), ())}
+    ratio[negative] = (1, -1, (), ())
     with pytest.raises(InvariantViolation, match="negative monomial exponent"):
-        list(itertools.islice(rows, 3))
-
-
-def test_row_walker_leaves_start_untouched():
-    entry = catalog._DOUBLES["L5"]
-    start = LaurentSeries.monomial(entry.c0, entry.e0, 30).div_binomial(1, 1, order=30)
-    before = shape(start)
-    list(itertools.islice(catalog._row_totals(start, 30, entry.k0, entry.p_ratio, entry.s_ratio), 40))
-    assert shape(start) == before
+        catalog._ratio_sum(10, ratio["seed"], 0, lambda n: ratio["s_ratio"], lambda k: ratio["p_ratio"])
 
 
 @pytest.mark.parametrize("sid", sorted(HEADS))

@@ -10,6 +10,7 @@ import pytest
 import qrds.cli as cli
 from qrds.catalog import eval_named
 from qrds.cli import main
+from qrds.errors import NonTerminating, NoStabilization
 from qrds.verify import LegReport, VerificationReport
 
 
@@ -227,15 +228,18 @@ def test_usage_error_checked_before_computing(capsys, monkeypatch, argv):
     assert err.startswith("error:")
 
 
-def test_internal_value_error_is_not_usage(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [ValueError, NoStabilization, NonTerminating], ids=lambda e: e.__name__)
+def test_internal_value_error_is_not_usage(capsys, monkeypatch, error):
+    # arguments are checked up front and the CLI sets no star budget, so
+    # even a sum that does not terminate is an engine fault, not bad usage
     def broken(series_id, order):
-        raise ValueError("coefficient stored beyond declared order")
+        raise error("coefficient stored beyond declared order")
 
     monkeypatch.setattr(cli, "eval_named", broken)
     rc, out, err = run(capsys, "series", "--id", "L5", "--order", "30")
     assert rc == 3
     assert out == ""
-    assert err.startswith("internal error: ValueError: coefficient stored beyond declared order")
+    assert err.startswith(f"internal error: {error.__name__}: coefficient stored beyond declared order")
 
 
 def test_argparse_rejections():
