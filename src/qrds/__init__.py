@@ -33,7 +33,6 @@ from .ideals import (
     IdealQuery,
     canonical_reps,
     field_spec,
-    ideal_count,
     ideal_series,
     kronecker_symbol,
     sieve_counts,
@@ -67,7 +66,6 @@ __all__ = [
     "field_spec",
     "kronecker_symbol",
     "canonical_reps",
-    "ideal_count",
     "ideal_series",
     "sieve_counts",
     "catalog_ids",

@@ -1,22 +1,27 @@
 """Ideal-norm counting in the real quadratic orders Z[sqrt(D)], D in {2, 3, 6}.
 
-Two independent counting paths are provided:
+Every norm m <= N is counted two independent ways in one pass each:
 
-* an arithmetic one — the number of integral ideals of Z[sqrt(D)] of norm m
-  equals ``sum_{d | m} chi(d)`` where chi is the Kronecker symbol mod 4D;
-* a lattice one — canonical representatives of solutions of
-  ``u^2 - D v^2 = m`` (one per orbit of the fundamental totally positive
-  unit), counted by direct window enumeration.
+* an arithmetic one -- the number of integral ideals of Z[sqrt(D)] of norm m
+  is ``sum_{d | m} chi(d)`` with chi = (Delta / .), Delta = 4D; chi has period
+  |Delta|, and ``sieve_counts`` adds it along about 2 sqrt(N) slices;
+* a lattice one -- the canonical representatives of u^2 - D v^2 = +-m, one
+  per orbit of the fundamental totally positive unit, counted for every m at
+  once by one sweep over each fundamental window (``_window_counts``), the
+  windows ``canonical_reps`` enumerates for a single m.
 
-For D = 2 the unit x1 + y1*sqrt(D) has norm +1 and the two paths agree for
-each sign of m separately; for D = 3 and 6 every ideal comes from exactly
-one of the two signs, so the counts for +m and -m add up to the divisor sum.
+For D = 2 the unit 1 + sqrt(2) has norm -1 and each sign of m carries the
+full ideal count; for D = 3 and 6 every ideal comes from exactly one sign, so
+the counts for +m and -m add up to the divisor sum.  ``ideal_series`` checks
+this on every norm through its horizon before it reads one residue class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from math import isqrt
+from operator import add
 
 from .errors import InvariantViolation, UnsupportedField
 from .series import Coeff, LaurentSeries
@@ -26,7 +31,6 @@ __all__ = [
     "IdealQuery",
     "field_spec",
     "kronecker_symbol",
-    "ideal_count",
     "canonical_reps",
     "ideal_series",
     "sieve_counts",
@@ -109,23 +113,6 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _divisor_count(D: int, m: int) -> int:
-    """sum_{d | m} chi(d) with chi the Kronecker symbol mod 4D."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    delta = field_spec(D).discriminant
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            total += kronecker_symbol(delta, d)
-            e = m // d
-            if e != d:
-                total += kronecker_symbol(delta, e)
-        d += 1
-    return total
-
-
 def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
     """Canonical solutions of u^2 - D v^2 = m, one per unit orbit.
 
@@ -177,45 +164,108 @@ def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
     return reps
 
 
-def ideal_count(D: int, m: int, restriction: str = "all") -> int:
-    """Number of ideals of norm m ("all") or of canonical negative-norm
-    solutions of u^2 - D v^2 = -m ("neg")."""
-    if restriction == "all":
-        return _divisor_count(D, m)
-    if restriction == "neg":
-        return len(canonical_reps(D, -m))
-    raise ValueError("restriction must be 'all' or 'neg'")
+def _sweep(counts: list[int], A: int, B: int, c: int, x1p: int) -> None:
+    """counts[a] += 1 for every a = A w^2 - B z^2 <= limit with w > 0 and
+    -c w < z (x1+1) <= c w, where limit = len(counts) - 1.
+
+    In row w every point has |z| (x1+1) <= c w, so its norm is at least
+    w^2 (A (x1+1)^2 - B c^2) / (x1+1)^2.  For both windows the bracket is
+    a positive multiple of 2 (x1+1), since x1^2 - D y1^2 = 1, so the bound
+    grows with w and the first row past ``limit`` ends the sweep.  Within a
+    row only the points with B z^2 >= A w^2 - limit are visited, all of them
+    counted.
+    """
+    limit = len(counts) - 1
+    span = x1p * x1p
+    gap = A * span - B * c * c
+    w = 1
+    while w * w * gap <= limit * span:
+        top = A * w * w
+        lo = -(c * w) // x1p + 1
+        hi = c * w // x1p
+        need = top - limit
+        if need <= 0:
+            zs = range(lo, hi + 1)
+        else:
+            r = isqrt(-(-need // B) - 1) + 1  # least r > 0 with B r^2 >= need
+            zs = chain(range(lo, -r + 1), range(r, hi + 1))
+        for z in zs:
+            counts[top - B * z * z] += 1
+        w += 1
+
+
+def _window_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
+    """``(pos, neg)`` with pos[a] = len(canonical_reps(D, a)) and
+    neg[a] = len(canonical_reps(D, -a)) for every a in [1, limit], from one
+    sweep over each of the two windows of ``canonical_reps``."""
+    f = field_spec(D)
+    x1p = f.x1 + 1
+    pos = [0] * (limit + 1)
+    neg = [0] * (limit + 1)
+    _sweep(pos, 1, D, f.y1, x1p)  # u > 0, -y1 u < v (x1+1) <= y1 u
+    _sweep(neg, D, 1, D * f.y1, x1p)  # v > 0, -D y1 v < u (x1+1) <= D y1 v
+    return pos, neg
 
 
 def sieve_counts(D: int, limit: int) -> list[int]:
-    """Divisor-sum counts for every m in [0, limit] at once."""
+    """Divisor sums sum_{d | m} chi(d) for every m in [0, limit] at once.
+
+    chi = (Delta / .) has period |Delta| (8, 12 and 24 are fundamental
+    discriminants), so it is tabulated once per residue.  The pairs (d, k)
+    with d k <= limit split at s = isqrt(limit): each d <= s adds chi(d)
+    along counts[d::d], and each k <= limit // (s + 1) adds the run
+    chi(s + 1), ..., chi(limit // k) along counts[k (s + 1)::k].  That is
+    about 2 sqrt(limit) slice updates.
+    """
     delta = field_spec(D).discriminant
+    period = [kronecker_symbol(delta, r or delta) for r in range(delta)]  # chi(0) = chi(delta) = 0
+    chi = (period * (limit // delta + 1))[: limit + 1]
     counts = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        chi = kronecker_symbol(delta, d)
-        if chi:
-            for mult in range(d, limit + 1, d):
-                counts[mult] += chi
+    s = isqrt(limit)
+    for d in range(1, s + 1):
+        if chi[d]:
+            counts[d::d] = map(add, counts[d::d], repeat(chi[d]))
+    for k in range(1, limit // (s + 1) + 1):
+        top = limit // k
+        run = slice(k * (s + 1), k * top + 1, k)
+        counts[run] = map(add, counts[run], chi[s + 1 : top + 1])
     return counts
+
+
+def _ideal_counts(D: int, limit: int, restriction: str) -> list[int]:
+    """Counts for m in [0, limit] under ``restriction``, once the divisor
+    sums and the unit-orbit windows agree on every m."""
+    sieve = sieve_counts(D, limit)
+    pos, neg = _window_counts(D, limit)
+    # D = 2 has the unit 1 + sqrt(2) of norm -1, so each window carries every
+    # ideal; D = 3 and 6 have none, and each ideal lies in exactly one window
+    checks = (pos, neg) if D == 2 else (list(map(add, pos, neg)),)
+    bad = [
+        next(m for m, (c, want) in enumerate(zip(got, sieve)) if c != want)
+        for got in checks
+        if got != sieve
+    ]
+    if bad:
+        m = min(bad)
+        raise InvariantViolation(
+            f"ideal counts disagree for D={D} at m={m}: unit-orbit windows give "
+            f"{pos[m]} (+) and {neg[m]} (-), the divisor sum {sieve[m]}"
+        )
+    return sieve if restriction == "all" else neg
 
 
 def ideal_series(
     query: IdealQuery, order: int, weight: Coeff = 1
 ) -> LaurentSeries:
-    """Generating function sum_m weight * count(m) * q^m over one norm class."""
+    """Generating function sum_m weight * count(m) * q^m over one norm class.
+
+    Both counts of every norm through ``order`` are cross-checked first
+    (see ``_ideal_counts``), so a miscount raises ``InvariantViolation``.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
+    counts = _ideal_counts(query.D, order, query.restriction)
     start = query.residue if query.residue else query.modulus
-    items: list[tuple[int, Coeff]] = []
-    if query.restriction == "all":
-        counts = sieve_counts(query.D, order)
-        for m in range(start, order + 1, query.modulus):
-            c = counts[m]
-            if c:
-                items.append((m, c * weight))
-    else:
-        for m in range(start, order + 1, query.modulus):
-            c = len(canonical_reps(query.D, -m))
-            if c:
-                items.append((m, c * weight))
-    return LaurentSeries.from_items(items, order)
+    terms = zip(range(start, order + 1, query.modulus), islice(counts, start, None, query.modulus))
+    # streamed, so no list of terms is held beside ``counts``
+    return LaurentSeries.from_items(((m, c * weight) for m, c in terms if c), order)

@@ -446,11 +446,19 @@ def first_mismatch(
     hi = max(his)
     if horizon is not None:
         hi = min(hi, horizon)
-    for e in range(lo, hi + 1):
-        ia = e - a.offset
-        ib = e - b.offset
-        ca = a.coeffs[ia] if 0 <= ia < len(a.coeffs) else 0
-        cb = b.coeffs[ib] if 0 <= ib < len(b.coeffs) else 0
+    wa = _window(a, lo, hi)
+    wb = _window(b, lo, hi)
+    if wa == wb:
+        return None
+    for e, ca, cb in zip(range(lo, hi + 1), wa, wb):
         if ca != cb:
             return (e, ca, cb)
     return None
+
+
+def _window(f: LaurentSeries, lo: int, hi: int) -> list[Coeff]:
+    """Coefficients of q**lo .. q**hi, zeros outside the stored run."""
+    n = max(0, hi - lo + 1)
+    left = min(n, max(0, f.offset - lo))
+    body = f.coeffs[max(0, lo - f.offset) : max(0, hi - f.offset + 1)]
+    return [0] * left + body + [0] * (n - left - len(body))

@@ -5,7 +5,9 @@ descriptions of the same coefficients:
 
 * ``ideal``     — after the substitution q -> q^t shifted by s, the series
                   matches a weighted ideal-count generating function of a
-                  real quadratic field, restricted to one residue class;
+                  real quadratic field, restricted to one residue class
+                  (building it cross-checks the field's two ideal counts,
+                  and a disagreement raises ``InvariantViolation``);
 * ``theta``     — the series equals its indefinite theta-function form;
 * ``pipeline``  — the series is reproduced from its Bailey pair through the
                   iteration step and a bounded limit transform.

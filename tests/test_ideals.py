@@ -4,17 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from qrds.errors import UnsupportedField
+import qrds.ideals as ideals
+from qrds.cli import main
+from qrds.errors import InvariantViolation, UnsupportedField
 from qrds.ideals import (
     FieldSpec,
     IdealQuery,
+    _window_counts,
     canonical_reps,
     field_spec,
-    ideal_count,
     ideal_series,
     kronecker_symbol,
     sieve_counts,
 )
+from qrds.series import LaurentSeries
+from qrds.verify import theorem_table
 
 
 def test_field_table():
@@ -117,38 +121,89 @@ def test_window_picks_one_per_unit_orbit():
 def test_counts_match_divisor_sums():
     # D = 2 has a norm -1 unit: positive and negative windows both carry the
     # full ideal count.  D = 3, 6 do not: the two windows partition it.
+    c2 = sieve_counts(2, 399)
     for m in range(1, 400):
-        c2 = ideal_count(2, m)
-        assert len(canonical_reps(2, m)) == c2
-        assert len(canonical_reps(2, -m)) == c2
-        for D in (3, 6):
-            total = ideal_count(D, m)
-            assert len(canonical_reps(D, m)) + len(canonical_reps(D, -m)) == total, (D, m)
+        assert len(canonical_reps(2, m)) == c2[m]
+        assert len(canonical_reps(2, -m)) == c2[m]
+    for D in (3, 6):
+        total = sieve_counts(D, 399)
+        for m in range(1, 400):
+            assert len(canonical_reps(D, m)) + len(canonical_reps(D, -m)) == total[m], (D, m)
 
 
 def test_count_multiplicative_on_coprime_arguments():
     rng = random.Random(11)
     for D in (2, 3, 6):
+        counts = sieve_counts(D, 120 * 120)
         for _ in range(120):
             a = rng.randrange(1, 120)
             b = rng.randrange(1, 120)
             if math.gcd(a, b) != 1:
                 continue
-            assert ideal_count(D, a * b) == ideal_count(D, a) * ideal_count(D, b)
+            assert counts[a * b] == counts[a] * counts[b]
 
 
 def test_ramified_prime_absorbs():
     # 2 ramifies in the D = 6 field, so multiplying an odd norm by 2 cannot
     # change the ideal count
+    counts = sieve_counts(6, 600)
     for m in range(1, 300, 2):
-        assert ideal_count(6, m) == ideal_count(6, 2 * m)
+        assert counts[m] == counts[2 * m]
+
+
+def _divisor_sum(D, m):
+    """sum_{d | m} chi(d) by trial division, one Kronecker symbol per divisor."""
+    delta = field_spec(D).discriminant
+    return sum(kronecker_symbol(delta, d) for d in range(1, m + 1) if m % d == 0)
 
 
 def test_sieve_agrees_with_direct_counts():
     for D in (2, 3, 6):
         counts = sieve_counts(D, 500)
+        assert len(counts) == 501 and counts[0] == 0
         for m in range(1, 501):
-            assert counts[m] == ideal_count(D, m), (D, m)
+            assert counts[m] == _divisor_sum(D, m), (D, m)
+
+
+def test_sieve_edge_horizons():
+    for D in (2, 3, 6):
+        assert sieve_counts(D, 0) == [0]
+        assert sieve_counts(D, 1) == [0, 1]
+        full = sieve_counts(D, 400)
+        for limit in (2, 3, 24, 25, 399):  # around squares and the period
+            assert sieve_counts(D, limit) == full[: limit + 1]
+
+
+# ----------------------------------------------------------- window sweep
+
+
+def test_window_counts_match_canonical_reps():
+    for D in (2, 3, 6):
+        pos, neg = _window_counts(D, 3000)
+        assert len(pos) == len(neg) == 3001 and pos[0] == neg[0] == 0
+        for m in range(1, 3001):
+            assert pos[m] == len(canonical_reps(D, m)), (D, m)
+            assert neg[m] == len(canonical_reps(D, -m)), (D, m)
+
+
+def test_window_counts_near_arith_horizon():
+    rng = random.Random(40000)
+    for D in (2, 3, 6):
+        pos, neg = _window_counts(D, 40500)
+        for m in rng.sample(range(39500, 40501), 40):
+            assert pos[m] == len(canonical_reps(D, m)), (D, m)
+            assert neg[m] == len(canonical_reps(D, -m)), (D, m)
+
+
+def test_window_sweep_reaches_edge_row():
+    # (75, 25) sits on the window edge 25 * 6 == 2 * 75 in row u = 75.  A
+    # sweep that stops at the first row whose smallest norm, taken at the
+    # floored window edges, exceeds the limit stops before that row (the
+    # value is not monotone in u) and finds only four of the five.
+    assert canonical_reps(6, 1875) == [(45, -5), (45, 5), (51, -11), (51, 11), (75, 25)]
+    pos, neg = _window_counts(6, 1875)
+    assert (pos[1875], neg[1875]) == (5, 0)
+    assert sieve_counts(6, 1875)[1875] == 5
 
 
 # ------------------------------------------------------------------ series
@@ -189,3 +244,76 @@ def test_query_validation():
         IdealQuery(2, 1, 32, "positive")
     with pytest.raises(UnsupportedField):
         IdealQuery(7, 1, 32, "all")
+
+
+def _reference_series(query, order, weight):
+    """The ideal series built one norm at a time: trial-division divisor
+    sums for "all", canonical representatives for "neg"."""
+    start = query.residue if query.residue else query.modulus
+    items = []
+    for m in range(start, order + 1, query.modulus):
+        if query.restriction == "all":
+            c = _divisor_sum(query.D, m)
+        else:
+            c = len(canonical_reps(query.D, -m))
+        if c:
+            items.append((m, c * weight))
+    return LaurentSeries.from_items(items, order)
+
+
+def _typed(f):
+    return f.offset, f.order, [(type(c), c) for c in f.coeffs]
+
+
+@pytest.mark.parametrize("order", [0, 1, 400, 5000])
+def test_ideal_series_matches_per_norm_reference(order):
+    for spec in theorem_table():
+        q = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
+        got = ideal_series(q, order, weight=spec.weight)
+        want = _reference_series(q, order, spec.weight)
+        assert _typed(got) == _typed(want), (spec.index, order)
+
+
+# ------------------------------------------------------- fault injection
+
+
+def _corrupt(monkeypatch, which, m):
+    """Add one to a single count at norm m: the divisor sum, or one window."""
+    if which == "sieve":
+        real_sieve = ideals.sieve_counts
+
+        def sieve(D, limit):
+            counts = real_sieve(D, limit)
+            counts[m] += 1
+            return counts
+
+        monkeypatch.setattr(ideals, "sieve_counts", sieve)
+    else:
+        real_windows = ideals._window_counts
+
+        def windows(D, limit):
+            pos, neg = real_windows(D, limit)
+            (pos if which == "pos" else neg)[m] += 1
+            return pos, neg
+
+        monkeypatch.setattr(ideals, "_window_counts", windows)
+
+
+@pytest.mark.parametrize("which", ["sieve", "pos", "neg"])
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_cross_check_catches_one_corrupted_count(monkeypatch, D, which):
+    # m = 1001 is odd and off every theorem's residue class for D = 3, so the
+    # check fires even where the corrupted norm is never read
+    _corrupt(monkeypatch, which, 1001)
+    for restriction in ("all", "neg"):
+        with pytest.raises(InvariantViolation, match=rf"D={D} at m=1001\b"):
+            ideal_series(IdealQuery(D, 0, 2, restriction), 2000)
+
+
+def test_corrupted_count_is_an_internal_fault_in_the_cli(monkeypatch, capsys):
+    _corrupt(monkeypatch, "neg", 1875)
+    rc = main(["ideals", "--d", "6", "--residue", "5", "--modulus", "48", "--order", "4000"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InvariantViolation: ideal counts disagree for D=6 at m=1875")

@@ -322,3 +322,30 @@ def test_div_binomial_switches_strategy_on_exponent():
     for e in (1, 2, 12, 13, 20, 40, 41):
         for c in (1, -1, 2):
             assert shape(f.div_binomial(c, e)) == shape(_ref_div_binomial(f, c, e, None))
+
+
+def _ref_first_mismatch(a, b, through):
+    orders = [o for o in (a.order, b.order, through) if o is not None]
+    if a.is_zero() and b.is_zero():
+        return None
+    lo = min(f.valuation() for f in (a, b) if not f.is_zero())
+    hi = max(f.degree() for f in (a, b) if not f.is_zero())
+    if orders:
+        hi = min([hi] + orders)
+    for e in range(lo, hi + 1):
+        ca = a.coeffs[e - a.offset] if 0 <= e - a.offset < len(a.coeffs) else 0
+        cb = b.coeffs[e - b.offset] if 0 <= e - b.offset < len(b.coeffs) else 0
+        if ca != cb:
+            return (e, ca, cb)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_series(), horizon_series(),
+       st.one_of(st.none(), st.integers(min_value=-12, max_value=60)))
+def test_first_mismatch_matches_naive_loop(f, g, through):
+    got = first_mismatch(f, g, through=through)
+    want = _ref_first_mismatch(f, g, through)
+    assert got == want
+    if got is not None:
+        assert [type(c) for c in got] == [type(c) for c in want]
