@@ -218,6 +218,8 @@ def sieve_counts(D: int, limit: int) -> list[int]:
     about 2 sqrt(limit) slice updates.
     """
     delta = field_spec(D).discriminant
+    if limit < 0:
+        return []
     period = [kronecker_symbol(delta, r or delta) for r in range(delta)]  # chi(0) = chi(delta) = 0
     chi = (period * (limit // delta + 1))[: limit + 1]
     counts = [0] * (limit + 1)
@@ -240,13 +242,8 @@ def _ideal_counts(D: int, limit: int, restriction: str) -> list[int]:
     # D = 2 has the unit 1 + sqrt(2) of norm -1, so each window carries every
     # ideal; D = 3 and 6 have none, and each ideal lies in exactly one window
     checks = (pos, neg) if D == 2 else (list(map(add, pos, neg)),)
-    bad = [
-        next(m for m, (c, want) in enumerate(zip(got, sieve)) if c != want)
-        for got in checks
-        if got != sieve
-    ]
-    if bad:
-        m = min(bad)
+    if any(got != sieve for got in checks):
+        m = next(m for m in range(limit + 1) if any(got[m] != sieve[m] for got in checks))
         raise InvariantViolation(
             f"ideal counts disagree for D={D} at m={m}: unit-orbit windows give "
             f"{pos[m]} (+) and {neg[m]} (-), the divisor sum {sieve[m]}"

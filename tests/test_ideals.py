@@ -167,6 +167,7 @@ def test_sieve_agrees_with_direct_counts():
 
 def test_sieve_edge_horizons():
     for D in (2, 3, 6):
+        assert sieve_counts(D, -1) == []
         assert sieve_counts(D, 0) == [0]
         assert sieve_counts(D, 1) == [0, 1]
         full = sieve_counts(D, 400)
@@ -308,6 +309,19 @@ def test_cross_check_catches_one_corrupted_count(monkeypatch, D, which):
     for restriction in ("all", "neg"):
         with pytest.raises(InvariantViolation, match=rf"D={D} at m=1001\b"):
             ideal_series(IdealQuery(D, 0, 2, restriction), 2000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d", "3", "--residue", "0", "--modulus", "2", "--neg-norm", "--weight", "2"],
+        ["--d", "6", "--residue", "5", "--modulus", "48"],
+    ],
+)
+def test_cli_cross_checks_at_arith_horizon(argv, capsys):
+    # the arith-legs scale: every norm through 40000 is checked both ways
+    assert main(["ideals", *argv, "--order", "40000"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_corrupted_count_is_an_internal_fault_in_the_cli(monkeypatch, capsys):
