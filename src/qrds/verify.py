@@ -14,17 +14,23 @@ descriptions of the same coefficients:
 
 ``verify_theorem`` runs all three legs and reports the first mismatching
 coefficient of any leg, exactly — there are no tolerances anywhere.
+
+``verify_all`` plans its run: the theorem table and the corollary-term
+table name every (series id, horizon) its reports read, so each catalog
+series is summed once, at the highest of its horizons, and every report
+reads a truncation of that one sum.
 """
 
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bailey import bailey_step, limit_form, pair_catalog
 from .catalog import eval_named
-from .errors import UnknownId
+from .errors import InvariantViolation, UnknownId
 from .hecke import eval_blocks, hecke_catalog
 from .ideals import IdealQuery, ideal_series
 from .series import LaurentSeries, first_mismatch
@@ -161,9 +167,96 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def base_order_for(spec: TheoremSpec, order: int) -> int:
-    """Smallest base horizon whose dilation covers exponents through order."""
+def base_order_for(spec: TheoremSpec | _Term, order: int) -> int:
+    """Smallest base horizon whose dilation covers exponents through order.
+
+    ``spec`` is anything with ``dilate`` and ``shift``: a theorem entry or a
+    corollary term."""
     return max(0, _ceil_div(order - spec.shift, spec.dilate))
+
+
+@dataclass(frozen=True)
+class _Term:
+    """``coeff * q**shift * f(q**dilate)`` for the catalog series ``series_id``."""
+
+    series_id: str
+    dilate: int = 1
+    shift: int = 0
+    coeff: int = 1
+
+
+@dataclass(frozen=True)
+class _Corollary:
+    """A dissection identity: the left terms sum to the right terms.
+    ``alternate`` substitutes q -> -q in the left-hand side."""
+
+    lhs: tuple[_Term, ...]
+    rhs: tuple[_Term, ...]
+    alternate: bool = False
+
+
+_COROLLARIES: dict[int, _Corollary] = {
+    1: _Corollary(
+        (_Term("Z2"),),
+        (_Term("L1", 4, -2), _Term("L2", 4, 1), _Term("L3", 4, -4), _Term("L4", 4, -1)),
+    ),
+    2: _Corollary((_Term("Z3", coeff=2),), (_Term("L5", 2, -2, -1), _Term("L6", 2, -1))),
+    3: _Corollary((_Term("Z4"),), (_Term("L7", 2, 0), _Term("L8", 2, -1)), alternate=True),
+    4: _Corollary((_Term("Z5", 2, 0, -2),), (_Term("L6"),)),
+}
+
+_SIGMA = _Term("SIGMA")
+
+
+def _planned_horizons(order: int) -> dict[str, int]:
+    """Highest base horizon at which verify_all's reports read each series."""
+    terms = [_SIGMA, *_THEOREMS]
+    for cor in _COROLLARIES.values():
+        terms.extend(cor.lhs + cor.rhs)
+    plan: dict[str, int] = {}
+    for term in terms:
+        h = base_order_for(term, order)
+        plan[term.series_id] = max(plan.get(term.series_id, h), h)
+    return plan
+
+
+class _PlannedSums:
+    """Serve every request of one verify_all run from one sum per series id.
+
+    The first request for an id sums it at its planned horizon through the
+    module-level ``eval_named``; every request is a truncation of that sum.
+    Asking beyond the plan is an internal fault, not a reason to re-sum.
+    """
+
+    def __init__(self, plan: dict[str, int]):
+        self.plan = plan
+        self.sums: dict[str, LaurentSeries] = {}
+
+    def __call__(self, series_id: str, horizon: int) -> LaurentSeries:
+        planned = self.plan.get(series_id)
+        if planned is None or horizon > planned:
+            raise InvariantViolation(
+                f"{series_id} requested through order {horizon}, planned through {planned}"
+            )
+        f = self.sums.get(series_id)
+        if f is None:
+            f = self.sums[series_id] = eval_named(series_id, planned)
+        return f.truncate(horizon)
+
+
+# The sums of the verify_all call in progress, if any.  verify_all sets it
+# and resets it on return, so no sum outlives its call; a context variable
+# rather than a parameter keeps the report functions' signatures.
+_SOURCE: ContextVar[_PlannedSums | None] = ContextVar("qrds_verify_sums", default=None)
+
+
+def _series(series_id: str, horizon: int) -> LaurentSeries:
+    """The catalog series through q**horizon: from the running verify_all
+    plan, or summed directly when no plan is running."""
+    source = _SOURCE.get()
+    if source is None:
+        return eval_named(series_id, horizon)
+    return source(series_id, horizon)
 
 
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
@@ -171,7 +264,7 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     spec = _theorem(index)
     t0 = time.perf_counter()
     base_order = base_order_for(spec, order)
-    series = eval_named(spec.series_id, base_order)
+    series = _series(spec.series_id, base_order)
 
     dilated = series.dilate_shift(spec.dilate, spec.shift)
     query = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
@@ -192,35 +285,29 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     return VerificationReport(f"theorem-{index:02d}", order, legs, elapsed)
 
 
-def _dilated_term(series_id: str, t: int, s: int, order: int, coeff: int = 1) -> LaurentSeries:
-    base = eval_named(series_id, max(0, _ceil_div(order - s, t)))
-    out = base.dilate_shift(t, s)
-    return out.scale(coeff) if coeff != 1 else out
+def _term_sum(terms: tuple[_Term, ...], order: int) -> LaurentSeries:
+    """Sum of the dilated, shifted, scaled terms, exact through q**order."""
+    total = None
+    for term in terms:
+        base = _series(term.series_id, base_order_for(term, order))
+        out = base.dilate_shift(term.dilate, term.shift)
+        if term.coeff != 1:
+            out = out.scale(term.coeff)
+        total = out if total is None else total + out
+    return total
 
 
 def verify_corollary(index: int, order: int = 400) -> VerificationReport:
     """Check one of the four dissection identities between the single-sum
     series Z2..Z5 and the double sums."""
     t0 = time.perf_counter()
-    if index == 1:
-        lhs = eval_named("Z2", order)
-        rhs = (
-            _dilated_term("L1", 4, -2, order)
-            + _dilated_term("L2", 4, 1, order)
-            + _dilated_term("L3", 4, -4, order)
-            + _dilated_term("L4", 4, -1, order)
-        )
-    elif index == 2:
-        lhs = eval_named("Z3", order).scale(2)
-        rhs = _dilated_term("L5", 2, -2, order, coeff=-1) + _dilated_term("L6", 2, -1, order)
-    elif index == 3:
-        lhs = eval_named("Z4", order).alternate()
-        rhs = _dilated_term("L7", 2, 0, order) + _dilated_term("L8", 2, -1, order)
-    elif index == 4:
-        lhs = eval_named("Z5", _ceil_div(order, 2)).dilate_shift(2, 0).scale(-2)
-        rhs = eval_named("L6", order)
-    else:
-        raise UnknownId(f"corollary index must be 1..4, got {index}")
+    cor = _COROLLARIES.get(index)
+    if cor is None:
+        raise UnknownId(f"corollary index must be 1..{len(_COROLLARIES)}, got {index}")
+    lhs = _term_sum(cor.lhs, order)
+    if cor.alternate:
+        lhs = lhs.alternate()
+    rhs = _term_sum(cor.rhs, order)
     legs = [LegReport("identity", first_mismatch(lhs, rhs, through=order))]
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(f"corollary-{index}", order, legs, elapsed)
@@ -229,7 +316,7 @@ def verify_corollary(index: int, order: int = 400) -> VerificationReport:
 def verify_sigma(order: int = 400) -> VerificationReport:
     """Check the weighted-count single sum against its indefinite theta form."""
     t0 = time.perf_counter()
-    series = eval_named("SIGMA", order)
+    series = _term_sum((_SIGMA,), order)
     theta = eval_blocks(hecke_catalog("SIGMA"), order)
     legs = [LegReport("theta", first_mismatch(series, theta, through=order))]
     elapsed = int((time.perf_counter() - t0) * 1000)
@@ -237,10 +324,20 @@ def verify_sigma(order: int = 400) -> VerificationReport:
 
 
 def verify_all(order: int = 400) -> list[VerificationReport]:
-    """Every check at one horizon, reports sorted by id."""
-    reports = [verify_corollary(j, order) for j in (1, 2, 3, 4)]
-    reports.append(verify_sigma(order))
-    reports.extend(verify_theorem(i, order) for i in range(1, 13))
+    """Every check at one horizon, reports sorted by id.
+
+    Each catalog series is summed once, at the highest horizon any report
+    reads it, and served to every report by truncation.  The sums are lazy,
+    so a shared sum's cost lands in the ``elapsed_ms`` of the first report
+    that reads it.  The sums are dropped when the call returns.
+    """
+    token = _SOURCE.set(_PlannedSums(_planned_horizons(order)))
+    try:
+        reports = [verify_corollary(j, order) for j in _COROLLARIES]
+        reports.append(verify_sigma(order))
+        reports.extend(verify_theorem(i, order) for i in range(1, 13))
+    finally:
+        _SOURCE.reset(token)
     return sorted(reports, key=lambda r: r.report_id)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import qrds.verify as verify_mod
 from qrds.catalog import eval_named
-from qrds.errors import UnknownId
+from qrds.errors import InvariantViolation, UnknownId
 from qrds.series import LaurentSeries
 from qrds.verify import (
     base_order_for,
@@ -145,6 +145,80 @@ def test_fault_injection_corollary(monkeypatch):
     report = verify_corollary(2, order=100)
     assert not report.ok
     assert report.first_mismatch[0] == 7
+
+
+def _recorded_eval_named(monkeypatch, corrupt=None):
+    """Route verify's catalog calls through a recorder; ``corrupt`` maps a
+    series id to one exponent whose coefficient gains 1 whenever visible."""
+    calls = []
+
+    def recorded(series_id, order, star_budget=None):
+        calls.append((series_id, order))
+        f = eval_named(series_id, order, star_budget=star_budget)
+        e = (corrupt or {}).get(series_id)
+        if e is not None and order >= e:
+            f = f + LaurentSeries.monomial(1, e, f.order)
+        return f
+
+    monkeypatch.setattr(verify_mod, "eval_named", recorded)
+    return calls
+
+
+def _standalone_reports(order):
+    reports = [verify_corollary(j, order) for j in range(1, 5)]
+    reports.append(verify_sigma(order))
+    reports.extend(verify_theorem(i, order) for i in range(1, 13))
+    return sorted(reports, key=lambda r: r.report_id)
+
+
+def _timeless(report):
+    payload = report.to_payload()
+    del payload["elapsed_ms"]
+    return payload
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 7, 120, 400, 401))
+def test_verify_all_sums_each_series_once(monkeypatch, order):
+    calls = _recorded_eval_named(monkeypatch)
+    alone = _standalone_reports(order)
+    highest = {}
+    for sid, h in calls:
+        highest[sid] = max(highest.get(sid, h), h)
+    calls.clear()
+    planned = verify_all(order)
+    assert len(calls) == 17
+    assert dict(calls) == highest  # one call per id, at its highest horizon
+    assert [_timeless(r) for r in planned] == [_timeless(r) for r in alone]
+
+
+def test_plan_guard_raises_beyond_planned_horizon(monkeypatch):
+    real = verify_mod._planned_horizons
+
+    def under_planned(order):
+        plan = real(order)
+        plan["L6"] -= 1
+        return plan
+
+    monkeypatch.setattr(verify_mod, "_planned_horizons", under_planned)
+    with pytest.raises(InvariantViolation, match=r"L6 requested through order 400, planned through 399"):
+        verify_all(400)
+    with pytest.raises(InvariantViolation, match="L1"):
+        verify_mod._PlannedSums({})("L1", 3)
+    assert verify_mod._SOURCE.get() is None  # the failed run's sums are gone
+
+
+def test_fault_injection_through_verify_all(monkeypatch):
+    """A corrupted L1 or L6 coefficient fails every report that reads the
+    series, at the exponent the standalone report gives, and no other."""
+    corrupt = {"L1": 5, "L6": 3}
+    _recorded_eval_named(monkeypatch, corrupt)
+    order = 200
+    alone = {r.report_id: r for r in _standalone_reports(order)}
+    planned = verify_all(order)
+    failing = {r.report_id for r in planned if not r.ok}
+    assert failing == {"theorem-01", "corollary-1", "theorem-06", "corollary-2", "corollary-4"}
+    for report in planned:  # same legs, same first mismatch as standalone
+        assert _timeless(report) == _timeless(alone[report.report_id])
 
 
 def test_lacunarity_report_shape():
