@@ -16,7 +16,7 @@ from .bailey import (
     pair_labels,
     verify_pair_relation,
 )
-from .catalog import catalog_ids, classical_sum, eval_named, normalize_id, star_sum
+from .catalog import catalog_ids, eval_named, normalize_id
 from .errors import (
     Beta0NotZero,
     FormPairMismatch,
@@ -71,8 +71,6 @@ __all__ = [
     "catalog_ids",
     "normalize_id",
     "eval_named",
-    "classical_sum",
-    "star_sum",
     "BaileyPair",
     "SteppedPair",
     "pair_catalog",

@@ -19,19 +19,21 @@ which is the only step the double-sum pipelines need.
 ``limit_form`` applies one of four prepackaged n -> infinity transforms,
 returning the two sides of the resulting identity as series.  Forms A1 and
 A1ALSO require a = 1 and beta_0 = 0; AQ and AQALSO require a = q.  The
-AQALSO form has non-decaying terms on both sides and is summed with the
-averaged (starred) summation.
+AQALSO form's beta side has terms that do not die off and is summed to its
+star value; every alpha side decays quadratically and is summed through a
+last index proven from the closed forms of alpha_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from operator import add
+from typing import Callable
 
-from .catalog import Ratio, _apply, _ratio_sum, classical_sum, star_sum
-from .errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
-from .series import LaurentSeries, first_mismatch
+from .catalog import Ratio, _factor_ratio, _ratio_sum
+from .errors import Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair
+from .series import LaurentSeries, div_binomial_into, first_mismatch, mul_binomial_into
 
 __all__ = [
     "BaileyPair",
@@ -324,8 +326,7 @@ class LimitForm:
     w_seed: tuple[int, int]  # weight w_{n0} as coeff, exponent
     w_ratio: Callable[[int], Ratio]  # w_n -> w_{n+1}
     rhs_term: Callable[[int], Ratio]  # applied to alpha_n
-    rhs_mul_one_minus_q: bool = False
-    rhs_scale: int | Fraction = 1  # applied after the (1 - q) factor
+    rhs_scale: int | Fraction = 1  # applied to the alpha side
 
 
 def _sgn(n: int) -> int:
@@ -348,13 +349,11 @@ _FORMS: dict[str, LimitForm] = {
         form_id="AQ", rel="q", starred=False, n0=0, w_seed=(1, 0),
         w_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()),
         rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ()),
-        rhs_mul_one_minus_q=True,
     ),
     "AQALSO": LimitForm(
         form_id="AQALSO", rel="q", starred=True, n0=0, w_seed=(1, 0),
         w_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
         rhs_term=lambda n: (_sgn(n), 0, (), ()),
-        rhs_mul_one_minus_q=True,
         rhs_scale=Fraction(1, 2),
     ),
 }
@@ -372,11 +371,40 @@ def _lookup_form(form_id: str) -> LimitForm:
         raise UnknownId(f"unknown limit form {form_id!r}") from None
 
 
-def _rhs_terms(pair, form: LimitForm, order: int) -> Iterator[LaurentSeries]:
-    n = form.n0
-    while True:
-        yield _apply(pair.alpha(n, order), order, form.rhs_term(n))
+def _alpha_side(pair: SteppedPair, form: LimitForm, order: int) -> LaurentSeries:
+    """rhs_scale * sum_{n >= n0} rhs_term(n) * q^(u(n)) * alpha_n through q**order.
+
+    Level n is alpha_n's closed form, shifted, signed and divided by the
+    form's binomial on one int list; for a = q the form's (1 - q) cancels
+    the global 1/(1 - q) of alpha_n.  The last index is proven: an item is
+    c * q^(e + A j^2 + B j) with A < 0, least at an end of its j range, so
+    val(q^(u(n)) alpha_n) is n^2, n^2 + n, n^2 - n + 1, n^2, n(n + 1)/2,
+    n(n + 1)/2, n(n - 1)/2 + 1 or n(n - 1)/2 for BK1 to P3B, never below
+    n(n - 1)/2 (checked at every level: InvariantViolation).  The form's
+    exponent is >= 0 (checked) and every binomial has constant term 1, so
+    no level from the first n with n(n - 1)/2 > order on reaches q**order.
+    """
+    base, total, n = pair.base, [0] * (order + 1), form.n0
+    while n * (n - 1) // 2 <= order:
+        items = base.alpha_items(n)
+        sgn, e, num, den = _factor_ratio(form.rhs_term(n))
+        shift = pair._u_exp(n)
+        v = min(x for x, _ in items) + shift
+        if v < n * (n - 1) // 2:
+            raise InvariantViolation(f"alpha side of {base.label}: valuation {v} below n(n-1)/2 at n={n}")
+        v += e
+        shift += e - v
+        level = [0] * (order + 1 - v)
+        for x, c in items:
+            if x + shift < len(level):
+                level[x + shift] += sgn * c
+        for cc, ee in num:
+            mul_binomial_into(level, cc, ee, len(level))
+        for cc, ee in den:
+            div_binomial_into(level, cc, ee, len(level))
+        total[v:] = map(add, total[v:], level)
         n += 1
+    return LaurentSeries(0, total, order).scale(form.rhs_scale)
 
 
 def limit_form(pair, form_id: str, order: int):
@@ -390,8 +418,8 @@ def limit_form(pair, form_id: str, order: int):
     is the form's weight ratio, the k-step is q^(u(k+1) - u(k)) times the
     base pair's beta ratio and the seed is beta_n0 in closed form, so this
     path shares no transcription with the direct double-sum catalog.  A
-    starred beta side comes back doubled and is halved here; the alpha side,
-    a sum of closed forms, is summed term by term.
+    starred beta side comes back doubled and is halved here.  The alpha
+    side, a sum of closed forms, stops at a last index proven from them.
     """
     form = _lookup_form(form_id)
     if pair.rel != form.rel:
@@ -414,12 +442,6 @@ def limit_form(pair, form_id: str, order: int):
     seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
             tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
     lhs = _ratio_sum(order, seed, k0, form.w_ratio, p_ratio, starred=form.starred)
-    rhs_terms = _rhs_terms(pair, form, order)
     if form.starred:
         lhs = lhs.scale(Fraction(1, 2))
-        rhs = star_sum(rhs_terms, order)
-    else:
-        rhs = classical_sum(rhs_terms, order)
-    if form.rhs_mul_one_minus_q:
-        rhs = rhs.mul_binomial(1, 1)
-    return lhs, rhs.scale(form.rhs_scale)
+    return lhs, _alpha_side(pair, form, order)

@@ -29,9 +29,10 @@ term, checked against every level's derived valuation, outermost first
 slip in a ratio cannot silently produce plausible-looking output.
 
 ``classical_sum`` and ``star_sum`` add a stream of term series until a
-streak of vanishing terms (or term pairs) ends it; they serve only the
-Bailey pipeline's alpha side, a sum of closed forms rather than a ratio
-chain.
+streak of vanishing terms (or term pairs) ends it.  No sum of the package
+calls them: the Bailey pipeline's alpha side, a sum of closed forms rather
+than a ratio chain, also stops at a proven last index (``bailey``).  They
+remain as the term-by-term reference the tests check the engine against.
 """
 
 from __future__ import annotations
@@ -49,28 +50,12 @@ _HALF = Fraction(1, 2)
 __all__ = [
     "catalog_ids",
     "eval_named",
-    "classical_sum",
-    "star_sum",
     "normalize_id",
 ]
 
 # a ratio is (c, e, num, den): multiply by c*q^e, then by (1 - cc*q^ee) for
 # each (cc, ee) in num, then divide by the same for each entry of den
 Ratio = tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
-
-
-def _apply(f: LaurentSeries, order: int, ratio: Ratio) -> LaurentSeries:
-    c, e, num, den = ratio
-    f = f.mul_monomial(c, e)
-    if f.order is not None and f.order > order:
-        f = f.truncate(order)
-    if f.is_zero():
-        return f
-    for cc, ee in num:
-        f = f.mul_binomial(cc, ee)
-    for cc, ee in den:
-        f = f.div_binomial(cc, ee, order=order)
-    return f
 
 
 _VANISH_STREAK = 4

@@ -13,9 +13,9 @@ Exit codes: 0 all requested checks passed (or output produced), 1 at least
 one check failed, 2 bad usage or a computation that cannot be completed
 (unknown id, bad weight, negative order, ...), 3 an internal fault.
 Arguments are checked before any computation starts, so an exception the
-engine raises itself, such as ``InvariantViolation``, a sum that does not
-terminate (``NonTerminating``, ``NoStabilization``) or a ``ValueError`` from
-a broken invariant, is never taken for bad usage: it is reported as
+engine raises itself, such as ``InvariantViolation``, a ratio chain past
+its level budget (``NoStabilization``) or a ``ValueError`` from a broken
+invariant, is never taken for bad usage: it is reported as
 ``internal error: ...`` with its traceback.
 """
 

@@ -28,14 +28,14 @@ class UnknownPair(KeyError):
 class NonTerminating(RuntimeError):
     """classical_sum still saw visible outer terms when its term budget ran out.
 
-    Only the Bailey alpha side is summed that way; every catalog ratio chain
-    stops at a last level proven from its valuations.
+    No engine sum uses it: every sum stops at a last level proven from its
+    valuations, and classical_sum is only the tests' term-by-term reference.
     """
 
 
 class NoStabilization(RuntimeError):
-    """star_sum's averaged partial sums, or the levels of a catalog ratio
-    chain, did not stop within their budget."""
+    """The levels of a catalog ratio chain, or star_sum's averaged partial
+    sums, did not stop within their budget."""
 
     def __init__(self, message: str, n_limit: int | None = None):
         super().__init__(message)

@@ -229,14 +229,6 @@ class LaurentSeries:
             out[b:b + k] = map(add, out[b:b + k], other.coeffs[:k])
         return LaurentSeries(lo, out, order)
 
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.offset, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented

@@ -1,7 +1,10 @@
 """Pair catalog: defining relation, iteration step, limit transforms."""
 
+import sys
+
 import pytest
 
+import qrds.catalog as catalog
 from qrds.bailey import (
     bailey_step,
     form_labels,
@@ -13,6 +16,7 @@ from qrds.bailey import (
 from qrds.catalog import eval_named
 from qrds.errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
 from qrds.series import LaurentSeries
+from qrds.verify import verify_all
 
 ALL_PAIRS = ("BK1", "BK2", "P1A", "P1B", "P2A", "P2B", "P3A", "P3B")
 
@@ -146,3 +150,39 @@ def test_beta0_must_vanish_for_shifted_forms():
 def test_limit_form_needs_stepped_catalog_pair():
     with pytest.raises(TypeError):
         limit_form(pair_catalog("P2A"), "A1", 20)
+
+
+class _StreakSumCalled(Exception):
+    pass
+
+
+def test_no_engine_path_uses_a_streak_sum(monkeypatch):
+    # every binding of classical_sum / star_sum in a qrds module or class,
+    # found by identity, raises: the engine must not reach either of them
+    def refuse(*args, **kwargs):
+        raise _StreakSumCalled
+
+    sums = {id(catalog.classical_sum), id(catalog.star_sum)}
+    for name, module in list(sys.modules.items()):
+        if name != "qrds" and not name.startswith("qrds."):
+            continue
+        namespaces = [module] + [
+            v for v in vars(module).values() if isinstance(v, type) and v.__module__.startswith("qrds")
+        ]
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if id(value) in sums:
+                    monkeypatch.setattr(ns, attr, refuse)
+    assert catalog.classical_sum is refuse and catalog.star_sum is refuse
+
+    assert all(report.ok for report in verify_all(120))
+    done = 0
+    for label in ALL_PAIRS:
+        for form_id in form_labels():
+            try:
+                lhs, rhs = limit_form(bailey_step(pair_catalog(label)), form_id, 60)
+            except (FormPairMismatch, Beta0NotZero):
+                continue
+            assert lhs == rhs, (label, form_id)
+            done += 1
+    assert done == 16

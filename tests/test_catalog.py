@@ -1,5 +1,6 @@
 """Catalog evaluation: frozen heads, independent product forms, summation budgets."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -287,6 +288,23 @@ except InvariantViolation:
 raise SystemExit(1)
 """
 
+# P3B with an extra alpha item q^(-u(3)) = q^(-12) at n = 3, so that level's
+# least exponent of q^(u(n)) * alpha_n is 0, below n(n - 1)/2 = 3.
+_BROKEN_ALPHA = """
+import dataclasses
+import qrds.bailey as bailey
+from qrds.errors import InvariantViolation
+pair = bailey._PAIRS["P3B"]
+bailey._PAIRS["P3B"] = dataclasses.replace(
+    pair, alpha_items=lambda m: pair.alpha_items(m) + ([(-12, 1)] if m == 3 else [])
+)
+try:
+    bailey.limit_form(bailey.bailey_step(bailey.pair_catalog("P3B")), "AQ", 60)
+except InvariantViolation as err:
+    raise SystemExit(0 if "P3B" in str(err) and "n=3" in str(err) else 2)
+raise SystemExit(1)
+"""
+
 
 def test_valuation_bound_violation_raises(monkeypatch):
     monkeypatch.setitem(catalog._DOUBLES, "L5", catalog._DOUBLES["L5"]._replace(bound=lambda n: n + 100))
@@ -294,11 +312,23 @@ def test_valuation_bound_violation_raises(monkeypatch):
         eval_named("L5", 40)
 
 
-def test_valuation_bound_survives_optimized_mode():
+@pytest.mark.parametrize("form_id", ["AQ", "AQALSO"])
+def test_alpha_bound_violation_raises(monkeypatch, form_id):
+    pair = bailey._PAIRS["P3B"]
+    broken = dataclasses.replace(
+        pair, alpha_items=lambda m: pair.alpha_items(m) + ([(-12, 1)] if m == 3 else [])
+    )
+    monkeypatch.setitem(bailey._PAIRS, "P3B", broken)
+    with pytest.raises(InvariantViolation, match=r"alpha side of P3B: valuation 0 .* at n=3$"):
+        bailey.limit_form(bailey.bailey_step(bailey.pair_catalog("P3B")), form_id, 60)
+
+
+@pytest.mark.parametrize("script", [_BROKEN_BOUND, _BROKEN_ALPHA], ids=["catalog", "alpha"])
+def test_valuation_bound_survives_optimized_mode(script):
     src = str(Path(qrds.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_BOUND],
+        [sys.executable, "-O", "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -312,11 +342,27 @@ def test_valuation_bound_survives_optimized_mode():
 # ``_apply`` and summed by ``classical_sum`` / ``star_sum`` (down column k0,
 # then along each row: the other path through T(n, k) = S_n * P_k / (q)_{n-k},
 # with a streak, not a proven last level, ending the sum): same offsets,
-# horizons, coefficients and coefficient types.
+# horizons, coefficients and coefficient types.  The Bailey alpha side is
+# checked the same way, against its terms summed one series at a time.
 
 
 def shape(f: LaurentSeries):
     return (f.offset, f.order, [(type(c).__name__, c) for c in f.coeffs])
+
+
+def _apply(f: LaurentSeries, order: int, ratio) -> LaurentSeries:
+    """``f`` times the ratio (c, e, num, den), one series operation at a time."""
+    c, e, num, den = ratio
+    f = f.mul_monomial(c, e)
+    if f.order is not None and f.order > order:
+        f = f.truncate(order)
+    if f.is_zero():
+        return f
+    for cc, ee in num:
+        f = f.mul_binomial(cc, ee)
+    for cc, ee in den:
+        f = f.div_binomial(cc, ee, order=order)
+    return f
 
 
 def _rows_by_terms(start, order, k0, p_ratio, s_ratio):
@@ -325,13 +371,13 @@ def _rows_by_terms(start, order, k0, p_ratio, s_ratio):
         term = total = start
         for k in range(k0, n):
             c, e, num, den = p_ratio(k)
-            term = catalog._apply(term, order, (c, e, num + ((1, n - k),), den))
+            term = _apply(term, order, (c, e, num + ((1, n - k),), den))
             if term.is_zero():
                 break
             total = total + term
         yield total
         c, e, num, den = s_ratio(n)
-        start = catalog._apply(start, order, (c, e, num, den + ((1, n + 1 - k0),)))
+        start = _apply(start, order, (c, e, num, den + ((1, n + 1 - k0),)))
         n += 1
 
 
@@ -355,8 +401,21 @@ def test_double_rows_match_term_by_term(sid, order):
 _PIPELINE_PAIRS = sorted({(label, form_id) for label, form_id, _, _ in verify._PIPELINES.values()})
 
 
+def _alpha_by_terms(stepped, form, order):
+    def terms():
+        n = form.n0
+        while True:
+            yield _apply(stepped.alpha(n, order), order, form.rhs_term(n))
+            n += 1
+
+    total = star_sum(terms(), order) if form.starred else classical_sum(terms(), order)
+    if stepped.rel == "q":  # cancels the global 1/(1 - q) of alpha_n
+        total = total.mul_binomial(1, 1)
+    return total.scale(form.rhs_scale)
+
+
 @pytest.mark.parametrize("label, form_id", _PIPELINE_PAIRS)
-@pytest.mark.parametrize("order", [0, 7, 60])
+@pytest.mark.parametrize("order", [0, 7, 60, 300])
 def test_stepped_rows_match_term_by_term(label, form_id, order):
     stepped = bailey.bailey_step(bailey.pair_catalog(label))
     form = bailey._lookup_form(form_id)
@@ -370,8 +429,9 @@ def test_stepped_rows_match_term_by_term(label, form_id, order):
         return (c, e + 2 * k + u, num, den)
 
     want = _oracle_sum(seed, order, k0, p_ratio, form.w_ratio, form.starred)
-    lhs, _ = bailey.limit_form(stepped, form_id, order)
+    lhs, rhs = bailey.limit_form(stepped, form_id, order)
     assert shape(lhs) == shape(want)
+    assert shape(rhs) == shape(_alpha_by_terms(stepped, form, order))
 
 
 binomials = st.tuples(st.sampled_from([1, -1, 0, 3]), st.integers(min_value=1, max_value=12))
@@ -408,13 +468,13 @@ def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss
     # listed ratios, then a 0 multiplier ends each chain; a starred chain
     # instead runs into the -1 tail, and its listed ratios have an exponent
     # >= 1, so no listed level can pass for that tail
-    start = catalog._apply(LaurentSeries.one(order), order, seed)
+    start = _apply(LaurentSeries.one(order), order, seed)
     if mode == "single":
         s_ratio = _listed(ss, k0, _STOP)
         want, n, term = LaurentSeries.zero(order), k0, start
         while not term.is_zero():
             want = want + term
-            term = catalog._apply(term, order, s_ratio(n))
+            term = _apply(term, order, s_ratio(n))
             n += 1
         got = catalog._ratio_sum(order, seed, k0, s_ratio)
     else:
