@@ -21,7 +21,6 @@ from .errors import (
     Beta0NotZero,
     FormPairMismatch,
     InvariantViolation,
-    NonTerminating,
     NoStabilization,
     UnknownId,
     UnknownPair,
@@ -90,7 +89,6 @@ __all__ = [
     "lacunarity_report",
     "UnknownId",
     "UnknownPair",
-    "NonTerminating",
     "NoStabilization",
     "FormPairMismatch",
     "Beta0NotZero",

@@ -4,9 +4,13 @@ A pair (alpha, beta) relative to ``a`` (here always a = 1 or a = q) satisfies
 
     beta_n = sum_{k=0}^{n} alpha_k / ( (q)_{n-k} (aq)_{n+k} ).
 
-``verify_pair_relation`` checks that relation coefficient-by-coefficient,
-keeping one row per k and dividing in the two new Pochhammer factors as n
-advances, so nothing is ever recomputed from scratch.
+Every side is built on bare int lists by one level builder, ``_level``:
+the closed-form items of alpha_n or beta_n on a list through q**order,
+times and divided by binomials in place.  ``verify_pair_relation`` checks
+the relation coefficient-by-coefficient, keeping one list per k and
+dividing in the two new Pochhammer factors as n advances, so nothing is
+ever recomputed from scratch.  A stepped pair is its base pair plus the
+exponent u(n) of the step; nothing else of it is stored.
 
 ``bailey_step`` applies the standard iteration with both free parameters
 sent to infinity,
@@ -77,27 +81,6 @@ class BaileyPair:
     beta_den: Callable[[int], list[tuple[int, int]]]
     beta_ratio: Callable[[int], Ratio]
     beta_num: Callable[[int], list[tuple[int, int]]] = lambda m: []
-
-    def alpha(self, m: int, order: int) -> LaurentSeries:
-        f = LaurentSeries.from_items(self.alpha_items(m), None)
-        if self.rel == "q":
-            f = f.div_binomial(1, 1, order=order)
-        elif f.order is None or f.order > order:
-            f = f.truncate(order) if f.degree() is not None and f.degree() > order else f
-        return f
-
-    def beta(self, m: int, order: int) -> LaurentSeries:
-        if m < self.beta_first:
-            return LaurentSeries.zero(order)
-        c = -1 if m % 2 else 1
-        f = LaurentSeries.monomial(c, self.beta_exp(m), None)
-        for cc, ee in self.beta_num(m):
-            f = f.mul_binomial(cc, ee)
-        for cc, ee in self.beta_den(m):
-            f = f.div_binomial(cc, ee, order=order)
-        if f.order is None:
-            f = f.truncate(order) if f.degree() is not None and f.degree() > order else f
-        return f
 
 
 def _bk1_alpha(m: int) -> list[tuple[int, int]]:
@@ -242,30 +225,74 @@ def pair_catalog(label: str) -> BaileyPair:
 # -------------------------------------------------------------- the relation
 
 
+def _level(items, num, den, order: int) -> tuple[int, list]:
+    """(v, buf): the sum of c * q^e over ``items``, times the ``num`` binomials
+    and divided by the ``den`` binomials, through q**order.
+
+    buf[i] is the coefficient of q^(v + i), v is the least item exponent and
+    len(buf) = max(0, order + 1 - v); empty items give (order + 1, []).
+    """
+    if not items:
+        return order + 1, []
+    v = min(e for e, _ in items)
+    buf = [0] * max(0, order + 1 - v)
+    for e, c in items:
+        if e - v < len(buf):
+            buf[e - v] += c
+    for cc, ee in num:
+        mul_binomial_into(buf, cc, ee, len(buf))
+    for cc, ee in den:
+        div_binomial_into(buf, cc, ee, len(buf))
+    return v, buf
+
+
+def _sum_levels(levels: list[tuple[int, list]], order: int) -> LaurentSeries:
+    """The sum of ``levels`` through q**order."""
+    lo = min(v for v, _ in levels)
+    total = [0] * (order + 1 - lo)
+    for v, buf in levels:
+        total[v - lo:] = map(add, total[v - lo:], buf)
+    return LaurentSeries(lo, total, order)
+
+
 def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[int, tuple]]:
     """Check beta_n = sum_k alpha_k / ((q)_{n-k} (aq)_{n+k}) for n <= n_max.
 
-    Returns a list of (n, (exponent, beta, sum)) mismatches; empty means the
-    relation holds through q**order for every checked n.
+    ``pair`` is a catalog pair or a stepped one, with alpha'_k =
+    q^(u(k)) alpha_k.  Each alpha_k is one int list, divided by (aq)_{2k}
+    when it enters and by (1 - q^(n-k))(1 - aq^(n+k)) in place as n
+    advances.  beta_n comes from its closed form; a stepped
+    beta'_n = sum_k q^(u(k)) beta_k / (q)_{n-k} keeps one list per k the
+    same way.  Returns a list of (n, (exponent, beta, sum)) mismatches;
+    empty means the relation holds through q**order for every checked n.
     """
+    if isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair):
+        base, u = pair.base, pair._u_exp
+    elif isinstance(pair, BaileyPair):
+        base, u = pair, lambda k: 0
+    else:
+        raise TypeError(f"verify_pair_relation needs a catalog pair or a stepped one, got {pair!r}")
     if n_max < 0 or order < 0:
         raise ValueError("n_max and order must be >= 0")
     a_exp = 0 if pair.rel == "1" else 1
-    rows: list[LaurentSeries] = []
+    alphas: list[tuple[int, list]] = []
+    betas: list[tuple[int, list]] = []
     failures = []
     for n in range(n_max + 1):
-        for k in range(len(rows)):
-            rows[k] = rows[k].div_binomial(1, n - k, order).div_binomial(
-                1, a_exp + n + k, order
-            )
-        g = pair.alpha(n, order)
-        for i in range(1, 2 * n + 1):
-            g = g.div_binomial(1, a_exp + i, order)
-        rows.append(g)
-        rhs = LaurentSeries.zero(order)
-        for r in rows:
-            rhs = rhs + r
-        mm = first_mismatch(pair.beta(n, order), rhs, through=order)
+        for k, (_, buf) in enumerate(alphas):
+            div_binomial_into(buf, 1, n - k, len(buf))
+            div_binomial_into(buf, 1, a_exp + n + k, len(buf))
+        den = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # (aq)_{2n}, and 1 - q for a = q
+        alphas.append(_level([(e + u(n), c) for e, c in base.alpha_items(n)], (), den, order))
+        items = [(base.beta_exp(n) + u(n), _sgn(n))] if n >= base.beta_first else []
+        beta = _level(items, base.beta_num(n), base.beta_den(n), order)
+        if base is pair:
+            betas = [beta]
+        else:
+            for k, (_, buf) in enumerate(betas):
+                div_binomial_into(buf, 1, n - k, len(buf))
+            betas.append(beta)
+        mm = first_mismatch(_sum_levels(betas, order), _sum_levels(alphas, order), through=order)
         if mm is not None:
             failures.append((n, mm))
     return failures
@@ -275,38 +302,17 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
 
 
 class SteppedPair:
-    """The image of a pair under the step with both parameters at infinity."""
+    """The image of a pair under the step with both parameters at infinity:
+    alpha'_n = q^(u(n)) alpha_n with u(n) = n^2 (+ n for a = q), and beta'_n
+    as in ``bailey_step``."""
 
     def __init__(self, base):
         self.base = base
         self.label = f"{base.label}*"
         self.rel = base.rel
-        self._states: dict[int, tuple[list[LaurentSeries], list[LaurentSeries]]] = {}
 
     def _u_exp(self, k: int) -> int:
         return k * k + (k if self.rel == "q" else 0)
-
-    def alpha(self, m: int, order: int) -> LaurentSeries:
-        f = self.base.alpha(m, order).mul_monomial(1, self._u_exp(m))
-        if f.order is not None and f.order > order:
-            f = f.truncate(order)
-        return f
-
-    def beta(self, m: int, order: int) -> LaurentSeries:
-        rows, betas = self._states.setdefault(order, ([], []))
-        while len(betas) <= m:
-            n = len(betas)
-            for k in range(len(rows)):
-                rows[k] = rows[k].div_binomial(1, n - k, order)
-            h = self.base.beta(n, order).mul_monomial(1, self._u_exp(n))
-            if h.order is not None and h.order > order:
-                h = h.truncate(order)
-            rows.append(h)
-            total = LaurentSeries.zero(order)
-            for r in rows:
-                total = total + r
-            betas.append(total)
-        return betas[m]
 
 
 def bailey_step(pair) -> SteppedPair:
@@ -392,16 +398,7 @@ def _alpha_side(pair: SteppedPair, form: LimitForm, order: int) -> LaurentSeries
         v = min(x for x, _ in items) + shift
         if v < n * (n - 1) // 2:
             raise InvariantViolation(f"alpha side of {base.label}: valuation {v} below n(n-1)/2 at n={n}")
-        v += e
-        shift += e - v
-        level = [0] * (order + 1 - v)
-        for x, c in items:
-            if x + shift < len(level):
-                level[x + shift] += sgn * c
-        for cc, ee in num:
-            mul_binomial_into(level, cc, ee, len(level))
-        for cc, ee in den:
-            div_binomial_into(level, cc, ee, len(level))
+        v, level = _level([(x + shift + e, sgn * c) for x, c in items], num, den, order)
         total[v:] = map(add, total[v:], level)
         n += 1
     return LaurentSeries(0, total, order).scale(form.rhs_scale)
@@ -422,16 +419,16 @@ def limit_form(pair, form_id: str, order: int):
     side, a sum of closed forms, stops at a last index proven from them.
     """
     form = _lookup_form(form_id)
+    if not (isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair)):
+        raise TypeError(f"limit_form needs a stepped catalog pair, got {pair.label}")
     if pair.rel != form.rel:
         raise FormPairMismatch(
             f"form {form.form_id} needs a pair relative to a = {form.rel}, "
             f"got {pair.label} (a = {pair.rel})"
         )
-    if form.n0 > 0 and not pair.beta(0, 0).is_zero():
-        raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
-    if not (isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair)):
-        raise TypeError(f"limit_form needs a stepped catalog pair, got {pair.label}")
     base, k0 = pair.base, form.n0
+    if k0 > 0 and base.beta_first == 0:  # beta'_0 = beta_0
+        raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
     wc, we = form.w_seed
     u = 2 if pair.rel == "q" else 1
 

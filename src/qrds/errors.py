@@ -8,7 +8,6 @@ invariants is collected here so modules can share them without import cycles.
 __all__ = [
     "UnknownId",
     "UnknownPair",
-    "NonTerminating",
     "NoStabilization",
     "FormPairMismatch",
     "Beta0NotZero",

@@ -1,9 +1,11 @@
 """Pair catalog: defining relation, iteration step, limit transforms."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 
+import qrds.bailey as bailey
 import qrds.catalog as catalog
 from qrds.bailey import (
     bailey_step,
@@ -21,14 +23,6 @@ from qrds.verify import verify_all
 ALL_PAIRS = ("BK1", "BK2", "P1A", "P1B", "P2A", "P2B", "P3A", "P3B")
 
 
-def items(f: LaurentSeries, through: int) -> list:
-    return [
-        (e, f.coefficient(e))
-        for e in range(f.offset, through + 1)
-        if f.coefficient(e)
-    ]
-
-
 def test_labels():
     assert pair_labels() == ALL_PAIRS
     assert set(form_labels()) == {"A1", "A1ALSO", "AQ", "AQALSO"}
@@ -37,25 +31,38 @@ def test_labels():
         pair_catalog("P9X")
 
 
+def level_items(level, through: int) -> list:
+    v, buf = level
+    return [(v + i, c) for i, c in enumerate(buf) if c and v + i <= through]
+
+
+def beta_level(pair, m: int, order: int):
+    items = [(pair.beta_exp(m), -1 if m % 2 else 1)] if m >= pair.beta_first else []
+    return bailey._level(items, pair.beta_num(m), pair.beta_den(m), order)
+
+
 def test_frozen_alpha_values():
     p2a = pair_catalog("P2A")
-    assert items(p2a.alpha(0, 40), 10) == []
-    assert items(p2a.alpha(1, 40), 10) == [(0, -1), (2, 1)]
-    assert items(p2a.alpha(2, 40), 10) == [(-1, 1), (0, 1), (3, -1), (4, -1)]
+    assert bailey._level(p2a.alpha_items(0), (), (), 40) == (41, [])
+    assert level_items(bailey._level(p2a.alpha_items(1), (), (), 40), 10) == [(0, -1), (2, 1)]
+    assert level_items(bailey._level(p2a.alpha_items(2), (), (), 40), 10) == [(-1, 1), (0, 1), (3, -1), (4, -1)]
     # a = q pairs carry a global 1/(1-q)
     p2b = pair_catalog("P2B")
-    assert items(p2b.alpha(0, 8), 8) == [(e, 1) for e in range(9)]
+    assert bailey._level(p2b.alpha_items(0), (), ((1, 1),), 8) == (0, [1] * 9)
 
 
 def test_frozen_beta_values():
     p2a = pair_catalog("P2A")
-    assert p2a.beta(0, 10).is_zero()
-    assert items(p2a.beta(1, 8), 8) == [(e, -1) for e in range(9)]  # -1/(1-q)
+    assert p2a.beta_first == 1 and beta_level(p2a, 0, 10) == (11, [])
+    assert beta_level(p2a, 1, 8) == (0, [-1] * 9)  # -1/(1-q)
     p2b = pair_catalog("P2B")
-    assert items(p2b.beta(0, 8), 8) == [(e, 1) for e in range(9)]  # 1/(1-q)
+    assert beta_level(p2b, 0, 8) == (0, [1] * 9)  # 1/(1-q)
     # 1/((1-q^2)(1-q^3)): partitions into parts 2 and 3
     bk1 = pair_catalog("BK1")
-    assert items(bk1.beta(2, 7), 7) == [(0, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (7, 1)]
+    assert level_items(beta_level(bk1, 2, 7), 7) == [(0, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (7, 1)]
+    # a level is exact through its order, with int coefficients
+    v, buf = beta_level(bk1, 3, 30)
+    assert len(buf) == 31 - v and all(type(c) is int for c in buf)
 
 
 def _apply_ratio(f: LaurentSeries, ratio, order: int) -> LaurentSeries:
@@ -73,9 +80,10 @@ def test_beta_ratio_matches_closed_form(label):
     pair = pair_catalog(label)
     order = 60
     for m in range(pair.beta_first, 11):
-        stepped = _apply_ratio(pair.beta(m, order + 20), pair.beta_ratio(m), order)
-        direct = pair.beta(m + 1, order)
-        assert stepped.truncate(order) == direct.truncate(order), (label, m)
+        v, buf = beta_level(pair, m, order + 20)
+        stepped = _apply_ratio(LaurentSeries(v, buf, order + 20), pair.beta_ratio(m), order)
+        v, buf = beta_level(pair, m + 1, order)
+        assert stepped.truncate(order) == LaurentSeries(v, buf, order), (label, m)
 
 
 @pytest.mark.parametrize("label", ALL_PAIRS)
@@ -92,7 +100,37 @@ def test_stepped_pair_relation(label):
 def test_stepped_alpha_shift():
     # alpha'_n = a^n q^(n^2) alpha_n, here a = 1
     stepped = bailey_step(pair_catalog("P2A"))
-    assert items(stepped.alpha(1, 40), 10) == [(1, -1), (3, 1)]
+    shifted = [(e + stepped._u_exp(1), c) for e, c in stepped.base.alpha_items(1)]
+    assert level_items(bailey._level(shifted, (), (), 40), 10) == [(1, -1), (3, 1)]
+
+
+def _with_alpha_item(pair, n0, extra):
+    alpha = pair.alpha_items
+    return replace(pair, alpha_items=lambda m: alpha(m) + (extra if m == n0 else []))
+
+
+@pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])
+def test_relation_catches_a_corrupted_alpha_item(step):
+    # one extra monomial in one alpha_n breaks the relation from that n on,
+    # located at its exponent (shifted by u(n) in the stepped pair)
+    p2a = _with_alpha_item(pair_catalog("P2A"), 3, [(4, 1)])
+    p3b = _with_alpha_item(pair_catalog("P3B"), 2, [(2, -1)])
+    if step:
+        p2a, p3b = bailey_step(p2a), bailey_step(p3b)
+    failures = verify_pair_relation(p2a, n_max=6, order=40)
+    assert [n for n, _ in failures] == [3, 4, 5, 6]
+    assert failures[0] == ((3, (13, -29, -28)) if step else (3, (4, -6, -5)))
+    failures = verify_pair_relation(p3b, n_max=4, order=30)
+    want = [(2, (8, 13, 12)), (3, (8, 19, 18))] if step else [(2, (2, 6, 5)), (3, (2, -20, -21))]
+    assert failures[:2] == want
+    assert all(type(x) is int for _, mm in failures for x in mm)
+
+
+def test_relation_needs_a_catalog_pair():
+    with pytest.raises(TypeError):
+        verify_pair_relation(object(), n_max=2, order=10)
+    with pytest.raises(TypeError):
+        verify_pair_relation(bailey_step(bailey_step(pair_catalog("P2A"))), n_max=2, order=10)
 
 
 # ------------------------------------------------------------ limit forms
@@ -134,22 +172,17 @@ def test_form_pair_mismatch():
         limit_form(bailey_step(pair_catalog("P2A")), "B9", 20)
 
 
-class _NonzeroBeta0:
-    label = "FIX"
-    rel = "1"
-
-    def beta(self, m, order):
-        return LaurentSeries.one()
-
-
 def test_beta0_must_vanish_for_shifted_forms():
     with pytest.raises(Beta0NotZero):
-        limit_form(_NonzeroBeta0(), "A1", 20)
+        limit_form(bailey_step(replace(pair_catalog("BK2"), rel="1")), "A1", 20)
 
 
 def test_limit_form_needs_stepped_catalog_pair():
     with pytest.raises(TypeError):
         limit_form(pair_catalog("P2A"), "A1", 20)
+    # the type is checked before beta_0 is read
+    with pytest.raises(TypeError):
+        limit_form(replace(pair_catalog("BK2"), rel="1"), "A1", 20)
 
 
 class _StreakSumCalled(Exception):

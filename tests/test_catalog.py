@@ -401,11 +401,31 @@ def test_double_rows_match_term_by_term(sid, order):
 _PIPELINE_PAIRS = sorted({(label, form_id) for label, form_id, _, _ in verify._PIPELINES.values()})
 
 
+def _stepped_alpha(stepped, n, order):
+    """q^(u(n)) alpha_n from its closed form, one series operation at a time."""
+    f = LaurentSeries.from_items(stepped.base.alpha_items(n), None)
+    if stepped.rel == "q":
+        f = f.div_binomial(1, 1, order=order)
+    return f.mul_monomial(1, stepped._u_exp(n)).truncate(order)
+
+
+def _beta(pair, m, order):
+    """beta_m of a catalog pair from its closed form, one series operation at a time."""
+    if m < pair.beta_first:
+        return LaurentSeries.zero(order)
+    f = LaurentSeries.monomial(-1 if m % 2 else 1, pair.beta_exp(m), None)
+    for cc, ee in pair.beta_num(m):
+        f = f.mul_binomial(cc, ee)
+    for cc, ee in pair.beta_den(m):
+        f = f.div_binomial(cc, ee, order=order)
+    return f
+
+
 def _alpha_by_terms(stepped, form, order):
     def terms():
         n = form.n0
         while True:
-            yield _apply(stepped.alpha(n, order), order, form.rhs_term(n))
+            yield _apply(_stepped_alpha(stepped, n, order), order, form.rhs_term(n))
             n += 1
 
     total = star_sum(terms(), order) if form.starred else classical_sum(terms(), order)
@@ -421,7 +441,7 @@ def test_stepped_rows_match_term_by_term(label, form_id, order):
     form = bailey._lookup_form(form_id)
     base, k0 = stepped.base, form.n0
     wc, we = form.w_seed
-    seed = base.beta(k0, order).mul_monomial(wc, we + stepped._u_exp(k0)).truncate(order)
+    seed = _beta(base, k0, order).mul_monomial(wc, we + stepped._u_exp(k0)).truncate(order)
     u = 2 if stepped.rel == "q" else 1
 
     def p_ratio(k):
