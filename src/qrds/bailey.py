@@ -420,7 +420,9 @@ def limit_form(pair, form_id: str, order: int):
     """
     form = _lookup_form(form_id)
     if not (isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair)):
-        raise TypeError(f"limit_form needs a stepped catalog pair, got {pair.label}")
+        raise TypeError(f"limit_form needs a stepped catalog pair, got {pair!r}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if pair.rel != form.rel:
         raise FormPairMismatch(
             f"form {form.form_id} needs a pair relative to a = {form.rel}, "

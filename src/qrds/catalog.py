@@ -14,6 +14,13 @@ way, column k + 1 entering column k with the ratio of the diagonal terms.
 Each level works on one plain int list in place with the series kernel's
 list operations; nothing is added row by row.
 
+S_n depends only on the limit form and P_k only on the stepped Bailey pair
+(P_k is its beta_k), so the twelve are four form families (``_Family``)
+times eight P-ratios: A1 holds L1 and L3, AQ L2 and L4, A1ALSO L5, L6, L9
+and L10, AQALSO L7, L8, L11 and L12; P2A serves L1/L9, P3A L3/L10, P2B
+L2/L11, P3B L4/L12, and P1A, BK1, BK2 and P1B L5..L8.  Both are written
+apart from ``bailey``, whose pipeline rebuilds each sum and checks them.
+
 The last level comes from a proof, not from a streak of vanishing terms:
 every binomial has constant term 1 and every monomial exponent is >= 0
 (checked), so each level's valuation is known exactly before any
@@ -170,103 +177,55 @@ _SINGLES: dict[str, tuple[_Single, Callable[[int], int]]] = {
 }
 
 
-class _Double(NamedTuple):
-    """The double sum of T(n, k) = S_n * P_k / (q)_{n-k} over n >= k >= k0.
+class _Family(NamedTuple):
+    """The S side of the double sums of one limit form, keyed by the form's name.
 
     T(k0, k0) = c0 * q^e0 / (1 - q), ``s_ratio(n)`` is S_(n+1) / S_n and
-    ``p_ratio(k)`` is P_(k+1) / P_k; ``bound(n)`` is a proven lower bound for
-    the valuation of every term of row n.  The series is the sum, or twice
-    its star value if ``starred``, plus ``const``.
+    ``bound(n)`` a proven lower bound for the valuation of every term of
+    row n; a ``starred`` family's series is twice its sum's star value.
     """
 
     k0: int
     c0: int
     e0: int
     s_ratio: Callable[[int], Ratio]
-    p_ratio: Callable[[int], Ratio]
     bound: Callable[[int], int]
     starred: bool = False
-    const: int = 0
 
 
-_DOUBLES: dict[str, _Double] = {
-    "L1": _Double(
-        1, 1, 2,
-        lambda n: (-1, n + 1, ((1, n),), ()),
-        lambda k: (-1, k + 1, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
-        lambda n: n * (n + 1) // 2,
-    ),
-    "L2": _Double(
-        0, 1, 0,
-        lambda n: (-1, n + 1, ((1, n + 1),), ()),
-        lambda k: (-1, k + 1, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
-        lambda n: n * (n + 1) // 2,
-    ),
-    "L3": _Double(
-        1, 1, 2,
-        lambda n: (-1, n + 1, ((1, n),), ()),
-        lambda k: (-1, k, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
-        lambda n: n * (n + 1) // 2,
-    ),
-    "L4": _Double(
-        0, 1, 0,
-        lambda n: (-1, n + 1, ((1, n + 1),), ()),
-        lambda k: (-1, k, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
-        lambda n: n * (n + 1) // 2,
-        const=-1,
-    ),
-    "L5": _Double(
-        1, 2, 2,
-        lambda n: (-1, 1, ((1, 2 * n),), ()),
-        lambda k: (-1, 2 * k, ((1, 2 * k - 1),), ((1, 2 * k), (1, 2 * k + 1))),
-        lambda n: n,
-    ),
-    "L6": _Double(
-        1, 2, 2,
-        lambda n: (-1, 1, ((1, 2 * n),), ()),
-        lambda k: (-1, 2 * k + 1, ((1, 2 * k - 1),), ((1, 2 * k), (1, 2 * k + 1))),
-        lambda n: n,
-    ),
-    "L7": _Double(
-        0, 1, 0,
-        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
-        lambda k: (-1, 2 * k + 2, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
-        lambda n: 0,
-        starred=True,
-    ),
-    "L8": _Double(
-        0, 1, 0,
-        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
-        lambda k: (-1, 2 * k + 1, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
-        lambda n: 0,
-        starred=True, const=-1,
-    ),
-    "L9": _Double(
-        1, 2, 2,
-        lambda n: (-1, 1, ((1, 2 * n),), ()),
-        lambda k: (-1, k + 1, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
-        lambda n: n,
-    ),
-    "L10": _Double(
-        1, 2, 2,
-        lambda n: (-1, 1, ((1, 2 * n),), ()),
-        lambda k: (-1, k, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
-        lambda n: n,
-    ),
-    "L11": _Double(
-        0, 1, 0,
-        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
-        lambda k: (-1, k + 1, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
-        lambda n: 0,
-        starred=True,
-    ),
-    "L12": _Double(
-        0, 1, 0,
-        lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
-        lambda k: (-1, k, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
-        lambda n: 0,
-        starred=True, const=-2,
-    ),
+_FAMILIES: dict[str, _Family] = {
+    "A1": _Family(1, 1, 2, lambda n: (-1, n + 1, ((1, n),), ()), lambda n: n * (n + 1) // 2),
+    "AQ": _Family(0, 1, 0, lambda n: (-1, n + 1, ((1, n + 1),), ()), lambda n: n * (n + 1) // 2),
+    "A1ALSO": _Family(1, 2, 2, lambda n: (-1, 1, ((1, 2 * n),), ()), lambda n: n),
+    "AQALSO": _Family(0, 1, 0, lambda n: (-1, 0, ((1, 2 * n + 2),), ()), lambda n: 0, True),
+}
+
+# P_(k+1) / P_k of each pair, P_k being its stepped beta_k
+_P_RATIOS: dict[str, Callable[[int], Ratio]] = {
+    "BK1": lambda k: (-1, 2 * k + 1, ((1, 2 * k - 1),), ((1, 2 * k), (1, 2 * k + 1))),
+    "BK2": lambda k: (-1, 2 * k + 2, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
+    "P1A": lambda k: (-1, 2 * k, ((1, 2 * k - 1),), ((1, 2 * k), (1, 2 * k + 1))),
+    "P1B": lambda k: (-1, 2 * k + 1, ((1, 2 * k + 1),), ((1, 2 * k + 2), (1, 2 * k + 3))),
+    "P2A": lambda k: (-1, k + 1, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
+    "P2B": lambda k: (-1, k + 1, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
+    "P3A": lambda k: (-1, k, ((1, 2 * k - 1),), ((1, k), (1, 2 * k + 1))),
+    "P3B": lambda k: (-1, k, ((1, 2 * k + 1),), ((1, k + 1), (1, 2 * k + 3))),
+}
+
+# each double sum: (family, pair of its P-ratio, constant added to the sum)
+_DOUBLES: dict[str, tuple[str, str, int]] = {
+    "L1": ("A1", "P2A", 0),
+    "L2": ("AQ", "P2B", 0),
+    "L3": ("A1", "P3A", 0),
+    "L4": ("AQ", "P3B", -1),
+    "L5": ("A1ALSO", "P1A", 0),
+    "L6": ("A1ALSO", "BK1", 0),
+    "L7": ("AQALSO", "BK2", 0),
+    "L8": ("AQALSO", "P1B", -1),
+    "L9": ("A1ALSO", "P2A", 0),
+    "L10": ("A1ALSO", "P3A", 0),
+    "L11": ("AQALSO", "P2B", 0),
+    "L12": ("AQALSO", "P3B", -2),
 }
 
 
@@ -409,11 +368,10 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     if key in _SINGLES:
         (n0, c0, e0, den, ratio), bound = _SINGLES[key]
         return _ratio_sum(order, (c0, e0, (), den), n0, ratio, bound=bound, cap=star_budget)
-    entry = _DOUBLES[key]
-    total = _ratio_sum(
-        order, (entry.c0, entry.e0, (), ((1, 1),)), entry.k0, entry.s_ratio, entry.p_ratio,
-        entry.bound, entry.starred, star_budget,
-    )
-    if entry.const:
-        total = total + LaurentSeries.monomial(entry.const, 0, order)
+    form, pair, const = _DOUBLES[key]
+    fam = _FAMILIES[form]
+    total = _ratio_sum(order, (fam.c0, fam.e0, (), ((1, 1),)), fam.k0, fam.s_ratio,
+                       _P_RATIOS[pair], fam.bound, fam.starred, star_budget)
+    if const:
+        total = total + LaurentSeries.monomial(const, 0, order)
     return total

@@ -185,6 +185,17 @@ def test_limit_form_needs_stepped_catalog_pair():
         limit_form(replace(pair_catalog("BK2"), rel="1"), "A1", 20)
 
 
+def test_limit_form_names_a_non_pair():
+    with pytest.raises(TypeError, match="got 42$"):
+        limit_form(42, "A1", 10)
+
+
+@pytest.mark.parametrize("order", [-1, -3])
+def test_limit_form_rejects_negative_order(order):
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        limit_form(bailey_step(pair_catalog("P2A")), "A1", order)
+
+
 class _StreakSumCalled(Exception):
     pass
 

@@ -275,12 +275,12 @@ def test_star_sum_exhausted_stream():
 
 # -------------------------------------------------------- valuation bounds
 
-# L5 with a valuation bound no row can meet: the first row (n = 1) has
-# valuation 2, far below n + 100.
+# The A1ALSO family (L5, L6, L9, L10) with a valuation bound no row can
+# meet: the first row (n = 1) has valuation 2, far below n + 100.
 _BROKEN_BOUND = """
 import qrds.catalog as catalog
 from qrds.errors import InvariantViolation
-catalog._DOUBLES["L5"] = catalog._DOUBLES["L5"]._replace(bound=lambda n: n + 100)
+catalog._FAMILIES["A1ALSO"] = catalog._FAMILIES["A1ALSO"]._replace(bound=lambda n: n + 100)
 try:
     catalog.eval_named("L5", 40)
 except InvariantViolation:
@@ -306,10 +306,12 @@ raise SystemExit(1)
 """
 
 
-def test_valuation_bound_violation_raises(monkeypatch):
-    monkeypatch.setitem(catalog._DOUBLES, "L5", catalog._DOUBLES["L5"]._replace(bound=lambda n: n + 100))
-    with pytest.raises(InvariantViolation, match="n=1"):
-        eval_named("L5", 40)
+@pytest.mark.parametrize("sid", ["L5", "L6", "L9", "L10"])
+def test_valuation_bound_violation_raises(monkeypatch, sid):
+    family = catalog._FAMILIES["A1ALSO"]
+    monkeypatch.setitem(catalog._FAMILIES, "A1ALSO", family._replace(bound=lambda n: n + 100))
+    with pytest.raises(InvariantViolation, match="n=1$"):
+        eval_named(sid, 40)
 
 
 @pytest.mark.parametrize("form_id", ["AQ", "AQALSO"])
@@ -389,12 +391,13 @@ def _oracle_sum(start, order, k0, p_ratio, s_ratio, starred):
 @pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
 @pytest.mark.parametrize("order", [0, 7, 60])
 def test_double_rows_match_term_by_term(sid, order):
-    entry = catalog._DOUBLES[sid]
-    start = LaurentSeries.monomial(entry.c0, entry.e0, order).div_binomial(1, 1, order=order)
-    want = _oracle_sum(start, order, entry.k0, entry.p_ratio, entry.s_ratio, entry.starred)
-    if entry.starred:
+    form, pair, const = catalog._DOUBLES[sid]
+    fam = catalog._FAMILIES[form]
+    start = LaurentSeries.monomial(fam.c0, fam.e0, order).div_binomial(1, 1, order=order)
+    want = _oracle_sum(start, order, fam.k0, catalog._P_RATIOS[pair], fam.s_ratio, fam.starred)
+    if fam.starred:
         want = want.scale(2)
-    want = want + LaurentSeries.monomial(entry.const, 0, order)
+    want = want + LaurentSeries.monomial(const, 0, order)
     assert shape(eval_named(sid, order)) == shape(want)
 
 
@@ -421,6 +424,36 @@ def _beta(pair, m, order):
     return f
 
 
+def _stepped_p_ratio(stepped):
+    """P_(k+1) / P_k of P_k = q^(u(k)) beta_k: u(k + 1) - u(k) is 2k + 1, plus 1 for a = q."""
+    u = 2 if stepped.rel == "q" else 1
+
+    def p_ratio(k):
+        c, e, num, den = stepped.base.beta_ratio(k)
+        return (c, e + 2 * k + u, num, den)
+
+    return p_ratio
+
+
+@pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
+def test_double_table_matches_its_pipeline(sid):
+    """Each id's family and P-ratio, transcribed apart from ``bailey``, agree
+    with its pipeline's limit form and stepped pair."""
+    form_id, label, const = catalog._DOUBLES[sid]
+    fam, p_ratio = catalog._FAMILIES[form_id], catalog._P_RATIOS[label]
+    assert verify._PIPELINES[sid] == (label, form_id, 2 if fam.starred else 1, const)
+    stepped = bailey.bailey_step(bailey.pair_catalog(label))
+    form, base = bailey._lookup_form(form_id), stepped.base
+    k0, (wc, we) = form.n0, form.w_seed
+    seed = (-wc if k0 % 2 else wc, we + stepped._u_exp(k0) + base.beta_exp(k0),
+            tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
+    assert (fam.k0, (fam.c0, fam.e0, (), ((1, 1),)), fam.starred) == (k0, seed, form.starred)
+    stepped_ratio = _stepped_p_ratio(stepped)
+    for n in range(80):
+        assert fam.s_ratio(n) == form.w_ratio(n)
+        assert p_ratio(n) == stepped_ratio(n)
+
+
 def _alpha_by_terms(stepped, form, order):
     def terms():
         n = form.n0
@@ -442,13 +475,7 @@ def test_stepped_rows_match_term_by_term(label, form_id, order):
     base, k0 = stepped.base, form.n0
     wc, we = form.w_seed
     seed = _beta(base, k0, order).mul_monomial(wc, we + stepped._u_exp(k0)).truncate(order)
-    u = 2 if stepped.rel == "q" else 1
-
-    def p_ratio(k):
-        c, e, num, den = base.beta_ratio(k)
-        return (c, e + 2 * k + u, num, den)
-
-    want = _oracle_sum(seed, order, k0, p_ratio, form.w_ratio, form.starred)
+    want = _oracle_sum(seed, order, k0, _stepped_p_ratio(stepped), form.w_ratio, form.starred)
     lhs, rhs = bailey.limit_form(stepped, form_id, order)
     assert shape(lhs) == shape(want)
     assert shape(rhs) == shape(_alpha_by_terms(stepped, form, order))

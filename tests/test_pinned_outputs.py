@@ -1,17 +1,20 @@
 """Pinned outputs: a refactor of the summation must leave every value byte-identical.
 
 Each digest is the sha256 of the offsets, horizons, coefficients and
-coefficient types of a series at several orders, or of the error raised.
+coefficient types of a series at several orders, or of the error raised;
+the ``verify_all`` digest is that of its JSON payloads without timings.
 Regenerate the table with ``python tests/test_pinned_outputs.py`` only when
 a change of output is intended, and say why in the change log.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from qrds.bailey import bailey_step, form_labels, limit_form, pair_catalog, pair_labels
 from qrds.catalog import catalog_ids, eval_named
+from qrds.verify import verify_all
 
 SERIES_ORDERS = tuple(range(41)) + (97, 200, 333)
 FORM_ORDERS = (0, 7, 60, 150)
@@ -39,6 +42,15 @@ def form_digest(label: str, form_id: str) -> str:
         h.update(out.encode())
     return h.hexdigest()
 
+
+def verify_all_digest(order: int) -> str:
+    payloads = [report.to_payload() for report in verify_all(order)]
+    for payload in payloads:
+        payload.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+
+
+PINNED_VERIFY_ALL_400 = "4a6b96758bd2ebb36940e4dfbd1ad1c1bc5975d28b2aef4f3cc4b5aba1f438b7"
 
 PINNED_SERIES = {
     "SIGMA": "acbae69e9c57a6418c14d4aedbf959f19d07f91053460ae798b6119a95863b9d",
@@ -110,7 +122,12 @@ def test_limit_form_pinned(label, form_id):
     assert form_digest(label, form_id) == PINNED_FORMS[f"{label}/{form_id}"]
 
 
+def test_verify_all_pinned():
+    assert verify_all_digest(400) == PINNED_VERIFY_ALL_400
+
+
 if __name__ == "__main__":
+    print(f'PINNED_VERIFY_ALL_400 = "{verify_all_digest(400)}"\n')
     print("PINNED_SERIES = {")
     for sid in catalog_ids():
         print(f'    "{sid}": "{series_digest(sid)}",')
