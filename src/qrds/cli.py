@@ -10,13 +10,15 @@ Subcommands:
 * ``report``  — descriptive coefficient-density report
 
 Exit codes: 0 all requested checks passed (or output produced), 1 at least
-one check failed, 2 bad usage or a computation that cannot be completed
-(unknown id, bad weight, negative order, ...), 3 an internal fault.
-Arguments are checked before any computation starts, so an exception the
-engine raises itself, such as ``InvariantViolation``, a ratio chain past
-its level budget (``NoStabilization``) or a ``ValueError`` from a broken
-invariant, is never taken for bad usage: it is reported as
-``internal error: ...`` with its traceback.
+one check failed, 2 bad usage (unknown id or pair, bad weight, negative
+order, ...), 3 an internal fault, 141 (128 + SIGPIPE) the reader closed
+stdout before the output was written.  Arguments are checked before any
+computation starts, so an exception the engine raises itself, such as
+``InvariantViolation``, a ratio chain past its level budget
+(``NoStabilization``), a form/pair mismatch in the pipeline table
+(``FormPairMismatch``) or a ``ValueError`` from a broken invariant, is never
+taken for bad usage: it is reported as ``internal error: ...`` with its
+traceback.
 """
 
 from __future__ import annotations
@@ -24,19 +26,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
 
 from .bailey import bailey_step, pair_catalog, pair_labels, verify_pair_relation
 from .catalog import catalog_ids, eval_named, normalize_id
-from .errors import (
-    Beta0NotZero,
-    FormPairMismatch,
-    UnknownId,
-    UnknownPair,
-    UnsupportedField,
-)
+from .errors import UnknownId, UnknownPair
 from .hecke import eval_blocks, hecke_catalog
 from .ideals import IdealQuery, ideal_series
 from .series import LaurentSeries
@@ -53,14 +50,7 @@ class UsageError(Exception):
     """A command-line argument outside its domain."""
 
 
-_USAGE_ERRORS = (
-    UsageError,
-    UnknownId,
-    UnknownPair,
-    UnsupportedField,
-    FormPairMismatch,
-    Beta0NotZero,
-)
+_USAGE_ERRORS = (UsageError, UnknownId, UnknownPair)
 
 
 def _emit_json(payload) -> None:
@@ -273,7 +263,13 @@ def main(argv=None) -> int:
         return 2
     try:
         _check_args(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early; keep the interpreter's last flush quiet
+        sys.stdout = open(os.devnull, "w")
+        return 141  # 128 + SIGPIPE
     except _USAGE_ERRORS as exc:
         # str() of a KeyError subclass is the repr of its message
         msg = exc.args[0] if exc.args else str(exc)

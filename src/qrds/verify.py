@@ -17,8 +17,8 @@ coefficient of any leg, exactly — there are no tolerances anywhere.
 
 ``verify_all`` plans its run: the theorem table and the corollary-term
 table name every (series id, horizon) its reports read, so each catalog
-series is summed once, at the highest of its horizons, and every report
-reads a truncation of that one sum.
+series is summed once, at the highest of its horizons, before the first
+report, and every report reads a truncation of that one sum.
 """
 
 from __future__ import annotations
@@ -220,43 +220,27 @@ def _planned_horizons(order: int) -> dict[str, int]:
     return plan
 
 
-class _PlannedSums:
-    """Serve every request of one verify_all run from one sum per series id.
-
-    The first request for an id sums it at its planned horizon through the
-    module-level ``eval_named``; every request is a truncation of that sum.
-    Asking beyond the plan is an internal fault, not a reason to re-sum.
-    """
-
-    def __init__(self, plan: dict[str, int]):
-        self.plan = plan
-        self.sums: dict[str, LaurentSeries] = {}
-
-    def __call__(self, series_id: str, horizon: int) -> LaurentSeries:
-        planned = self.plan.get(series_id)
-        if planned is None or horizon > planned:
-            raise InvariantViolation(
-                f"{series_id} requested through order {horizon}, planned through {planned}"
-            )
-        f = self.sums.get(series_id)
-        if f is None:
-            f = self.sums[series_id] = eval_named(series_id, planned)
-        return f.truncate(horizon)
-
-
-# The sums of the verify_all call in progress, if any.  verify_all sets it
-# and resets it on return, so no sum outlives its call; a context variable
-# rather than a parameter keeps the report functions' signatures.
-_SOURCE: ContextVar[_PlannedSums | None] = ContextVar("qrds_verify_sums", default=None)
+# The sums of the verify_all call in progress, if any: series id -> one
+# sum at its planned horizon.  verify_all sets it and resets it on return,
+# so no sum outlives its call; a context variable rather than a parameter
+# keeps the report functions' signatures.
+_SOURCE: ContextVar[dict[str, LaurentSeries] | None] = ContextVar("qrds_verify_sums", default=None)
 
 
 def _series(series_id: str, horizon: int) -> LaurentSeries:
-    """The catalog series through q**horizon: from the running verify_all
-    plan, or summed directly when no plan is running."""
-    source = _SOURCE.get()
-    if source is None:
+    """The catalog series through q**horizon: a truncation of the running
+    verify_all's sum, or summed directly when no plan is running.  Asking
+    beyond the plan is an internal fault, not a reason to re-sum."""
+    sums = _SOURCE.get()
+    if sums is None:
         return eval_named(series_id, horizon)
-    return source(series_id, horizon)
+    f = sums.get(series_id)
+    planned = None if f is None else f.order
+    if planned is None or horizon > planned:
+        raise InvariantViolation(
+            f"{series_id} requested through order {horizon}, planned through {planned}"
+        )
+    return f.truncate(horizon)
 
 
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
@@ -327,11 +311,12 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
     """Every check at one horizon, reports sorted by id.
 
     Each catalog series is summed once, at the highest horizon any report
-    reads it, and served to every report by truncation.  The sums are lazy,
-    so a shared sum's cost lands in the ``elapsed_ms`` of the first report
-    that reads it.  The sums are dropped when the call returns.
+    reads it, before the first report runs, and served to every report by
+    truncation.  So a report's ``elapsed_ms`` covers its own legs and none
+    of the shared sums.  The sums are dropped when the call returns.
     """
-    token = _SOURCE.set(_PlannedSums(_planned_horizons(order)))
+    plan = _planned_horizons(order)
+    token = _SOURCE.set({sid: eval_named(sid, h) for sid, h in plan.items()})
     try:
         reports = [verify_corollary(j, order) for j in _COROLLARIES]
         reports.append(verify_sigma(order))
@@ -343,7 +328,12 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
 
 def check_support_residue(index: int, order: int = 400) -> bool:
     """Every nonzero coefficient of the dilated series sits in the residue
-    class the ideal leg restricts to."""
+    class the ideal leg restricts to.
+
+    This holds for any series whatever its coefficients: every theorem has
+    ``dilate == modulus`` and ``shift`` congruent to ``residue`` mod
+    ``modulus``, so each exponent t*e + s of the dilation lies in the class.
+    The check guards the table, not the sums."""
     spec = _theorem(index)
     base = eval_named(spec.series_id, base_order_for(spec, order))
     dilated = base.dilate_shift(spec.dilate, spec.shift)

@@ -3,14 +3,26 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qrds
 import qrds.cli as cli
+import qrds.verify as verify_mod
 from qrds.catalog import eval_named
 from qrds.cli import main
-from qrds.errors import NonTerminating, NoStabilization
+from qrds.errors import (
+    Beta0NotZero,
+    FormPairMismatch,
+    NonTerminating,
+    NoStabilization,
+    UnsupportedField,
+)
 from qrds.verify import LegReport, VerificationReport
 
 
@@ -228,7 +240,11 @@ def test_usage_error_checked_before_computing(capsys, monkeypatch, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("error", [ValueError, NoStabilization, NonTerminating], ids=lambda e: e.__name__)
+@pytest.mark.parametrize(
+    "error",
+    [ValueError, NoStabilization, NonTerminating, FormPairMismatch, Beta0NotZero, UnsupportedField],
+    ids=lambda e: e.__name__,
+)
 def test_internal_value_error_is_not_usage(capsys, monkeypatch, error):
     # arguments are checked up front and the CLI sets no star budget, so
     # even a sum that does not terminate is an engine fault, not bad usage
@@ -240,6 +256,32 @@ def test_internal_value_error_is_not_usage(capsys, monkeypatch, error):
     assert rc == 3
     assert out == ""
     assert err.startswith(f"internal error: {error.__name__}: coefficient stored beyond declared order")
+
+
+def test_internal_table_fault_is_not_usage(capsys, monkeypatch):
+    # no argument reaches limit_form's pair check, so a mismatch is the table's fault
+    monkeypatch.setitem(verify_mod._PIPELINES, "L1", ("P2B", "A1", 1, 0))
+    rc, out, err = run(capsys, "verify", "--theorem", "1")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error: FormPairMismatch")
+
+
+def test_reader_closing_stdout_early_is_not_a_fault():
+    src = str(Path(qrds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["ideals", "--d", "2", "--residue", "0", "--modulus", "1", "--order", "100000", "--csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "qrds.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"exp,num,den")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141  # 128 + SIGPIPE
+    assert err == b""
 
 
 def test_argparse_rejections():

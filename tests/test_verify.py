@@ -33,6 +33,11 @@ def test_theorem_table_shape():
     assert (five.dilate, five.shift) == (2, -2)
     assert (five.field_d, five.restriction) == (3, "neg")
     assert five.weight == 2
+    # t*e + s lies in the residue class for every e, so check_support_residue
+    # holds whatever the series' coefficients are
+    for spec in table:
+        assert spec.dilate == spec.modulus
+        assert (spec.shift - spec.residue) % spec.modulus == 0
 
 
 def test_base_order_math():
@@ -191,6 +196,23 @@ def test_verify_all_sums_each_series_once(monkeypatch, order):
     assert [_timeless(r) for r in planned] == [_timeless(r) for r in alone]
 
 
+def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
+    calls = _recorded_eval_named(monkeypatch)
+    events = []
+
+    def leg(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append((name, len(calls)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(verify_mod, name, wrapped)
+
+    for name in ("eval_blocks", "ideal_series", "limit_form"):
+        leg(name, getattr(verify_mod, name))
+    verify_all(120)
+    assert len(calls) == 17
+    assert events and all(n_sums == 17 for _, n_sums in events)
+
+
 def test_plan_guard_raises_beyond_planned_horizon(monkeypatch):
     real = verify_mod._planned_horizons
 
@@ -202,9 +224,13 @@ def test_plan_guard_raises_beyond_planned_horizon(monkeypatch):
     monkeypatch.setattr(verify_mod, "_planned_horizons", under_planned)
     with pytest.raises(InvariantViolation, match=r"L6 requested through order 400, planned through 399"):
         verify_all(400)
-    with pytest.raises(InvariantViolation, match="L1"):
-        verify_mod._PlannedSums({})("L1", 3)
     assert verify_mod._SOURCE.get() is None  # the failed run's sums are gone
+    token = verify_mod._SOURCE.set({})
+    try:
+        with pytest.raises(InvariantViolation, match="L1"):
+            verify_mod._series("L1", 3)
+    finally:
+        verify_mod._SOURCE.reset(token)
 
 
 def test_fault_injection_through_verify_all(monkeypatch):
