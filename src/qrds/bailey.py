@@ -4,6 +4,10 @@ A pair (alpha, beta) relative to ``a`` (here always a = 1 or a = q) satisfies
 
     beta_n = sum_{k=0}^{n} alpha_k / ( (q)_{n-k} (aq)_{n+k} ).
 
+The eight catalog pairs are four families (``_PairFamily``: BK, P1, P2, P3)
+times two relations, a = 1 (BK1, P1A, P2A, P3A) and a = q (BK2, P1B, P2B,
+P3B), with one alpha shape per relation (``_alpha_one``, ``_alpha_q``).
+
 Every side is built on bare int lists by one level builder, ``_level``:
 the closed-form items of alpha_n or beta_n on a list through q**order,
 times and divided by binomials in place.  ``verify_pair_relation`` checks
@@ -32,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import add
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .catalog import Ratio, _factor_ratio, _ratio_sum
 from .errors import Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair
@@ -52,11 +57,6 @@ __all__ = [
 
 
 # ------------------------------------------------------------------- pairs
-
-
-def _jsum(c: int, e: int, jlo: int, jhi: int, A: int, B: int) -> list[tuple[int, int]]:
-    """(exponent, coefficient) items of c * q^e * sum_{j=jlo}^{jhi} q^(A j^2 + B j)."""
-    return [(e + A * j * j + B * j, c) for j in range(jlo, jhi + 1)]
 
 
 @dataclass(frozen=True)
@@ -83,131 +83,87 @@ class BaileyPair:
     beta_num: Callable[[int], list[tuple[int, int]]] = lambda m: []
 
 
-def _bk1_alpha(m: int) -> list[tuple[int, int]]:
-    if m == 0:
-        return []
+class _PairFamily(NamedTuple):
+    """An a = 1 / a = q couple of catalog pairs, ``labels`` in that order.
+
+    Every alpha_m is a sum of terms c * q^e * sum_j q^(A j^2 + b j): ``_full``
+    (b = ``b_full``, -n <= j <= n) or ``_off`` (b = ``b_off``, -n <= j < n,
+    e raised by ``delta``), in the shapes of ``_alpha_one`` and ``_alpha_q``.
+    The beta fields are the a = 1 pair's; the a = q pair's at m are these at
+    m + 1, with beta_first 0 in place of 1.
+    """
+
+    labels: tuple[str, str]
+    A: int
+    b_full: int
+    b_off: int
+    delta: int
+    beta_exp: Callable[[int], int]
+    beta_den: Callable[[int], list[tuple[int, int]]]
+    beta_ratio: Callable[[int], Ratio]
+    beta_num: Callable[[int], list[tuple[int, int]]] = lambda m: []
+
+
+def _full(f: _PairFamily, c: int, e: int, n: int) -> list[tuple[int, int]]:
+    return [(e + f.A * j * j + f.b_full * j, c) for j in range(-n, n + 1)]
+
+
+def _off(f: _PairFamily, c: int, e: int, n: int) -> list[tuple[int, int]]:
+    return [(e + f.delta + f.A * j * j + f.b_off * j, c) for j in range(-n, n)]
+
+
+def _alpha_one(f: _PairFamily, m: int) -> list[tuple[int, int]]:
+    """alpha_m of the a = 1 pair of ``f``, m = 2n + odd (alpha_0 = 0: no j at n = 0)."""
     n, odd = divmod(m, 2)
     if odd:
-        return _jsum(-1, 2 * n * n, -n, n, -2, 0) + _jsum(1, 2 * n * n + 4 * n + 2, -n, n, -2, 0)
-    return _jsum(1, 2 * n * n - 2 * n, -n, n - 1, -2, -2) + _jsum(-1, 2 * n * n + 2 * n, -n, n - 1, -2, -2)
+        return _full(f, -1, 2 * n * n, n) + _full(f, 1, 2 * n * n + 4 * n + 2, n)
+    return _off(f, 1, 2 * n * n - 2 * n, n) + _off(f, -1, 2 * n * n + 2 * n, n)
 
 
-def _bk2_alpha(m: int) -> list[tuple[int, int]]:
+def _alpha_q(f: _PairFamily, m: int) -> list[tuple[int, int]]:
+    """alpha_m of the a = q pair of ``f``, m = 2n + odd."""
     n, odd = divmod(m, 2)
     if odd:
-        return _jsum(-1, 2 * n * n + 4 * n + 2, -n, n, -2, 0) + _jsum(-1, 2 * n * n + 2 * n, -n - 1, n, -2, -2)
-    return _jsum(1, 2 * n * n + 2 * n, -n, n - 1, -2, -2) + _jsum(1, 2 * n * n, -n, n, -2, 0)
-
-
-def _p1a_alpha(m: int) -> list[tuple[int, int]]:
-    if m == 0:
-        return []
-    n, odd = divmod(m, 2)
-    if odd:
-        return _jsum(-1, 2 * n * n, -n, n, -2, -2) + _jsum(1, 2 * n * n + 4 * n + 2, -n, n, -2, -2)
-    return _jsum(1, 2 * n * n - 2 * n + 1, -n, n - 1, -2, 0) + _jsum(-1, 2 * n * n + 2 * n + 1, -n, n - 1, -2, 0)
-
-
-def _p1b_alpha(m: int) -> list[tuple[int, int]]:
-    n, odd = divmod(m, 2)
-    if odd:
-        return _jsum(-1, 2 * n * n + 2 * n + 1, -n - 1, n, -2, 0) + _jsum(-1, 2 * n * n + 4 * n + 2, -n, n, -2, -2)
-    return _jsum(1, 2 * n * n, -n, n, -2, -2) + _jsum(1, 2 * n * n + 2 * n + 1, -n, n - 1, -2, 0)
-
-
-def _p2a_alpha(m: int) -> list[tuple[int, int]]:
-    if m == 0:
-        return []
-    n, odd = divmod(m, 2)
-    if odd:
-        return _jsum(-1, 2 * n * n, -n, n, -4, -1) + _jsum(1, 2 * n * n + 4 * n + 2, -n, n, -4, -1)
-    return _jsum(1, 2 * n * n - 2 * n, -n, n - 1, -4, -3) + _jsum(-1, 2 * n * n + 2 * n, -n, n - 1, -4, -3)
-
-
-def _p2b_alpha(m: int) -> list[tuple[int, int]]:
-    n, odd = divmod(m, 2)
-    if odd:
-        return _jsum(-1, 2 * n * n + 2 * n, -n - 1, n, -4, -3) + _jsum(-1, 2 * n * n + 4 * n + 2, -n, n, -4, -1)
-    return _jsum(1, 2 * n * n, -n, n, -4, -1) + _jsum(1, 2 * n * n + 2 * n, -n, n - 1, -4, -3)
-
-
-def _p3a_alpha(m: int) -> list[tuple[int, int]]:
-    if m == 0:
-        return []
-    n, odd = divmod(m, 2)
-    if odd:
-        return _jsum(-1, 2 * n * n, -n, n, -4, -3) + _jsum(1, 2 * n * n + 4 * n + 2, -n, n, -4, -3)
-    return _jsum(1, 2 * n * n - 2 * n + 1, -n, n - 1, -4, -1) + _jsum(-1, 2 * n * n + 2 * n + 1, -n, n - 1, -4, -1)
-
-
-def _p3b_alpha(m: int) -> list[tuple[int, int]]:
-    n, odd = divmod(m, 2)
-    if odd:
-        return _jsum(-1, 2 * n * n + 2 * n + 1, -n - 1, n, -4, -1) + _jsum(-1, 2 * n * n + 4 * n + 2, -n, n, -4, -3)
-    return _jsum(1, 2 * n * n, -n, n, -4, -3) + _jsum(1, 2 * n * n + 2 * n + 1, -n, n - 1, -4, -1)
+        return _off(f, -1, 2 * n * n + 2 * n, n + 1) + _full(f, -1, 2 * n * n + 4 * n + 2, n)
+    return _full(f, 1, 2 * n * n, n) + _off(f, 1, 2 * n * n + 2 * n, n)
 
 
 def _range_factors(count: int, step: int, start: int) -> list[tuple[int, int]]:
     return [(1, start + step * i) for i in range(count)]
 
 
-_PAIRS: dict[str, BaileyPair] = {}
+_PAIR_FAMILIES = (
+    _PairFamily(("BK1", "BK2"), A=-2, b_full=0, b_off=-2, delta=0,
+                beta_exp=lambda m: 0,
+                beta_num=lambda m: _range_factors(m - 1, 2, 1),
+                beta_den=lambda m: _range_factors(2 * m - 1, 1, 1),
+                beta_ratio=lambda m: (-1, 0, ((1, 2 * m - 1),), ((1, 2 * m), (1, 2 * m + 1)))),
+    _PairFamily(("P1A", "P1B"), A=-2, b_full=-2, b_off=0, delta=1,
+                beta_exp=lambda m: 1 - m,
+                beta_den=lambda m: _range_factors(m - 1, 2, 2) + [(1, 2 * m - 1)],
+                beta_ratio=lambda m: (-1, -1, ((1, 2 * m - 1),), ((1, 2 * m), (1, 2 * m + 1)))),
+    _PairFamily(("P2A", "P2B"), A=-4, b_full=-1, b_off=-3, delta=0,
+                beta_exp=lambda m: -(m * (m - 1) // 2),
+                beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)],
+                beta_ratio=lambda m: (-1, -m, ((1, 2 * m - 1),), ((1, m), (1, 2 * m + 1)))),
+    _PairFamily(("P3A", "P3B"), A=-4, b_full=-3, b_off=-1, delta=1,
+                beta_exp=lambda m: 1 - m * (m + 1) // 2,
+                beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)],
+                beta_ratio=lambda m: (-1, -m - 1, ((1, 2 * m - 1),), ((1, m), (1, 2 * m + 1)))),
+)
 
 
-def _register(pair: BaileyPair) -> None:
-    _PAIRS[pair.label] = pair
+def _pairs(f: _PairFamily) -> tuple[BaileyPair, BaileyPair]:
+    """The a = 1 and a = q pairs of ``f``."""
+    def at_next(g: Callable) -> Callable:
+        return lambda m: g(m + 1)
+
+    beta = (f.beta_exp, f.beta_den, f.beta_ratio, f.beta_num)
+    return (BaileyPair(f.labels[0], "1", partial(_alpha_one, f), 1, *beta),
+            BaileyPair(f.labels[1], "q", partial(_alpha_q, f), 0, *map(at_next, beta)))
 
 
-_register(BaileyPair(
-    label="BK1", rel="1", alpha_items=_bk1_alpha, beta_first=1,
-    beta_exp=lambda m: 0,
-    beta_num=lambda m: _range_factors(m - 1, 2, 1),
-    beta_den=lambda m: _range_factors(2 * m - 1, 1, 1),
-    beta_ratio=lambda m: (-1, 0, ((1, 2 * m - 1),), ((1, 2 * m), (1, 2 * m + 1))),
-))
-_register(BaileyPair(
-    label="BK2", rel="q", alpha_items=_bk2_alpha, beta_first=0,
-    beta_exp=lambda m: 0,
-    beta_num=lambda m: _range_factors(m, 2, 1),
-    beta_den=lambda m: _range_factors(2 * m + 1, 1, 1),
-    beta_ratio=lambda m: (-1, 0, ((1, 2 * m + 1),), ((1, 2 * m + 2), (1, 2 * m + 3))),
-))
-_register(BaileyPair(
-    label="P1A", rel="1", alpha_items=_p1a_alpha, beta_first=1,
-    beta_exp=lambda m: 1 - m,
-    beta_den=lambda m: _range_factors(m - 1, 2, 2) + [(1, 2 * m - 1)],
-    beta_ratio=lambda m: (-1, -1, ((1, 2 * m - 1),), ((1, 2 * m), (1, 2 * m + 1))),
-))
-_register(BaileyPair(
-    label="P1B", rel="q", alpha_items=_p1b_alpha, beta_first=0,
-    beta_exp=lambda m: -m,
-    beta_den=lambda m: _range_factors(m, 2, 2) + [(1, 2 * m + 1)],
-    beta_ratio=lambda m: (-1, -1, ((1, 2 * m + 1),), ((1, 2 * m + 2), (1, 2 * m + 3))),
-))
-_register(BaileyPair(
-    label="P2A", rel="1", alpha_items=_p2a_alpha, beta_first=1,
-    beta_exp=lambda m: -(m * (m - 1) // 2),
-    beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)],
-    beta_ratio=lambda m: (-1, -m, ((1, 2 * m - 1),), ((1, m), (1, 2 * m + 1))),
-))
-_register(BaileyPair(
-    label="P2B", rel="q", alpha_items=_p2b_alpha, beta_first=0,
-    beta_exp=lambda m: -(m * (m + 1) // 2),
-    beta_den=lambda m: _range_factors(m, 1, 1) + [(1, 2 * m + 1)],
-    beta_ratio=lambda m: (-1, -m - 1, ((1, 2 * m + 1),), ((1, m + 1), (1, 2 * m + 3))),
-))
-_register(BaileyPair(
-    label="P3A", rel="1", alpha_items=_p3a_alpha, beta_first=1,
-    beta_exp=lambda m: 1 - m * (m + 1) // 2,
-    beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)],
-    beta_ratio=lambda m: (-1, -m - 1, ((1, 2 * m - 1),), ((1, m), (1, 2 * m + 1))),
-))
-_register(BaileyPair(
-    label="P3B", rel="q", alpha_items=_p3b_alpha, beta_first=0,
-    beta_exp=lambda m: -(m * (m + 3) // 2),
-    beta_den=lambda m: _range_factors(m, 1, 1) + [(1, 2 * m + 1)],
-    beta_ratio=lambda m: (-1, -m - 2, ((1, 2 * m + 1),), ((1, m + 1), (1, 2 * m + 3))),
-))
+_PAIRS: dict[str, BaileyPair] = {p.label: p for f in _PAIR_FAMILIES for p in _pairs(f)}
 
 
 def pair_labels() -> tuple[str, ...]:
@@ -315,8 +271,10 @@ class SteppedPair:
         return k * k + (k if self.rel == "q" else 0)
 
 
-def bailey_step(pair) -> SteppedPair:
+def bailey_step(pair: BaileyPair) -> SteppedPair:
     """Apply one iteration step with both free parameters at infinity."""
+    if not isinstance(pair, BaileyPair):
+        raise TypeError(f"bailey_step needs a catalog pair, got {pair!r}")
     return SteppedPair(pair)
 
 
@@ -383,12 +341,13 @@ def _alpha_side(pair: SteppedPair, form: LimitForm, order: int) -> LaurentSeries
     Level n is alpha_n's closed form, shifted, signed and divided by the
     form's binomial on one int list; for a = q the form's (1 - q) cancels
     the global 1/(1 - q) of alpha_n.  The last index is proven: an item is
-    c * q^(e + A j^2 + B j) with A < 0, least at an end of its j range, so
-    val(q^(u(n)) alpha_n) is n^2, n^2 + n, n^2 - n + 1, n^2, n(n + 1)/2,
-    n(n + 1)/2, n(n - 1)/2 + 1 or n(n - 1)/2 for BK1 to P3B, never below
-    n(n - 1)/2 (checked at every level: InvariantViolation).  The form's
-    exponent is >= 0 (checked) and every binomial has constant term 1, so
-    no level from the first n with n(n - 1)/2 > order on reaches q**order.
+    c * q^(e + A j^2 + b j) with A < 0, least at an end of its j range, so
+    val(q^(u(n)) alpha_n), for the a = 1 / a = q pair of each family, is
+    n^2 / n^2 + n for BK, n^2 - n + 1 / n^2 for P1, n(n + 1)/2 for both P2
+    and n(n - 1)/2 + 1 / n(n - 1)/2 for P3, never below n(n - 1)/2 (checked
+    at every level: InvariantViolation).  The form's exponent is >= 0
+    (checked) and every binomial has constant term 1, so no level from the
+    first n with n(n - 1)/2 > order on reaches q**order.
     """
     base, total, n = pair.base, [0] * (order + 1), form.n0
     while n * (n - 1) // 2 <= order:

@@ -364,6 +364,8 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     """Evaluate a named series exactly through q**order."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    if star_budget is not None and star_budget < 0:
+        raise ValueError("star_budget must be >= 0")
     key = normalize_id(series_id)
     if key in _SINGLES:
         (n0, c0, e0, den, ratio), bound = _SINGLES[key]

@@ -1,5 +1,6 @@
 """Pair catalog: defining relation, iteration step, limit transforms."""
 
+import re
 import sys
 from dataclasses import replace
 
@@ -129,8 +130,17 @@ def test_relation_catches_a_corrupted_alpha_item(step):
 def test_relation_needs_a_catalog_pair():
     with pytest.raises(TypeError):
         verify_pair_relation(object(), n_max=2, order=10)
+    twice = bailey.SteppedPair(bailey_step(pair_catalog("P2A")))
     with pytest.raises(TypeError):
-        verify_pair_relation(bailey_step(bailey_step(pair_catalog("P2A"))), n_max=2, order=10)
+        verify_pair_relation(twice, n_max=2, order=10)
+
+
+@pytest.mark.parametrize(
+    "arg", ["BK1", 42, bailey_step(pair_catalog("P2A"))], ids=["str", "int", "stepped"]
+)
+def test_step_needs_a_catalog_pair(arg):
+    with pytest.raises(TypeError, match=f"needs a catalog pair, got {re.escape(repr(arg))}$"):
+        bailey_step(arg)
 
 
 # ------------------------------------------------------------ limit forms

@@ -102,6 +102,13 @@ def test_eval_rejects_negative_order():
         eval_named("SIGMA", -1)
 
 
+@pytest.mark.parametrize("sid", ["L7", "SIGMA"])
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_eval_rejects_negative_star_budget(sid, budget):
+    with pytest.raises(ValueError, match="star_budget must be >= 0"):
+        eval_named(sid, 10, star_budget=budget)
+
+
 def test_order_zero():
     f = eval_named("SIGMA", 0)
     assert f.coefficient(0) == 1

@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of the offsets, horizons, coefficients and
 coefficient types of a series at several orders, or of the error raised;
-the ``verify_all`` digest is that of its JSON payloads without timings.
+the ``verify_all`` digest is that of its JSON payloads without timings, and
+the pair digest that of every catalog pair's closed forms for m < 60.
 Regenerate the table with ``python tests/test_pinned_outputs.py`` only when
 a change of output is intended, and say why in the change log.
 """
@@ -18,6 +19,7 @@ from qrds.verify import verify_all
 
 SERIES_ORDERS = tuple(range(41)) + (97, 200, 333)
 FORM_ORDERS = (0, 7, 60, 150)
+PAIR_LEVELS = 60
 
 
 def _canon(f) -> str:
@@ -43,6 +45,23 @@ def form_digest(label: str, form_id: str) -> str:
     return h.hexdigest()
 
 
+def pairs_digest() -> str:
+    """rel and beta_first of each pair, then per m: alpha_m's items summed
+    into a sorted exponent -> coefficient list, and beta_m's fields and ratio."""
+    h = hashlib.sha256()
+    for label in pair_labels():
+        pair = pair_catalog(label)
+        h.update(repr((label, pair.rel, pair.beta_first)).encode())
+        for m in range(PAIR_LEVELS):
+            alpha: dict[int, int] = {}
+            for e, c in pair.alpha_items(m):
+                alpha[e] = alpha.get(e, 0) + c
+            fields = (sorted(alpha.items()), pair.beta_exp(m), pair.beta_num(m),
+                      pair.beta_den(m), pair.beta_ratio(m))
+            h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
 def verify_all_digest(order: int) -> str:
     payloads = [report.to_payload() for report in verify_all(order)]
     for payload in payloads:
@@ -51,6 +70,8 @@ def verify_all_digest(order: int) -> str:
 
 
 PINNED_VERIFY_ALL_400 = "4a6b96758bd2ebb36940e4dfbd1ad1c1bc5975d28b2aef4f3cc4b5aba1f438b7"
+
+PINNED_PAIRS = "166f930a803639133bcbb638d5897ba0e92e3bfddd9b0bba2f13e81f0633375d"
 
 PINNED_SERIES = {
     "SIGMA": "acbae69e9c57a6418c14d4aedbf959f19d07f91053460ae798b6119a95863b9d",
@@ -122,12 +143,17 @@ def test_limit_form_pinned(label, form_id):
     assert form_digest(label, form_id) == PINNED_FORMS[f"{label}/{form_id}"]
 
 
+def test_pairs_pinned():
+    assert pairs_digest() == PINNED_PAIRS
+
+
 def test_verify_all_pinned():
     assert verify_all_digest(400) == PINNED_VERIFY_ALL_400
 
 
 if __name__ == "__main__":
     print(f'PINNED_VERIFY_ALL_400 = "{verify_all_digest(400)}"\n')
+    print(f'PINNED_PAIRS = "{pairs_digest()}"\n')
     print("PINNED_SERIES = {")
     for sid in catalog_ids():
         print(f'    "{sid}": "{series_digest(sid)}",')
