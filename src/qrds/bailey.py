@@ -29,7 +29,8 @@ returning the two sides of the resulting identity as series.  Forms A1 and
 A1ALSO require a = 1 and beta_0 = 0; AQ and AQALSO require a = q.  The
 AQALSO form's beta side has terms that do not die off and is summed to its
 star value; every alpha side decays quadratically and is summed through a
-last index proven from the closed forms of alpha_n.
+last index proven from the closed forms of alpha_n.  ``beta_sides`` sums the
+beta sides of several pairs under one form together, each column once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import partial
 from operator import add
 from typing import Callable, NamedTuple
 
-from .catalog import Ratio, _factor_ratio, _ratio_sum
+from .catalog import Ratio, _factor_ratio, _Member, _ratio_sum
 from .errors import Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair
 from .series import LaurentSeries, div_binomial_into, first_mismatch, mul_binomial_into
 
@@ -52,6 +53,7 @@ __all__ = [
     "verify_pair_relation",
     "bailey_step",
     "limit_form",
+    "beta_sides",
     "form_labels",
 ]
 
@@ -222,7 +224,7 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     same way.  Returns a list of (n, (exponent, beta, sum)) mismatches;
     empty means the relation holds through q**order for every checked n.
     """
-    if isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair):
+    if isinstance(pair, SteppedPair):
         base, u = pair.base, pair._u_exp
     elif isinstance(pair, BaileyPair):
         base, u = pair, lambda k: 0
@@ -262,7 +264,9 @@ class SteppedPair:
     alpha'_n = q^(u(n)) alpha_n with u(n) = n^2 (+ n for a = q), and beta'_n
     as in ``bailey_step``."""
 
-    def __init__(self, base):
+    def __init__(self, base: BaileyPair):
+        if not isinstance(base, BaileyPair):
+            raise TypeError(f"SteppedPair needs a catalog pair, got {base!r}")
         self.base = base
         self.label = f"{base.label}*"
         self.rel = base.rel
@@ -270,11 +274,14 @@ class SteppedPair:
     def _u_exp(self, k: int) -> int:
         return k * k + (k if self.rel == "q" else 0)
 
+    def _beta_ratio(self, k: int) -> Ratio:
+        """q^(u(k+1) - u(k)) times the base pair's beta ratio at k."""
+        c, e, num, den = self.base.beta_ratio(k)
+        return c, e + self._u_exp(k + 1) - self._u_exp(k), num, den
+
 
 def bailey_step(pair: BaileyPair) -> SteppedPair:
     """Apply one iteration step with both free parameters at infinity."""
-    if not isinstance(pair, BaileyPair):
-        raise TypeError(f"bailey_step needs a catalog pair, got {pair!r}")
     return SteppedPair(pair)
 
 
@@ -363,43 +370,52 @@ def _alpha_side(pair: SteppedPair, form: LimitForm, order: int) -> LaurentSeries
     return LaurentSeries(0, total, order).scale(form.rhs_scale)
 
 
-def limit_form(pair, form_id: str, order: int):
-    """Both sides of a limit transform applied to a stepped catalog pair.
+def beta_sides(form_id: str, members: list[tuple[SteppedPair, int]]) -> list[LaurentSeries]:
+    """The beta sides of the limit form ``form_id`` for each (stepped pair,
+    order) of ``members``, each through its own q**order.
 
-    Returns (lhs, rhs).  lhs sums the beta side, rhs the alpha side; for a
-    matching pair/form combination the two agree through q**order.  The
-    beta side sum_n w_n beta'_n is the double sum of terms
+    A beta side sum_n w_n beta'_n is the double sum of terms
     w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out by the catalog's
     ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k: the n-step
     is the form's weight ratio, the k-step is q^(u(k+1) - u(k)) times the
     base pair's beta ratio and the seed is beta_n0 in closed form, so this
-    path shares no transcription with the direct double-sum catalog.  A
-    starred beta side comes back doubled and is halved here.  The alpha
-    side, a sum of closed forms, stops at a last index proven from them.
+    path shares no transcription with the direct double-sum catalog.  S_n
+    is the form's alone, so all members go through one ``_ratio_sum`` and
+    each column is summed once, in a store of this call that no catalog
+    sum reads.  A starred beta side comes back doubled and is halved here.
     """
     form = _lookup_form(form_id)
-    if not (isinstance(pair, SteppedPair) and isinstance(pair.base, BaileyPair)):
-        raise TypeError(f"limit_form needs a stepped catalog pair, got {pair!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if pair.rel != form.rel:
-        raise FormPairMismatch(
-            f"form {form.form_id} needs a pair relative to a = {form.rel}, "
-            f"got {pair.label} (a = {pair.rel})"
-        )
-    base, k0 = pair.base, form.n0
-    if k0 > 0 and base.beta_first == 0:  # beta'_0 = beta_0
-        raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
-    wc, we = form.w_seed
-    u = 2 if pair.rel == "q" else 1
+    k0, (wc, we) = form.n0, form.w_seed
+    batch = []
+    for pair, order in members:
+        if not isinstance(pair, SteppedPair):
+            raise TypeError(f"a limit form needs a stepped catalog pair, got {pair!r}")
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        if pair.rel != form.rel:
+            raise FormPairMismatch(
+                f"form {form.form_id} needs a pair relative to a = {form.rel}, "
+                f"got {pair.label} (a = {pair.rel})"
+            )
+        base = pair.base
+        if k0 > 0 and base.beta_first == 0:  # beta'_0 = beta_0
+            raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
+        seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
+                tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
+        batch.append(_Member(order, seed, pair._beta_ratio))
+    lhs = _ratio_sum(batch, k0, form.w_ratio, starred=form.starred)
+    return [f.scale(Fraction(1, 2)) for f in lhs] if form.starred else lhs
 
-    def p_ratio(k: int) -> Ratio:
-        c, e, num, den = base.beta_ratio(k)
-        return (c, e + 2 * k + u, num, den)
 
-    seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
-            tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-    lhs = _ratio_sum(order, seed, k0, form.w_ratio, p_ratio, starred=form.starred)
-    if form.starred:
-        lhs = lhs.scale(Fraction(1, 2))
-    return lhs, _alpha_side(pair, form, order)
+def limit_form(pair, form_id: str, order: int):
+    """Both sides of a limit transform applied to a stepped catalog pair.
+
+    Returns (lhs, rhs).  lhs sums the beta side, the one-member case of
+    ``beta_sides``, rhs the alpha side; for a matching pair/form combination
+    the two agree through q**order.  The alpha side, a sum of closed forms,
+    stops at a last index proven from them.  ``verify_all`` sums its beta
+    sides with ``beta_sides`` itself, one call per limit form, so they share
+    their columns in the pipeline's own store, never in the catalog's.
+    """
+    [lhs] = beta_sides(form_id, [(pair, order)])
+    return lhs, _alpha_side(pair, _lookup_form(form_id), order)

@@ -21,6 +21,15 @@ and L10, AQALSO L7, L8, L11 and L12; P2A serves L1/L9, P3A L3/L10, P2B
 L2/L11, P3B L4/L12, and P1A, BK1, BK2 and P1B L5..L8.  Both are written
 apart from ``bailey``, whose pipeline rebuilds each sum and checks them.
 
+The double sums of one family therefore have the same columns, and only the
+fold with P_k tells them apart.  ``eval_plan`` sums all the double sums of a
+family it is asked for in one ``_ratio_sum`` call, whose column store lives
+for that call only: each column is summed once, at the highest horizon any
+member needs it, and each member folds truncated copies.  ``eval_named`` is
+the one-member case.  The pipeline's beta sides of one limit form share their
+columns the same way (``bailey.beta_sides``), in a store of their own: no
+catalog column ever serves a beta side.
+
 The last level comes from a proof, not from a streak of vanishing terms:
 every binomial has constant term 1 and every monomial exponent is >= 0
 (checked), so each level's valuation is known exactly before any
@@ -57,6 +66,7 @@ _HALF = Fraction(1, 2)
 __all__ = [
     "catalog_ids",
     "eval_named",
+    "eval_plan",
     "normalize_id",
 ]
 
@@ -267,42 +277,75 @@ def _horner(ratios: list[Ratio], heads: list[list], buf: list, h: int) -> list:
     return buf if sgn == 1 else [-x for x in buf]
 
 
-def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int,
-           head: Callable[[int, int, int], list], cap: int, starred: bool = False) -> list:
-    """W_j through q**h of the chain W_n = head(n, h_n, v_n) + ratio(n) * W_(n+1).
+def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
+          starred: bool = False) -> tuple[list[Ratio], list[tuple[int, int, int]], bool]:
+    """The levels (n, h_n, v_n) of a chain from level j, the ratios between
+    them, and whether its last level is a star tail.
 
     Every binomial has constant term 1 and every exponent is >= 0, so level n
     has valuation exactly v_n = v + e_j + ... + e_(n-1) and is needed through
     h_n = h - (e_j + ... + e_(n-1)), both known before any arithmetic.  The
-    last level is the last with h_n >= 0, or one whose ratio is 0, and its
-    value is its head.  A starred chain also ends at a level whose ratio is
-    -1 through its horizon, where the tail 1 - 1 + 1 - ... has star value
-    1/2; its heads are doubled and that level's value is 1.  More than
-    ``cap`` levels raise NoStabilization.
+    last level is the last with h_n >= 0, or one whose ratio is 0.  A starred
+    chain also ends at a level whose ratio is -1 through its horizon, where
+    the tail 1 - 1 + 1 - ... has star value 1/2.  More than ``cap`` levels
+    raise NoStabilization.
     """
     ratios: list[Ratio] = []
-    heads: list[list] = []
+    levels = []
     while True:
-        top = head(j, h, v)
+        levels.append((j, h, v))
         c, e, num, den = r = _factor_ratio(ratio(j))
         if starred and c == -1 and not e and all(ee > h or not cc for cc, ee in num + den):
-            return _horner(ratios, heads, [1], h)
+            return ratios, levels, True
         if not c or e > h:
-            return _horner(ratios, heads, top[:], h)
+            return ratios, levels, False
         if len(ratios) >= cap:
             raise NoStabilization(f"no last level within {cap} levels from n={j - cap}", n_limit=cap)
         ratios.append(r)
-        heads.append(top)
         h -= e
         v += e
         j += 1
 
 
-def _ratio_sum(order: int, seed: Ratio, k0: int, s_ratio: Callable[[int], Ratio],
-               p_ratio: Callable[[int], Ratio] | None = None,
+def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int,
+           head: Callable[[int, int, int], list], cap: int, starred: bool = False) -> list:
+    """W_j through q**h of the chain W_n = head(n, h_n, v_n) + ratio(n) * W_(n+1).
+
+    The levels are ``_walk``'s; the last level's value is its head.  A
+    starred chain's heads are doubled and a star tail's value is 1.
+    """
+    ratios, levels, star = _walk(ratio, j, h, v, cap, starred)
+    heads = [head(*level) for level in levels]
+    last = heads.pop()
+    return _horner(ratios, heads, [1] if star else last[:], levels[-1][1])
+
+
+def _column(s_ratio: Callable[[int], Ratio], k: int, h: int, v: int,
+            unit: Callable[[int, int, int], list], cap: int, starred: bool) -> list:
+    """U_k through q**h, the chain 1 + rho(k) * (1 + rho(k + 1) * (...)) with
+    rho(n) = s_ratio(n) / (1 - q^(n+1-k)) and level k at valuation v."""
+    def down(n: int) -> Ratio:  # T(n, k) -> T(n + 1, k)
+        c, e, num, den = s_ratio(n)
+        return c, e, num, den + ((1, n + 1 - k),)
+
+    return _chain(down, k, h, v, unit, cap, starred)
+
+
+class _Member(NamedTuple):
+    """One sum of a ``_ratio_sum`` call: through q**order, first term
+    ``seed``, and ``p_ratio`` P_(k+1) / P_k for a double sum (None for a
+    single sum)."""
+
+    order: int
+    seed: Ratio
+    p_ratio: Callable[[int], Ratio] | None = None
+
+
+def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
                bound: Callable[[int], int] | None = None,
-               starred: bool = False, cap: int | None = None) -> LaurentSeries:
-    """A single or double ratio-chain sum through q**order, summed inside out.
+               starred: bool = False, cap: int | None = None) -> list[LaurentSeries]:
+    """Single or double ratio-chain sums sharing ``s_ratio``, ``k0``, ``bound``
+    and ``starred``, each through its own q**order, summed inside out.
 
     With no ``p_ratio``, the sum of the terms t_n, n >= k0, where t_k0 is
     ``seed`` and t_(n+1) / t_n is ``s_ratio(n)``.  With one, the sum of
@@ -312,14 +355,20 @@ def _ratio_sum(order: int, seed: Ratio, k0: int, s_ratio: Callable[[int], Ratio]
     U_k = 1 + rho_k(k) * (1 + rho_k(k + 1) * (...)),
     rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)), and the columns fold as the
     chain V_k = U_k + s_ratio(k) * p_ratio(k) * V_(k+1), the sum being
-    seed * V_k0.  A starred sum comes back doubled.  ``bound(n)`` is checked
-    against the valuation of every level n, outermost first
-    (InvariantViolation); ``cap`` (default 4 * order + 64) bounds the levels
-    of one chain.
+    seed * V_k0.  A starred sum comes back doubled.
+
+    U_k depends on neither ``seed`` nor ``p_ratio``, so the double sums share
+    their columns: every member's diagonal is walked first, which gives the
+    horizon and valuation each needs column k at, and column k is summed once,
+    through the highest of those horizons, at the least of those valuations.
+    Each member folds truncated copies, so no member sees another's work.
+    ``bound(n)`` is checked against the valuation of every level n, outermost
+    first (InvariantViolation); at the least valuation the check is at least
+    as strict as each member's own.  ``cap`` (default 4 * the highest order +
+    64) bounds the levels of one chain.
     """
-    c, v = _factor_ratio(seed)[:2]
-    if order < v or not c:
-        return LaurentSeries.zero(order)
+    if cap is None:
+        cap = 4 * max(m.order for m in members) + 64
     one = [2 if starred else 1]
 
     def unit(n: int, h: int, v: int) -> list:
@@ -327,25 +376,38 @@ def _ratio_sum(order: int, seed: Ratio, k0: int, s_ratio: Callable[[int], Ratio]
             raise InvariantViolation(f"valuation {v} below its bound {bound(n)} at n={n}")
         return one
 
-    def column(k: int, h: int, v: int) -> list:
-        def down(n: int) -> Ratio:  # T(n, k) -> T(n + 1, k)
-            c, e, num, den = s_ratio(n)
-            return c, e, num, den + ((1, n + 1 - k),)
+    def diagonal(p_ratio: Callable[[int], Ratio]) -> Callable[[int], Ratio]:
+        def step(k: int) -> Ratio:  # T(k, k) -> T(k + 1, k + 1)
+            cs, es, ns, ds = _factor_ratio(s_ratio(k))
+            cp, ep, np, dp = _factor_ratio(p_ratio(k))
+            return cs * cp, es + ep, ns + np, ds + dp
+        return step
 
-        return _chain(down, k, h, v, unit, cap, starred)
-
-    def diagonal(k: int) -> Ratio:  # T(k, k) -> T(k + 1, k + 1)
-        cs, es, ns, ds = _factor_ratio(s_ratio(k))
-        cp, ep, np, dp = _factor_ratio(p_ratio(k))
-        return cs * cp, es + ep, ns + np, ds + dp
-
-    if cap is None:
-        cap = 4 * order + 64
-    if p_ratio is None:
-        buf = _chain(s_ratio, k0, order - v, v, unit, cap, starred)
-    else:
-        buf = _chain(diagonal, k0, order - v, v, column, cap)
-    return LaurentSeries(0, _horner([seed], [[]], buf, order - v), order)
+    walks = {}
+    need: dict[int, tuple[int, int]] = {}  # k -> (highest horizon, least valuation)
+    for i, (order, seed, p_ratio) in enumerate(members):
+        c, v = _factor_ratio(seed)[:2]
+        if p_ratio is not None and order >= v and c:
+            walks[i] = _walk(diagonal(p_ratio), k0, order - v, v, cap)
+            for k, h, vk in walks[i][1]:
+                top, low = need.get(k, (h, vk))
+                need[k] = max(top, h), min(low, vk)
+    columns = {k: _column(s_ratio, k, h, v, unit, cap, starred) for k, (h, v) in need.items()}
+    sums = []
+    for i, (order, seed, p_ratio) in enumerate(members):
+        c, v = seed[:2]
+        if order < v or not c:
+            sums.append(LaurentSeries.zero(order))
+            continue
+        if p_ratio is None:
+            buf = _chain(s_ratio, k0, order - v, v, unit, cap, starred)
+        else:
+            ratios, levels, _ = walks[i]
+            heads = [columns[k][:h + 1] for k, h, _ in levels]
+            last = heads.pop()
+            buf = _horner(ratios, heads, last, levels[-1][1])
+        sums.append(LaurentSeries(0, _horner([seed], [[]], buf, order - v), order))
+    return sums
 
 
 def normalize_id(series_id: str) -> str:
@@ -369,11 +431,44 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     key = normalize_id(series_id)
     if key in _SINGLES:
         (n0, c0, e0, den, ratio), bound = _SINGLES[key]
-        return _ratio_sum(order, (c0, e0, (), den), n0, ratio, bound=bound, cap=star_budget)
-    form, pair, const = _DOUBLES[key]
+        [total] = _ratio_sum([_Member(order, (c0, e0, (), den))], n0, ratio, bound, cap=star_budget)
+        return total
+    return _family_sums(_DOUBLES[key][0], {key: order}, star_budget)[key]
+
+
+def _family_sums(form: str, horizons: dict[str, int],
+                 cap: int | None = None) -> dict[str, LaurentSeries]:
+    """The double sums ``horizons`` names, all of the family ``form``, each
+    through its own horizon, in one ``_ratio_sum``: their columns are
+    summed once, in a store that lives for this call only."""
     fam = _FAMILIES[form]
-    total = _ratio_sum(order, (fam.c0, fam.e0, (), ((1, 1),)), fam.k0, fam.s_ratio,
-                       _P_RATIOS[pair], fam.bound, fam.starred, star_budget)
-    if const:
-        total = total + LaurentSeries.monomial(const, 0, order)
-    return total
+    seed = (fam.c0, fam.e0, (), ((1, 1),))
+    members = [_Member(order, seed, _P_RATIOS[_DOUBLES[sid][1]]) for sid, order in horizons.items()]
+    sums = _ratio_sum(members, fam.k0, fam.s_ratio, fam.bound, fam.starred, cap)
+    out = {}
+    for (sid, order), total in zip(horizons.items(), sums):
+        const = _DOUBLES[sid][2]
+        out[sid] = total + LaurentSeries.monomial(const, 0, order) if const else total
+    return out
+
+
+def eval_plan(horizons: dict[str, int]) -> dict[str, LaurentSeries]:
+    """Every series ``horizons`` names, through its own horizon, keyed by id.
+
+    A single sum goes through ``eval_named``; the double sums of one family
+    are summed together, so each of their columns is summed once, at the
+    highest horizon any of them needs.
+    """
+    out = {}
+    families: dict[str, dict[str, int]] = {}
+    for series_id, order in horizons.items():
+        key = normalize_id(series_id)
+        if key in _SINGLES:
+            out[key] = eval_named(key, order)
+        elif order < 0:
+            raise ValueError("order must be >= 0")
+        else:
+            families.setdefault(_DOUBLES[key][0], {})[key] = order
+    for form, members in families.items():
+        out.update(_family_sums(form, members))
+    return out

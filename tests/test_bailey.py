@@ -1,5 +1,6 @@
 """Pair catalog: defining relation, iteration step, limit transforms."""
 
+import itertools
 import re
 import sys
 from dataclasses import replace
@@ -130,9 +131,9 @@ def test_relation_catches_a_corrupted_alpha_item(step):
 def test_relation_needs_a_catalog_pair():
     with pytest.raises(TypeError):
         verify_pair_relation(object(), n_max=2, order=10)
-    twice = bailey.SteppedPair(bailey_step(pair_catalog("P2A")))
-    with pytest.raises(TypeError):
-        verify_pair_relation(twice, n_max=2, order=10)
+    # a twice-stepped pair cannot be built, so the relation never sees one
+    with pytest.raises(TypeError, match="needs a catalog pair, got <qrds.bailey.SteppedPair"):
+        bailey.SteppedPair(bailey_step(pair_catalog("P2A")))
 
 
 @pytest.mark.parametrize(
@@ -173,9 +174,27 @@ def test_pipeline_reproduces_catalog(series_id):
     assert got == eval_named(series_id, order)
 
 
+@pytest.mark.parametrize("form_id", sorted(form_labels()))
+def test_beta_sides_in_any_order_match_limit_form(form_id):
+    """The beta sides of one limit form share their columns; in every order
+    and at their own horizons each is the one ``limit_form`` gives alone."""
+    rel = bailey._lookup_form(form_id).rel
+    pairs = [bailey_step(pair_catalog(label)) for label in ALL_PAIRS if pair_catalog(label).rel == rel]
+    members = list(zip(pairs, (97, 150, 61, 120)))
+    def shape(f):
+        return f.offset, f.order, [(type(c).__name__, c) for c in f.coeffs]
+
+    want = [shape(limit_form(pair, form_id, order)[0]) for pair, order in members]
+    for perm in itertools.permutations(range(len(members))):
+        got = bailey.beta_sides(form_id, [members[i] for i in perm])
+        assert [shape(f) for f in got] == [want[i] for i in perm]
+
+
 def test_form_pair_mismatch():
     with pytest.raises(FormPairMismatch):
         limit_form(bailey_step(pair_catalog("P2A")), "AQ", 20)
+    with pytest.raises(FormPairMismatch):  # one bad member of a batch
+        bailey.beta_sides("AQ", [(bailey_step(pair_catalog("P2B")), 20), (bailey_step(pair_catalog("P2A")), 20)])
     with pytest.raises(FormPairMismatch):
         limit_form(bailey_step(pair_catalog("P2B")), "A1", 20)
     with pytest.raises(UnknownId):
@@ -185,6 +204,9 @@ def test_form_pair_mismatch():
 def test_beta0_must_vanish_for_shifted_forms():
     with pytest.raises(Beta0NotZero):
         limit_form(bailey_step(replace(pair_catalog("BK2"), rel="1")), "A1", 20)
+    with pytest.raises(Beta0NotZero):  # one bad member of a batch
+        bailey.beta_sides("A1", [(bailey_step(pair_catalog("BK1")), 20),
+                                 (bailey_step(replace(pair_catalog("BK2"), rel="1")), 20)])
 
 
 def test_limit_form_needs_stepped_catalog_pair():

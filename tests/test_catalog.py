@@ -332,7 +332,26 @@ def test_alpha_bound_violation_raises(monkeypatch, form_id):
         bailey.limit_form(bailey.bailey_step(bailey.pair_catalog("P3B")), form_id, 60)
 
 
-@pytest.mark.parametrize("script", [_BROKEN_BOUND, _BROKEN_ALPHA], ids=["catalog", "alpha"])
+# The same family with its bound raised at n = 5 alone, reached through
+# verify_all, where L5, L6, L9 and L10 share their columns: each column is
+# summed at the least valuation any member has, so the check still fires.
+_BROKEN_SHARED_BOUND = """
+import qrds.catalog as catalog
+import qrds.verify as verify
+from qrds.errors import InvariantViolation
+family = catalog._FAMILIES["A1ALSO"]
+catalog._FAMILIES["A1ALSO"] = family._replace(bound=lambda n: family.bound(n) + 100 * (n == 5))
+try:
+    verify.verify_all(400)
+except InvariantViolation as err:
+    raise SystemExit(0 if str(err).endswith("n=5") else 2)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "script", [_BROKEN_BOUND, _BROKEN_ALPHA, _BROKEN_SHARED_BOUND], ids=["catalog", "alpha", "shared"]
+)
 def test_valuation_bound_survives_optimized_mode(script):
     src = str(Path(qrds.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -461,6 +480,20 @@ def test_double_table_matches_its_pipeline(sid):
         assert p_ratio(n) == stepped_ratio(n)
 
 
+@pytest.mark.parametrize("form", sorted(catalog._FAMILIES))
+def test_family_members_in_any_order_match_eval_named(form):
+    """The double sums of one family share their columns; in every order and
+    at their own horizons each is the one ``eval_named`` gives alone, so no
+    member's fold changes a column another member reads."""
+    ids = [sid for sid, (fam, _, _) in catalog._DOUBLES.items() if fam == form]
+    orders = dict(zip(ids, (97, 150, 61, 120)))
+    want = {sid: shape(eval_named(sid, h)) for sid, h in orders.items()}
+    for perm in itertools.permutations(ids):
+        got = catalog._family_sums(form, {sid: orders[sid] for sid in perm})
+        assert list(got) == list(perm)
+        assert {sid: shape(f) for sid, f in got.items()} == want
+
+
 def _alpha_by_terms(stepped, form, order):
     def terms():
         n = form.n0
@@ -517,11 +550,17 @@ _FLIP = (-1, 0, (), ())
     st.lists(ratios(), max_size=4),
     st.lists(ratios(min_exponent=1), max_size=4),
     st.lists(ratios(), max_size=4),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), ratios(), st.lists(ratios(), max_size=4)),
+        max_size=2,
+    ),
 )
-def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss, ss_starred, ps):
+def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss, ss_starred, ps, others):
     # listed ratios, then a 0 multiplier ends each chain; a starred chain
     # instead runs into the -1 tail, and its listed ratios have an exponent
-    # >= 1, so no listed level can pass for that tail
+    # >= 1, so no listed level can pass for that tail.  A double sum shares
+    # its columns with ``others``, double sums of the same S-ratio with
+    # their own order, seed and P-ratios, each checked against its own terms.
     start = _apply(LaurentSeries.one(order), order, seed)
     if mode == "single":
         s_ratio = _listed(ss, k0, _STOP)
@@ -530,16 +569,18 @@ def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss
             want = want + term
             term = _apply(term, order, s_ratio(n))
             n += 1
-        got = catalog._ratio_sum(order, seed, k0, s_ratio)
-    else:
-        starred = mode == "starred"
-        s_ratio = _listed(ss_starred, k0, _FLIP) if starred else _listed(ss, k0, _STOP)
-        p_ratio = _listed(ps, k0, _STOP)
-        want = _oracle_sum(start, order, k0, p_ratio, s_ratio, starred)
-        if starred:
-            want = want.scale(2)
-        got = catalog._ratio_sum(order, seed, k0, s_ratio, p_ratio, starred=starred)
-    assert shape(got) == shape(want)
+        [got] = catalog._ratio_sum([catalog._Member(order, seed)], k0, s_ratio)
+        assert shape(got) == shape(want)
+        return
+    starred = mode == "starred"
+    s_ratio = _listed(ss_starred, k0, _FLIP) if starred else _listed(ss, k0, _STOP)
+    members = [(order, seed, ps)] + others
+    got = catalog._ratio_sum(
+        [catalog._Member(o, sd, _listed(p, k0, _STOP)) for o, sd, p in members], k0, s_ratio, starred=starred
+    )
+    for (o, sd, p), f in zip(members, got):
+        want = _oracle_sum(_apply(LaurentSeries.one(o), o, sd), o, k0, _listed(p, k0, _STOP), s_ratio, starred)
+        assert shape(f) == shape(want.scale(2) if starred else want)
 
 
 @pytest.mark.parametrize("negative", ["p_ratio", "s_ratio", "seed"])
@@ -547,7 +588,7 @@ def test_ratio_sum_rejects_negative_exponent(negative):
     ratio = {"p_ratio": (1, 1, (), ()), "s_ratio": (1, 1, (), ()), "seed": (1, 0, (), ())}
     ratio[negative] = (1, -1, (), ())
     with pytest.raises(InvariantViolation, match="negative monomial exponent"):
-        catalog._ratio_sum(10, ratio["seed"], 0, lambda n: ratio["s_ratio"], lambda k: ratio["p_ratio"])
+        catalog._ratio_sum([catalog._Member(10, ratio["seed"], lambda k: ratio["p_ratio"])], 0, lambda n: ratio["s_ratio"])
 
 
 @pytest.mark.parametrize("sid", sorted(HEADS))

@@ -1,11 +1,14 @@
 """End-to-end verification reports: legs, payloads, fault detection."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import qrds.bailey as bailey
+import qrds.catalog as catalog
 import qrds.verify as verify_mod
-from qrds.catalog import eval_named
+from qrds.catalog import eval_named, eval_plan
 from qrds.errors import InvariantViolation, UnknownId
 from qrds.series import LaurentSeries
 from qrds.verify import (
@@ -152,20 +155,29 @@ def test_fault_injection_corollary(monkeypatch):
     assert report.first_mismatch[0] == 7
 
 
-def _recorded_eval_named(monkeypatch, corrupt=None):
-    """Route verify's catalog calls through a recorder; ``corrupt`` maps a
-    series id to one exponent whose coefficient gains 1 whenever visible."""
+def _recorded_sums(monkeypatch, corrupt=None):
+    """Route verify's catalog sums through a recorder of (series id, horizon):
+    ``eval_named`` outside a plan, and the family driver ``eval_plan`` inside
+    one.  ``corrupt`` maps a series id to one exponent whose coefficient
+    gains 1 whenever visible."""
     calls = []
 
-    def recorded(series_id, order, star_budget=None):
-        calls.append((series_id, order))
-        f = eval_named(series_id, order, star_budget=star_budget)
+    def spoiled(series_id, f):
         e = (corrupt or {}).get(series_id)
-        if e is not None and order >= e:
+        if e is not None and f.order >= e:
             f = f + LaurentSeries.monomial(1, e, f.order)
         return f
 
+    def recorded(series_id, order, star_budget=None):
+        calls.append((series_id, order))
+        return spoiled(series_id, eval_named(series_id, order, star_budget=star_budget))
+
+    def planned(horizons):
+        calls.extend(horizons.items())
+        return {sid: spoiled(sid, f) for sid, f in eval_plan(horizons).items()}
+
     monkeypatch.setattr(verify_mod, "eval_named", recorded)
+    monkeypatch.setattr(verify_mod, "eval_plan", planned)
     return calls
 
 
@@ -184,7 +196,7 @@ def _timeless(report):
 
 @pytest.mark.parametrize("order", (0, 1, 2, 3, 7, 120, 400, 401))
 def test_verify_all_sums_each_series_once(monkeypatch, order):
-    calls = _recorded_eval_named(monkeypatch)
+    calls = _recorded_sums(monkeypatch)
     alone = _standalone_reports(order)
     highest = {}
     for sid, h in calls:
@@ -197,12 +209,19 @@ def test_verify_all_sums_each_series_once(monkeypatch, order):
 
 
 def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
-    calls = _recorded_eval_named(monkeypatch)
+    calls = _recorded_sums(monkeypatch)
+    sides = []
+
+    def beta_sides(form_id, members):
+        sides.extend(members)
+        return bailey.beta_sides(form_id, members)
+
+    monkeypatch.setattr(verify_mod, "beta_sides", beta_sides)
     events = []
 
     def leg(name, fn):
         def wrapped(*args, **kwargs):
-            events.append((name, len(calls)))
+            events.append((name, len(calls), len(sides)))
             return fn(*args, **kwargs)
         monkeypatch.setattr(verify_mod, name, wrapped)
 
@@ -210,7 +229,9 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
         leg(name, getattr(verify_mod, name))
     verify_all(120)
     assert len(calls) == 17
-    assert events and all(n_sums == 17 for _, n_sums in events)
+    assert len(sides) == 12  # one pipeline beta side per theorem
+    assert events and all((n_sums, n_sides) == (17, 12) for _, n_sums, n_sides in events)
+    assert "limit_form" not in {name for name, _, _ in events}
 
 
 def test_plan_guard_raises_beyond_planned_horizon(monkeypatch):
@@ -237,7 +258,7 @@ def test_fault_injection_through_verify_all(monkeypatch):
     """A corrupted L1 or L6 coefficient fails every report that reads the
     series, at the exponent the standalone report gives, and no other."""
     corrupt = {"L1": 5, "L6": 3}
-    _recorded_eval_named(monkeypatch, corrupt)
+    _recorded_sums(monkeypatch, corrupt)
     order = 200
     alone = {r.report_id: r for r in _standalone_reports(order)}
     planned = verify_all(order)
@@ -245,6 +266,64 @@ def test_fault_injection_through_verify_all(monkeypatch):
     assert failing == {"theorem-01", "corollary-1", "theorem-06", "corollary-2", "corollary-4"}
     for report in planned:  # same legs, same first mismatch as standalone
         assert _timeless(report) == _timeless(alone[report.report_id])
+
+
+def _column_store(s_ratio):
+    """(store, family) of a column's S-ratio: a catalog family or a limit form."""
+    for form, fam in catalog._FAMILIES.items():
+        if s_ratio is fam.s_ratio:
+            return "catalog", form
+    for form_id, form in bailey._FORMS.items():
+        if s_ratio is form.w_ratio:
+            return "pipeline", form_id
+    raise AssertionError(f"column of an unknown S-ratio {s_ratio!r}")
+
+
+def _recorded_columns(monkeypatch, corrupt=None):
+    """Route every column the ratio-chain sum computes through a recorder of
+    (store, family, k); ``corrupt`` is one (store, family, k) whose column
+    gains 1 in its constant term, in the store, for every member it serves."""
+    columns = []
+    real = catalog._column
+
+    def recorded(s_ratio, k, *args):
+        col = real(s_ratio, k, *args)
+        key = (*_column_store(s_ratio), k)
+        columns.append(key)
+        if key == corrupt:
+            col[0] += 1
+        return col
+
+    monkeypatch.setattr(catalog, "_column", recorded)
+    return columns
+
+
+def test_verify_all_sums_each_column_once(monkeypatch):
+    columns = _recorded_columns(monkeypatch)
+    verify_all(400)
+    counts = Counter(columns)
+    assert counts and set(counts.values()) == {1}
+    assert {(store, family) for store, family, _ in counts} == {
+        (store, family) for store in ("catalog", "pipeline") for family in ("A1", "AQ", "A1ALSO", "AQALSO")
+    }
+
+
+_A1ALSO = {"theorem-05", "theorem-06", "theorem-09", "theorem-10"}
+
+
+@pytest.mark.parametrize("store", ["catalog", "pipeline"])
+def test_corrupted_column_fails_only_its_store(monkeypatch, store):
+    """One corrupted A1ALSO column fails every leg that reads it: in the
+    catalog store, every leg reading L5, L6, L9 or L10, pipeline legs
+    included; in the pipeline store, only those theorems' pipeline legs."""
+    _recorded_columns(monkeypatch, corrupt=(store, "A1ALSO", 1))
+    failing = {(r.report_id, leg.name) for r in verify_all(400) for leg in r.legs if not leg.ok}
+    piped = {(rid, "pipeline") for rid in _A1ALSO}
+    if store == "catalog":
+        legs = {(rid, leg) for rid in _A1ALSO for leg in ("ideal", "theta")}
+        assert failing == legs | piped | {("corollary-2", "identity"), ("corollary-4", "identity")}
+    else:
+        assert failing == piped
 
 
 def test_lacunarity_report_shape():
