@@ -4,7 +4,8 @@ Every norm m <= N is counted two independent ways in one pass each:
 
 * an arithmetic one -- the number of integral ideals of Z[sqrt(D)] of norm m
   is ``sum_{d | m} chi(d)`` with chi = (Delta / .), Delta = 4D; chi has period
-  |Delta|, and ``sieve_counts`` adds it along about 2 sqrt(N) slices;
+  |Delta|, and ``sieve_counts`` adds it along strided slices, the d past
+  sqrt(N) one nonzero residue of chi at a time, so no slice adds a zero;
 * a lattice one -- the canonical representatives of u^2 - D v^2 = +-m, one
   per orbit of the fundamental totally positive unit, counted for every m at
   once by one sweep over each fundamental window (``_window_counts``), the
@@ -19,9 +20,10 @@ this on every norm through its horizon before it reads one residue class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from fractions import Fraction
+from itertools import repeat
 from math import isqrt
-from operator import add
+from operator import add, mul
 
 from .errors import InvariantViolation, UnsupportedField
 from .series import Coeff, LaurentSeries
@@ -171,27 +173,31 @@ def _sweep(counts: list[int], A: int, B: int, c: int, x1p: int) -> None:
     In row w every point has |z| (x1+1) <= c w, so its norm is at least
     w^2 (A (x1+1)^2 - B c^2) / (x1+1)^2.  For both windows the bracket is
     a positive multiple of 2 (x1+1), since x1^2 - D y1^2 = 1, so the bound
-    grows with w and the first row past ``limit`` ends the sweep.  Within a
-    row only the points with B z^2 >= A w^2 - limit are visited, all of them
-    counted.
+    grows with w and the sweep ends at the last w with w^2 times the bracket
+    at most limit (x1+1)^2.  Within a row only the points with
+    B z^2 >= A w^2 - limit are visited, all of them counted.  The row's
+    window is |z| <= hi = c w // (x1+1), symmetric except when (x1+1)
+    divides c w: then z = hi is in it and z = -hi is not.  So z and -z share
+    one step (+2), z = 0 is counted once and that lone edge point once.
     """
     limit = len(counts) - 1
     span = x1p * x1p
     gap = A * span - B * c * c
-    w = 1
-    while w * w * gap <= limit * span:
+    rows = isqrt(limit * span // gap)  # the last w with w^2 gap <= limit span
+    squares = [B * z * z for z in range(c * rows // x1p + 1)]
+    for w in range(1, rows + 1):
         top = A * w * w
-        lo = -(c * w) // x1p + 1
-        hi = c * w // x1p
+        hi, rem = divmod(c * w, x1p)
         need = top - limit
         if need <= 0:
-            zs = range(lo, hi + 1)
+            counts[top] += 1  # z = 0
+            r = 1
         else:
             r = isqrt(-(-need // B) - 1) + 1  # least r > 0 with B r^2 >= need
-            zs = chain(range(lo, -r + 1), range(r, hi + 1))
-        for z in zs:
-            counts[top - B * z * z] += 1
-        w += 1
+        for b in squares[r : hi + (rem > 0)]:
+            counts[top - b] += 2
+        if not rem and hi >= r:
+            counts[top - squares[hi]] += 1
 
 
 def _window_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
@@ -212,25 +218,32 @@ def sieve_counts(D: int, limit: int) -> list[int]:
 
     chi = (Delta / .) has period |Delta| (8, 12 and 24 are fundamental
     discriminants), so it is tabulated once per residue.  The pairs (d, k)
-    with d k <= limit split at s = isqrt(limit): each d <= s adds chi(d)
-    along counts[d::d], and each k <= limit // (s + 1) adds the run
-    chi(s + 1), ..., chi(limit // k) along counts[k (s + 1)::k].  That is
-    about 2 sqrt(limit) slice updates.
+    with d k <= limit split at s = isqrt(limit): each d <= s with chi(d) != 0
+    adds chi(d) along counts[d::d] (d = 1 sets the initial list of ones);
+    for each k <= limit // (s + 1), the d in
+    (s, limit // k] are taken one nonzero residue r of chi at a time, so
+    chi(r) is added along counts[k j0 : : k |Delta|] with j0 the least
+    j > s with j = r mod |Delta|.  That is at most (1 + phi(|Delta|)) sqrt(limit)
+    slice updates, and the second half touches only the d with chi(d) != 0:
+    a half of them for Delta = 8 and a third for 12 and 24.
     """
     delta = field_spec(D).discriminant
     if limit < 0:
         return []
-    period = [kronecker_symbol(delta, r or delta) for r in range(delta)]  # chi(0) = chi(delta) = 0
-    chi = (period * (limit // delta + 1))[: limit + 1]
-    counts = [0] * (limit + 1)
+    chi = [kronecker_symbol(delta, r or delta) for r in range(delta)]  # chi(0) = chi(delta) = 0
+    counts = [0] + [1] * limit
     s = isqrt(limit)
-    for d in range(1, s + 1):
-        if chi[d]:
-            counts[d::d] = map(add, counts[d::d], repeat(chi[d]))
+    for d in range(2, s + 1):
+        x = chi[d % delta]
+        if x:
+            counts[d::d] = map(add, counts[d::d], repeat(x))
+    # (j0, chi(r)) for each residue r with chi(r) != 0
+    runs = [(s + 1 + (r - s - 1) % delta, x) for r, x in enumerate(chi) if x]
     for k in range(1, limit // (s + 1) + 1):
-        top = limit // k
-        run = slice(k * (s + 1), k * top + 1, k)
-        counts[run] = map(add, counts[run], chi[s + 1 : top + 1])
+        stop = k * (limit // k) + 1
+        for j0, x in runs:
+            run = slice(k * j0, stop, k * delta)
+            counts[run] = map(add, counts[run], repeat(x))
     return counts
 
 
@@ -258,11 +271,20 @@ def ideal_series(
 
     Both counts of every norm through ``order`` are cross-checked first
     (see ``_ideal_counts``), so a miscount raises ``InvariantViolation``.
+    ``weight`` is an int or a Fraction; each coefficient is an int wherever
+    its value is integral.
     """
+    if not isinstance(weight, (int, Fraction)):
+        raise TypeError(f"weight must be an int or a Fraction, got {type(weight).__name__}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    counts = _ideal_counts(query.D, order, query.restriction)
     start = query.residue if query.residue else query.modulus
-    terms = zip(range(start, order + 1, query.modulus), islice(counts, start, None, query.modulus))
-    # streamed, so no list of terms is held beside ``counts``
-    return LaurentSeries.from_items(((m, c * weight) for m, c in terms if c), order)
+    counts = _ideal_counts(query.D, order, query.restriction)[start :: query.modulus]
+    p, d = weight.numerator, weight.denominator
+    scaled = map(mul, counts, repeat(p))
+    coeffs = [0] * max(order + 1 - start, 0)
+    if d == 1:
+        coeffs[:: query.modulus] = scaled
+    else:
+        coeffs[:: query.modulus] = [cp // d if cp % d == 0 else Fraction(cp, d) for cp in scaled]
+    return LaurentSeries(start, coeffs, order)

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,31 @@ def test_sieve_agrees_with_direct_counts():
             assert counts[m] == _divisor_sum(D, m), (D, m)
 
 
+def _chi_sieve(D, limit):
+    """sum_{d | m} chi(d) for every m <= limit, one Kronecker symbol and one
+    step per pair (d, m)."""
+    delta = field_spec(D).discriminant
+    ref = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        chi = kronecker_symbol(delta, d)
+        for m in range(d, limit + 1, d):
+            ref[m] += chi
+    return ref
+
+
+def test_sieve_split_in_every_residue_class():
+    # the d > isqrt(limit) half starts each residue r of chi at the least
+    # j > s = isqrt(limit) with j = r mod Delta; limits (Delta t + r)^2 - 1
+    # and (Delta t + r)^2 put s + 1 in every residue class
+    for D in (2, 3, 6):
+        delta = field_spec(D).discriminant
+        ref = _chi_sieve(D, (3 * delta) ** 2)
+        for t in (1, 2):
+            for r in range(delta):
+                for limit in ((delta * t + r) ** 2 - 1, (delta * t + r) ** 2):
+                    assert sieve_counts(D, limit) == ref[: limit + 1], (D, limit)
+
+
 def test_sieve_edge_horizons():
     for D in (2, 3, 6):
         assert sieve_counts(D, -1) == []
@@ -185,6 +211,35 @@ def test_window_counts_match_canonical_reps():
         for m in range(1, 3001):
             assert pos[m] == len(canonical_reps(D, m)), (D, m)
             assert neg[m] == len(canonical_reps(D, -m)), (D, m)
+
+
+def _per_point_sweep(counts, A, B, c, x1p):
+    """counts[a] += 1 for each a = A w^2 - B z^2 <= limit in the window
+    -c w < z (x1+1) <= c w, one point at a time, rows ended by the same
+    continuous bound as ``ideals._sweep``."""
+    limit = len(counts) - 1
+    span = x1p * x1p
+    gap = A * span - B * c * c
+    w = 1
+    while w * w * gap <= limit * span:
+        for z in range(-(c * w) // x1p + 1, c * w // x1p + 1):
+            a = A * w * w - B * z * z
+            if a <= limit:
+                counts[a] += 1
+        w += 1
+
+
+def test_window_counts_match_per_point_sweep():
+    # rows where (x1+1) divides c w have the lone edge point z = hi, such as
+    # w = 75 of the D = 6 positive window, (75, 25)
+    for D in (2, 3, 6):
+        f = field_spec(D)
+        pos = [0] * 3001
+        neg = [0] * 3001
+        _per_point_sweep(pos, 1, D, f.y1, f.x1 + 1)
+        _per_point_sweep(neg, D, 1, D * f.y1, f.x1 + 1)
+        for limit in range(3001):
+            assert _window_counts(D, limit) == (pos[: limit + 1], neg[: limit + 1]), (D, limit)
 
 
 def test_window_counts_near_arith_horizon():
@@ -273,6 +328,25 @@ def test_ideal_series_matches_per_norm_reference(order):
         got = ideal_series(q, order, weight=spec.weight)
         want = _reference_series(q, order, spec.weight)
         assert _typed(got) == _typed(want), (spec.index, order)
+
+
+def test_ideal_series_matches_per_term_assembly_at_arith_horizon():
+    # the weighted terms of the cross-checked counts, summed one at a time
+    order = 35017
+    for spec in theorem_table():
+        q = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
+        counts = ideals._ideal_counts(q.D, order, q.restriction)
+        start = q.residue if q.residue else q.modulus
+        terms = [(m, counts[m] * spec.weight) for m in range(start, order + 1, q.modulus)]
+        want = LaurentSeries.from_items(terms, order)
+        assert _typed(ideal_series(q, order, weight=spec.weight)) == _typed(want), spec.index
+
+
+@pytest.mark.parametrize("weight", [0.5, 2.0, Decimal("0.5"), "1/2"])
+def test_ideal_series_rejects_non_rational_weight(weight):
+    # a float weight would make float coefficients
+    with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
+        ideal_series(IdealQuery(2, 15, 32, "all"), 200, weight=weight)
 
 
 # ------------------------------------------------------- fault injection
