@@ -29,8 +29,11 @@ returning the two sides of the resulting identity as series.  Forms A1 and
 A1ALSO require a = 1 and beta_0 = 0; AQ and AQALSO require a = q.  The
 AQALSO form's beta side has terms that do not die off and is summed to its
 star value; every alpha side decays quadratically and is summed through a
-last index proven from the closed forms of alpha_n.  ``beta_sides`` sums the
-beta sides of several pairs under one form together, each column once.
+last index proven from the closed forms of alpha_n.  ``alpha_side`` is that
+side alone, and it is what ``verify``'s pipeline leg compares with the
+catalog series.  The beta side of each theorem is the catalog's own double
+sum (the same seed and ratios, pinned by the tests), so comparing it with
+the series would repeat one sum; the alpha side checks Bailey's lemma.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ __all__ = [
     "verify_pair_relation",
     "bailey_step",
     "limit_form",
-    "beta_sides",
+    "alpha_side",
     "form_labels",
 ]
 
@@ -342,8 +345,29 @@ def _lookup_form(form_id: str) -> LimitForm:
         raise UnknownId(f"unknown limit form {form_id!r}") from None
 
 
-def _alpha_side(pair: SteppedPair, form: LimitForm, order: int) -> LaurentSeries:
-    """rhs_scale * sum_{n >= n0} rhs_term(n) * q^(u(n)) * alpha_n through q**order.
+def _checked_form(pair, form_id: str, order: int) -> LimitForm:
+    """The limit form ``form_id``, once ``pair`` and ``order`` are checked
+    fit for it: ``pair`` must be a stepped catalog pair relative to the
+    form's a, ``order`` >= 0, and a form summed from n = 1 needs beta_0 = 0."""
+    form = _lookup_form(form_id)
+    if not isinstance(pair, SteppedPair):
+        raise TypeError(f"a limit form needs a stepped catalog pair, got {pair!r}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if pair.rel != form.rel:
+        raise FormPairMismatch(
+            f"form {form.form_id} needs a pair relative to a = {form.rel}, "
+            f"got {pair.label} (a = {pair.rel})"
+        )
+    if form.n0 > 0 and pair.base.beta_first == 0:  # beta'_0 = beta_0
+        raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
+    return form
+
+
+def alpha_side(pair: SteppedPair, form_id: str, order: int) -> LaurentSeries:
+    """The alpha side of the limit form ``form_id`` for the stepped pair
+    ``pair``, rhs_scale * sum_{n >= n0} rhs_term(n) * q^(u(n)) * alpha_n,
+    through q**order.
 
     Level n is alpha_n's closed form, shifted, signed and divided by the
     form's binomial on one int list; for a = q the form's (1 - q) cancels
@@ -356,6 +380,7 @@ def _alpha_side(pair: SteppedPair, form: LimitForm, order: int) -> LaurentSeries
     (checked) and every binomial has constant term 1, so no level from the
     first n with n(n - 1)/2 > order on reaches q**order.
     """
+    form = _checked_form(pair, form_id, order)
     base, total, n = pair.base, [0] * (order + 1), form.n0
     while n * (n - 1) // 2 <= order:
         items = base.alpha_items(n)
@@ -370,52 +395,24 @@ def _alpha_side(pair: SteppedPair, form: LimitForm, order: int) -> LaurentSeries
     return LaurentSeries(0, total, order).scale(form.rhs_scale)
 
 
-def beta_sides(form_id: str, members: list[tuple[SteppedPair, int]]) -> list[LaurentSeries]:
-    """The beta sides of the limit form ``form_id`` for each (stepped pair,
-    order) of ``members``, each through its own q**order.
-
-    A beta side sum_n w_n beta'_n is the double sum of terms
-    w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out by the catalog's
-    ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k: the n-step
-    is the form's weight ratio, the k-step is q^(u(k+1) - u(k)) times the
-    base pair's beta ratio and the seed is beta_n0 in closed form, so this
-    path shares no transcription with the direct double-sum catalog.  S_n
-    is the form's alone, so all members go through one ``_ratio_sum`` and
-    each column is summed once, in a store of this call that no catalog
-    sum reads.  A starred beta side comes back doubled and is halved here.
-    """
-    form = _lookup_form(form_id)
-    k0, (wc, we) = form.n0, form.w_seed
-    batch = []
-    for pair, order in members:
-        if not isinstance(pair, SteppedPair):
-            raise TypeError(f"a limit form needs a stepped catalog pair, got {pair!r}")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if pair.rel != form.rel:
-            raise FormPairMismatch(
-                f"form {form.form_id} needs a pair relative to a = {form.rel}, "
-                f"got {pair.label} (a = {pair.rel})"
-            )
-        base = pair.base
-        if k0 > 0 and base.beta_first == 0:  # beta'_0 = beta_0
-            raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
-        seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
-                tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-        batch.append(_Member(order, seed, pair._beta_ratio))
-    lhs = _ratio_sum(batch, k0, form.w_ratio, starred=form.starred)
-    return [f.scale(Fraction(1, 2)) for f in lhs] if form.starred else lhs
-
-
 def limit_form(pair, form_id: str, order: int):
     """Both sides of a limit transform applied to a stepped catalog pair.
 
-    Returns (lhs, rhs).  lhs sums the beta side, the one-member case of
-    ``beta_sides``, rhs the alpha side; for a matching pair/form combination
-    the two agree through q**order.  The alpha side, a sum of closed forms,
-    stops at a last index proven from them.  ``verify_all`` sums its beta
-    sides with ``beta_sides`` itself, one call per limit form, so they share
-    their columns in the pipeline's own store, never in the catalog's.
+    Returns (lhs, rhs); for a matching pair/form combination the two agree
+    through q**order.  rhs is ``alpha_side``.  lhs, the beta side
+    sum_n w_n beta'_n, is the double sum of terms
+    w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out by the catalog's
+    one-member ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k: the
+    n-step is the form's weight ratio, the k-step is q^(u(k+1) - u(k)) times
+    the base pair's beta ratio and the seed is beta_n0 in closed form, so
+    this path shares no transcription with the direct double-sum catalog.  A
+    starred beta side comes back doubled and is halved here.  ``verify``
+    reads only the alpha side: its pipeline leg checks that side against the
+    catalog series, and the tests check lhs = rhs.
     """
-    [lhs] = beta_sides(form_id, [(pair, order)])
-    return lhs, _alpha_side(pair, _lookup_form(form_id), order)
+    form = _checked_form(pair, form_id, order)
+    base, k0, (wc, we) = pair.base, form.n0, form.w_seed
+    seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
+            tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
+    [lhs] = _ratio_sum([_Member(order, seed, pair._beta_ratio)], k0, form.w_ratio, starred=form.starred)
+    return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)

@@ -19,16 +19,16 @@ S_n depends only on the limit form and P_k only on the stepped Bailey pair
 times eight P-ratios: A1 holds L1 and L3, AQ L2 and L4, A1ALSO L5, L6, L9
 and L10, AQALSO L7, L8, L11 and L12; P2A serves L1/L9, P3A L3/L10, P2B
 L2/L11, P3B L4/L12, and P1A, BK1, BK2 and P1B L5..L8.  Both are written
-apart from ``bailey``, whose pipeline rebuilds each sum and checks them.
+apart from ``bailey``, whose limit forms give the same seeds and ratios
+(the tests pin it); ``verify`` checks each double sum against its pipeline's
+alpha side, which no ratio chain here computes.
 
 The double sums of one family therefore have the same columns, and only the
 fold with P_k tells them apart.  ``eval_plan`` sums all the double sums of a
 family it is asked for in one ``_ratio_sum`` call, whose column store lives
 for that call only: each column is summed once, at the highest horizon any
 member needs it, and each member folds truncated copies.  ``eval_named`` is
-the one-member case.  The pipeline's beta sides of one limit form share their
-columns the same way (``bailey.beta_sides``), in a store of their own: no
-catalog column ever serves a beta side.
+the one-member case, and so is ``bailey.limit_form``'s beta side.
 
 The last level comes from a proof, not from a streak of vanishing terms:
 every binomial has constant term 1 and every monomial exponent is >= 0

@@ -125,14 +125,16 @@ class LaurentSeries:
 
     def __init__(self, offset: int, coeffs: Iterable[Coeff], order: int | None = None):
         co = list(coeffs)
-        # trim leading zeros (raising offset) and trailing zeros
+        # trim leading zeros (raising offset) and trailing zeros, in place,
+        # so that the owned copy is the only one
         lo = 0
         while lo < len(co) and not co[lo]:
             lo += 1
         hi = len(co)
         while hi > lo and not co[hi - 1]:
             hi -= 1
-        co = co[lo:hi]
+        del co[hi:]
+        del co[:lo]
         offset += lo
         if order is not None and co and offset + len(co) - 1 > order:
             raise ValueError("coefficient stored beyond declared order")

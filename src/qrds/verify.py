@@ -9,22 +9,27 @@ descriptions of the same coefficients:
                   (building it cross-checks the field's two ideal counts,
                   and a disagreement raises ``InvariantViolation``);
 * ``theta``     — the series equals its indefinite theta-function form;
-* ``pipeline``  — the series is reproduced from its Bailey pair through the
-                  iteration step and a bounded limit transform.
+* ``pipeline``  — the series, scaled and shifted, equals the alpha side of
+                  its Bailey pair's limit transform after the iteration
+                  step: the closed forms of alpha_n, summed through a proven
+                  last index (``bailey.alpha_side``).
 
 ``verify_theorem`` runs all three legs and reports the first mismatching
 coefficient of any leg, exactly — there are no tolerances anywhere.
 
+The pipeline leg checks Bailey's lemma, the step of the proof that the
+catalog sum does not already make: the transform's beta side is the
+catalog's double sum itself (the same seed and ratios, pinned by the
+tests), while its alpha side is built from the closed forms of alpha_n and
+shares no code path with the catalog sum.
+
 ``verify_all`` plans its run: the theorem table and the corollary-term
 table name every (series id, horizon) its reports read, so each catalog
 series is summed once, at the highest of its horizons, before the first
-report, and every report reads a truncation of that one sum.  Each
-theorem's pipeline beta side is summed up front too, at its base horizon.
-The sums sit in two stores kept apart: the catalog store, where the double
-sums of one family share their columns (``catalog.eval_plan``), and the
-pipeline store, where the beta sides of one limit form share theirs
-(``bailey.beta_sides``).  No column of one serves the other, so the
-pipeline leg still compares two separate sums.
+report, and every report reads a truncation of that one sum.  The double
+sums of one family share their columns (``catalog.eval_plan``).  The alpha
+sides are cheap and each report builds its own, the same way a lone
+``verify_theorem`` does.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bailey import bailey_step, beta_sides, limit_form, pair_catalog
+from .bailey import alpha_side, bailey_step, pair_catalog
 from .catalog import eval_named, eval_plan
 from .errors import InvariantViolation, UnknownId
 from .hecke import eval_blocks, hecke_catalog
@@ -226,36 +231,20 @@ def _planned_horizons(order: int) -> dict[str, int]:
     return plan
 
 
-def _planned_beta_sides(order: int) -> dict[str, LaurentSeries]:
-    """Every theorem's pipeline beta side at its base horizon, keyed by
-    series id; the beta sides of one limit form are summed together."""
-    forms: dict[str, list[TheoremSpec]] = {}
-    for spec in _THEOREMS:
-        forms.setdefault(_PIPELINES[spec.series_id][1], []).append(spec)
-    sides = {}
-    for form_id, specs in forms.items():
-        members = [(bailey_step(pair_catalog(_PIPELINES[spec.series_id][0])), base_order_for(spec, order))
-                   for spec in specs]
-        sides.update(zip((spec.series_id for spec in specs), beta_sides(form_id, members)))
-    return sides
-
-
-# The sums of the verify_all call in progress, if any, in two stores kept
-# apart: catalog series id -> one sum at its planned horizon, and theorem
-# series id -> its pipeline beta side.  verify_all sets both and resets them
-# on return, so no sum outlives its call; context variables rather than
-# parameters keep the report functions' signatures.
+# The sums of the verify_all call in progress, if any: catalog series id ->
+# one sum at its planned horizon.  verify_all sets it and resets it on
+# return, so no sum outlives its call; a context variable rather than a
+# parameter keeps the report functions' signatures.
 _SOURCE: ContextVar[dict[str, LaurentSeries] | None] = ContextVar("qrds_verify_sums", default=None)
-_BETAS: ContextVar[dict[str, LaurentSeries] | None] = ContextVar("qrds_verify_betas", default=None)
 
 
-def _planned(sums: dict[str, LaurentSeries], key: str, horizon: int, what: str = "") -> LaurentSeries:
+def _planned(sums: dict[str, LaurentSeries], key: str, horizon: int) -> LaurentSeries:
     """``sums[key]`` through q**horizon.  Asking beyond the plan is an
     internal fault, not a reason to re-sum."""
     f = sums.get(key)
     planned = None if f is None else f.order
     if planned is None or horizon > planned:
-        raise InvariantViolation(f"{key}{what} requested through order {horizon}, planned through {planned}")
+        raise InvariantViolation(f"{key} requested through order {horizon}, planned through {planned}")
     return f.truncate(horizon)
 
 
@@ -266,17 +255,6 @@ def _series(series_id: str, horizon: int) -> LaurentSeries:
     if sums is None:
         return eval_named(series_id, horizon)
     return _planned(sums, series_id, horizon)
-
-
-def _beta_side(series_id: str, horizon: int) -> LaurentSeries:
-    """The pipeline beta side of the theorem on ``series_id`` through
-    q**horizon: from the running verify_all's plan, or summed directly by
-    ``limit_form`` when no plan is running."""
-    sides = _BETAS.get()
-    if sides is None:
-        pair_label, form_id, _, _ = _PIPELINES[series_id]
-        return limit_form(bailey_step(pair_catalog(pair_label)), form_id, horizon)[0]
-    return _planned(sides, series_id, horizon, " beta side")
 
 
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
@@ -294,8 +272,8 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     theta = eval_blocks(hecke_catalog(spec.series_id), base_order)
     legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
 
-    _, _, scale, const = _PIPELINES[spec.series_id]
-    piped = _beta_side(spec.series_id, base_order).scale(scale)
+    pair_label, form_id, scale, const = _PIPELINES[spec.series_id]
+    piped = alpha_side(bailey_step(pair_catalog(pair_label)), form_id, base_order).scale(scale)
     if const:
         piped = piped + LaurentSeries.monomial(const, 0)
     legs.append(LegReport("pipeline", first_mismatch(piped, series, through=base_order)))
@@ -346,23 +324,19 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
     """Every check at one horizon, reports sorted by id.
 
     Each catalog series is summed once, at the highest horizon any report
-    reads it, and each theorem's pipeline beta side once, at its base
-    horizon, before the first report runs; every report reads a truncation.
-    The double sums of one family share their columns, and so do the beta
-    sides of one limit form, but in two stores: no catalog column serves a
-    beta side, so the pipeline leg still compares two separate sums.  A
-    report's ``elapsed_ms`` covers its own legs and none of the shared sums.
-    The sums are dropped when the call returns.
+    reads it, before the first report runs, and every report reads a
+    truncation; the double sums of one family share their columns.  Each
+    theorem's pipeline leg builds its own alpha side, as a lone
+    ``verify_theorem`` does.  A report's ``elapsed_ms`` covers its own legs,
+    alpha side included, and none of the shared sums.  The sums are dropped
+    when the call returns.
     """
-    sums = eval_plan(_planned_horizons(order))
-    sides = _planned_beta_sides(order)
-    token, betas = _SOURCE.set(sums), _BETAS.set(sides)
+    token = _SOURCE.set(eval_plan(_planned_horizons(order)))
     try:
         reports = [verify_corollary(j, order) for j in _COROLLARIES]
         reports.append(verify_sigma(order))
         reports.extend(verify_theorem(i, order) for i in range(1, 13))
     finally:
-        _BETAS.reset(betas)
         _SOURCE.reset(token)
     return sorted(reports, key=lambda r: r.report_id)
 

@@ -1,6 +1,5 @@
 """Pair catalog: defining relation, iteration step, limit transforms."""
 
-import itertools
 import re
 import sys
 from dataclasses import replace
@@ -10,6 +9,7 @@ import pytest
 import qrds.bailey as bailey
 import qrds.catalog as catalog
 from qrds.bailey import (
+    alpha_side,
     bailey_step,
     form_labels,
     limit_form,
@@ -174,39 +174,24 @@ def test_pipeline_reproduces_catalog(series_id):
     assert got == eval_named(series_id, order)
 
 
-@pytest.mark.parametrize("form_id", sorted(form_labels()))
-def test_beta_sides_in_any_order_match_limit_form(form_id):
-    """The beta sides of one limit form share their columns; in every order
-    and at their own horizons each is the one ``limit_form`` gives alone."""
-    rel = bailey._lookup_form(form_id).rel
-    pairs = [bailey_step(pair_catalog(label)) for label in ALL_PAIRS if pair_catalog(label).rel == rel]
-    members = list(zip(pairs, (97, 150, 61, 120)))
-    def shape(f):
-        return f.offset, f.order, [(type(c).__name__, c) for c in f.coeffs]
-
-    want = [shape(limit_form(pair, form_id, order)[0]) for pair, order in members]
-    for perm in itertools.permutations(range(len(members))):
-        got = bailey.beta_sides(form_id, [members[i] for i in perm])
-        assert [shape(f) for f in got] == [want[i] for i in perm]
-
-
 def test_form_pair_mismatch():
-    with pytest.raises(FormPairMismatch):
-        limit_form(bailey_step(pair_catalog("P2A")), "AQ", 20)
-    with pytest.raises(FormPairMismatch):  # one bad member of a batch
-        bailey.beta_sides("AQ", [(bailey_step(pair_catalog("P2B")), 20), (bailey_step(pair_catalog("P2A")), 20)])
-    with pytest.raises(FormPairMismatch):
-        limit_form(bailey_step(pair_catalog("P2B")), "A1", 20)
-    with pytest.raises(UnknownId):
-        limit_form(bailey_step(pair_catalog("P2A")), "B9", 20)
+    for side in (limit_form, alpha_side):
+        with pytest.raises(FormPairMismatch):
+            side(bailey_step(pair_catalog("P2A")), "AQ", 20)
+        with pytest.raises(FormPairMismatch):  # before any sum, whatever the order
+            side(bailey_step(pair_catalog("P1B")), "A1ALSO", 0)
+        with pytest.raises(FormPairMismatch):
+            side(bailey_step(pair_catalog("P2B")), "A1", 20)
+        with pytest.raises(UnknownId):
+            side(bailey_step(pair_catalog("P2A")), "B9", 20)
 
 
 def test_beta0_must_vanish_for_shifted_forms():
-    with pytest.raises(Beta0NotZero):
-        limit_form(bailey_step(replace(pair_catalog("BK2"), rel="1")), "A1", 20)
-    with pytest.raises(Beta0NotZero):  # one bad member of a batch
-        bailey.beta_sides("A1", [(bailey_step(pair_catalog("BK1")), 20),
-                                 (bailey_step(replace(pair_catalog("BK2"), rel="1")), 20)])
+    for side in (limit_form, alpha_side):
+        with pytest.raises(Beta0NotZero):
+            side(bailey_step(replace(pair_catalog("BK2"), rel="1")), "A1", 20)
+        with pytest.raises(Beta0NotZero):  # before any sum, whatever the order
+            side(bailey_step(replace(pair_catalog("P1B"), rel="1")), "A1ALSO", 0)
 
 
 def test_limit_form_needs_stepped_catalog_pair():

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,23 @@ def test_constructor_normalizes_and_trims():
     assert f.coeffs == [3, 0, 1]
     assert f.valuation() == 4
     assert f.degree() == 6
+
+
+def test_constructor_keeps_one_copy_of_its_input():
+    """Trimming works on the one owned copy: building a series from a long
+    list allocates that list once, not once more for the trimmed slice."""
+    for pad in (0, 50):
+        raw = [0] * pad + [i % 7 - 3 or 1 for i in range(35_002)] + [0] * pad
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = LaurentSeries(0, raw, 40_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (f.offset, len(f.coeffs)) == (pad, 35_002)
+        assert f.coeffs == raw[pad:pad + 35_002]
+        assert peak - before < 1.25 * sys.getsizeof(f.coeffs)
 
 
 def test_constructor_rejects_coefficient_beyond_order():

@@ -1,6 +1,8 @@
 """End-to-end verification reports: legs, payloads, fault detection."""
 
+import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -210,28 +212,26 @@ def test_verify_all_sums_each_series_once(monkeypatch, order):
 
 def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
     calls = _recorded_sums(monkeypatch)
-    sides = []
-
-    def beta_sides(form_id, members):
-        sides.extend(members)
-        return bailey.beta_sides(form_id, members)
-
-    monkeypatch.setattr(verify_mod, "beta_sides", beta_sides)
     events = []
 
-    def leg(name, fn):
-        def wrapped(*args, **kwargs):
-            events.append((name, len(calls), len(sides)))
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(verify_mod, name, wrapped)
+    def leg(namespace, name):
+        fn = getattr(namespace, name)
 
-    for name in ("eval_blocks", "ideal_series", "limit_form"):
-        leg(name, getattr(verify_mod, name))
+        def wrapped(*args, **kwargs):
+            events.append((name, len(calls)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(namespace, name, wrapped)
+
+    for name in ("eval_blocks", "ideal_series", "alpha_side"):
+        leg(verify_mod, name)
+    for name, module in list(sys.modules.items()):  # every binding of limit_form
+        if (name == "qrds" or name.startswith("qrds.")) and getattr(module, "limit_form", None) is bailey.limit_form:
+            leg(module, "limit_form")
     verify_all(120)
     assert len(calls) == 17
-    assert len(sides) == 12  # one pipeline beta side per theorem
-    assert events and all((n_sums, n_sides) == (17, 12) for _, n_sums, n_sides in events)
-    assert "limit_form" not in {name for name, _, _ in events}
+    assert events and all(n_sums == 17 for _, n_sums in events)
+    assert Counter(name for name, _ in events)["alpha_side"] == 12  # one pipeline alpha side per theorem
+    assert "limit_form" not in {name for name, _ in events}
 
 
 def test_plan_guard_raises_beyond_planned_horizon(monkeypatch):
@@ -304,26 +304,54 @@ def test_verify_all_sums_each_column_once(monkeypatch):
     counts = Counter(columns)
     assert counts and set(counts.values()) == {1}
     assert {(store, family) for store, family, _ in counts} == {
-        (store, family) for store in ("catalog", "pipeline") for family in ("A1", "AQ", "A1ALSO", "AQALSO")
+        ("catalog", family) for family in ("A1", "AQ", "A1ALSO", "AQALSO")
     }
 
 
 _A1ALSO = {"theorem-05", "theorem-06", "theorem-09", "theorem-10"}
 
 
-@pytest.mark.parametrize("store", ["catalog", "pipeline"])
+@pytest.mark.parametrize("store", ["catalog"])
 def test_corrupted_column_fails_only_its_store(monkeypatch, store):
-    """One corrupted A1ALSO column fails every leg that reads it: in the
-    catalog store, every leg reading L5, L6, L9 or L10, pipeline legs
-    included; in the pipeline store, only those theorems' pipeline legs."""
+    """One corrupted A1ALSO column of the catalog store, the only store,
+    fails every leg reading L5, L6, L9 or L10, pipeline legs included."""
     _recorded_columns(monkeypatch, corrupt=(store, "A1ALSO", 1))
     failing = {(r.report_id, leg.name) for r in verify_all(400) for leg in r.legs if not leg.ok}
-    piped = {(rid, "pipeline") for rid in _A1ALSO}
-    if store == "catalog":
-        legs = {(rid, leg) for rid in _A1ALSO for leg in ("ideal", "theta")}
-        assert failing == legs | piped | {("corollary-2", "identity"), ("corollary-4", "identity")}
-    else:
-        assert failing == piped
+    legs = {(rid, leg) for rid in _A1ALSO for leg in ("ideal", "theta", "pipeline")}
+    assert failing == legs | {("corollary-2", "identity"), ("corollary-4", "identity")}
+
+
+def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
+    """A fault in the ratio-chain driver that every catalog sum goes
+    through fails the pipeline leg of all twelve theorems: the alpha side
+    it is checked against is built without that driver.  (A beta side,
+    summed by the same driver, carries the same fault.)"""
+    real = catalog._horner
+
+    def faulty(*args):
+        buf = real(*args)
+        if len(buf) > 3:
+            buf[3] += 1
+        return buf
+
+    monkeypatch.setattr(catalog, "_horner", faulty)
+    failing = {r.report_id for r in verify_all(120) for leg in r.legs if leg.name == "pipeline" and not leg.ok}
+    assert failing == {f"theorem-{i:02d}" for i in range(1, 13)}
+
+
+def test_corrupted_alpha_item_fails_its_pipeline_legs(monkeypatch):
+    """One extra item q^-3 in alpha_3 of P2A fails exactly the pipeline legs
+    of the theorems on P2A, L1 under A1 and L9 under A1ALSO, at the
+    exponent the item reaches, planned and alone alike."""
+    p2a = bailey.pair_catalog("P2A")
+
+    def items(m):
+        return p2a.alpha_items(m) + ([(-3, 1)] if m == 3 else [])
+
+    monkeypatch.setitem(bailey._PAIRS, "P2A", replace(p2a, alpha_items=items))
+    for reports in (verify_all(400), _standalone_reports(400)):
+        failing = {(r.report_id, leg.name): leg.mismatch[0] for r in reports for leg in r.legs if not leg.ok}
+        assert failing == {("theorem-01", "pipeline"): 12, ("theorem-09", "pipeline"): 9}
 
 
 def test_lacunarity_report_shape():
