@@ -11,10 +11,12 @@ P3B), with one alpha shape per relation (``_alpha_one``, ``_alpha_q``).
 Every side is built on bare int lists by one level builder, ``_level``:
 the closed-form items of alpha_n or beta_n on a list through q**order,
 times and divided by binomials in place.  ``verify_pair_relation`` checks
-the relation coefficient-by-coefficient, keeping one list per k and
-dividing in the two new Pochhammer factors as n advances, so nothing is
-ever recomputed from scratch.  A stepped pair is its base pair plus the
-exponent u(n) of the step; nothing else of it is stored.
+the relation coefficient-by-coefficient with both sides multiplied by the
+unit (aq)_{2n}: the alpha side is then one Horner sum in k over the closed
+forms of alpha_k, two binomial passes per k on one list, and a catalog
+beta_n cancels the binomials its denominator shares with the unit before
+any list work.  A stepped pair is its base pair plus the exponent u(n) of
+the step; nothing else of it is stored.
 
 ``bailey_step`` applies the standard iteration with both free parameters
 sent to infinity,
@@ -38,9 +40,11 @@ the series would repeat one sum; the alpha side checks Bailey's lemma.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from operator import add
 from typing import Callable, NamedTuple
 
@@ -196,36 +200,57 @@ def _level(items, num, den, order: int) -> tuple[int, list]:
     if not items:
         return order + 1, []
     v = min(e for e, _ in items)
-    buf = [0] * max(0, order + 1 - v)
-    for e, c in items:
-        if e - v < len(buf):
-            buf[e - v] += c
+    m = max(0, order + 1 - v)
+    buf = [0] * min(m, max(e for e, _ in items) - v + 1)  # grows with the num product
+    _add_items(buf, v, items)
     for cc, ee in num:
-        mul_binomial_into(buf, cc, ee, len(buf))
+        mul_binomial_into(buf, cc, ee, m)
     for cc, ee in den:
-        div_binomial_into(buf, cc, ee, len(buf))
+        div_binomial_into(buf, cc, ee, m)
+    buf.extend(repeat(0, m - len(buf)))
     return v, buf
 
 
-def _sum_levels(levels: list[tuple[int, list]], order: int) -> LaurentSeries:
-    """The sum of ``levels`` through q**order."""
-    lo = min(v for v, _ in levels)
-    total = [0] * (order + 1 - lo)
-    for v, buf in levels:
-        total[v - lo:] = map(add, total[v - lo:], buf)
-    return LaurentSeries(lo, total, order)
+def _add_items(buf: list, v: int, items) -> None:
+    """Add c * q^e for each (e, c) of ``items`` to ``buf``, whose index i is q^(v + i)."""
+    for e, c in items:
+        if e - v < len(buf):
+            buf[e - v] += c
+
+
+def _cancel(num, den) -> tuple[list, list]:
+    """``num`` and ``den`` with the binomials they share removed, counted with multiplicity."""
+    num, den = Counter(num), Counter(den)
+    common = num & den
+    return list((num - common).elements()), list((den - common).elements())
+
+
+def _same(va: int, a: list, vb: int, b: list) -> bool:
+    """True when the lists a (from q^va) and b (from q^vb), both through one order, agree."""
+    if va > vb:
+        va, a, vb, b = vb, b, va, a
+    return not any(a[:vb - va]) and a[vb - va:] == b
 
 
 def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[int, tuple]]:
     """Check beta_n = sum_k alpha_k / ((q)_{n-k} (aq)_{n+k}) for n <= n_max.
 
     ``pair`` is a catalog pair or a stepped one, with alpha'_k =
-    q^(u(k)) alpha_k.  Each alpha_k is one int list, divided by (aq)_{2k}
-    when it enters and by (1 - q^(n-k))(1 - aq^(n+k)) in place as n
-    advances.  beta_n comes from its closed form; a stepped
-    beta'_n = sum_k q^(u(k)) beta_k / (q)_{n-k} keeps one list per k the
-    same way.  Returns a list of (n, (exponent, beta, sum)) mismatches;
-    empty means the relation holds through q**order for every checked n.
+    q^(u(k)) alpha_k.  At each n both sides are multiplied by the unit
+    U_n = (aq)_{2n}, times 1 - q for a = q (which clears the global
+    1/(1 - q) of alpha_k).  U_n has constant term 1, so the scaled sides
+    agree through q**order exactly when the sides do.  The scaled alpha side,
+    sum_k alpha_k (aq^(n+k+1))_{n-k} / (q)_{n-k}, is one Horner sum in k on
+    one int list: from alpha_0, each step multiplies by 1 - aq^(n+k),
+    divides by 1 - q^(n-k+1) and adds alpha_k's closed-form items, so no
+    alpha_k is ever a list of its own.  A catalog beta_n comes from its
+    closed form, with the binomials its denominator shares with U_n
+    cancelled first; a stepped beta'_n = sum_k q^(u(k)) beta_k / (q)_{n-k}
+    keeps one list per beta_k, divided by 1 - q^(n-k) in place as n
+    advances, and multiplies their sum by U_n.  Only at a failing n are the
+    sides divided by U_n again.  Returns a list of (n, (exponent, beta, sum))
+    mismatches; empty means the relation holds through q**order for every
+    checked n.
     """
     if isinstance(pair, SteppedPair):
         base, u = pair.base, pair._u_exp
@@ -236,26 +261,39 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     if n_max < 0 or order < 0:
         raise ValueError("n_max and order must be >= 0")
     a_exp = 0 if pair.rel == "1" else 1
-    alphas: list[tuple[int, list]] = []
+    va = order + 1  # the least exponent of alpha'_k over k <= n
     betas: list[tuple[int, list]] = []
     failures = []
     for n in range(n_max + 1):
-        for k, (_, buf) in enumerate(alphas):
-            div_binomial_into(buf, 1, n - k, len(buf))
-            div_binomial_into(buf, 1, a_exp + n + k, len(buf))
-        den = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # (aq)_{2n}, and 1 - q for a = q
-        alphas.append(_level([(e + u(n), c) for e, c in base.alpha_items(n)], (), den, order))
+        unit = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # U_n
+        va = min(va, min((e for e, _ in base.alpha_items(n)), default=va) + u(n))
+        alpha = [0] * max(0, order + 1 - va)
+        for k in range(n + 1):
+            if k:
+                mul_binomial_into(alpha, 1, a_exp + n + k, len(alpha))
+                div_binomial_into(alpha, 1, n - k + 1, len(alpha))
+            _add_items(alpha, va - u(k), base.alpha_items(k))
         items = [(base.beta_exp(n) + u(n), _sgn(n))] if n >= base.beta_first else []
-        beta = _level(items, base.beta_num(n), base.beta_den(n), order)
-        if base is pair:
-            betas = [beta]
-        else:
+        num, den = base.beta_num(n), base.beta_den(n)
+        if base is pair:  # U_n joins beta_n's closed form, less the binomials they share
+            betas, rest = [_level(items, *_cancel(num + unit, den), order)], ()
+        else:  # beta'_n sums every beta_k, so U_n multiplies the sum
             for k, (_, buf) in enumerate(betas):
                 div_binomial_into(buf, 1, n - k, len(buf))
-            betas.append(beta)
-        mm = first_mismatch(_sum_levels(betas, order), _sum_levels(alphas, order), through=order)
-        if mm is not None:
-            failures.append((n, mm))
+            betas.append(_level(items, num, den, order))
+            rest = unit
+        vb = min(v for v, _ in betas)
+        beta = [0] * max(0, order + 1 - vb)
+        for v, buf in betas:
+            beta[v - vb:] = map(add, beta[v - vb:], buf)
+        for cc, ee in rest:
+            mul_binomial_into(beta, cc, ee, len(beta))
+        if not _same(va, alpha, vb, beta):
+            for cc, ee in unit:
+                div_binomial_into(alpha, cc, ee, len(alpha))
+                div_binomial_into(beta, cc, ee, len(beta))
+            failures.append((n, first_mismatch(LaurentSeries(vb, beta, order),
+                                               LaurentSeries(va, alpha, order), through=order)))
     return failures
 
 

@@ -35,6 +35,7 @@ sides are cheap and each report builds its own, the same way a lone
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -362,11 +363,16 @@ def check_support_residue(index: int, order: int = 400) -> bool:
 def lacunarity_report(series_id: str, order: int) -> dict:
     """Dyadic nonzero-density profile of a named series; descriptive only."""
     f = eval_named(series_id, order)
+
+    def window(lo: int, hi: int) -> list:  # the coefficients of q^lo .. q^hi
+        return f.coeffs[max(0, lo - f.offset):max(0, hi + 1 - f.offset)]
+
     windows = []
     lo = 1
     while lo <= order:
         hi = min(2 * lo - 1, order)
-        nonzero = sum(1 for e in range(lo, hi + 1) if f.coefficient(e))
+        coeffs = window(lo, hi)
+        nonzero = len(coeffs) - coeffs.count(0)
         windows.append({
             "lo": lo,
             "hi": hi,
@@ -375,11 +381,7 @@ def lacunarity_report(series_id: str, order: int) -> dict:
             "density": round(nonzero / (hi - lo + 1), 6),
         })
         lo *= 2
-    values: dict[str, int] = {}
-    for e, c in f.items():
-        if 0 <= e <= order and c:
-            key = str(c)
-            values[key] = values.get(key, 0) + 1
+    values = Counter(map(str, filter(None, window(0, order))))
     return {
         "id": series_id,
         "order": order,

@@ -3,6 +3,7 @@
 import re
 import sys
 from dataclasses import replace
+from operator import add
 
 import pytest
 
@@ -19,7 +20,7 @@ from qrds.bailey import (
 )
 from qrds.catalog import eval_named
 from qrds.errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
-from qrds.series import LaurentSeries
+from qrds.series import LaurentSeries, div_binomial_into, first_mismatch
 from qrds.verify import verify_all
 
 ALL_PAIRS = ("BK1", "BK2", "P1A", "P1B", "P2A", "P2B", "P3A", "P3B")
@@ -126,6 +127,91 @@ def test_relation_catches_a_corrupted_alpha_item(step):
     want = [(2, (8, 13, 12)), (3, (8, 19, 18))] if step else [(2, (2, 6, 5)), (3, (2, -20, -21))]
     assert failures[:2] == want
     assert all(type(x) is int for _, mm in failures for x in mm)
+
+
+def relation_oracle(pair, n_max: int, order: int) -> list:
+    """The pair relation checked term by term, unscaled: one int list per
+    alpha_k (and per beta_k for a stepped pair), divided in place by the two
+    new Pochhammer factors as n advances, and the lists summed at every n."""
+    base, u = (pair.base, pair._u_exp) if isinstance(pair, bailey.SteppedPair) else (pair, lambda k: 0)
+    a_exp = 0 if pair.rel == "1" else 1
+
+    def total(levels):
+        lo = min(v for v, _ in levels)
+        out = [0] * (order + 1 - lo)
+        for v, buf in levels:
+            out[v - lo:] = map(add, out[v - lo:], buf)
+        return LaurentSeries(lo, out, order)
+
+    alphas, betas, failures = [], [], []
+    for n in range(n_max + 1):
+        for k, (_, buf) in enumerate(alphas):
+            div_binomial_into(buf, 1, n - k, len(buf))
+            div_binomial_into(buf, 1, a_exp + n + k, len(buf))
+        den = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # (aq)_{2n}, and 1 - q for a = q
+        alphas.append(bailey._level([(e + u(n), c) for e, c in base.alpha_items(n)], (), den, order))
+        items = [(base.beta_exp(n) + u(n), -1 if n % 2 else 1)] if n >= base.beta_first else []
+        beta = bailey._level(items, base.beta_num(n), base.beta_den(n), order)
+        if base is pair:
+            betas = [beta]
+        else:
+            for k, (_, buf) in enumerate(betas):
+                div_binomial_into(buf, 1, n - k, len(buf))
+            betas.append(beta)
+        mm = first_mismatch(total(betas), total(alphas), through=order)
+        if mm is not None:
+            failures.append((n, mm))
+    return failures
+
+
+def _with_beta_den(pair, m0, extra):
+    den = pair.beta_den
+    return replace(pair, beta_den=lambda m: den(m) + (extra if m == m0 else []))
+
+
+def _with_beta_exp_raised(pair, m0):
+    exp = pair.beta_exp
+    return replace(pair, beta_exp=lambda m: exp(m) + (m == m0))
+
+
+MUTANTS = {
+    "none": lambda p: p,
+    "alpha@3": lambda p: _with_alpha_item(p, 3, [(4, 1)]),
+    "alpha@5": lambda p: _with_alpha_item(p, 5, [(-3, -1)]),
+    "beta_den@4": lambda p: _with_beta_den(p, 4, [(1, 3)]),
+    "beta_exp@2": lambda p: _with_beta_exp_raised(p, 2),
+}
+SIZES = [(8, 60)] + [(n_max, order) for order in (0, 1, 3) for n_max in (0, 1, 6)]
+
+
+@pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])
+@pytest.mark.parametrize("label", ALL_PAIRS)
+def test_relation_matches_its_oracle(label, step):
+    # the scaled Horner check and the term-by-term oracle give the same
+    # failure list, mutant by mutant and size by size
+    for name, mutate in MUTANTS.items():
+        pair = mutate(pair_catalog(label))
+        if step:
+            pair = bailey_step(pair)
+        for n_max, order in SIZES:
+            failures = verify_pair_relation(pair, n_max=n_max, order=order)
+            assert failures == relation_oracle(pair, n_max, order), (name, n_max, order)
+        if name != "none":
+            assert verify_pair_relation(pair, n_max=8, order=60), name  # every mutant is seen
+
+
+@pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])
+@pytest.mark.parametrize("label", ALL_PAIRS)
+def test_relation_catches_a_corrupted_beta_factor(label, step):
+    # one extra denominator binomial in beta_4 breaks beta_4 alone, so the
+    # base relation fails at n = 4 only; a stepped beta'_n sums every beta_k
+    # with k <= n, so the stepped relation fails from n = 4 on
+    pair = _with_beta_den(pair_catalog(label), 4, [(1, 3)])
+    if step:
+        pair = bailey_step(pair)
+    failures = verify_pair_relation(pair, n_max=8, order=60)
+    assert [n for n, _ in failures] == ([4, 5, 6, 7, 8] if step else [4])
+    assert failures == relation_oracle(pair, 8, 60)
 
 
 def test_relation_needs_a_catalog_pair():

@@ -371,3 +371,25 @@ def test_lacunarity_report_shape():
     assert sum(payload["values"].values()) == sum(
         1 for e in range(0, 101) if f.coefficient(e)
     )
+
+
+def _lacunarity_by_coefficient(series_id: str, order: int) -> dict:
+    # one coefficient(e) call per exponent, window by window
+    f = eval_named(series_id, order)
+    windows, lo = [], 1
+    while lo <= order:
+        hi = min(2 * lo - 1, order)
+        nonzero = sum(1 for e in range(lo, hi + 1) if f.coefficient(e))
+        windows.append({"lo": lo, "hi": hi, "size": hi - lo + 1, "nonzero": nonzero,
+                        "density": round(nonzero / (hi - lo + 1), 6)})
+        lo *= 2
+    values = Counter(str(f.coefficient(e)) for e in range(order + 1) if f.coefficient(e))
+    return {"id": series_id, "order": order, "windows": windows,
+            "values": dict(sorted(values.items(), key=lambda kv: (len(kv[0]), kv[0])))}
+
+
+@pytest.mark.parametrize("series_id", ["SIGMA", "Z2"])
+def test_lacunarity_report_matches_a_count_by_coefficient(series_id):
+    payload, want = lacunarity_report(series_id, 300), _lacunarity_by_coefficient(series_id, 300)
+    assert payload == want and list(payload["values"]) == list(want["values"])  # in JSON order too
+    assert any(w["nonzero"] < w["size"] for w in payload["windows"])
