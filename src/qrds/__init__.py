@@ -10,7 +10,6 @@ from .bailey import (
     BaileyPair,
     SteppedPair,
     bailey_step,
-    form_labels,
     limit_form,
     pair_catalog,
     pair_labels,
@@ -26,7 +25,7 @@ from .errors import (
     UnknownPair,
     UnsupportedField,
 )
-from .hecke import HeckeBlock, HeckeBlockSet, eval_blocks, hecke_catalog, hecke_ids
+from .hecke import HeckeBlock, HeckeBlockSet, eval_blocks, hecke_catalog
 from .ideals import (
     FieldSpec,
     IdealQuery,
@@ -59,7 +58,6 @@ __all__ = [
     "HeckeBlockSet",
     "eval_blocks",
     "hecke_catalog",
-    "hecke_ids",
     "FieldSpec",
     "IdealQuery",
     "field_spec",
@@ -74,7 +72,6 @@ __all__ = [
     "SteppedPair",
     "pair_catalog",
     "pair_labels",
-    "form_labels",
     "bailey_step",
     "limit_form",
     "verify_pair_relation",

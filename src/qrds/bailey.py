@@ -61,7 +61,6 @@ __all__ = [
     "bailey_step",
     "limit_form",
     "alpha_side",
-    "form_labels",
 ]
 
 
@@ -369,10 +368,6 @@ _FORMS: dict[str, LimitForm] = {
         rhs_scale=Fraction(1, 2),
     ),
 }
-
-
-def form_labels() -> tuple[str, ...]:
-    return tuple(sorted(_FORMS))
 
 
 def _lookup_form(form_id: str) -> LimitForm:

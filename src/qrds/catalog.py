@@ -20,8 +20,9 @@ times eight P-ratios: A1 holds L1 and L3, AQ L2 and L4, A1ALSO L5, L6, L9
 and L10, AQALSO L7, L8, L11 and L12; P2A serves L1/L9, P3A L3/L10, P2B
 L2/L11, P3B L4/L12, and P1A, BK1, BK2 and P1B L5..L8.  Both are written
 apart from ``bailey``, whose limit forms give the same seeds and ratios
-(the tests pin it); ``verify`` checks each double sum against its pipeline's
-alpha side, which no ratio chain here computes.
+(the tests pin it); ``pipeline`` reads an id's pair, form, scale and
+constant off the same table, and ``verify`` checks each double sum against
+that pipeline's alpha side, which no ratio chain here computes.
 
 The double sums of one family therefore have the same columns, and only the
 fold with P_k tells them apart.  ``eval_plan`` sums all the double sums of a
@@ -68,6 +69,7 @@ __all__ = [
     "eval_named",
     "eval_plan",
     "normalize_id",
+    "pipeline",
 ]
 
 # a ratio is (c, e, num, den): multiply by c*q^e, then by (1 - cc*q^ee) for
@@ -278,6 +280,7 @@ def _horner(ratios: list[Ratio], heads: list[list], buf: list, h: int) -> list:
 
 
 def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
+          bound: Callable[[int], int] | None = None,
           starred: bool = False) -> tuple[list[Ratio], list[tuple[int, int, int]], bool]:
     """The levels (n, h_n, v_n) of a chain from level j, the ratios between
     them, and whether its last level is a star tail.
@@ -287,12 +290,15 @@ def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
     h_n = h - (e_j + ... + e_(n-1)), both known before any arithmetic.  The
     last level is the last with h_n >= 0, or one whose ratio is 0.  A starred
     chain also ends at a level whose ratio is -1 through its horizon, where
-    the tail 1 - 1 + 1 - ... has star value 1/2.  More than ``cap`` levels
-    raise NoStabilization.
+    the tail 1 - 1 + 1 - ... has star value 1/2.  Each level is checked
+    against ``bound(n)`` as it is reached, outermost first
+    (InvariantViolation); more than ``cap`` levels raise NoStabilization.
     """
     ratios: list[Ratio] = []
     levels = []
     while True:
+        if bound is not None and v < bound(j):
+            raise InvariantViolation(f"valuation {v} below its bound {bound(j)} at n={j}")
         levels.append((j, h, v))
         c, e, num, den = r = _factor_ratio(ratio(j))
         if starred and c == -1 and not e and all(ee > h or not cc for cc, ee in num + den):
@@ -307,28 +313,30 @@ def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
         j += 1
 
 
-def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int,
-           head: Callable[[int, int, int], list], cap: int, starred: bool = False) -> list:
-    """W_j through q**h of the chain W_n = head(n, h_n, v_n) + ratio(n) * W_(n+1).
+def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int, head: Callable[[int, int], list] | None,
+           cap: int, bound: Callable[[int], int] | None = None, starred: bool = False) -> list:
+    """W_j through q**h of the chain W_n = head(n, h_n) + ratio(n) * W_(n+1).
 
-    The levels are ``_walk``'s; the last level's value is its head.  A
-    starred chain's heads are doubled and a star tail's value is 1.
+    The levels are ``_walk``'s; with no ``head`` every head is 1, or 2 in a
+    starred chain, which is summed doubled.  The last level's value is its
+    head, or 1 at a star tail.
     """
-    ratios, levels, star = _walk(ratio, j, h, v, cap, starred)
-    heads = [head(*level) for level in levels]
+    ratios, levels, star = _walk(ratio, j, h, v, cap, bound, starred)
+    heads = [head(n, hn) for n, hn, _ in levels] if head else [[2 if starred else 1]] * len(levels)
     last = heads.pop()
     return _horner(ratios, heads, [1] if star else last[:], levels[-1][1])
 
 
-def _column(s_ratio: Callable[[int], Ratio], k: int, h: int, v: int,
-            unit: Callable[[int, int, int], list], cap: int, starred: bool) -> list:
+def _column(s_ratio: Callable[[int], Ratio], k: int, h: int, v: int, cap: int,
+            bound: Callable[[int], int] | None, starred: bool) -> list:
     """U_k through q**h, the chain 1 + rho(k) * (1 + rho(k + 1) * (...)) with
-    rho(n) = s_ratio(n) / (1 - q^(n+1-k)) and level k at valuation v."""
+    rho(n) = s_ratio(n) / (1 - q^(n+1-k)) and level k at valuation v; a
+    starred column is doubled."""
     def down(n: int) -> Ratio:  # T(n, k) -> T(n + 1, k)
         c, e, num, den = s_ratio(n)
         return c, e, num, den + ((1, n + 1 - k),)
 
-    return _chain(down, k, h, v, unit, cap, starred)
+    return _chain(down, k, h, v, None, cap, bound, starred)
 
 
 class _Member(NamedTuple):
@@ -361,20 +369,14 @@ def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
     their columns: every member's diagonal is walked first, which gives the
     horizon and valuation each needs column k at, and column k is summed once,
     through the highest of those horizons, at the least of those valuations.
-    Each member folds truncated copies, so no member sees another's work.
-    ``bound(n)`` is checked against the valuation of every level n, outermost
-    first (InvariantViolation); at the least valuation the check is at least
-    as strict as each member's own.  ``cap`` (default 4 * the highest order +
-    64) bounds the levels of one chain.
+    Each member then folds truncated copies along its diagonal, walked again,
+    so no member sees another's work.  ``bound(n)`` is checked against the
+    valuation of every level n of a single sum or a column; at the least
+    valuation the check is at least as strict as each member's own.  ``cap``
+    (default 4 * the highest order + 64) bounds the levels of one chain.
     """
     if cap is None:
         cap = 4 * max(m.order for m in members) + 64
-    one = [2 if starred else 1]
-
-    def unit(n: int, h: int, v: int) -> list:
-        if bound is not None and v < bound(n):
-            raise InvariantViolation(f"valuation {v} below its bound {bound(n)} at n={n}")
-        return one
 
     def diagonal(p_ratio: Callable[[int], Ratio]) -> Callable[[int], Ratio]:
         def step(k: int) -> Ratio:  # T(k, k) -> T(k + 1, k + 1)
@@ -383,29 +385,24 @@ def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
             return cs * cp, es + ep, ns + np, ds + dp
         return step
 
-    walks = {}
     need: dict[int, tuple[int, int]] = {}  # k -> (highest horizon, least valuation)
-    for i, (order, seed, p_ratio) in enumerate(members):
+    for order, seed, p_ratio in members:
         c, v = _factor_ratio(seed)[:2]
         if p_ratio is not None and order >= v and c:
-            walks[i] = _walk(diagonal(p_ratio), k0, order - v, v, cap)
-            for k, h, vk in walks[i][1]:
+            for k, h, vk in _walk(diagonal(p_ratio), k0, order - v, v, cap)[1]:
                 top, low = need.get(k, (h, vk))
                 need[k] = max(top, h), min(low, vk)
-    columns = {k: _column(s_ratio, k, h, v, unit, cap, starred) for k, (h, v) in need.items()}
+    columns = {k: _column(s_ratio, k, h, v, cap, bound, starred) for k, (h, v) in need.items()}
     sums = []
-    for i, (order, seed, p_ratio) in enumerate(members):
+    for order, seed, p_ratio in members:
         c, v = seed[:2]
         if order < v or not c:
             sums.append(LaurentSeries.zero(order))
             continue
         if p_ratio is None:
-            buf = _chain(s_ratio, k0, order - v, v, unit, cap, starred)
+            buf = _chain(s_ratio, k0, order - v, v, None, cap, bound, starred)
         else:
-            ratios, levels, _ = walks[i]
-            heads = [columns[k][:h + 1] for k, h, _ in levels]
-            last = heads.pop()
-            buf = _horner(ratios, heads, last, levels[-1][1])
+            buf = _chain(diagonal(p_ratio), k0, order - v, v, lambda k, h: columns[k][:h + 1], cap)
         sums.append(LaurentSeries(0, _horner([seed], [[]], buf, order - v), order))
     return sums
 
@@ -420,6 +417,18 @@ def normalize_id(series_id: str) -> str:
 
 def catalog_ids() -> tuple[str, ...]:
     return tuple(sorted(_SINGLES)) + tuple(sorted(_DOUBLES))
+
+
+def pipeline(series_id: str) -> tuple[str, str, int, int]:
+    """(pair label, limit form, scale, constant) of a double sum: the series
+    is scale times the limit form's value for the stepped pair, plus the
+    constant.  The scale is 2 for a starred family, whose sum is doubled.
+    Raises UnknownId for an id that is not a double sum."""
+    key = normalize_id(series_id)
+    if key not in _DOUBLES:
+        raise UnknownId(f"{key} is not a double sum")
+    form, label, const = _DOUBLES[key]
+    return label, form, 2 if _FAMILIES[form].starred else 1, const
 
 
 def eval_named(series_id: str, order: int, star_budget: int | None = None) -> LaurentSeries:

@@ -31,7 +31,6 @@ __all__ = [
     "HeckeBlockSet",
     "eval_blocks",
     "hecke_catalog",
-    "hecke_ids",
 ]
 
 
@@ -229,10 +228,6 @@ _CATALOG: dict[str, HeckeBlockSet] = {
         constants=((-2, 0),),
     ),
 }
-
-
-def hecke_ids() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))
 
 
 def hecke_catalog(series_id: str) -> HeckeBlockSet:

@@ -21,7 +21,9 @@ The pipeline leg checks Bailey's lemma, the step of the proof that the
 catalog sum does not already make: the transform's beta side is the
 catalog's double sum itself (the same seed and ratios, pinned by the
 tests), while its alpha side is built from the closed forms of alpha_n and
-shares no code path with the catalog sum.
+shares no code path with the catalog sum.  The pair, form, scale and
+constant come from ``catalog.pipeline``, which reads them off the row the
+double sum itself is summed from.
 
 ``verify_all`` plans its run: the theorem table and the corollary-term
 table name every (series id, horizon) its reports read, so each catalog
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bailey import alpha_side, bailey_step, pair_catalog
-from .catalog import eval_named, eval_plan
+from .catalog import eval_named, eval_plan, pipeline
 from .errors import InvariantViolation, UnknownId
 from .hecke import eval_blocks, hecke_catalog
 from .ideals import IdealQuery, ideal_series
@@ -94,23 +96,6 @@ _THEOREMS: tuple[TheoremSpec, ...] = (
     TheoremSpec(11, "L11", 48, 5, 6, 5, 48, "all", HALF),
     TheoremSpec(12, "L12", 48, -19, 6, 29, 48, "all", HALF),
 )
-
-# series id -> (pair label, limit form, scale, additive constant)
-_PIPELINES: dict[str, tuple[str, str, int, int]] = {
-    "L1": ("P2A", "A1", 1, 0),
-    "L2": ("P2B", "AQ", 1, 0),
-    "L3": ("P3A", "A1", 1, 0),
-    "L4": ("P3B", "AQ", 1, -1),
-    "L5": ("P1A", "A1ALSO", 1, 0),
-    "L6": ("BK1", "A1ALSO", 1, 0),
-    "L7": ("BK2", "AQALSO", 2, 0),
-    "L8": ("P1B", "AQALSO", 2, -1),
-    "L9": ("P2A", "A1ALSO", 1, 0),
-    "L10": ("P3A", "A1ALSO", 1, 0),
-    "L11": ("P2B", "AQALSO", 2, 0),
-    "L12": ("P3B", "AQALSO", 2, -2),
-}
-
 
 def theorem_table() -> tuple[TheoremSpec, ...]:
     return _THEOREMS
@@ -173,6 +158,11 @@ class VerificationReport:
             "legs": [leg.to_payload() for leg in self.legs],
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -260,6 +250,7 @@ def _series(series_id: str, horizon: int) -> LaurentSeries:
 
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     """Check one dilation/ideal entry at the given horizon, all legs exact."""
+    _check_order(order)
     spec = _theorem(index)
     t0 = time.perf_counter()
     base_order = base_order_for(spec, order)
@@ -273,7 +264,7 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     theta = eval_blocks(hecke_catalog(spec.series_id), base_order)
     legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
 
-    pair_label, form_id, scale, const = _PIPELINES[spec.series_id]
+    pair_label, form_id, scale, const = pipeline(spec.series_id)
     piped = alpha_side(bailey_step(pair_catalog(pair_label)), form_id, base_order).scale(scale)
     if const:
         piped = piped + LaurentSeries.monomial(const, 0)
@@ -298,6 +289,7 @@ def _term_sum(terms: tuple[_Term, ...], order: int) -> LaurentSeries:
 def verify_corollary(index: int, order: int = 400) -> VerificationReport:
     """Check one of the four dissection identities between the single-sum
     series Z2..Z5 and the double sums."""
+    _check_order(order)
     t0 = time.perf_counter()
     cor = _COROLLARIES.get(index)
     if cor is None:
@@ -313,6 +305,7 @@ def verify_corollary(index: int, order: int = 400) -> VerificationReport:
 
 def verify_sigma(order: int = 400) -> VerificationReport:
     """Check the weighted-count single sum against its indefinite theta form."""
+    _check_order(order)
     t0 = time.perf_counter()
     series = _term_sum((_SIGMA,), order)
     theta = eval_blocks(hecke_catalog("SIGMA"), order)
@@ -332,6 +325,7 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
     alpha side included, and none of the shared sums.  The sums are dropped
     when the call returns.
     """
+    _check_order(order)
     token = _SOURCE.set(eval_plan(_planned_horizons(order)))
     try:
         reports = [verify_corollary(j, order) for j in _COROLLARIES]
@@ -343,21 +337,16 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
 
 
 def check_support_residue(index: int, order: int = 400) -> bool:
-    """Every nonzero coefficient of the dilated series sits in the residue
-    class the ideal leg restricts to.
+    """Every exponent of the dilated series lies in the residue class the
+    ideal leg restricts to.
 
-    This holds for any series whatever its coefficients: every theorem has
-    ``dilate == modulus`` and ``shift`` congruent to ``residue`` mod
-    ``modulus``, so each exponent t*e + s of the dilation lies in the class.
-    The check guards the table, not the sums."""
+    Exponent e dilates to t*e + s, which lies in the class for every e exactly
+    when ``modulus`` divides ``dilate`` and ``shift - residue``.  So the
+    theorem's row decides it at every order, whatever the series'
+    coefficients are, and no series is summed; ``order`` is only checked."""
+    _check_order(order)
     spec = _theorem(index)
-    base = eval_named(spec.series_id, base_order_for(spec, order))
-    dilated = base.dilate_shift(spec.dilate, spec.shift)
-    return all(
-        e % spec.modulus == spec.residue % spec.modulus
-        for e, c in dilated.items()
-        if c and e <= order
-    )
+    return spec.dilate % spec.modulus == 0 and (spec.shift - spec.residue) % spec.modulus == 0
 
 
 def lacunarity_report(series_id: str, order: int) -> dict:

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import qrds
 import qrds.bailey as bailey
 import qrds.catalog as catalog
-import qrds.verify as verify
 from qrds.catalog import (
     catalog_ids,
     classical_sum,
@@ -23,6 +22,8 @@ from qrds.catalog import (
 )
 from qrds.errors import InvariantViolation, NonTerminating, NoStabilization, UnknownId
 from qrds.series import LaurentSeries
+
+from test_acceptance import PIPELINES  # the acceptance gate's own pipeline rows
 
 # ------------------------------------------------------------------ oracles
 #
@@ -313,6 +314,18 @@ raise SystemExit(1)
 """
 
 
+def test_valuation_bound_is_checked_before_the_level_cap(monkeypatch):
+    # L7's diagonal at order 300 has 17 levels and its first column about
+    # 300, so a cap of 20 levels stops that column; a bound broken at n = 5
+    # is met on the way and named, not outrun by the cap
+    with pytest.raises(NoStabilization):
+        eval_named("L7", 300, star_budget=20)
+    family = catalog._FAMILIES["AQALSO"]
+    monkeypatch.setitem(catalog._FAMILIES, "AQALSO", family._replace(bound=lambda n: 100 * (n == 5)))
+    with pytest.raises(InvariantViolation, match="below its bound 100 at n=5$"):
+        eval_named("L7", 300, star_budget=20)
+
+
 @pytest.mark.parametrize("sid", ["L5", "L6", "L9", "L10"])
 def test_valuation_bound_violation_raises(monkeypatch, sid):
     family = catalog._FAMILIES["A1ALSO"]
@@ -427,7 +440,7 @@ def test_double_rows_match_term_by_term(sid, order):
     assert shape(eval_named(sid, order)) == shape(want)
 
 
-_PIPELINE_PAIRS = sorted({(label, form_id) for label, form_id, _, _ in verify._PIPELINES.values()})
+_PIPELINE_PAIRS = sorted({catalog.pipeline(sid)[:2] for sid in catalog._DOUBLES})
 
 
 def _stepped_alpha(stepped, n, order):
@@ -462,6 +475,17 @@ def _stepped_p_ratio(stepped):
 
 
 @pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
+def test_pipeline_is_the_acceptance_row(sid):
+    assert catalog.pipeline(sid) == catalog.pipeline(sid.lower()) == PIPELINES[sid]
+
+
+@pytest.mark.parametrize("sid", ["SIGMA", "Z2", "Z3", "Z4", "Z5"])
+def test_pipeline_rejects_a_single_sum(sid):
+    with pytest.raises(UnknownId, match=f"{sid} is not a double sum"):
+        catalog.pipeline(sid)
+
+
+@pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
 def test_double_table_matches_its_pipeline(sid):
     """Each id's family and P-ratio, transcribed apart from ``bailey``, agree
     with its pipeline's limit form and stepped pair.
@@ -471,9 +495,8 @@ def test_double_table_matches_its_pipeline(sid):
     that bends only past the first 80 n, such as a floor division by a large
     constant.  So the catalog sum is the pipeline's beta side at every
     order, and ``verify`` does not sum that side again."""
-    form_id, label, const = catalog._DOUBLES[sid]
+    form_id, label, _ = catalog._DOUBLES[sid]
     fam, p_ratio = catalog._FAMILIES[form_id], catalog._P_RATIOS[label]
-    assert verify._PIPELINES[sid] == (label, form_id, 2 if fam.starred else 1, const)
     stepped = bailey.bailey_step(bailey.pair_catalog(label))
     form, base = bailey._lookup_form(form_id), stepped.base
     k0, (wc, we) = form.n0, form.w_seed

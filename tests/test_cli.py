@@ -13,7 +13,7 @@ import pytest
 
 import qrds
 import qrds.cli as cli
-import qrds.verify as verify_mod
+import qrds.catalog as catalog
 from qrds.catalog import eval_named
 from qrds.cli import main
 from qrds.errors import (
@@ -260,7 +260,7 @@ def test_internal_value_error_is_not_usage(capsys, monkeypatch, error):
 
 def test_internal_table_fault_is_not_usage(capsys, monkeypatch):
     # no argument reaches limit_form's pair check, so a mismatch is the table's fault
-    monkeypatch.setitem(verify_mod._PIPELINES, "L1", ("P2B", "A1", 1, 0))
+    monkeypatch.setitem(catalog._DOUBLES, "L1", ("A1", "P2B", 0))
     rc, out, err = run(capsys, "verify", "--theorem", "1")
     assert rc == 3
     assert out == ""

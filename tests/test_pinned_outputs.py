@@ -13,13 +13,14 @@ import json
 
 import pytest
 
-from qrds.bailey import bailey_step, form_labels, limit_form, pair_catalog, pair_labels
+from qrds.bailey import bailey_step, limit_form, pair_catalog, pair_labels
 from qrds.catalog import catalog_ids, eval_named
 from qrds.verify import verify_all
 
 SERIES_ORDERS = tuple(range(41)) + (97, 200, 333)
 FORM_ORDERS = (0, 7, 60, 150)
 PAIR_LEVELS = 60
+FORMS = ("A1", "A1ALSO", "AQ", "AQALSO")
 
 
 def _canon(f) -> str:
@@ -138,7 +139,7 @@ def test_series_pinned(sid):
 
 
 @pytest.mark.parametrize("label", pair_labels())
-@pytest.mark.parametrize("form_id", form_labels())
+@pytest.mark.parametrize("form_id", FORMS)
 def test_limit_form_pinned(label, form_id):
     assert form_digest(label, form_id) == PINNED_FORMS[f"{label}/{form_id}"]
 
@@ -159,6 +160,6 @@ if __name__ == "__main__":
         print(f'    "{sid}": "{series_digest(sid)}",')
     print("}\n\nPINNED_FORMS = {")
     for label in pair_labels():
-        for form_id in form_labels():
+        for form_id in FORMS:
             print(f'    "{label}/{form_id}": "{form_digest(label, form_id)}",')
     print("}")

@@ -112,9 +112,44 @@ def test_unknown_indices():
             verify_corollary(bad)
 
 
+def _no_sums(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a catalog series was summed")
+
+    monkeypatch.setattr(verify_mod, "eval_named", refuse)
+    monkeypatch.setattr(verify_mod, "eval_plan", refuse)
+
+
 @pytest.mark.parametrize("index", range(1, 13))
-def test_support_residue(index):
-    assert check_support_residue(index, order=200)
+def test_support_residue(monkeypatch, index):
+    _no_sums(monkeypatch)  # the theorem's row decides it
+    for order in (0, 200, 400, 10**6):
+        assert check_support_residue(index, order)
+
+
+@pytest.mark.parametrize("index", range(1, 13))
+def test_support_residue_rejects_a_wrong_row(monkeypatch, index):
+    # at order 0 no dilated exponent is visible yet, and the row still fails
+    _no_sums(monkeypatch)
+    spec = theorem_table()[index - 1]
+    for wrong in (dict(shift=spec.shift + 1), dict(shift=spec.shift - 1),
+                  dict(modulus=spec.dilate + 1), dict(modulus=2 * spec.dilate)):
+        rows = list(theorem_table())
+        rows[index - 1] = replace(spec, **wrong)
+        monkeypatch.setattr(verify_mod, "_THEOREMS", tuple(rows))
+        for order in (0, 400):
+            assert not check_support_residue(index, order), wrong
+
+
+def test_negative_order_raises_before_any_sum(monkeypatch):
+    _no_sums(monkeypatch)
+    checks = [lambda: verify_all(-1), lambda: verify_sigma(-1)]
+    checks += [lambda j=j: verify_corollary(j, -1) for j in range(1, 5)]
+    checks += [lambda i=i: verify_theorem(i, -1) for i in range(1, 13)]
+    checks += [lambda i=i: check_support_residue(i, -1) for i in range(1, 13)]
+    for check in checks:
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            check()
 
 
 def test_fault_injection(monkeypatch):
@@ -352,6 +387,37 @@ def test_corrupted_alpha_item_fails_its_pipeline_legs(monkeypatch):
     for reports in (verify_all(400), _standalone_reports(400)):
         failing = {(r.report_id, leg.name): leg.mismatch[0] for r in reports for leg in r.legs if not leg.ok}
         assert failing == {("theorem-01", "pipeline"): 12, ("theorem-09", "pipeline"): 9}
+
+
+@pytest.fixture(scope="module")
+def theorem_sums():
+    """The twelve theorems' series, each through the highest base horizon
+    of any theorem at order 400."""
+    top = max(base_order_for(spec, 400) for spec in theorem_table())
+    return eval_plan({spec.series_id: top for spec in theorem_table()})
+
+
+def test_every_leg_rejects_another_theorems_series(monkeypatch, theorem_sums):
+    """Negative control: at order 400 the series of each theorem passes all
+    three legs of its own theorem and fails all three of every other one."""
+    for sid, f in theorem_sums.items():
+        monkeypatch.setattr(verify_mod, "_series", lambda _, horizon, f=f: f.truncate(horizon))
+        for spec in theorem_table():
+            legs = verify_theorem(spec.index, 400).legs
+            assert [leg.ok for leg in legs] == [sid == spec.series_id] * 3, (sid, spec.index)
+
+
+@pytest.mark.parametrize("label, form_id", [("BK1", "A1"), ("BK2", "AQ"), ("P1A", "A1"), ("P1B", "AQ")])
+def test_unused_pipeline_fails_every_pipeline_leg(monkeypatch, theorem_sums, label, form_id):
+    """Negative control: a valid pair/form combination that no theorem uses,
+    put in place of each theorem's own, fails its pipeline leg at order 400."""
+    assert (label, form_id) not in {catalog.pipeline(sid)[:2] for sid in theorem_sums}
+    monkeypatch.setattr(verify_mod, "_series", lambda sid, horizon: theorem_sums[sid].truncate(horizon))
+    real = verify_mod.pipeline
+    monkeypatch.setattr(verify_mod, "pipeline", lambda sid: (label, form_id, *real(sid)[2:]))
+    for spec in theorem_table():
+        legs = {leg.name: leg.ok for leg in verify_theorem(spec.index, 400).legs}
+        assert legs == {"ideal": True, "theta": True, "pipeline": False}, spec.index
 
 
 def test_lacunarity_report_shape():
