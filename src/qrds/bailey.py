@@ -27,15 +27,17 @@ sent to infinity,
 which is the only step the double-sum pipelines need.
 
 ``limit_form`` applies one of four prepackaged n -> infinity transforms,
-returning the two sides of the resulting identity as series.  Forms A1 and
-A1ALSO require a = 1 and beta_0 = 0; AQ and AQALSO require a = q.  The
-AQALSO form's beta side has terms that do not die off and is summed to its
-star value; every alpha side decays quadratically and is summed through a
-last index proven from the closed forms of alpha_n.  ``alpha_side`` is that
-side alone, and it is what ``verify``'s pipeline leg compares with the
-catalog series.  The beta side of each theorem is the catalog's own double
-sum (the same seed and ratios, pinned by the tests), so comparing it with
-the series would repeat one sum; the alpha side checks Bailey's lemma.
+returning the two sides of the resulting identity as series.  Each form
+is one record of ``catalog._FAMILIES``, the table the catalog's double
+sums are summed from.  Forms A1 and A1ALSO require a = 1 and beta_0 = 0;
+AQ and AQALSO require a = q.  The AQALSO form's beta side has terms that
+do not die off and is summed to its star value; every alpha side decays
+quadratically and is summed through a last index proven from the closed
+forms of alpha_n.  ``alpha_side`` is that side alone, and it is what
+``verify``'s pipeline leg compares with the catalog series.  The beta side
+of each theorem is the catalog's own double sum (the same S ratio, and a
+seed and P-ratios pinned by the tests), so comparing it with the series
+would repeat one sum; the alpha side checks Bailey's lemma.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from itertools import repeat
 from operator import add
 from typing import Callable, NamedTuple
 
-from .catalog import Ratio, _factor_ratio, _Member, _ratio_sum
+from .catalog import _FAMILIES, Ratio, _factor_ratio, _Family, _Member, _ratio_sum, _sgn
 from .errors import Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair
 from .series import LaurentSeries, div_binomial_into, first_mismatch, mul_binomial_into
 
@@ -77,8 +79,9 @@ class BaileyPair:
         (-1)^m * q^(beta_exp(m)) * prod(beta_num(m)) / prod(beta_den(m))
 
     for m >= beta_first, and 0 below that; num/den entries (c, e) stand for
-    binomials 1 - c q^e.  ``beta_ratio(m)`` maps beta_m -> beta_{m+1} and is
-    what the row engines chain with.
+    binomials 1 - c q^e.  ``beta_ratio(m)`` maps beta_m -> beta_{m+1}; a
+    stepped pair's P-ratio, which ``limit_form``'s beta side chains with, is
+    built from it.
     """
 
     label: str
@@ -328,79 +331,38 @@ def bailey_step(pair: BaileyPair) -> SteppedPair:
 # ---------------------------------------------------------------- limit forms
 
 
-@dataclass(frozen=True)
-class LimitForm:
-    form_id: str
-    rel: str
-    starred: bool
-    n0: int
-    w_seed: tuple[int, int]  # weight w_{n0} as coeff, exponent
-    w_ratio: Callable[[int], Ratio]  # w_n -> w_{n+1}
-    rhs_term: Callable[[int], Ratio]  # applied to alpha_n
-    rhs_scale: int | Fraction = 1  # applied to the alpha side
-
-
-def _sgn(n: int) -> int:
-    return -1 if n % 2 else 1
-
-
-_FORMS: dict[str, LimitForm] = {
-    "A1": LimitForm(
-        form_id="A1", rel="1", starred=False, n0=1, w_seed=(-1, 1),
-        w_ratio=lambda n: (-1, n + 1, ((1, n),), ()),
-        rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ((1, n),)),
-    ),
-    "A1ALSO": LimitForm(
-        form_id="A1ALSO", rel="1", starred=False, n0=1, w_seed=(-2, 1),
-        w_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()),
-        rhs_term=lambda n: (_sgn(n), n, (), ((1, 2 * n),)),
-        rhs_scale=2,
-    ),
-    "AQ": LimitForm(
-        form_id="AQ", rel="q", starred=False, n0=0, w_seed=(1, 0),
-        w_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()),
-        rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ()),
-    ),
-    "AQALSO": LimitForm(
-        form_id="AQALSO", rel="q", starred=True, n0=0, w_seed=(1, 0),
-        w_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
-        rhs_term=lambda n: (_sgn(n), 0, (), ()),
-        rhs_scale=Fraction(1, 2),
-    ),
-}
-
-
-def _lookup_form(form_id: str) -> LimitForm:
+def _lookup_form(form_id: str) -> tuple[str, _Family]:
+    """The normalised name of the limit form ``form_id`` and its record."""
     key = str(form_id).strip().upper()
     try:
-        return _FORMS[key]
+        return key, _FAMILIES[key]
     except KeyError:
         raise UnknownId(f"unknown limit form {form_id!r}") from None
 
 
-def _checked_form(pair, form_id: str, order: int) -> LimitForm:
+def _checked_form(pair, form_id: str, order: int) -> _Family:
     """The limit form ``form_id``, once ``pair`` and ``order`` are checked
     fit for it: ``pair`` must be a stepped catalog pair relative to the
     form's a, ``order`` >= 0, and a form summed from n = 1 needs beta_0 = 0."""
-    form = _lookup_form(form_id)
+    key, form = _lookup_form(form_id)
     if not isinstance(pair, SteppedPair):
         raise TypeError(f"a limit form needs a stepped catalog pair, got {pair!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
     if pair.rel != form.rel:
         raise FormPairMismatch(
-            f"form {form.form_id} needs a pair relative to a = {form.rel}, "
+            f"form {key} needs a pair relative to a = {form.rel}, "
             f"got {pair.label} (a = {pair.rel})"
         )
-    if form.n0 > 0 and pair.base.beta_first == 0:  # beta'_0 = beta_0
-        raise Beta0NotZero(f"form {form.form_id} needs beta_0 = 0, {pair.label} has not")
+    if form.k0 > 0 and pair.base.beta_first == 0:  # beta'_0 = beta_0
+        raise Beta0NotZero(f"form {key} needs beta_0 = 0, {pair.label} has not")
     return form
 
 
 def alpha_side(pair: SteppedPair, form_id: str, order: int) -> LaurentSeries:
     """The alpha side of the limit form ``form_id`` for the stepped pair
-    ``pair``, rhs_scale * sum_{n >= n0} rhs_term(n) * q^(u(n)) * alpha_n,
-    through q**order.
+    ``pair``, rhs_scale * sum_{n >= k0} rhs_term(n) * q^(u(n)) * alpha_n,
+    through q**order, with the form's fields read from ``catalog._FAMILIES``.
 
     Level n is alpha_n's closed form, shifted, signed and divided by the
     form's binomial on one int list; for a = q the form's (1 - q) cancels
@@ -414,7 +376,7 @@ def alpha_side(pair: SteppedPair, form_id: str, order: int) -> LaurentSeries:
     first n with n(n - 1)/2 > order on reaches q**order.
     """
     form = _checked_form(pair, form_id, order)
-    base, total, n = pair.base, [0] * (order + 1), form.n0
+    base, total, n = pair.base, [0] * (order + 1), form.k0
     while n * (n - 1) // 2 <= order:
         items = base.alpha_items(n)
         sgn, e, num, den = _factor_ratio(form.rhs_term(n))
@@ -435,17 +397,19 @@ def limit_form(pair, form_id: str, order: int):
     through q**order.  rhs is ``alpha_side``.  lhs, the beta side
     sum_n w_n beta'_n, is the double sum of terms
     w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out by the catalog's
-    one-member ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k: the
-    n-step is the form's weight ratio, the k-step is q^(u(k+1) - u(k)) times
-    the base pair's beta ratio and the seed is beta_n0 in closed form, so
-    this path shares no transcription with the direct double-sum catalog.  A
-    starred beta side comes back doubled and is halved here.  ``verify``
-    reads only the alpha side: its pipeline leg checks that side against the
-    catalog series, and the tests check lhs = rhs.
+    one-member ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k.
+    The form lives in ``catalog._FAMILIES``: the n-step is its S ratio, the
+    same one the catalog's double sums use, and every row is checked against
+    its valuation bound.  The k-step is q^(u(k+1) - u(k)) times the base
+    pair's beta ratio and the seed is w_k0 times beta'_k0 in closed form,
+    both apart from the catalog's P-ratios and seeds.  A starred beta side
+    comes back doubled and is halved here.  ``verify`` reads only the alpha
+    side: its pipeline leg checks that side against the catalog series, and
+    the tests check lhs = rhs.
     """
     form = _checked_form(pair, form_id, order)
-    base, k0, (wc, we) = pair.base, form.n0, form.w_seed
+    base, k0, (wc, we) = pair.base, form.k0, form.w_seed
     seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
             tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-    [lhs] = _ratio_sum([_Member(order, seed, pair._beta_ratio)], k0, form.w_ratio, starred=form.starred)
+    [lhs] = _ratio_sum([_Member(order, seed, pair._beta_ratio)], k0, form.s_ratio, form.bound, form.starred)
     return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)

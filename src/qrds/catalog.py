@@ -18,11 +18,14 @@ S_n depends only on the limit form and P_k only on the stepped Bailey pair
 (P_k is its beta_k), so the twelve are four form families (``_Family``)
 times eight P-ratios: A1 holds L1 and L3, AQ L2 and L4, A1ALSO L5, L6, L9
 and L10, AQALSO L7, L8, L11 and L12; P2A serves L1/L9, P3A L3/L10, P2B
-L2/L11, P3B L4/L12, and P1A, BK1, BK2 and P1B L5..L8.  Both are written
-apart from ``bailey``, whose limit forms give the same seeds and ratios
-(the tests pin it); ``pipeline`` reads an id's pair, form, scale and
-constant off the same table, and ``verify`` checks each double sum against
-that pipeline's alpha side, which no ratio chain here computes.
+L2/L11, P3B L4/L12, and P1A, BK1, BK2 and P1B L5..L8.  A family is its
+limit form's one record: its S side is the form's own, which ``bailey``'s
+beta side reads from here, and the record also holds the form's alpha side.
+The seeds (c0, e0) and the P-ratios are written apart from ``bailey``'s
+pair closed forms (the tests pin the two); ``pipeline`` reads an id's pair,
+form, scale and constant off the same table, and ``verify`` checks each
+double sum against that pipeline's alpha side, which no ratio chain here
+computes.
 
 The double sums of one family therefore have the same columns, and only the
 fold with P_k tells them apart.  ``eval_plan`` sums all the double sums of a
@@ -189,27 +192,49 @@ _SINGLES: dict[str, tuple[_Single, Callable[[int], int]]] = {
 }
 
 
-class _Family(NamedTuple):
-    """The S side of the double sums of one limit form, keyed by the form's name.
+def _sgn(n: int) -> int:
+    return -1 if n % 2 else 1
 
-    T(k0, k0) = c0 * q^e0 / (1 - q), ``s_ratio(n)`` is S_(n+1) / S_n and
-    ``bound(n)`` a proven lower bound for the valuation of every term of
-    row n; a ``starred`` family's series is twice its sum's star value.
+
+class _Family(NamedTuple):
+    """One limit form, keyed by its name, read by the catalog's double sums
+    and by ``bailey``'s limit transform alike.
+
+    The form's beta side sums w_n beta'_n over n >= k0 for a stepped pair
+    relative to a = ``rel``, with w_k0 = ``w_seed`` (coeff, exponent) and
+    ``s_ratio(n)`` = S_(n+1) / S_n = w_(n+1) / w_n.  T(k0, k0) = c0 *
+    q^e0 / (1 - q) is the catalog's seed, w_k0 * beta'_k0 written apart
+    from the pair closed forms.  ``bound(n)`` is a proven lower bound for
+    the valuation of every term of row n; a ``starred`` family's series is
+    twice its sum's star value.  The alpha side is ``rhs_scale`` *
+    sum_{n >= k0} ``rhs_term(n)`` * alpha'_n.
     """
 
+    rel: str
     k0: int
+    w_seed: tuple[int, int]
     c0: int
     e0: int
     s_ratio: Callable[[int], Ratio]
     bound: Callable[[int], int]
+    rhs_term: Callable[[int], Ratio]
+    rhs_scale: int | Fraction = 1
     starred: bool = False
 
 
 _FAMILIES: dict[str, _Family] = {
-    "A1": _Family(1, 1, 2, lambda n: (-1, n + 1, ((1, n),), ()), lambda n: n * (n + 1) // 2),
-    "AQ": _Family(0, 1, 0, lambda n: (-1, n + 1, ((1, n + 1),), ()), lambda n: n * (n + 1) // 2),
-    "A1ALSO": _Family(1, 2, 2, lambda n: (-1, 1, ((1, 2 * n),), ()), lambda n: n),
-    "AQALSO": _Family(0, 1, 0, lambda n: (-1, 0, ((1, 2 * n + 2),), ()), lambda n: 0, True),
+    "A1": _Family(rel="1", k0=1, w_seed=(-1, 1), c0=1, e0=2,
+                  s_ratio=lambda n: (-1, n + 1, ((1, n),), ()), bound=lambda n: n * (n + 1) // 2,
+                  rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ((1, n),))),
+    "AQ": _Family(rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
+                  s_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()), bound=lambda n: n * (n + 1) // 2,
+                  rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ())),
+    "A1ALSO": _Family(rel="1", k0=1, w_seed=(-2, 1), c0=2, e0=2,
+                      s_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()), bound=lambda n: n,
+                      rhs_term=lambda n: (_sgn(n), n, (), ((1, 2 * n),)), rhs_scale=2),
+    "AQALSO": _Family(rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
+                      s_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()), bound=lambda n: 0,
+                      rhs_term=lambda n: (_sgn(n), 0, (), ()), rhs_scale=_HALF, starred=True),
 }
 
 # P_(k+1) / P_k of each pair, P_k being its stepped beta_k

@@ -28,7 +28,7 @@ ALL_FORMS = ("A1", "A1ALSO", "AQ", "AQALSO")
 
 def test_labels():
     assert pair_labels() == ALL_PAIRS
-    assert tuple(sorted(bailey._FORMS)) == ALL_FORMS
+    assert tuple(sorted(catalog._FAMILIES)) == ALL_FORMS
     assert pair_catalog("p2a").label == "P2A"
     with pytest.raises(UnknownPair):
         pair_catalog("P9X")

@@ -334,6 +334,16 @@ def test_valuation_bound_violation_raises(monkeypatch, sid):
         eval_named(sid, 40)
 
 
+def test_beta_side_checks_the_forms_bound(monkeypatch):
+    # limit_form's beta side sums its rows with the form's bound, as the
+    # catalog's double sums do; BK1's first column reaches n = 5 at order 300
+    family = catalog._FAMILIES["A1ALSO"]
+    monkeypatch.setitem(catalog._FAMILIES, "A1ALSO",
+                        family._replace(bound=lambda n: family.bound(n) + 100 * (n == 5)))
+    with pytest.raises(InvariantViolation, match="n=5$"):
+        bailey.limit_form(bailey.bailey_step(bailey.pair_catalog("BK1")), "A1ALSO", 300)
+
+
 @pytest.mark.parametrize("form_id", ["AQ", "AQALSO"])
 def test_alpha_bound_violation_raises(monkeypatch, form_id):
     pair = bailey._PAIRS["P3B"]
@@ -487,8 +497,9 @@ def test_pipeline_rejects_a_single_sum(sid):
 
 @pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
 def test_double_table_matches_its_pipeline(sid):
-    """Each id's family and P-ratio, transcribed apart from ``bailey``, agree
-    with its pipeline's limit form and stepped pair.
+    """Each id's seed and P-ratio, transcribed apart from ``bailey``, agree
+    with its limit form's weight seed and its stepped pair (k0, the S ratio
+    and the star flag are the form's own, one record for both).
 
     Every entry of these ratios is affine in n, and two affine maps that
     agree at two n agree at every n; n = 10**3 and 10**6 also catch an entry
@@ -498,15 +509,30 @@ def test_double_table_matches_its_pipeline(sid):
     form_id, label, _ = catalog._DOUBLES[sid]
     fam, p_ratio = catalog._FAMILIES[form_id], catalog._P_RATIOS[label]
     stepped = bailey.bailey_step(bailey.pair_catalog(label))
-    form, base = bailey._lookup_form(form_id), stepped.base
-    k0, (wc, we) = form.n0, form.w_seed
+    base, k0, (wc, we) = stepped.base, fam.k0, fam.w_seed
     seed = (-wc if k0 % 2 else wc, we + stepped._u_exp(k0) + base.beta_exp(k0),
             tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-    assert (fam.k0, (fam.c0, fam.e0, (), ((1, 1),)), fam.starred) == (k0, seed, form.starred)
+    assert (fam.c0, fam.e0, (), ((1, 1),)) == seed
     stepped_ratio = _stepped_p_ratio(stepped)
     for n in (*range(80), 10**3, 10**6):
-        assert fam.s_ratio(n) == form.w_ratio(n)
         assert p_ratio(n) == stepped_ratio(n) == stepped._beta_ratio(n)
+
+
+def test_one_s_ratio_feeds_the_catalog_and_the_beta_side(monkeypatch):
+    """A slip in A1's S ratio at n = 3 moves both L1 and the beta side of
+    its pipeline, and the alpha side, which reads no S ratio, catches it."""
+    stepped, order = bailey.bailey_step(bailey.pair_catalog("P2A")), 120
+    l1, (lhs, rhs) = eval_named("L1", order), bailey.limit_form(stepped, "A1", order)
+    family = catalog._FAMILIES["A1"]
+
+    def slipped(n):
+        c, e, num, den = family.s_ratio(n)
+        return c, e + (n == 3), num, den
+
+    monkeypatch.setitem(catalog._FAMILIES, "A1", family._replace(s_ratio=slipped))
+    bad_lhs, bad_rhs = bailey.limit_form(stepped, "A1", order)
+    assert eval_named("L1", order) != l1
+    assert bad_lhs != lhs and bad_rhs == rhs and bad_lhs != bad_rhs
 
 
 @pytest.mark.parametrize("form", sorted(catalog._FAMILIES))
@@ -525,7 +551,7 @@ def test_family_members_in_any_order_match_eval_named(form):
 
 def _alpha_by_terms(stepped, form, order):
     def terms():
-        n = form.n0
+        n = form.k0
         while True:
             yield _apply(_stepped_alpha(stepped, n, order), order, form.rhs_term(n))
             n += 1
@@ -540,11 +566,11 @@ def _alpha_by_terms(stepped, form, order):
 @pytest.mark.parametrize("order", [0, 7, 60, 300])
 def test_stepped_rows_match_term_by_term(label, form_id, order):
     stepped = bailey.bailey_step(bailey.pair_catalog(label))
-    form = bailey._lookup_form(form_id)
-    base, k0 = stepped.base, form.n0
+    form = catalog._FAMILIES[form_id]
+    base, k0 = stepped.base, form.k0
     wc, we = form.w_seed
     seed = _beta(base, k0, order).mul_monomial(wc, we + stepped._u_exp(k0)).truncate(order)
-    want = _oracle_sum(seed, order, k0, _stepped_p_ratio(stepped), form.w_ratio, form.starred)
+    want = _oracle_sum(seed, order, k0, _stepped_p_ratio(stepped), form.s_ratio, form.starred)
     lhs, rhs = bailey.limit_form(stepped, form_id, order)
     assert shape(lhs) == shape(want)
     assert shape(rhs) == shape(_alpha_by_terms(stepped, form, order))

@@ -304,13 +304,10 @@ def test_fault_injection_through_verify_all(monkeypatch):
 
 
 def _column_store(s_ratio):
-    """(store, family) of a column's S-ratio: a catalog family or a limit form."""
+    """(store, family) of a column's S-ratio, a catalog family."""
     for form, fam in catalog._FAMILIES.items():
         if s_ratio is fam.s_ratio:
             return "catalog", form
-    for form_id, form in bailey._FORMS.items():
-        if s_ratio is form.w_ratio:
-            return "pipeline", form_id
     raise AssertionError(f"column of an unknown S-ratio {s_ratio!r}")
 
 
