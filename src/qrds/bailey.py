@@ -30,8 +30,9 @@ which is the only step the double-sum pipelines need.
 returning the two sides of the resulting identity as series.  Each form
 is one record of ``catalog._FAMILIES``, the table the catalog's double
 sums are summed from.  Forms A1 and A1ALSO require a = 1 and beta_0 = 0;
-AQ and AQALSO require a = q.  The AQALSO form's beta side has terms that
-do not die off and is summed to its star value; every alpha side decays
+AQ and AQALSO require a = q.  The AQALSO form's beta side is the star
+value of a series whose terms do not die off; its columns are summed in a
+form that converges and gives them doubled.  Every alpha side decays
 quadratically and is summed through a last index proven from the closed
 forms of alpha_n.  ``alpha_side`` is that side alone, and it is what
 ``verify``'s pipeline leg compares with the catalog series.  The beta side
@@ -398,9 +399,10 @@ def limit_form(pair, form_id: str, order: int):
     sum_n w_n beta'_n, is the double sum of terms
     w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out by the catalog's
     one-member ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k.
-    The form lives in ``catalog._FAMILIES``: the n-step is its S ratio, the
-    same one the catalog's double sums use, and every row is checked against
-    its valuation bound.  The k-step is q^(u(k+1) - u(k)) times the base
+    The form lives in ``catalog._FAMILIES``: the n-step is its S ratio and
+    its columns are summed by its column ratio, the same ones the catalog's
+    double sums use, and every row is checked against its valuation bound.
+    The k-step is q^(u(k+1) - u(k)) times the base
     pair's beta ratio and the seed is w_k0 times beta'_k0 in closed form,
     both apart from the catalog's P-ratios and seeds.  A starred beta side
     comes back doubled and is halved here.  ``verify`` reads only the alpha
@@ -411,5 +413,6 @@ def limit_form(pair, form_id: str, order: int):
     base, k0, (wc, we) = pair.base, form.k0, form.w_seed
     seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
             tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-    [lhs] = _ratio_sum([_Member(order, seed, pair._beta_ratio)], k0, form.s_ratio, form.bound, form.starred)
+    [lhs] = _ratio_sum([_Member(order, seed, pair._beta_ratio)], k0, form.s_ratio, form.bound,
+                       column=form.column, column_scale=form.column_scale)
     return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)

@@ -8,9 +8,14 @@ product is ever expanded.
 Every sum is a ratio chain, summed inside out by Horner's rule.  A single
 sum is 1 + r(n0) * (1 + r(n0 + 1) * (...)) times its first term.  A double
 sum, direct or on the Bailey pipeline's beta side, has terms
-T(n, k) = S_n * P_k / (q)_{n-k}; its column k is such a chain with ratio
-S_(n+1) / S_n / (1 - q^(n+1-k)), and the columns fold outwards the same
-way, column k + 1 entering column k with the ratio of the diagonal terms.
+T(n, k) = S_n * P_k / (q)_{n-k}; its column k is such a chain, and the
+columns fold outwards the same way, column k + 1 entering column k with the
+ratio of the diagonal terms.  The A1 and AQ columns step term by term, with
+ratio S_(n+1) / S_n / (1 - q^(n+1-k)).  The A1ALSO and AQALSO columns are
+2phi1 series with c = 0, summed in their quadratic 2phi2 form (Gasper and
+Rahman, (III.4)), which needs about sqrt(2h) levels through q**h in place
+of about h; each such column comes times (-q;q)_k, which the fold divides
+out with one more binomial 1 + q^(k+1) per diagonal step.
 Each level works on one plain int list in place with the series kernel's
 list operations; nothing is added row by row.
 
@@ -38,10 +43,11 @@ The last level comes from a proof, not from a streak of vanishing terms:
 every binomial has constant term 1 and every monomial exponent is >= 0
 (checked), so each level's valuation is known exactly before any
 arithmetic, and the chain stops at the last level that reaches the
-truncation horizon.  The four starred sums (L7, L8, L11, L12) have terms
-that do not die off: once a level's ratio is -1 through its horizon, the
-tail 1 - 1 + 1 - ... has star value 1/2, so such a chain is summed doubled,
-from 2W = 1 outwards, and stays in the integers.
+truncation horizon.  The four starred sums (L7, L8, L11, L12) are star
+values of series whose terms do not die off, but their columns in the
+(III.4) form converge q-adically, and the transform's prefactor
+1 / (2 (-q;q)_k) makes each column the doubled one: the sums come doubled
+and stay in the integers, with no star tail to detect.
 
 Each series also carries a proven lower bound for the valuation of its n-th
 term, checked against every level's derived valuation, outermost first
@@ -58,6 +64,7 @@ remain as the term-by-term reference the tests check the engine against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import add, sub
 from typing import Callable, Iterable, NamedTuple
@@ -196,6 +203,11 @@ def _sgn(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def _unscaled(k: int) -> tuple[tuple[int, int], ...]:
+    """No binomials: a column summed term by term is U_k itself."""
+    return ()
+
+
 class _Family(NamedTuple):
     """One limit form, keyed by its name, read by the catalog's double sums
     and by ``bailey``'s limit transform alike.
@@ -204,10 +216,13 @@ class _Family(NamedTuple):
     relative to a = ``rel``, with w_k0 = ``w_seed`` (coeff, exponent) and
     ``s_ratio(n)`` = S_(n+1) / S_n = w_(n+1) / w_n.  T(k0, k0) = c0 *
     q^e0 / (1 - q) is the catalog's seed, w_k0 * beta'_k0 written apart
-    from the pair closed forms.  ``bound(n)`` is a proven lower bound for
-    the valuation of every term of row n; a ``starred`` family's series is
-    twice its sum's star value.  The alpha side is ``rhs_scale`` *
-    sum_{n >= k0} ``rhs_term(n)`` * alpha'_n.
+    from the pair closed forms.  Column k, U_k = sum_{n >= k} T(n, k) /
+    T(k, k), is summed as a chain whose level n steps to level n + 1 by
+    ``column(k, n)``; the chain's value is U_k times the product of the
+    ``column_scale(j)`` binomials over j < k.  ``bound(n)``
+    is a proven lower bound for the valuation of every term of row n; a
+    ``starred`` family's series is twice its sum's star value.  The alpha
+    side is ``rhs_scale`` * sum_{n >= k0} ``rhs_term(n)`` * alpha'_n.
     """
 
     rel: str
@@ -216,24 +231,49 @@ class _Family(NamedTuple):
     c0: int
     e0: int
     s_ratio: Callable[[int], Ratio]
+    column: Callable[[int, int], Ratio]
     bound: Callable[[int], int]
     rhs_term: Callable[[int], Ratio]
     rhs_scale: int | Fraction = 1
     starred: bool = False
+    column_scale: Callable[[int], tuple[tuple[int, int], ...]] = _unscaled
 
 
+def _neg_q_step(k: int) -> tuple[tuple[int, int], ...]:
+    """The binomial 1 + q^(k+1) of (-q;q)_(k+1) / (-q;q)_k."""
+    return ((-1, k + 1),)
+
+
+# A1 and AQ sum their columns term by term, rho_k(n) = s_ratio(n) /
+# (1 - q^(n+1-k)).  A1ALSO's column is the 2phi1 with c = 0
+# U_k = 2phi1(q^k, -q^k; 0; q, -q), and AQALSO's (doubled) column is the star
+# value of 2phi1(q^(k+1), -q^(k+1); 0; q, -1); both are summed in the form
+#   2phi1(a, b; 0; q, z) = (az)_inf / (z)_inf
+#       * sum_m (a)_m (-bz)^m q^(m(m-1)/2) / ((q)_m (az)_m)
+# (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed., (III.4)), whose
+# prefactor is 1 / (-q;q)_k, or 1 / (2 (-q;q)_k) for AQALSO.  Level m = n - k
+# has valuation (k + 1) m + m(m - 1)/2, so a column has at most sqrt(2h)
+# levels through q**h, converges q-adically and meets bound(n) as well.
 _FAMILIES: dict[str, _Family] = {
     "A1": _Family(rel="1", k0=1, w_seed=(-1, 1), c0=1, e0=2,
-                  s_ratio=lambda n: (-1, n + 1, ((1, n),), ()), bound=lambda n: n * (n + 1) // 2,
+                  s_ratio=lambda n: (-1, n + 1, ((1, n),), ()),
+                  column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1),)),
+                  bound=lambda n: n * (n + 1) // 2,
                   rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ((1, n),))),
     "AQ": _Family(rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
-                  s_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()), bound=lambda n: n * (n + 1) // 2,
+                  s_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()),
+                  column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1),)),
+                  bound=lambda n: n * (n + 1) // 2,
                   rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ())),
     "A1ALSO": _Family(rel="1", k0=1, w_seed=(-2, 1), c0=2, e0=2,
-                      s_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()), bound=lambda n: n,
+                      s_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()),
+                      column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1), (-1, n + 1))),
+                      column_scale=_neg_q_step, bound=lambda n: n,
                       rhs_term=lambda n: (_sgn(n), n, (), ((1, 2 * n),)), rhs_scale=2),
     "AQALSO": _Family(rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
-                      s_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()), bound=lambda n: 0,
+                      s_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
+                      column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1), (-1, n + 1))),
+                      column_scale=_neg_q_step, bound=lambda n: 0,
                       rhs_term=lambda n: (_sgn(n), 0, (), ()), rhs_scale=_HALF, starred=True),
 }
 
@@ -305,18 +345,14 @@ def _horner(ratios: list[Ratio], heads: list[list], buf: list, h: int) -> list:
 
 
 def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
-          bound: Callable[[int], int] | None = None,
-          starred: bool = False) -> tuple[list[Ratio], list[tuple[int, int, int]], bool]:
-    """The levels (n, h_n, v_n) of a chain from level j, the ratios between
-    them, and whether its last level is a star tail.
+          bound: Callable[[int], int] | None = None) -> tuple[list[Ratio], list[tuple[int, int, int]]]:
+    """The levels (n, h_n, v_n) of a chain from level j and the ratios between them.
 
     Every binomial has constant term 1 and every exponent is >= 0, so level n
     has valuation exactly v_n = v + e_j + ... + e_(n-1) and is needed through
     h_n = h - (e_j + ... + e_(n-1)), both known before any arithmetic.  The
-    last level is the last with h_n >= 0, or one whose ratio is 0.  A starred
-    chain also ends at a level whose ratio is -1 through its horizon, where
-    the tail 1 - 1 + 1 - ... has star value 1/2.  Each level is checked
-    against ``bound(n)`` as it is reached, outermost first
+    last level is the last with h_n >= 0, or one whose ratio is 0.  Each
+    level is checked against ``bound(n)`` as it is reached, outermost first
     (InvariantViolation); more than ``cap`` levels raise NoStabilization.
     """
     ratios: list[Ratio] = []
@@ -326,10 +362,8 @@ def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
             raise InvariantViolation(f"valuation {v} below its bound {bound(j)} at n={j}")
         levels.append((j, h, v))
         c, e, num, den = r = _factor_ratio(ratio(j))
-        if starred and c == -1 and not e and all(ee > h or not cc for cc, ee in num + den):
-            return ratios, levels, True
         if not c or e > h:
-            return ratios, levels, False
+            return ratios, levels
         if len(ratios) >= cap:
             raise NoStabilization(f"no last level within {cap} levels from n={j - cap}", n_limit=cap)
         ratios.append(r)
@@ -339,29 +373,23 @@ def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
 
 
 def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int, head: Callable[[int, int], list] | None,
-           cap: int, bound: Callable[[int], int] | None = None, starred: bool = False) -> list:
+           cap: int, bound: Callable[[int], int] | None = None) -> list:
     """W_j through q**h of the chain W_n = head(n, h_n) + ratio(n) * W_(n+1).
 
-    The levels are ``_walk``'s; with no ``head`` every head is 1, or 2 in a
-    starred chain, which is summed doubled.  The last level's value is its
-    head, or 1 at a star tail.
+    The levels are ``_walk``'s; with no ``head`` every head is 1.  The last
+    level's value is its head.
     """
-    ratios, levels, star = _walk(ratio, j, h, v, cap, bound, starred)
-    heads = [head(n, hn) for n, hn, _ in levels] if head else [[2 if starred else 1]] * len(levels)
+    ratios, levels = _walk(ratio, j, h, v, cap, bound)
+    heads = [head(n, hn) for n, hn, _ in levels] if head else [[1]] * len(levels)
     last = heads.pop()
-    return _horner(ratios, heads, [1] if star else last[:], levels[-1][1])
+    return _horner(ratios, heads, last[:], levels[-1][1])
 
 
-def _column(s_ratio: Callable[[int], Ratio], k: int, h: int, v: int, cap: int,
-            bound: Callable[[int], int] | None, starred: bool) -> list:
-    """U_k through q**h, the chain 1 + rho(k) * (1 + rho(k + 1) * (...)) with
-    rho(n) = s_ratio(n) / (1 - q^(n+1-k)) and level k at valuation v; a
-    starred column is doubled."""
-    def down(n: int) -> Ratio:  # T(n, k) -> T(n + 1, k)
-        c, e, num, den = s_ratio(n)
-        return c, e, num, den + ((1, n + 1 - k),)
-
-    return _chain(down, k, h, v, None, cap, bound, starred)
+def _column(column: Callable[[int, int], Ratio], k: int, h: int, v: int, cap: int,
+            bound: Callable[[int], int] | None) -> list:
+    """Column k through q**h, the chain 1 + column(k, k) * (1 + column(k, k + 1)
+    * (...)), its level n at row n and level k at valuation v."""
+    return _chain(partial(column, k), k, h, v, None, cap, bound)
 
 
 class _Member(NamedTuple):
@@ -375,23 +403,25 @@ class _Member(NamedTuple):
 
 
 def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
-               bound: Callable[[int], int] | None = None,
-               starred: bool = False, cap: int | None = None) -> list[LaurentSeries]:
-    """Single or double ratio-chain sums sharing ``s_ratio``, ``k0``, ``bound``
-    and ``starred``, each through its own q**order, summed inside out.
+               bound: Callable[[int], int] | None = None, cap: int | None = None,
+               column: Callable[[int, int], Ratio] | None = None,
+               column_scale: Callable[[int], tuple[tuple[int, int], ...]] = _unscaled) -> list[LaurentSeries]:
+    """Single or double ratio-chain sums sharing ``s_ratio``, ``k0`` and
+    ``bound``, each through its own q**order, summed inside out.
 
     With no ``p_ratio``, the sum of the terms t_n, n >= k0, where t_k0 is
     ``seed`` and t_(n+1) / t_n is ``s_ratio(n)``.  With one, the sum of
     T(n, k) = S_n * P_k / (q)_{n-k} over n >= k >= k0, where T(k0, k0) is
     ``seed``, S_(n+1) / S_n is ``s_ratio(n)`` and P_(k+1) / P_k is
-    ``p_ratio(k)``: column k is D_k * U_k with D_k = T(k, k) and the chain
-    U_k = 1 + rho_k(k) * (1 + rho_k(k + 1) * (...)),
-    rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)), and the columns fold as the
-    chain V_k = U_k + s_ratio(k) * p_ratio(k) * V_(k+1), the sum being
-    seed * V_k0.  A starred sum comes back doubled.
+    ``p_ratio(k)``: column k is D_k * U_k with D_k = T(k, k) and U_k =
+    sum_{n >= k} T(n, k) / D_k.  ``_column`` sums X_k * U_k, the chain of
+    ``column(k, n)``, where X_k is the product of the ``column_scale(j)``
+    binomials over j < k, and the columns fold as the chain
+    V_k = X_k U_k + s_ratio(k) * p_ratio(k) / (X_(k+1) / X_k) * V_(k+1),
+    the sum being seed / X_k0 * V_k0.
 
-    U_k depends on neither ``seed`` nor ``p_ratio``, so the double sums share
-    their columns: every member's diagonal is walked first, which gives the
+    The columns depend on neither ``seed`` nor ``p_ratio``, so the double
+    sums share them: every member's diagonal is walked first, which gives the
     horizon and valuation each needs column k at, and column k is summed once,
     through the highest of those horizons, at the least of those valuations.
     Each member then folds truncated copies along its diagonal, walked again,
@@ -404,10 +434,10 @@ def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
         cap = 4 * max(m.order for m in members) + 64
 
     def diagonal(p_ratio: Callable[[int], Ratio]) -> Callable[[int], Ratio]:
-        def step(k: int) -> Ratio:  # T(k, k) -> T(k + 1, k + 1)
+        def step(k: int) -> Ratio:  # D_k / X_k -> D_(k+1) / X_(k+1)
             cs, es, ns, ds = _factor_ratio(s_ratio(k))
             cp, ep, np, dp = _factor_ratio(p_ratio(k))
-            return cs * cp, es + ep, ns + np, ds + dp
+            return cs * cp, es + ep, ns + np, ds + dp + column_scale(k)
         return step
 
     need: dict[int, tuple[int, int]] = {}  # k -> (highest horizon, least valuation)
@@ -417,18 +447,19 @@ def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
             for k, h, vk in _walk(diagonal(p_ratio), k0, order - v, v, cap)[1]:
                 top, low = need.get(k, (h, vk))
                 need[k] = max(top, h), min(low, vk)
-    columns = {k: _column(s_ratio, k, h, v, cap, bound, starred) for k, (h, v) in need.items()}
+    columns = {k: _column(column, k, h, v, cap, bound) for k, (h, v) in need.items()}
+    unscale = tuple(b for j in range(k0) for b in column_scale(j))  # 1 / X_k0
     sums = []
-    for order, seed, p_ratio in members:
-        c, v = seed[:2]
+    for order, (c, v, num, den), p_ratio in members:
         if order < v or not c:
             sums.append(LaurentSeries.zero(order))
             continue
         if p_ratio is None:
-            buf = _chain(s_ratio, k0, order - v, v, None, cap, bound, starred)
+            buf = _chain(s_ratio, k0, order - v, v, None, cap, bound)
         else:
             buf = _chain(diagonal(p_ratio), k0, order - v, v, lambda k, h: columns[k][:h + 1], cap)
-        sums.append(LaurentSeries(0, _horner([seed], [[]], buf, order - v), order))
+            den += unscale
+        sums.append(LaurentSeries(0, _horner([(c, v, num, den)], [[]], buf, order - v), order))
     return sums
 
 
@@ -457,7 +488,12 @@ def pipeline(series_id: str) -> tuple[str, str, int, int]:
 
 
 def eval_named(series_id: str, order: int, star_budget: int | None = None) -> LaurentSeries:
-    """Evaluate a named series exactly through q**order."""
+    """Evaluate a named series exactly through q**order.
+
+    ``star_budget`` (default 4 * order + 64) caps the levels of any one
+    ratio chain, a single sum, a column or a fold; a chain that needs more
+    raises NoStabilization.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     if star_budget is not None and star_budget < 0:
@@ -478,7 +514,7 @@ def _family_sums(form: str, horizons: dict[str, int],
     fam = _FAMILIES[form]
     seed = (fam.c0, fam.e0, (), ((1, 1),))
     members = [_Member(order, seed, _P_RATIOS[_DOUBLES[sid][1]]) for sid, order in horizons.items()]
-    sums = _ratio_sum(members, fam.k0, fam.s_ratio, fam.bound, fam.starred, cap)
+    sums = _ratio_sum(members, fam.k0, fam.s_ratio, fam.bound, cap, fam.column, fam.column_scale)
     out = {}
     for (sid, order), total in zip(horizons.items(), sums):
         const = _DOUBLES[sid][2]

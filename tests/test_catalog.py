@@ -221,7 +221,7 @@ def test_star_budget_stability():
         a = eval_named(sid, 120, star_budget=default_budget)
         b = eval_named(sid, 120, star_budget=2 * default_budget)
         assert a == b, sid
-    # the budget caps the levels of one column: L7's first column has ~300
+    # the budget caps the levels of one column: L7's first column has 24
     with pytest.raises(NoStabilization):
         eval_named("L7", 300, star_budget=10)
 
@@ -315,8 +315,8 @@ raise SystemExit(1)
 
 
 def test_valuation_bound_is_checked_before_the_level_cap(monkeypatch):
-    # L7's diagonal at order 300 has 17 levels and its first column about
-    # 300, so a cap of 20 levels stops that column; a bound broken at n = 5
+    # L7's diagonal at order 300 has 17 levels and its first column 24,
+    # so a cap of 20 levels stops that column; a bound broken at n = 5
     # is met on the way and named, not outrun by the cap
     with pytest.raises(NoStabilization):
         eval_named("L7", 300, star_budget=20)
@@ -448,6 +448,46 @@ def test_double_rows_match_term_by_term(sid, order):
         want = want.scale(2)
     want = want + LaurentSeries.monomial(const, 0, order)
     assert shape(eval_named(sid, order)) == shape(want)
+
+
+def _direct_column(form, k, h):
+    """(-q;q)_k times column k of ``form`` summed term by term from its S ratio,
+    rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)), doubled for a starred form, as
+    coefficients of q^0..q^h: what the catalog's (III.4) column must hold."""
+    fam = catalog._FAMILIES[form]
+
+    def terms():
+        term, n = LaurentSeries.one(h), k
+        while True:
+            yield term
+            c, e, num, den = fam.s_ratio(n)
+            term = _apply(term, h, (c, e, num, den + ((1, n + 1 - k),)))
+            n += 1
+
+    total = star_sum(terms(), h).scale(2) if fam.starred else classical_sum(terms(), h)
+    for j in range(1, k + 1):
+        total = total.mul_binomial(-1, j)
+    return [total.coefficient(i) for i in range(h + 1)]
+
+
+def _catalog_column(form, k, h):
+    """Column k of ``form`` as the catalog sums it, at level k's least
+    valuation allowed by the form's bound, padded to q^0..q^h."""
+    fam = catalog._FAMILIES[form]
+    col = catalog._column(fam.column, k, h, fam.bound(k), 4 * h + 64, fam.bound)
+    assert len(col) <= h + 1
+    return col + [0] * (h + 1 - len(col))
+
+
+@pytest.mark.parametrize("form, k", [(form, k) for form in ("A1ALSO", "AQALSO")
+                                     for k in range(catalog._FAMILIES[form].k0, 13)])
+def test_column_matches_the_direct_column(form, k):
+    """Each (III.4) column of A1ALSO and AQALSO is the direct S-ratio column,
+    summed term by term by ``classical_sum`` / ``star_sum``, times
+    (-q;q)_k, at every horizon through 60 and at 199 and 400."""
+    want = _direct_column(form, k, 400)
+    for h in (*range(61), 199, 400):
+        assert _catalog_column(form, k, h) == want[:h + 1], h
 
 
 _PIPELINE_PAIRS = sorted({catalog.pipeline(sid)[:2] for sid in catalog._DOUBLES})
@@ -593,29 +633,42 @@ def _listed(items, k0, tail):
 
 
 _STOP = (0, 0, (), ())
-_FLIP = (-1, 0, (), ())
+
+
+def _direct(s_ratio):
+    """The column ratio rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)) of the terms T(n, k)."""
+    def column(k, n):
+        c, e, num, den = s_ratio(n)
+        return c, e, num, den + ((1, n + 1 - k),)
+    return column
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(["single", "double", "starred"]),
+    st.sampled_from(["single", "double", "column"]),
     st.integers(min_value=0, max_value=30),
     st.integers(min_value=0, max_value=3),
     ratios().filter(lambda r: r[0] != 0),
     st.lists(ratios(), max_size=4),
-    st.lists(ratios(min_exponent=1), max_size=4),
+    st.tuples(st.sampled_from(["A1ALSO", "AQALSO"]), st.integers(min_value=1, max_value=40),
+              st.integers(min_value=0, max_value=150)),
     st.lists(ratios(), max_size=4),
     st.lists(
         st.tuples(st.integers(min_value=0, max_value=30), ratios(), st.lists(ratios(), max_size=4)),
         max_size=2,
     ),
 )
-def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss, ss_starred, ps, others):
-    # listed ratios, then a 0 multiplier ends each chain; a starred chain
-    # instead runs into the -1 tail, and its listed ratios have an exponent
-    # >= 1, so no listed level can pass for that tail.  A double sum shares
-    # its columns with ``others``, double sums of the same S-ratio with
-    # their own order, seed and P-ratios, each checked against its own terms.
+def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss, form_k_h, ps, others):
+    # listed ratios, then a 0 multiplier ends each chain.  A double sum
+    # shares its columns, summed term by term (``_direct``), with
+    # ``others``, double sums of the same S-ratio with their own order, seed
+    # and P-ratios, each checked against its own terms.  A column of A1ALSO
+    # or AQALSO at a random k and horizon is checked against its direct
+    # S-ratio column, summed term by term.
+    if mode == "column":
+        form, k, h = form_k_h
+        assert _catalog_column(form, k, h) == _direct_column(form, k, h)
+        return
     start = _apply(LaurentSeries.one(order), order, seed)
     if mode == "single":
         s_ratio = _listed(ss, k0, _STOP)
@@ -627,15 +680,14 @@ def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss
         [got] = catalog._ratio_sum([catalog._Member(order, seed)], k0, s_ratio)
         assert shape(got) == shape(want)
         return
-    starred = mode == "starred"
-    s_ratio = _listed(ss_starred, k0, _FLIP) if starred else _listed(ss, k0, _STOP)
+    s_ratio = _listed(ss, k0, _STOP)
     members = [(order, seed, ps)] + others
     got = catalog._ratio_sum(
-        [catalog._Member(o, sd, _listed(p, k0, _STOP)) for o, sd, p in members], k0, s_ratio, starred=starred
+        [catalog._Member(o, sd, _listed(p, k0, _STOP)) for o, sd, p in members], k0, s_ratio, column=_direct(s_ratio)
     )
     for (o, sd, p), f in zip(members, got):
-        want = _oracle_sum(_apply(LaurentSeries.one(o), o, sd), o, k0, _listed(p, k0, _STOP), s_ratio, starred)
-        assert shape(f) == shape(want.scale(2) if starred else want)
+        want = _oracle_sum(_apply(LaurentSeries.one(o), o, sd), o, k0, _listed(p, k0, _STOP), s_ratio, False)
+        assert shape(f) == shape(want)
 
 
 @pytest.mark.parametrize("negative", ["p_ratio", "s_ratio", "seed"])
@@ -643,7 +695,8 @@ def test_ratio_sum_rejects_negative_exponent(negative):
     ratio = {"p_ratio": (1, 1, (), ()), "s_ratio": (1, 1, (), ()), "seed": (1, 0, (), ())}
     ratio[negative] = (1, -1, (), ())
     with pytest.raises(InvariantViolation, match="negative monomial exponent"):
-        catalog._ratio_sum([catalog._Member(10, ratio["seed"], lambda k: ratio["p_ratio"])], 0, lambda n: ratio["s_ratio"])
+        catalog._ratio_sum([catalog._Member(10, ratio["seed"], lambda k: ratio["p_ratio"])], 0,
+                           lambda n: ratio["s_ratio"], column=_direct(lambda n: ratio["s_ratio"]))
 
 
 @pytest.mark.parametrize("sid", sorted(HEADS))

@@ -303,12 +303,12 @@ def test_fault_injection_through_verify_all(monkeypatch):
         assert _timeless(report) == _timeless(alone[report.report_id])
 
 
-def _column_store(s_ratio):
-    """(store, family) of a column's S-ratio, a catalog family."""
+def _column_store(column):
+    """(store, family) of a column's ratio, a catalog family's."""
     for form, fam in catalog._FAMILIES.items():
-        if s_ratio is fam.s_ratio:
+        if column is fam.column:
             return "catalog", form
-    raise AssertionError(f"column of an unknown S-ratio {s_ratio!r}")
+    raise AssertionError(f"column of an unknown ratio {column!r}")
 
 
 def _recorded_columns(monkeypatch, corrupt=None):
@@ -318,9 +318,9 @@ def _recorded_columns(monkeypatch, corrupt=None):
     columns = []
     real = catalog._column
 
-    def recorded(s_ratio, k, *args):
-        col = real(s_ratio, k, *args)
-        key = (*_column_store(s_ratio), k)
+    def recorded(column, k, *args):
+        col = real(column, k, *args)
+        key = (*_column_store(column), k)
         columns.append(key)
         if key == corrupt:
             col[0] += 1
@@ -351,6 +351,39 @@ def test_corrupted_column_fails_only_its_store(monkeypatch, store):
     failing = {(r.report_id, leg.name) for r in verify_all(400) for leg in r.legs if not leg.ok}
     legs = {(rid, leg) for rid in _A1ALSO for leg in ("ideal", "theta", "pipeline")}
     assert failing == legs | {("corollary-2", "identity"), ("corollary-4", "identity")}
+
+
+# the reports reading each (III.4) family: theorems (ideal, theta and
+# pipeline legs) and corollaries (identity leg)
+_READERS = {
+    "A1ALSO": (_A1ALSO, {"corollary-2", "corollary-4"}),
+    "AQALSO": ({"theorem-07", "theorem-08", "theorem-11", "theorem-12"}, {"corollary-3"}),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_READERS))
+@pytest.mark.parametrize("slip", ["exponent+1", "exponent-1", "no-divisor"])
+def test_column_form_slip_fails_its_family(monkeypatch, form, slip):
+    """A slip of +-1 in the monomial exponent of a family's (III.4) column
+    ratio, or a fold that drops its column scale (the 1 + q^(k+1) divisor of
+    each diagonal step, and A1ALSO's seed divisor 1 + q), fails exactly the
+    legs that read the family's double sums."""
+    fam = catalog._FAMILIES[form]
+    if slip == "no-divisor":
+        broken = fam._replace(column_scale=lambda k: ())
+    else:
+        d = 1 if slip == "exponent+1" else -1
+
+        def column(k, n):
+            c, e, num, den = fam.column(k, n)
+            return c, e + d, num, den
+
+        broken = fam._replace(column=column)
+    monkeypatch.setitem(catalog._FAMILIES, form, broken)
+    failing = {(r.report_id, leg.name) for r in verify_all(400) for leg in r.legs if not leg.ok}
+    theorems, corollaries = _READERS[form]
+    legs = {(rid, leg) for rid in theorems for leg in ("ideal", "theta", "pipeline")}
+    assert failing == legs | {(rid, "identity") for rid in corollaries}
 
 
 def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
