@@ -69,7 +69,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import InvariantViolation, NoStabilization, NonTerminating, UnknownId
+from .errors import InvariantViolation, NoStabilization, UnknownId
 from .series import LaurentSeries, div_binomial_into, mul_binomial_into
 
 _HALF = Fraction(1, 2)
@@ -93,7 +93,7 @@ _VANISH_STREAK = 4
 def classical_sum(terms: Iterable[LaurentSeries], order: int) -> LaurentSeries:
     """Sum outer terms until four in a row vanish below the horizon.
 
-    Raises NonTerminating if terms are still visible after 4*order + 64 of them.
+    Raises NoStabilization if terms are still visible after 4*order + 64 of them.
     """
     budget = 4 * order + 64
     total = LaurentSeries.zero(order)
@@ -110,8 +110,9 @@ def classical_sum(terms: Iterable[LaurentSeries], order: int) -> LaurentSeries:
         else:
             streak = 0
         if count > budget:
-            raise NonTerminating(
-                f"outer terms still visible after {count} of them (order {order})"
+            raise NoStabilization(
+                f"outer terms still visible after {count} of them (order {order})",
+                n_limit=count,
             )
     return total
 

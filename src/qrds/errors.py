@@ -24,17 +24,10 @@ class UnknownPair(KeyError):
     """A Bailey-pair label outside the catalog."""
 
 
-class NonTerminating(RuntimeError):
-    """classical_sum still saw visible outer terms when its term budget ran out.
-
-    No engine sum uses it: every sum stops at a last level proven from its
-    valuations, and classical_sum is only the tests' term-by-term reference.
-    """
-
-
 class NoStabilization(RuntimeError):
-    """The levels of a catalog ratio chain, or star_sum's averaged partial
-    sums, did not stop within their budget."""
+    """A sum did not stop within its budget: the levels of a catalog ratio
+    chain, or the terms of the tests' reference sums ``classical_sum`` and
+    ``star_sum``.  ``n_limit`` is the count at which it gave up."""
 
     def __init__(self, message: str, n_limit: int | None = None):
         super().__init__(message)

@@ -21,7 +21,7 @@ the public series ids (SIGMA, L1..L12) to their block sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import UnknownId
 from .series import LaurentSeries
@@ -59,18 +59,7 @@ class HeckeBlock:
         return self.A * n * n + self.B * n + self.C + self.D * j * j + self.E * j
 
     def to_payload(self) -> dict:
-        return {
-            "n0": self.n0,
-            "p": self.p,
-            "r": self.r,
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "D": self.D,
-            "E": self.E,
-            "coeff": self.coeff,
-            "factor": list(self.factor) if self.factor else None,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ Every norm m <= N is counted two independent ways in one pass each:
   |Delta|, and ``sieve_counts`` adds it along strided slices, the d past
   sqrt(N) one nonzero residue of chi at a time, so no slice adds a zero;
 * a lattice one -- the canonical representatives of u^2 - D v^2 = +-m, one
-  per orbit of the fundamental totally positive unit, counted for every m at
-  once by one sweep over each fundamental window (``_window_counts``), the
-  windows ``canonical_reps`` enumerates for a single m.
+  per orbit of the fundamental totally positive unit.  ``_windows`` holds the
+  two fundamental windows, one per sign of m; ``canonical_reps`` enumerates
+  one for a single m, and ``_window_counts`` counts every m at once by one
+  sweep over each.
 
 For D = 2 the unit 1 + sqrt(2) has norm -1 and each sign of m carries the
 full ideal count; for D = 3 and 6 every ideal comes from exactly one sign, so
@@ -115,51 +116,46 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _windows(f: FieldSpec) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The (A, B, c) of the two fundamental windows, for m > 0 and m < 0.
+
+    A window holds the points m = A w^2 - B z^2 with w > 0 and
+    -c w < z (x1+1) <= c w, one per unit orbit.  For m > 0 it is (1, D, y1)
+    with (u, v) = (w, z); for m < 0 it is (D, 1, D y1) with (u, v) = (z, w).
+    In both, A (x1+1)^2 - B c^2 = 2 A (x1+1) > 0, since x1^2 - D y1^2 = 1.
+    """
+    return (1, f.D, f.y1), (f.D, 1, f.D * f.y1)
+
+
 def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
     """Canonical solutions of u^2 - D v^2 = m, one per unit orbit.
 
-    For m > 0 the window is  u > 0  and  -y1 u < v (x1+1) <= y1 u;
-    for m < 0 it is          v > 0  and  -D y1 v < u (x1+1) <= D y1 v.
-    Everything is compared exactly in cross-multiplied integers.  The
-    enumeration range carries a 2x safety margin over the bound the window
-    implies, and the margin is checked empty afterwards.
+    The solutions are the points of the window ``_windows`` gives for the
+    sign of m.  Everything is compared exactly in cross-multiplied integers.
+    The enumeration range carries a 2x safety margin over the bound the
+    window implies, and the margin is checked empty afterwards.
     """
     f = field_spec(D)
     if m == 0:
         raise ValueError("m must be nonzero")
+    A, B, c = _windows(f)[m < 0]
     x1p = f.x1 + 1
+    a = abs(m)
     reps: list[tuple[int, int]] = []
     margin: list[tuple[int, int]] = []
-    if m > 0:
-        # window forces 2 u^2 / (x1+1) <= m
-        bound = isqrt(m * x1p // 2) + 1
-        for u in range(1, 2 * bound + 1):
-            t = u * u - m
-            if t < 0:
-                continue
-            if t % f.D:
-                continue
-            w = t // f.D
-            v = isqrt(w)
-            if v * v != w:
-                continue
-            for vv in ({v, -v} if v else {0}):
-                if -f.y1 * u < vv * x1p <= f.y1 * u:
-                    (reps if u <= bound else margin).append((u, vv))
-    else:
-        a = -m
-        # window forces 2 D v^2 / (x1+1) <= |m|
-        bound = isqrt(a * x1p // (2 * f.D)) + 1
-        for v in range(1, 2 * bound + 1):
-            t = f.D * v * v - a
-            if t < 0:
-                continue
-            u = isqrt(t)
-            if u * u != t:
-                continue
-            for uu in ({u, -u} if u else {0}):
-                if -f.D * f.y1 * v < uu * x1p <= f.D * f.y1 * v:
-                    (reps if v <= bound else margin).append((uu, v))
+    # the window forces 2 A w^2 / (x1+1) <= |m|, and A w^2 = |m| + B z^2 >= |m|
+    bound = isqrt(a * x1p // (2 * A)) + 1
+    for w in range(isqrt(-(-a // A) - 1) + 1, 2 * bound + 1):
+        t = A * w * w - a
+        if t % B:
+            continue
+        t //= B
+        z = isqrt(t)
+        if z * z != t:
+            continue
+        for zz in ({z, -z} if z else {0}):
+            if -c * w < zz * x1p <= c * w:
+                (reps if w <= bound else margin).append((w, zz) if m > 0 else (zz, w))
     if margin:
         raise InvariantViolation(f"canonical window bound too small for D={D}, m={m}")
     reps.sort()
@@ -167,18 +163,18 @@ def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
 
 
 def _sweep(counts: list[int], A: int, B: int, c: int, x1p: int) -> None:
-    """counts[a] += 1 for every a = A w^2 - B z^2 <= limit with w > 0 and
-    -c w < z (x1+1) <= c w, where limit = len(counts) - 1.
+    """counts[a] += 1 for every a = A w^2 - B z^2 <= limit in the window
+    (A, B, c) of ``_windows``, where limit = len(counts) - 1.
 
     In row w every point has |z| (x1+1) <= c w, so its norm is at least
-    w^2 (A (x1+1)^2 - B c^2) / (x1+1)^2.  For both windows the bracket is
-    a positive multiple of 2 (x1+1), since x1^2 - D y1^2 = 1, so the bound
-    grows with w and the sweep ends at the last w with w^2 times the bracket
-    at most limit (x1+1)^2.  Within a row only the points with
-    B z^2 >= A w^2 - limit are visited, all of them counted.  The row's
-    window is |z| <= hi = c w // (x1+1), symmetric except when (x1+1)
-    divides c w: then z = hi is in it and z = -hi is not.  So z and -z share
-    one step (+2), z = 0 is counted once and that lone edge point once.
+    w^2 (A (x1+1)^2 - B c^2) / (x1+1)^2, and the bracket is 2 A (x1+1) > 0
+    (``_windows``).  So the bound grows with w and the sweep ends at the
+    last w with w^2 times the bracket at most limit (x1+1)^2.  Within a row
+    only the points with B z^2 >= A w^2 - limit are visited, all of them
+    counted.  The row's window is |z| <= hi = c w // (x1+1), symmetric
+    except when (x1+1) divides c w: then z = hi is in it and z = -hi is not.
+    So z and -z share one step (+2), z = 0 is counted once and that lone
+    edge point once.
     """
     limit = len(counts) - 1
     span = x1p * x1p
@@ -203,14 +199,12 @@ def _sweep(counts: list[int], A: int, B: int, c: int, x1p: int) -> None:
 def _window_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
     """``(pos, neg)`` with pos[a] = len(canonical_reps(D, a)) and
     neg[a] = len(canonical_reps(D, -a)) for every a in [1, limit], from one
-    sweep over each of the two windows of ``canonical_reps``."""
+    sweep over each window of ``_windows``."""
     f = field_spec(D)
-    x1p = f.x1 + 1
-    pos = [0] * (limit + 1)
-    neg = [0] * (limit + 1)
-    _sweep(pos, 1, D, f.y1, x1p)  # u > 0, -y1 u < v (x1+1) <= y1 u
-    _sweep(neg, D, 1, D * f.y1, x1p)  # v > 0, -D y1 v < u (x1+1) <= D y1 v
-    return pos, neg
+    out = ([0] * (limit + 1), [0] * (limit + 1))
+    for counts, window in zip(out, _windows(f)):
+        _sweep(counts, *window, f.x1 + 1)
+    return out
 
 
 def sieve_counts(D: int, limit: int) -> list[int]:

@@ -20,7 +20,7 @@ from qrds.catalog import (
     normalize_id,
     star_sum,
 )
-from qrds.errors import InvariantViolation, NonTerminating, NoStabilization, UnknownId
+from qrds.errors import InvariantViolation, NoStabilization, UnknownId
 from qrds.series import LaurentSeries
 
 from test_acceptance import PIPELINES  # the acceptance gate's own pipeline rows
@@ -226,6 +226,26 @@ def test_star_budget_stability():
         eval_named("L7", 300, star_budget=10)
 
 
+@pytest.mark.parametrize("sid", ["SIGMA", "L7"])
+def test_level_cap_binds_at_the_longest_chain(monkeypatch, sid):
+    # star_budget caps the ratios of each chain: R, the most any chain of
+    # the sum walks, is enough to reach the default sum and R - 1 is not
+    walk, walked = catalog._walk, []
+
+    def counted(*args):
+        ratios, levels = walk(*args)
+        walked.append(len(ratios))
+        return ratios, levels
+
+    monkeypatch.setattr(catalog, "_walk", counted)
+    default = eval_named(sid, 300)
+    R = max(walked)
+    assert R > 1
+    assert eval_named(sid, 300, star_budget=R) == default
+    with pytest.raises(NoStabilization):
+        eval_named(sid, 300, star_budget=R - 1)
+
+
 def test_classical_sum_skips_short_gaps():
     # three zero terms in a row must not end the sum; four must
     terms = [
@@ -248,9 +268,10 @@ def test_classical_sum_budget_exceeded():
             taken.append(1)
             yield LaurentSeries.one()
 
-    with pytest.raises(NonTerminating):
+    with pytest.raises(NoStabilization) as info:
         classical_sum(ones(), 5)
     assert len(taken) == 4 * 5 + 64 + 1
+    assert info.value.n_limit == len(taken)
 
 
 def test_star_sum_handles_two_periodic_tail():

@@ -19,7 +19,6 @@ from qrds.cli import main
 from qrds.errors import (
     Beta0NotZero,
     FormPairMismatch,
-    NonTerminating,
     NoStabilization,
     UnsupportedField,
 )
@@ -242,7 +241,7 @@ def test_usage_error_checked_before_computing(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize(
     "error",
-    [ValueError, NoStabilization, NonTerminating, FormPairMismatch, Beta0NotZero, UnsupportedField],
+    [ValueError, NoStabilization, FormPairMismatch, Beta0NotZero, UnsupportedField],
     ids=lambda e: e.__name__,
 )
 def test_internal_value_error_is_not_usage(capsys, monkeypatch, error):

@@ -242,6 +242,15 @@ def test_window_counts_match_per_point_sweep():
             assert _window_counts(D, limit) == (pos[: limit + 1], neg[: limit + 1]), (D, limit)
 
 
+def test_window_bracket_is_twice_a_times_x1_plus_one():
+    # _sweep's last row and canonical_reps' bound both rest on this identity
+    for D in (2, 3, 6):
+        f = field_spec(D)
+        x1p = f.x1 + 1
+        for A, B, c in ideals._windows(f):
+            assert A * x1p * x1p - B * c * c == 2 * A * x1p > 0, (D, A, B, c)
+
+
 def test_window_counts_near_arith_horizon():
     rng = random.Random(40000)
     for D in (2, 3, 6):
