@@ -52,7 +52,8 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .catalog import _FAMILIES, Ratio, _factor_ratio, _Family, _Member, _ratio_sum, _sgn
-from .errors import Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair
+from .errors import (Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair,
+                     check_order, lookup)
 from .series import LaurentSeries, div_binomial_into, first_mismatch, mul_binomial_into
 
 __all__ = [
@@ -183,11 +184,7 @@ def pair_labels() -> tuple[str, ...]:
 
 
 def pair_catalog(label: str) -> BaileyPair:
-    key = str(label).strip().upper()
-    try:
-        return _PAIRS[key]
-    except KeyError:
-        raise UnknownPair(f"unknown Bailey pair {label!r}") from None
+    return lookup(_PAIRS, label, UnknownPair, "unknown Bailey pair")[1]
 
 
 # -------------------------------------------------------------- the relation
@@ -332,24 +329,14 @@ def bailey_step(pair: BaileyPair) -> SteppedPair:
 # ---------------------------------------------------------------- limit forms
 
 
-def _lookup_form(form_id: str) -> tuple[str, _Family]:
-    """The normalised name of the limit form ``form_id`` and its record."""
-    key = str(form_id).strip().upper()
-    try:
-        return key, _FAMILIES[key]
-    except KeyError:
-        raise UnknownId(f"unknown limit form {form_id!r}") from None
-
-
 def _checked_form(pair, form_id: str, order: int) -> _Family:
     """The limit form ``form_id``, once ``pair`` and ``order`` are checked
     fit for it: ``pair`` must be a stepped catalog pair relative to the
     form's a, ``order`` >= 0, and a form summed from n = 1 needs beta_0 = 0."""
-    key, form = _lookup_form(form_id)
+    key, form = lookup(_FAMILIES, form_id, UnknownId, "unknown limit form")
     if not isinstance(pair, SteppedPair):
         raise TypeError(f"a limit form needs a stepped catalog pair, got {pair!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_order(order)
     if pair.rel != form.rel:
         raise FormPairMismatch(
             f"form {key} needs a pair relative to a = {form.rel}, "

@@ -69,7 +69,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import InvariantViolation, NoStabilization, UnknownId
+from .errors import InvariantViolation, NoStabilization, UnknownId, check_order, lookup
 from .series import LaurentSeries, div_binomial_into, mul_binomial_into
 
 _HALF = Fraction(1, 2)
@@ -466,10 +466,7 @@ def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
 
 def normalize_id(series_id: str) -> str:
     """Case-insensitive lookup key for a catalog id; raises UnknownId."""
-    key = str(series_id).strip().upper()
-    if key in _SINGLES or key in _DOUBLES:
-        return key
-    raise UnknownId(f"unknown series id {series_id!r}")
+    return lookup(_SINGLES | _DOUBLES, series_id, UnknownId, "unknown series id")[0]
 
 
 def catalog_ids() -> tuple[str, ...]:
@@ -495,8 +492,7 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     ratio chain, a single sum, a column or a fold; a chain that needs more
     raises NoStabilization.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_order(order)
     if star_budget is not None and star_budget < 0:
         raise ValueError("star_budget must be >= 0")
     key = normalize_id(series_id)
@@ -526,18 +522,21 @@ def _family_sums(form: str, horizons: dict[str, int],
 def eval_plan(horizons: dict[str, int]) -> dict[str, LaurentSeries]:
     """Every series ``horizons`` names, through its own horizon, keyed by id.
 
-    A single sum goes through ``eval_named``; the double sums of one family
-    are summed together, so each of their columns is summed once, at the
-    highest horizon any of them needs.
+    Two keys that name one id ask for it through the higher of their
+    horizons.  A single sum goes through ``eval_named``; the double sums of
+    one family are summed together, so each of their columns is summed once,
+    at the highest horizon any of them needs.
     """
-    out = {}
-    families: dict[str, dict[str, int]] = {}
+    plan: dict[str, int] = {}
     for series_id, order in horizons.items():
         key = normalize_id(series_id)
+        check_order(order)
+        plan[key] = max(plan.get(key, order), order)
+    out = {}
+    families: dict[str, dict[str, int]] = {}
+    for key, order in plan.items():
         if key in _SINGLES:
             out[key] = eval_named(key, order)
-        elif order < 0:
-            raise ValueError("order must be >= 0")
         else:
             families.setdefault(_DOUBLES[key][0], {})[key] = order
     for form, members in families.items():

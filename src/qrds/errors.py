@@ -1,8 +1,11 @@
-"""Domain-level exceptions shared across the package.
+"""Domain-level exceptions shared across the package, and its two input rules.
 
 The one arithmetic-level error, UnknownCoefficient, lives in ``series``;
 everything tied to catalogs, summation control, field data, or internal
 invariants is collected here so modules can share them without import cycles.
+
+The input rules are written once, here: ``lookup`` reads a name in a registry
+case- and space-insensitively, and ``check_order`` refuses a horizon below 0.
 """
 
 __all__ = [
@@ -51,3 +54,19 @@ class InvariantViolation(RuntimeError):
 
     Raised explicitly rather than asserted, so the check survives ``python -O``.
     """
+
+
+def lookup(table: dict, name, error: type[Exception], what: str) -> tuple:
+    """(key, entry) of ``name`` in ``table``: the key is ``name`` as a string,
+    stripped and upper-cased.  An unknown name raises ``error(f"{what} {name!r}")``."""
+    key = str(name).strip().upper()
+    try:
+        return key, table[key]
+    except KeyError:
+        raise error(f"{what} {name!r}") from None
+
+
+def check_order(order: int) -> None:
+    """A horizon q**order needs order >= 0."""
+    if order < 0:
+        raise ValueError("order must be >= 0")

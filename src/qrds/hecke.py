@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
-from .errors import UnknownId
+from .errors import UnknownId, check_order, lookup
 from .series import LaurentSeries
 
 __all__ = [
@@ -96,8 +96,7 @@ def _eval_block(block: HeckeBlock, order: int, acc: dict[int, int]) -> None:
 
 def eval_blocks(blockset: HeckeBlockSet, order: int) -> LaurentSeries:
     """Evaluate a block set exactly through q**order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_order(order)
     acc: dict[int, int] = {}
     for c, e in blockset.constants:
         if e <= order:
@@ -221,8 +220,4 @@ _CATALOG: dict[str, HeckeBlockSet] = {
 
 def hecke_catalog(series_id: str) -> HeckeBlockSet:
     """Block set for a public series id (case-insensitive)."""
-    key = str(series_id).strip().upper()
-    try:
-        return _CATALOG[key]
-    except KeyError:
-        raise UnknownId(f"no block set for id {series_id!r}") from None
+    return lookup(_CATALOG, series_id, UnknownId, "no block set for id")[1]

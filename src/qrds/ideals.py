@@ -26,7 +26,7 @@ from itertools import repeat
 from math import isqrt
 from operator import add, mul
 
-from .errors import InvariantViolation, UnsupportedField
+from .errors import InvariantViolation, UnsupportedField, check_order
 from .series import Coeff, LaurentSeries
 
 __all__ = [
@@ -270,8 +270,7 @@ def ideal_series(
     """
     if not isinstance(weight, (int, Fraction)):
         raise TypeError(f"weight must be an int or a Fraction, got {type(weight).__name__}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_order(order)
     start = query.residue if query.residue else query.modulus
     counts = _ideal_counts(query.D, order, query.restriction)[start :: query.modulus]
     p, d = weight.numerator, weight.denominator

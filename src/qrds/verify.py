@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .bailey import alpha_side, bailey_step, pair_catalog
 from .catalog import eval_named, eval_plan, pipeline
-from .errors import InvariantViolation, UnknownId
+from .errors import InvariantViolation, UnknownId, check_order
 from .hecke import eval_blocks, hecke_catalog
 from .ideals import IdealQuery, ideal_series
 from .series import LaurentSeries, first_mismatch
@@ -160,11 +160,6 @@ class VerificationReport:
         }
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be >= 0")
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -250,7 +245,7 @@ def _series(series_id: str, horizon: int) -> LaurentSeries:
 
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     """Check one dilation/ideal entry at the given horizon, all legs exact."""
-    _check_order(order)
+    check_order(order)
     spec = _theorem(index)
     t0 = time.perf_counter()
     base_order = base_order_for(spec, order)
@@ -289,7 +284,7 @@ def _term_sum(terms: tuple[_Term, ...], order: int) -> LaurentSeries:
 def verify_corollary(index: int, order: int = 400) -> VerificationReport:
     """Check one of the four dissection identities between the single-sum
     series Z2..Z5 and the double sums."""
-    _check_order(order)
+    check_order(order)
     t0 = time.perf_counter()
     cor = _COROLLARIES.get(index)
     if cor is None:
@@ -305,7 +300,7 @@ def verify_corollary(index: int, order: int = 400) -> VerificationReport:
 
 def verify_sigma(order: int = 400) -> VerificationReport:
     """Check the weighted-count single sum against its indefinite theta form."""
-    _check_order(order)
+    check_order(order)
     t0 = time.perf_counter()
     series = _term_sum((_SIGMA,), order)
     theta = eval_blocks(hecke_catalog("SIGMA"), order)
@@ -325,7 +320,7 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
     alpha side included, and none of the shared sums.  The sums are dropped
     when the call returns.
     """
-    _check_order(order)
+    check_order(order)
     token = _SOURCE.set(eval_plan(_planned_horizons(order)))
     try:
         reports = [verify_corollary(j, order) for j in _COROLLARIES]
@@ -344,7 +339,7 @@ def check_support_residue(index: int, order: int = 400) -> bool:
     when ``modulus`` divides ``dilate`` and ``shift - residue``.  So the
     theorem's row decides it at every order, whatever the series'
     coefficients are, and no series is summed; ``order`` is only checked."""
-    _check_order(order)
+    check_order(order)
     spec = _theorem(index)
     return spec.dilate % spec.modulus == 0 and (spec.shift - spec.residue) % spec.modulus == 0
 

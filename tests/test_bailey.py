@@ -30,7 +30,8 @@ def test_labels():
     assert pair_labels() == ALL_PAIRS
     assert tuple(sorted(catalog._FAMILIES)) == ALL_FORMS
     assert pair_catalog("p2a").label == "P2A"
-    with pytest.raises(UnknownPair):
+    assert pair_catalog(" p3b ") is pair_catalog("P3B")
+    with pytest.raises(UnknownPair, match="^\"unknown Bailey pair 'P9X'\"$"):
         pair_catalog("P9X")
 
 
@@ -217,9 +218,19 @@ def test_relation_catches_a_corrupted_beta_factor(label, step):
 def test_relation_needs_a_catalog_pair():
     with pytest.raises(TypeError):
         verify_pair_relation(object(), n_max=2, order=10)
+    with pytest.raises(TypeError, match="needs a catalog pair or a stepped one, got 'BK1'$"):
+        verify_pair_relation("BK1", n_max=-1, order=-1)  # the type is checked first
     # a twice-stepped pair cannot be built, so the relation never sees one
     with pytest.raises(TypeError, match="needs a catalog pair, got <qrds.bailey.SteppedPair"):
         bailey.SteppedPair(bailey_step(pair_catalog("P2A")))
+
+
+@pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])
+@pytest.mark.parametrize("n_max, order", [(-1, 10), (2, -1), (-1, -1)])
+def test_relation_rejects_negative_arguments(step, n_max, order):
+    pair = pair_catalog("P2A")
+    with pytest.raises(ValueError, match="^n_max and order must be >= 0$"):
+        verify_pair_relation(bailey_step(pair) if step else pair, n_max=n_max, order=order)
 
 
 @pytest.mark.parametrize(
@@ -268,8 +279,22 @@ def test_form_pair_mismatch():
             side(bailey_step(pair_catalog("P1B")), "A1ALSO", 0)
         with pytest.raises(FormPairMismatch):
             side(bailey_step(pair_catalog("P2B")), "A1", 20)
-        with pytest.raises(UnknownId):
+        with pytest.raises(UnknownId, match="^\"unknown limit form 'B9'\"$"):
             side(bailey_step(pair_catalog("P2A")), "B9", 20)
+
+
+@pytest.mark.parametrize("side", [limit_form, alpha_side], ids=["limit_form", "alpha_side"])
+def test_limit_form_reads_the_form_first_and_loosely(side):
+    # the name is case- and space-insensitive, and read before the pair
+    # type and the order are checked
+    pair = bailey_step(pair_catalog("P2A"))
+    assert side(pair, " a1 ", 20) == side(pair, "A1", 20)
+    with pytest.raises(UnknownId, match="unknown limit form 'BOGUS'"):
+        side(pair, "BOGUS", -1)
+    with pytest.raises(UnknownId, match="unknown limit form 'BOGUS'"):
+        side("x", "BOGUS", -1)
+    with pytest.raises(TypeError, match="needs a stepped catalog pair, got 'x'$"):
+        side("x", "A1", -1)
 
 
 def test_beta0_must_vanish_for_shifted_forms():
@@ -294,9 +319,15 @@ def test_limit_form_names_a_non_pair():
 
 
 @pytest.mark.parametrize("order", [-1, -3])
-def test_limit_form_rejects_negative_order(order):
-    with pytest.raises(ValueError, match="order must be >= 0"):
-        limit_form(bailey_step(pair_catalog("P2A")), "A1", order)
+def test_limit_form_rejects_negative_order(monkeypatch, order):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a side was summed")
+
+    monkeypatch.setattr(bailey, "_ratio_sum", refuse)
+    monkeypatch.setattr(bailey, "_level", refuse)
+    for side in (limit_form, alpha_side):
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            side(bailey_step(pair_catalog("P2A")), "A1", order)
 
 
 class _StreakSumCalled(Exception):

@@ -91,16 +91,51 @@ def test_catalog_ids_complete():
 def test_normalize_id_case_insensitive():
     assert normalize_id("sigma") == "SIGMA"
     assert normalize_id(" l7 ") == "L7"
+    assert normalize_id(" z2 ") == "Z2"
     assert eval_named("l5", 20) == eval_named("L5", 20)
-    with pytest.raises(UnknownId):
+    with pytest.raises(UnknownId, match="^\"unknown series id 'L13'\"$"):
         normalize_id("L13")
-    with pytest.raises(UnknownId):
+    with pytest.raises(UnknownId, match="^\"unknown series id 'nope'\"$"):
         eval_named("nope", 10)
+    with pytest.raises(UnknownId, match="^\"unknown series id ' bogus '\"$"):
+        catalog.eval_plan({" bogus ": -1})  # the id is read before its horizon
 
 
-def test_eval_rejects_negative_order():
-    with pytest.raises(ValueError):
-        eval_named("SIGMA", -1)
+def test_eval_rejects_negative_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a catalog chain was summed")
+
+    monkeypatch.setattr(catalog, "_ratio_sum", refuse)
+    for evaluate in (
+        lambda: eval_named("SIGMA", -1),
+        lambda: eval_named("L1", -1),
+        lambda: catalog.eval_plan({"SIGMA": -1}),
+        lambda: catalog.eval_plan({"L1": -1}),
+        lambda: catalog.eval_plan({"Z2": 10, "L5": 10, "l6": -1}),
+        lambda: eval_named("BOGUS", -1),  # the horizon is checked before the id
+    ):
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            evaluate()
+
+
+@pytest.mark.parametrize("first, second", [("L1", " l1"), ("SIGMA", "sigma"), ("Z2", " z2 ")])
+@pytest.mark.parametrize("high_first", [True, False])
+def test_eval_plan_keeps_the_highest_horizon_of_an_id(monkeypatch, first, second, high_first):
+    """Two keys that name one id get it through the higher horizon, in
+    either insertion order; a single sum goes through ``eval_named``."""
+    calls, real = [], catalog.eval_named
+
+    def recorded(sid, order):
+        calls.append((sid, order))
+        return real(sid, order)
+
+    monkeypatch.setattr(catalog, "eval_named", recorded)
+    horizons = {first: 20, second: 10} if high_first else {second: 10, first: 20}
+    got = catalog.eval_plan(horizons)
+    assert list(got) == [first]
+    assert got[first].order == 20
+    assert got[first] == real(first, 20)
+    assert calls == ([(first, 20)] if first in catalog._SINGLES else [])
 
 
 @pytest.mark.parametrize("sid", ["L7", "SIGMA"])
@@ -472,9 +507,11 @@ def test_double_rows_match_term_by_term(sid, order):
 
 
 def _direct_column(form, k, h):
-    """(-q;q)_k times column k of ``form`` summed term by term from its S ratio,
-    rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)), doubled for a starred form, as
-    coefficients of q^0..q^h: what the catalog's (III.4) column must hold."""
+    """Column k of ``form`` summed term by term from its S ratio,
+    rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)), doubled for a starred form,
+    times the product of the family's ``column_scale(j)`` binomials over
+    j < k ((-q;q)_k for A1ALSO and AQALSO, 1 for A1 and AQ), as coefficients
+    of q^0..q^h: what the catalog's column must hold."""
     fam = catalog._FAMILIES[form]
 
     def terms():
@@ -486,8 +523,9 @@ def _direct_column(form, k, h):
             n += 1
 
     total = star_sum(terms(), h).scale(2) if fam.starred else classical_sum(terms(), h)
-    for j in range(1, k + 1):
-        total = total.mul_binomial(-1, j)
+    for j in range(k):
+        for c, e in fam.column_scale(j):
+            total = total.mul_binomial(c, e)
     return [total.coefficient(i) for i in range(h + 1)]
 
 
@@ -500,12 +538,13 @@ def _catalog_column(form, k, h):
     return col + [0] * (h + 1 - len(col))
 
 
-@pytest.mark.parametrize("form, k", [(form, k) for form in ("A1ALSO", "AQALSO")
+@pytest.mark.parametrize("form, k", [(form, k) for form in ("A1", "AQ", "A1ALSO", "AQALSO")
                                      for k in range(catalog._FAMILIES[form].k0, 13)])
 def test_column_matches_the_direct_column(form, k):
-    """Each (III.4) column of A1ALSO and AQALSO is the direct S-ratio column,
-    summed term by term by ``classical_sum`` / ``star_sum``, times
-    (-q;q)_k, at every horizon through 60 and at 199 and 400."""
+    """Each column of every family, the (III.4) form of A1ALSO and AQALSO
+    and the restated S ratio of A1 and AQ, is the direct S-ratio column,
+    summed term by term by ``classical_sum`` / ``star_sum``, times the
+    family's column scale, at every horizon through 60 and at 199 and 400."""
     want = _direct_column(form, k, 400)
     for h in (*range(61), 199, 400):
         assert _catalog_column(form, k, h) == want[:h + 1], h

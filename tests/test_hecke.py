@@ -73,8 +73,18 @@ def test_l5_head():
 
 def test_catalog_lookup_case_insensitive_and_unknown():
     assert hecke_catalog("sigma") is hecke_catalog("SIGMA")
-    with pytest.raises(UnknownId):
+    assert hecke_catalog(" l12 ") is hecke_catalog("L12")
+    with pytest.raises(UnknownId, match="^\"no block set for id 'L99'\"$"):
         hecke_catalog("L99")
+
+
+def test_eval_blocks_rejects_negative_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was summed")
+
+    monkeypatch.setattr(hecke, "_eval_block", refuse)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        eval_blocks(hecke_catalog("L1"), -1)
 
 
 def test_block_validation():

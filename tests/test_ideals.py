@@ -292,6 +292,15 @@ def test_ideal_series_negative_norms():
         assert c == 2 * len(canonical_reps(3, -e))
 
 
+def test_ideal_series_rejects_negative_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a norm was counted")
+
+    monkeypatch.setattr(ideals, "_ideal_counts", refuse)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        ideal_series(IdealQuery(3, 0, 2, "neg"), -1)
+
+
 def test_ideal_series_zero_residue_starts_at_modulus():
     q = IdealQuery(3, 0, 2, "neg")
     f = ideal_series(q, 10)
