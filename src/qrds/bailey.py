@@ -384,8 +384,8 @@ def limit_form(pair, form_id: str, order: int):
     Returns (lhs, rhs); for a matching pair/form combination the two agree
     through q**order.  rhs is ``alpha_side``.  lhs, the beta side
     sum_n w_n beta'_n, is the double sum of terms
-    w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out by the catalog's
-    one-member ratio-chain sum with S_n = w_n and P_k = q^(u(k)) beta_k.
+    w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out as a one-member
+    ``catalog._ratio_sum`` of the form's record with P_k = q^(u(k)) beta_k.
     The form lives in ``catalog._FAMILIES``: the n-step is its S ratio and
     its columns are summed by its column ratio, the same ones the catalog's
     double sums use, and every row is checked against its valuation bound.
@@ -400,6 +400,5 @@ def limit_form(pair, form_id: str, order: int):
     base, k0, (wc, we) = pair.base, form.k0, form.w_seed
     seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
             tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-    [lhs] = _ratio_sum([_Member(order, seed, pair._beta_ratio)], k0, form.s_ratio, form.bound,
-                       column=form.column, column_scale=form.column_scale)
+    [lhs] = _ratio_sum(form, [_Member(order, seed, pair._beta_ratio)])
     return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)

@@ -33,11 +33,13 @@ double sum against that pipeline's alpha side, which no ratio chain here
 computes.
 
 The double sums of one family therefore have the same columns, and only the
-fold with P_k tells them apart.  ``eval_plan`` sums all the double sums of a
-family it is asked for in one ``_ratio_sum`` call, whose column store lives
-for that call only: each column is summed once, at the highest horizon any
-member needs it, and each member folds truncated copies.  ``eval_named`` is
-the one-member case, and so is ``bailey.limit_form``'s beta side.
+fold with P_k tells them apart.  ``_ratio_sum`` sums double sums of one
+family, read off its record; ``eval_plan`` sums all those a plan asks for
+in one call, whose column store lives for that call only: each column is
+summed once, at the highest horizon any member needs it, and each member
+folds truncated copies.  ``eval_named`` of a double sum is the one-member
+case, and so is ``bailey.limit_form``'s beta side; a single sum is its seed
+times one chain (``_seeded`` holds the seed step of both kinds).
 
 The last level comes from a proof, not from a streak of vanishing terms:
 every binomial has constant term 1 and every monomial exponent is >= 0
@@ -387,81 +389,79 @@ def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int, head: Callable
 
 
 def _column(column: Callable[[int, int], Ratio], k: int, h: int, v: int, cap: int,
-            bound: Callable[[int], int] | None) -> list:
+            bound: Callable[[int], int]) -> list:
     """Column k through q**h, the chain 1 + column(k, k) * (1 + column(k, k + 1)
     * (...)), its level n at row n and level k at valuation v."""
     return _chain(partial(column, k), k, h, v, None, cap, bound)
 
 
+def _seeded(seed: Ratio, order: int, chain: Callable[[int, int], list]) -> LaurentSeries:
+    """``seed`` times ``chain(h, v)``, h and v being what the seed leaves of
+    q**order and its exponent; 0, with no chain summed, if the seed is 0 or
+    above q**order."""
+    c, v = _factor_ratio(seed)[:2]
+    if order < v or not c:
+        return LaurentSeries.zero(order)
+    return LaurentSeries(0, _horner([seed], [[]], chain(order - v, v), order - v), order)
+
+
 class _Member(NamedTuple):
-    """One sum of a ``_ratio_sum`` call: through q**order, first term
-    ``seed``, and ``p_ratio`` P_(k+1) / P_k for a double sum (None for a
-    single sum)."""
+    """One double sum of a ``_ratio_sum`` call: through q**order, first
+    term ``seed`` and P_(k+1) / P_k ``p_ratio``."""
 
     order: int
     seed: Ratio
-    p_ratio: Callable[[int], Ratio] | None = None
+    p_ratio: Callable[[int], Ratio]
 
 
-def _ratio_sum(members: list[_Member], k0: int, s_ratio: Callable[[int], Ratio],
-               bound: Callable[[int], int] | None = None, cap: int | None = None,
-               column: Callable[[int, int], Ratio] | None = None,
-               column_scale: Callable[[int], tuple[tuple[int, int], ...]] = _unscaled) -> list[LaurentSeries]:
-    """Single or double ratio-chain sums sharing ``s_ratio``, ``k0`` and
-    ``bound``, each through its own q**order, summed inside out.
+def _ratio_sum(fam: _Family, members: list[_Member], cap: int | None = None) -> list[LaurentSeries]:
+    """Double sums of the family ``fam``, each through its own q**order,
+    summed inside out.
 
-    With no ``p_ratio``, the sum of the terms t_n, n >= k0, where t_k0 is
-    ``seed`` and t_(n+1) / t_n is ``s_ratio(n)``.  With one, the sum of
-    T(n, k) = S_n * P_k / (q)_{n-k} over n >= k >= k0, where T(k0, k0) is
-    ``seed``, S_(n+1) / S_n is ``s_ratio(n)`` and P_(k+1) / P_k is
-    ``p_ratio(k)``: column k is D_k * U_k with D_k = T(k, k) and U_k =
-    sum_{n >= k} T(n, k) / D_k.  ``_column`` sums X_k * U_k, the chain of
-    ``column(k, n)``, where X_k is the product of the ``column_scale(j)``
-    binomials over j < k, and the columns fold as the chain
-    V_k = X_k U_k + s_ratio(k) * p_ratio(k) / (X_(k+1) / X_k) * V_(k+1),
-    the sum being seed / X_k0 * V_k0.
+    Each is the sum of T(n, k) = S_n * P_k / (q)_{n-k} over n >= k >= k0,
+    where T(k0, k0) is ``seed``, S_(n+1) / S_n is ``fam.s_ratio(n)`` and
+    P_(k+1) / P_k is ``p_ratio(k)``: column k is D_k * U_k with D_k = T(k, k)
+    and U_k = sum_{n >= k} T(n, k) / D_k.  ``_column`` sums X_k * U_k, the
+    chain of ``fam.column(k, n)``, where X_k is the product of the
+    ``fam.column_scale(j)`` binomials over j < k, and the columns fold as
+    the chain V_k = X_k U_k + s_ratio(k) * p_ratio(k) / (X_(k+1) / X_k) *
+    V_(k+1), the sum being seed / X_k0 * V_k0.
 
-    The columns depend on neither ``seed`` nor ``p_ratio``, so the double
-    sums share them: every member's diagonal is walked first, which gives the
+    The columns depend on neither ``seed`` nor ``p_ratio``, so the members
+    share them: every member's diagonal is walked first, which gives the
     horizon and valuation each needs column k at, and column k is summed once,
     through the highest of those horizons, at the least of those valuations.
     Each member then folds truncated copies along its diagonal, walked again,
-    so no member sees another's work.  ``bound(n)`` is checked against the
-    valuation of every level n of a single sum or a column; at the least
-    valuation the check is at least as strict as each member's own.  ``cap``
-    (default 4 * the highest order + 64) bounds the levels of one chain.
+    so no member sees another's work.  ``fam.bound(n)`` is checked against
+    the valuation of every level n of a column; at the least valuation the
+    check is at least as strict as each member's own.  ``cap`` (default
+    4 * the highest order + 64) bounds the levels of one chain.
     """
     if cap is None:
         cap = 4 * max(m.order for m in members) + 64
 
     def diagonal(p_ratio: Callable[[int], Ratio]) -> Callable[[int], Ratio]:
         def step(k: int) -> Ratio:  # D_k / X_k -> D_(k+1) / X_(k+1)
-            cs, es, ns, ds = _factor_ratio(s_ratio(k))
+            cs, es, ns, ds = _factor_ratio(fam.s_ratio(k))
             cp, ep, np, dp = _factor_ratio(p_ratio(k))
-            return cs * cp, es + ep, ns + np, ds + dp + column_scale(k)
+            return cs * cp, es + ep, ns + np, ds + dp + fam.column_scale(k)
         return step
 
     need: dict[int, tuple[int, int]] = {}  # k -> (highest horizon, least valuation)
     for order, seed, p_ratio in members:
         c, v = _factor_ratio(seed)[:2]
-        if p_ratio is not None and order >= v and c:
-            for k, h, vk in _walk(diagonal(p_ratio), k0, order - v, v, cap)[1]:
+        if order >= v and c:
+            for k, h, vk in _walk(diagonal(p_ratio), fam.k0, order - v, v, cap)[1]:
                 top, low = need.get(k, (h, vk))
                 need[k] = max(top, h), min(low, vk)
-    columns = {k: _column(column, k, h, v, cap, bound) for k, (h, v) in need.items()}
-    unscale = tuple(b for j in range(k0) for b in column_scale(j))  # 1 / X_k0
-    sums = []
-    for order, (c, v, num, den), p_ratio in members:
-        if order < v or not c:
-            sums.append(LaurentSeries.zero(order))
-            continue
-        if p_ratio is None:
-            buf = _chain(s_ratio, k0, order - v, v, None, cap, bound)
-        else:
-            buf = _chain(diagonal(p_ratio), k0, order - v, v, lambda k, h: columns[k][:h + 1], cap)
-            den += unscale
-        sums.append(LaurentSeries(0, _horner([(c, v, num, den)], [[]], buf, order - v), order))
-    return sums
+    columns = {k: _column(fam.column, k, h, v, cap, fam.bound) for k, (h, v) in need.items()}
+    unscale = tuple(b for j in range(fam.k0) for b in fam.column_scale(j))  # 1 / X_k0
+
+    def fold(p_ratio: Callable[[int], Ratio], h: int, v: int) -> list:
+        return _chain(diagonal(p_ratio), fam.k0, h, v, lambda k, hk: columns[k][:hk + 1], cap)
+
+    return [_seeded((c, v, num, den + unscale), order, partial(fold, p_ratio))
+            for order, (c, v, num, den), p_ratio in members]
 
 
 def normalize_id(series_id: str) -> str:
@@ -488,9 +488,9 @@ def pipeline(series_id: str) -> tuple[str, str, int, int]:
 def eval_named(series_id: str, order: int, star_budget: int | None = None) -> LaurentSeries:
     """Evaluate a named series exactly through q**order.
 
-    ``star_budget`` (default 4 * order + 64) caps the levels of any one
-    ratio chain, a single sum, a column or a fold; a chain that needs more
-    raises NoStabilization.
+    ``star_budget`` (None: 4 * order + 64; 0 is zero levels) caps the levels
+    of any one ratio chain, a single sum, a column or a fold; a chain that
+    needs more raises NoStabilization.
     """
     check_order(order)
     if star_budget is not None and star_budget < 0:
@@ -498,8 +498,8 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     key = normalize_id(series_id)
     if key in _SINGLES:
         (n0, c0, e0, den, ratio), bound = _SINGLES[key]
-        [total] = _ratio_sum([_Member(order, (c0, e0, (), den))], n0, ratio, bound, cap=star_budget)
-        return total
+        cap = 4 * order + 64 if star_budget is None else star_budget
+        return _seeded((c0, e0, (), den), order, lambda h, v: _chain(ratio, n0, h, v, None, cap, bound))
     return _family_sums(_DOUBLES[key][0], {key: order}, star_budget)[key]
 
 
@@ -511,7 +511,7 @@ def _family_sums(form: str, horizons: dict[str, int],
     fam = _FAMILIES[form]
     seed = (fam.c0, fam.e0, (), ((1, 1),))
     members = [_Member(order, seed, _P_RATIOS[_DOUBLES[sid][1]]) for sid, order in horizons.items()]
-    sums = _ratio_sum(members, fam.k0, fam.s_ratio, fam.bound, cap, fam.column, fam.column_scale)
+    sums = _ratio_sum(fam, members, cap)
     out = {}
     for (sid, order), total in zip(horizons.items(), sums):
         const = _DOUBLES[sid][2]

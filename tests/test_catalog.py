@@ -106,6 +106,7 @@ def test_eval_rejects_negative_order(monkeypatch):
         raise AssertionError("a catalog chain was summed")
 
     monkeypatch.setattr(catalog, "_ratio_sum", refuse)
+    monkeypatch.setattr(catalog, "_walk", refuse)  # every chain, a single sum's too, starts here
     for evaluate in (
         lambda: eval_named("SIGMA", -1),
         lambda: eval_named("L1", -1),
@@ -281,6 +282,23 @@ def test_level_cap_binds_at_the_longest_chain(monkeypatch, sid):
         eval_named(sid, 300, star_budget=R - 1)
 
 
+@pytest.mark.parametrize("sid, order, value", [("SIGMA", 0, {0: 1}), ("Z2", 1, {1: 1}), ("L1", 1, {})])
+def test_zero_star_budget_allows_no_level(sid, order, value):
+    """A star budget of 0 caps every chain at zero levels; it is not read as
+    "use the default".  A sum whose chains need no ratio through q**order
+    keeps its value."""
+    f = eval_named(sid, order, star_budget=0)
+    assert head(f, order) == value
+    assert shape(f) == shape(eval_named(sid, order))
+
+
+@pytest.mark.parametrize("sid, order, n", [("SIGMA", 1, 0), ("Z2", 40, 1), ("L1", 40, 1), ("L7", 1, 0)])
+def test_zero_star_budget_stops_the_first_ratio(sid, order, n):
+    with pytest.raises(NoStabilization, match=f"^no last level within 0 levels from n={n}$"):
+        eval_named(sid, order, star_budget=0)
+    assert eval_named(sid, order, star_budget=None) == eval_named(sid, order)
+
+
 def test_classical_sum_skips_short_gaps():
     # three zero terms in a row must not end the sum; four must
     terms = [
@@ -388,6 +406,16 @@ def test_valuation_bound_violation_raises(monkeypatch, sid):
     monkeypatch.setitem(catalog._FAMILIES, "A1ALSO", family._replace(bound=lambda n: n + 100))
     with pytest.raises(InvariantViolation, match="n=1$"):
         eval_named(sid, 40)
+
+
+@pytest.mark.parametrize("sid", sorted(catalog._SINGLES))
+def test_single_sum_bound_violation_raises(monkeypatch, sid):
+    # a single sum's chain checks its row's bound at every level: raised at
+    # the fourth level alone, the bound is named there
+    (n0, *rest), bound = catalog._SINGLES[sid]
+    monkeypatch.setitem(catalog._SINGLES, sid, ((n0, *rest), lambda n: bound(n) + 100 * (n == n0 + 3)))
+    with pytest.raises(InvariantViolation, match=f"below its bound \\d+ at n={n0 + 3}$"):
+        eval_named(sid, 200)
 
 
 def test_beta_side_checks_the_forms_bound(monkeypatch):
@@ -703,6 +731,14 @@ def _direct(s_ratio):
     return column
 
 
+def _family(k0, s_ratio):
+    """A family of double sums with S ratio ``s_ratio`` from row ``k0``,
+    its columns summed term by term (``_direct``), and a valuation bound
+    of 0, which no term of a seed with exponent >= 0 can fall below."""
+    return catalog._Family(rel="1", k0=k0, w_seed=(1, 0), c0=1, e0=0, s_ratio=s_ratio,
+                           column=_direct(s_ratio), bound=lambda n: 0, rhs_term=lambda n: _STOP)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["single", "double", "column"]),
@@ -737,26 +773,30 @@ def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss
             want = want + term
             term = _apply(term, order, s_ratio(n))
             n += 1
-        [got] = catalog._ratio_sum([catalog._Member(order, seed)], k0, s_ratio)
+        got = catalog._seeded(seed, order, lambda h, v: catalog._chain(s_ratio, k0, h, v, None, 4 * order + 64))
         assert shape(got) == shape(want)
         return
     s_ratio = _listed(ss, k0, _STOP)
     members = [(order, seed, ps)] + others
     got = catalog._ratio_sum(
-        [catalog._Member(o, sd, _listed(p, k0, _STOP)) for o, sd, p in members], k0, s_ratio, column=_direct(s_ratio)
+        _family(k0, s_ratio), [catalog._Member(o, sd, _listed(p, k0, _STOP)) for o, sd, p in members]
     )
     for (o, sd, p), f in zip(members, got):
         want = _oracle_sum(_apply(LaurentSeries.one(o), o, sd), o, k0, _listed(p, k0, _STOP), s_ratio, False)
         assert shape(f) == shape(want)
 
 
-@pytest.mark.parametrize("negative", ["p_ratio", "s_ratio", "seed"])
-def test_ratio_sum_rejects_negative_exponent(negative):
-    ratio = {"p_ratio": (1, 1, (), ()), "s_ratio": (1, 1, (), ()), "seed": (1, 0, (), ())}
+@pytest.mark.parametrize("negative", ["p_ratio", "s_ratio", "seed", "single"])
+def test_ratio_sum_rejects_negative_exponent(monkeypatch, negative):
+    ratio = {"p_ratio": (1, 1, (), ()), "s_ratio": (1, 1, (), ()), "seed": (1, 0, (), ()), "single": (1, 1, (), ())}
     ratio[negative] = (1, -1, (), ())
     with pytest.raises(InvariantViolation, match="negative monomial exponent"):
-        catalog._ratio_sum([catalog._Member(10, ratio["seed"], lambda k: ratio["p_ratio"])], 0,
-                           lambda n: ratio["s_ratio"], column=_direct(lambda n: ratio["s_ratio"]))
+        if negative == "single":  # SIGMA's row with its ratio replaced
+            monkeypatch.setitem(catalog._SINGLES, "SIGMA", ((0, 1, 0, (), lambda n: ratio["single"]), lambda n: 0))
+            eval_named("SIGMA", 10)
+        else:
+            catalog._ratio_sum(_family(0, lambda n: ratio["s_ratio"]),
+                               [catalog._Member(10, ratio["seed"], lambda k: ratio["p_ratio"])])
 
 
 @pytest.mark.parametrize("sid", sorted(HEADS))

@@ -245,6 +245,22 @@ def test_verify_all_sums_each_series_once(monkeypatch, order):
     assert [_timeless(r) for r in planned] == [_timeless(r) for r in alone]
 
 
+def test_verify_all_sums_single_sums_through_catalog_eval_named(monkeypatch):
+    """Inside verify_all's plan every single sum, and no double sum, goes
+    through the module-global ``catalog.eval_named``, once per id at its
+    planned horizon: the one place where a single sum's value can be
+    replaced or corrupted from outside."""
+    calls, real = [], catalog.eval_named
+
+    def recorded(series_id, order, star_budget=None):
+        calls.append((series_id, order))
+        return real(series_id, order, star_budget=star_budget)
+
+    monkeypatch.setattr(catalog, "eval_named", recorded)
+    verify_all(400)
+    assert sorted(calls) == [("SIGMA", 400), ("Z2", 400), ("Z3", 400), ("Z4", 400), ("Z5", 200)]
+
+
 def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
     calls = _recorded_sums(monkeypatch)
     events = []
