@@ -15,7 +15,11 @@ ratio S_(n+1) / S_n / (1 - q^(n+1-k)).  The A1ALSO and AQALSO columns are
 2phi1 series with c = 0, summed in their quadratic 2phi2 form (Gasper and
 Rahman, (III.4)), which needs about sqrt(2h) levels through q**h in place
 of about h; each such column comes times (-q;q)_k, which the fold divides
-out with one more binomial 1 + q^(k+1) per diagonal step.
+out with one more binomial 1 + q^(k+1) per diagonal step.  Only their first
+two columns are summed as chains: each later one follows from the two
+before it by a three-term contiguous relation (Heine's, proved here on the
+(III.4) terms), about seven list passes, and each such step checks that
+its division by q^(2k+3) is exact (``InvariantViolation``).
 Each level works on one plain int list in place with the series kernel's
 list operations; nothing is added row by row.
 
@@ -36,8 +40,9 @@ The double sums of one family therefore have the same columns, and only the
 fold with P_k tells them apart.  ``_ratio_sum`` sums double sums of one
 family, read off its record; ``eval_plan`` sums all those a plan asks for
 in one call, whose column store lives for that call only: each column is
-summed once, at the highest horizon any member needs it, and each member
-folds truncated copies.  ``eval_named`` of a double sum is the one-member
+computed once, through the highest horizon any member needs it at (raised,
+in a family with a relation, to what the columns derived from it need),
+and each member folds truncated copies.  ``eval_named`` of a double sum is the one-member
 case, and so is ``bailey.limit_form``'s beta side; a single sum is its seed
 times one chain (``_seeded`` holds the seed step of both kinds).
 
@@ -161,26 +166,35 @@ def star_sum(
 
 # ---------------------------------------------------------------- catalogue
 
-# each single-sum entry: (n0, start_coeff, start_exp, start_den, ratio(n))
-# where start = start_coeff * q^start_exp / prod (1 - c q^e) for (c,e) in den
+# each single-sum entry: (n0, seed, ratio(n)), the series being the chain
+# seed * (1 + ratio(n0) * (1 + ratio(n0 + 1) * (...))), with its bound
+#
+# Z2 = sum_{n >= 1} q^n (-q^2; q^2)_(n-1) / (-q; q^2)_n steps by q per term.
+# In base p = q^2 it is q / (1 + q) * sum_{n >= 0} (-p; p)_n q^n / (-qp; p)_n,
+# and the Rogers-Fine identity (Fine, Basic Hypergeometric Series and
+# Applications, 1988, (14.1)) turns that sum into one whose term n has
+# valuation 2n^2 + 2n, so Z2's row is
+#   Z2 = sum_{n >= 0} (-1)^n q^(2n^2 + 2n + 1) (1 + q^(4n+3)) (q^4; q^4)_n / (q^2; q^4)_(n+1).
 
-_Single = tuple[int, int, int, tuple[tuple[int, int], ...], Callable[[int], Ratio]]
+_Single = tuple[int, Ratio, Callable[[int], Ratio]]
 
 _SINGLES: dict[str, tuple[_Single, Callable[[int], int]]] = {
     "SIGMA": (
-        (0, 1, 0, (), lambda n: (1, n + 1, (), ((-1, n + 1),))),
+        (0, (1, 0, (), ()), lambda n: (1, n + 1, (), ((-1, n + 1),))),
         lambda n: n * (n + 1) // 2,
     ),
     "Z2": (
-        (1, 1, 1, ((-1, 1),), lambda n: (1, 1, ((-1, 2 * n),), ((-1, 2 * n + 1),))),
-        lambda n: n,
+        (
+            0,
+            (1, 1, ((-1, 3),), ((1, 2),)),
+            lambda n: (-1, 4 * n + 4, ((1, 4 * n + 4), (-1, 4 * n + 7)), ((1, 4 * n + 6), (-1, 4 * n + 3))),
+        ),
+        lambda n: 2 * n * n + 2 * n + 1,
     ),
     "Z3": (
         (
             1,
-            -1,
-            2,
-            ((-1, 1), (-1, 2)),
+            (-1, 2, (), ((-1, 1), (-1, 2))),
             lambda n: (-1, 2 * n + 2, ((1, 2 * n),), ((-1, 2 * n + 1), (-1, 2 * n + 2))),
         ),
         lambda n: n * n + n,
@@ -188,15 +202,13 @@ _SINGLES: dict[str, tuple[_Single, Callable[[int], int]]] = {
     "Z4": (
         (
             0,
-            1,
-            0,
-            ((-1, 1),),
+            (1, 0, (), ((-1, 1),)),
             lambda n: (-1, 2 * n + 2, ((1, 2 * n + 2),), ((-1, 2 * n + 2), (-1, 2 * n + 3))),
         ),
         lambda n: n * n + n,
     ),
     "Z5": (
-        (1, -1, 1, ((1, 1),), lambda n: (-1, 1, ((1, n),), ((1, 2 * n + 1),))),
+        (1, (-1, 1, (), ((1, 1),)), lambda n: (-1, 1, ((1, n),), ((1, 2 * n + 1),))),
         lambda n: n,
     ),
 }
@@ -212,8 +224,8 @@ def _unscaled(k: int) -> tuple[tuple[int, int], ...]:
 
 
 class _Family(NamedTuple):
-    """One limit form, keyed by its name, read by the catalog's double sums
-    and by ``bailey``'s limit transform alike.
+    """One limit form, keyed by its ``name``, read by the catalog's double
+    sums and by ``bailey``'s limit transform alike.
 
     The form's beta side sums w_n beta'_n over n >= k0 for a stepped pair
     relative to a = ``rel``, with w_k0 = ``w_seed`` (coeff, exponent) and
@@ -221,13 +233,17 @@ class _Family(NamedTuple):
     q^e0 / (1 - q) is the catalog's seed, w_k0 * beta'_k0 written apart
     from the pair closed forms.  Column k, U_k = sum_{n >= k} T(n, k) /
     T(k, k), is summed as a chain whose level n steps to level n + 1 by
-    ``column(k, n)``; the chain's value is U_k times the product of the
-    ``column_scale(j)`` binomials over j < k.  ``bound(n)``
+    ``column(k, n)``; the chain's value is C_k = X_k U_k, X_k being the
+    product of the ``column_scale(j)`` binomials over j < k.  A family with a
+    ``relation`` has U_k = A_k U_(k+1) + B_k U_(k+2) for every k >= k0, where
+    ``relation(k)`` = (a, b, c) gives A_k = sum of q^e over e in a and
+    B_k = q^b (1 - q^c).  ``bound(n)``
     is a proven lower bound for the valuation of every term of row n; a
     ``starred`` family's series is twice its sum's star value.  The alpha
     side is ``rhs_scale`` * sum_{n >= k0} ``rhs_term(n)`` * alpha'_n.
     """
 
+    name: str
     rel: str
     k0: int
     w_seed: tuple[int, int]
@@ -240,6 +256,7 @@ class _Family(NamedTuple):
     rhs_scale: int | Fraction = 1
     starred: bool = False
     column_scale: Callable[[int], tuple[tuple[int, int], ...]] = _unscaled
+    relation: Callable[[int], tuple[tuple[int, ...], int, int]] | None = None
 
 
 def _neg_q_step(k: int) -> tuple[tuple[int, int], ...]:
@@ -257,28 +274,51 @@ def _neg_q_step(k: int) -> tuple[tuple[int, int], ...]:
 # prefactor is 1 / (-q;q)_k, or 1 / (2 (-q;q)_k) for AQALSO.  Level m = n - k
 # has valuation (k + 1) m + m(m - 1)/2, so a column has at most sqrt(2h)
 # levels through q**h, converges q-adically and meets bound(n) as well.
-_FAMILIES: dict[str, _Family] = {
-    "A1": _Family(rel="1", k0=1, w_seed=(-1, 1), c0=1, e0=2,
-                  s_ratio=lambda n: (-1, n + 1, ((1, n),), ()),
-                  column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1),)),
-                  bound=lambda n: n * (n + 1) // 2,
-                  rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ((1, n),))),
-    "AQ": _Family(rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
-                  s_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()),
-                  column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1),)),
-                  bound=lambda n: n * (n + 1) // 2,
-                  rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ())),
-    "A1ALSO": _Family(rel="1", k0=1, w_seed=(-2, 1), c0=2, e0=2,
-                      s_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()),
-                      column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1), (-1, n + 1))),
-                      column_scale=_neg_q_step, bound=lambda n: n,
-                      rhs_term=lambda n: (_sgn(n), n, (), ((1, 2 * n),)), rhs_scale=2),
-    "AQALSO": _Family(rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
-                      s_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
-                      column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1), (-1, n + 1))),
-                      column_scale=_neg_q_step, bound=lambda n: 0,
-                      rhs_term=lambda n: (_sgn(n), 0, (), ()), rhs_scale=_HALF, starred=True),
-}
+#
+# Their columns obey a three-term relation.  With x = q^k, u = q^m and
+# alpha = 1 for A1ALSO, alpha = q for AQALSO, the chain sums
+# C_k = (-q;q)_k U_k = sum_{m >= 0} t_m(k),
+#   t_m(k) = (-1)^m q^(m(m-1)/2) (qx)^m (alpha x)_m / ((q)_m (-qx)_m).
+# Write s_k = 1 + qx for the column scale X_(k+1) / X_k and
+#   A_k = 1 + alpha (1 + q) q x^2,  B_k = q^3 x^2 (1 - alpha^2 q^2 x^2).
+# Written over t_m(k), with t_m(k+1) / t_m(k) and t_m(k+2) / t_m(k) the
+# rational functions of (q, x, u) the product form gives, the identity
+#   s_k s_(k+1) t_m(k) - A_k s_(k+1) t_m(k+1) - B_k t_m(k+2) = g_(m+1) - g_m,
+#   g_m = -s_k s_(k+1) (1 - u) (1 - alpha x - alpha x (1 + qx + q^2 x) u
+#         + alpha^2 q^2 x^3 u^2) t_m(k) / ((1 - alpha x)(1 + qxu)),
+# holds by clearing denominators.  g_0 = 0, and g_m -> 0 q-adically, since
+# 1 - alpha x (alpha x = q^k, k >= 1, or q^(k+1)) and 1 + qxu have constant
+# term 1 and t_m(k) has valuation >= m(m-1)/2, so the sum over m gives
+# C_k s_k s_(k+1) = A_k s_(k+1) C_(k+1) + B_k C_(k+2), that is
+# U_k = A_k U_(k+1) + B_k U_(k+2).  It is Heine's contiguous relation
+# F(b) = (1 - b^2 z (1 + q)) F(bq) + b^2 q z^2 (1 - b^2 q^2) F(bq^2) of
+# F(b) = sum_m (b^2; q^2)_m z^m / (q)_m at b = alpha x (Gasper and Rahman,
+# ch. 1), with z = -q for A1ALSO and z = -1 for AQALSO, where F's own terms
+# do not converge; the proof above runs on the (III.4) terms instead.
+_FAMILIES: dict[str, _Family] = {f.name: f for f in (
+    _Family(name="A1", rel="1", k0=1, w_seed=(-1, 1), c0=1, e0=2,
+            s_ratio=lambda n: (-1, n + 1, ((1, n),), ()),
+            column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1),)),
+            bound=lambda n: n * (n + 1) // 2,
+            rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ((1, n),))),
+    _Family(name="AQ", rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
+            s_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()),
+            column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1),)),
+            bound=lambda n: n * (n + 1) // 2,
+            rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ())),
+    _Family(name="A1ALSO", rel="1", k0=1, w_seed=(-2, 1), c0=2, e0=2,
+            s_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()),
+            column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1), (-1, n + 1))),
+            column_scale=_neg_q_step, relation=lambda k: ((0, 2 * k + 1, 2 * k + 2), 2 * k + 3, 2 * k + 2),
+            bound=lambda n: n,
+            rhs_term=lambda n: (_sgn(n), n, (), ((1, 2 * n),)), rhs_scale=2),
+    _Family(name="AQALSO", rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
+            s_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
+            column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1), (-1, n + 1))),
+            column_scale=_neg_q_step, relation=lambda k: ((0, 2 * k + 2, 2 * k + 3), 2 * k + 3, 2 * k + 4),
+            bound=lambda n: 0,
+            rhs_term=lambda n: (_sgn(n), 0, (), ()), rhs_scale=_HALF, starred=True),
+)}
 
 # P_(k+1) / P_k of each pair, P_k being its stepped beta_k
 _P_RATIOS: dict[str, Callable[[int], Ratio]] = {
@@ -395,6 +435,66 @@ def _column(column: Callable[[int, int], Ratio], k: int, h: int, v: int, cap: in
     return _chain(partial(column, k), k, h, v, None, cap, bound)
 
 
+def _derived(fam: _Family, k: int, low: list, high: list, h: int) -> list:
+    """Column k + 2 of ``fam`` through q**h from its columns k (``low``) and
+    k + 1 (``high``) by ``fam.relation(k)``:
+    C_(k+2) = s_(k+1) (s_k C_k - A_k C_(k+1)) / B_k, s_j being the
+    ``column_scale(j)`` binomials.  B_k's monomial q^b is divided out by
+    dropping the numerator's b lowest coefficients, which must be 0
+    (InvariantViolation), so a wrong column or relation shows here.  The
+    relation is proved above ``_FAMILIES``."""
+    a, b, c = fam.relation(k)
+    m = h + b + 1
+    num = low[:m]
+    num.extend(repeat(0, m - len(num)))
+    for cc, ee in fam.column_scale(k):
+        mul_binomial_into(num, cc, ee, m)
+    for e in a:
+        part = high[:m - e]
+        num[e:e + len(part)] = map(sub, num[e:e + len(part)], part)
+    for cc, ee in fam.column_scale(k + 1):
+        mul_binomial_into(num, cc, ee, m)
+    if any(num[:b]):
+        raise InvariantViolation(
+            f"{fam.name} column {k + 2} from columns {k} and {k + 1}: numerator not divisible by q^{b}")
+    del num[:b]
+    div_binomial_into(num, 1, c, h + 1)
+    return num
+
+
+def _columns(fam: _Family, need: dict[int, tuple[int, int]], cap: int) -> dict[int, list]:
+    """Column k of ``fam`` through at least q**h, for each k: (h, v) of
+    ``need``, whose keys run k0, k0 + 1, ... without a gap.
+
+    Each column's chain is walked at its own (h, v), in k order, so every
+    bound and level-cap check fires as if that column were summed by its
+    chain.  A family without a ``relation`` sums every column by its chain
+    (``_column``).  One with it sums only its first two columns so and
+    derives each later one from the two before it (``_derived``), about
+    seven list passes in place of about sqrt(2h) levels.  Deriving column
+    k + 2 loses b_k = ``relation(k)[1]`` of horizon, so the horizons are
+    raised first, in one backward pass: columns k and k + 1 are needed
+    through the horizon of column k + 2 plus b_k.
+    """
+    ks = sorted(need)
+    chained = len(ks) if fam.relation is None else 2
+    top = {k: h for k, (h, _) in need.items()}
+    for k in reversed(ks[chained:]):
+        b = fam.relation(k - 2)[1]
+        top[k - 2] = max(top[k - 2], top[k] + b)
+        top[k - 1] = max(top[k - 1], top[k] + b)
+    columns = {}
+    for i, k in enumerate(ks):
+        h, v = need[k]
+        if i < chained:
+            columns[k] = _column(fam.column, k, top[k], v, cap, fam.bound)
+        else:
+            _walk(partial(fam.column, k), k, h, v, cap, fam.bound)
+    for k in ks[chained:]:
+        columns[k] = _derived(fam, k - 2, columns[k - 2], columns[k - 1], top[k])
+    return columns
+
+
 def _seeded(seed: Ratio, order: int, chain: Callable[[int, int], list]) -> LaurentSeries:
     """``seed`` times ``chain(h, v)``, h and v being what the seed leaves of
     q**order and its exponent; 0, with no chain summed, if the seed is 0 or
@@ -429,8 +529,9 @@ def _ratio_sum(fam: _Family, members: list[_Member], cap: int | None = None) -> 
 
     The columns depend on neither ``seed`` nor ``p_ratio``, so the members
     share them: every member's diagonal is walked first, which gives the
-    horizon and valuation each needs column k at, and column k is summed once,
-    through the highest of those horizons, at the least of those valuations.
+    horizon and valuation each needs column k at, and column k is computed
+    once (``_columns``), through at least the highest of those horizons, at
+    the least of those valuations.
     Each member then folds truncated copies along its diagonal, walked again,
     so no member sees another's work.  ``fam.bound(n)`` is checked against
     the valuation of every level n of a column; at the least valuation the
@@ -454,7 +555,7 @@ def _ratio_sum(fam: _Family, members: list[_Member], cap: int | None = None) -> 
             for k, h, vk in _walk(diagonal(p_ratio), fam.k0, order - v, v, cap)[1]:
                 top, low = need.get(k, (h, vk))
                 need[k] = max(top, h), min(low, vk)
-    columns = {k: _column(fam.column, k, h, v, cap, fam.bound) for k, (h, v) in need.items()}
+    columns = _columns(fam, need, cap)
     unscale = tuple(b for j in range(fam.k0) for b in fam.column_scale(j))  # 1 / X_k0
 
     def fold(p_ratio: Callable[[int], Ratio], h: int, v: int) -> list:
@@ -489,17 +590,20 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     """Evaluate a named series exactly through q**order.
 
     ``star_budget`` (None: 4 * order + 64; 0 is zero levels) caps the levels
-    of any one ratio chain, a single sum, a column or a fold; a chain that
-    needs more raises NoStabilization.
+    of any one ratio chain: a single sum, a fold, or a column, walked at the
+    horizon its fold needs.  A1ALSO's and AQALSO's first two columns are
+    summed through the higher horizons their derived columns need, and the
+    cap counts those longer chains.  A chain that needs more raises
+    NoStabilization.
     """
     check_order(order)
     if star_budget is not None and star_budget < 0:
         raise ValueError("star_budget must be >= 0")
     key = normalize_id(series_id)
     if key in _SINGLES:
-        (n0, c0, e0, den, ratio), bound = _SINGLES[key]
+        (n0, seed, ratio), bound = _SINGLES[key]
         cap = 4 * order + 64 if star_budget is None else star_budget
-        return _seeded((c0, e0, (), den), order, lambda h, v: _chain(ratio, n0, h, v, None, cap, bound))
+        return _seeded(seed, order, lambda h, v: _chain(ratio, n0, h, v, None, cap, bound))
     return _family_sums(_DOUBLES[key][0], {key: order}, star_budget)[key]
 
 

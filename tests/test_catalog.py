@@ -2,9 +2,11 @@
 
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -247,6 +249,20 @@ def test_single_sum_matches_product_form(sid):
     assert total == head(eval_named(sid, _N), _N)
 
 
+# Z2's row before its Rogers-Fine form: n0 = 1, seed q / (1 + q), ratio
+# q (1 + q^(2n)) / (1 + q^(2n+1)), one q per term.
+_Z2_BY_ONE_Q = (1, (1, 1, (), ((-1, 1),)), lambda n: (1, 1, ((-1, 2 * n),), ((-1, 2 * n + 1),))), lambda n: n
+
+
+@pytest.mark.parametrize("order", [*range(0, 81), 199, 400, 1000])
+def test_z2_rogers_fine_row_matches_its_defining_sum(order):
+    """Z2's catalog row, the Rogers-Fine form with term valuations
+    2n^2 + 2n + 1, is its defining single sum summed term by term."""
+    (n0, seed, ratio), bound = _Z2_BY_ONE_Q
+    want = catalog._seeded(seed, order, lambda h, v: catalog._chain(ratio, n0, h, v, None, 4 * order + 64, bound))
+    assert shape(eval_named("Z2", order)) == shape(want)
+
+
 # ----------------------------------------------------------- sum machinery
 
 
@@ -262,10 +278,12 @@ def test_star_budget_stability():
         eval_named("L7", 300, star_budget=10)
 
 
-@pytest.mark.parametrize("sid", ["SIGMA", "L7"])
+@pytest.mark.parametrize("sid", ["SIGMA", "L7", "L11"])
 def test_level_cap_binds_at_the_longest_chain(monkeypatch, sid):
     # star_budget caps the ratios of each chain: R, the most any chain of
-    # the sum walks, is enough to reach the default sum and R - 1 is not
+    # the sum walks, is enough to reach the default sum and R - 1 is not.
+    # L11's longest chain is its first column, summed through the raised
+    # horizon its derived columns need (q^575 at order 300)
     walk, walked = catalog._walk, []
 
     def counted(*args):
@@ -282,6 +300,31 @@ def test_level_cap_binds_at_the_longest_chain(monkeypatch, sid):
         eval_named(sid, 300, star_budget=R - 1)
 
 
+@pytest.mark.parametrize("sid", ["L1", "L6", "L12"])
+def test_every_column_is_walked_at_its_own_horizon(monkeypatch, sid):
+    """Every column's chain is walked with the family's bound once, in k
+    order, derived columns included: a derived column at the horizon and
+    valuation its fold needs, a chain column through at least that horizon.
+    So every bound and level-cap check fires as if each column were summed
+    by its chain."""
+    walk, calls = catalog._walk, []
+
+    def recorded(ratio, j, h, v, cap, bound=None):
+        ratios, levels = walk(ratio, j, h, v, cap, bound)
+        calls.append((bound is not None, (j, h, v), levels))
+        return ratios, levels
+
+    monkeypatch.setattr(catalog, "_walk", recorded)
+    eval_named(sid, 400)
+    fam = catalog._FAMILIES[catalog._DOUBLES[sid][0]]
+    diagonal = calls[0][2]  # the one member's diagonal: the need of each column
+    columns = [start for bounded, start, _ in calls if bounded]
+    assert len(columns) == len(diagonal) > 2
+    for i, ((k, h, v), (kk, hk, vk)) in enumerate(zip(columns, diagonal)):
+        assert (k, v) == (kk, vk)
+        assert h >= hk if fam.relation is not None and i < 2 else h == hk, (k, h, hk)
+
+
 @pytest.mark.parametrize("sid, order, value", [("SIGMA", 0, {0: 1}), ("Z2", 1, {1: 1}), ("L1", 1, {})])
 def test_zero_star_budget_allows_no_level(sid, order, value):
     """A star budget of 0 caps every chain at zero levels; it is not read as
@@ -292,7 +335,7 @@ def test_zero_star_budget_allows_no_level(sid, order, value):
     assert shape(f) == shape(eval_named(sid, order))
 
 
-@pytest.mark.parametrize("sid, order, n", [("SIGMA", 1, 0), ("Z2", 40, 1), ("L1", 40, 1), ("L7", 1, 0)])
+@pytest.mark.parametrize("sid, order, n", [("SIGMA", 1, 0), ("Z2", 40, 0), ("L1", 40, 1), ("L7", 1, 0)])
 def test_zero_star_budget_stops_the_first_ratio(sid, order, n):
     with pytest.raises(NoStabilization, match=f"^no last level within 0 levels from n={n}$"):
         eval_named(sid, order, star_budget=0)
@@ -456,8 +499,24 @@ raise SystemExit(1)
 """
 
 
+# AQALSO with B_k's binomial exponent slipped by one: column 2 comes out
+# wrong, and column 3, derived from it, has a numerator not divisible by q^5.
+_BROKEN_RELATION = """
+import qrds.catalog as catalog
+from qrds.errors import InvariantViolation
+family = catalog._FAMILIES["AQALSO"]
+catalog._FAMILIES["AQALSO"] = family._replace(relation=lambda k: (*family.relation(k)[:2], 2 * k + 5))
+try:
+    catalog.eval_named("L12", 200)
+except InvariantViolation as err:
+    raise SystemExit(0 if str(err) == "AQALSO column 3 from columns 1 and 2: numerator not divisible by q^5" else 2)
+raise SystemExit(1)
+"""
+
+
 @pytest.mark.parametrize(
-    "script", [_BROKEN_BOUND, _BROKEN_ALPHA, _BROKEN_SHARED_BOUND], ids=["catalog", "alpha", "shared"]
+    "script", [_BROKEN_BOUND, _BROKEN_ALPHA, _BROKEN_SHARED_BOUND, _BROKEN_RELATION],
+    ids=["catalog", "alpha", "shared", "relation"],
 )
 def test_valuation_bound_survives_optimized_mode(script):
     src = str(Path(qrds.__file__).resolve().parent.parent)
@@ -576,6 +635,67 @@ def test_column_matches_the_direct_column(form, k):
     want = _direct_column(form, k, 400)
     for h in (*range(61), 199, 400):
         assert _catalog_column(form, k, h) == want[:h + 1], h
+
+
+@pytest.mark.parametrize("form", ["A1ALSO", "AQALSO"])
+def test_derived_columns_match_the_chain_and_direct_columns(form):
+    """Every column k <= 40 that ``_columns`` gives through q^300, the first
+    two summed by their (III.4) chains through raised horizons and every
+    later one derived by the family's relation, is the (III.4) chain column
+    and the direct S-ratio column."""
+    fam, h = catalog._FAMILIES[form], 300
+    need = {k: (h, fam.bound(k)) for k in range(fam.k0, 41)}
+    got = catalog._columns(fam, need, 4 * 3000 + 64)
+    assert sorted(got) == sorted(need)
+    for k, col in got.items():
+        col = col[:h + 1] + [0] * (h + 1 - len(col))
+        assert col == _catalog_column(form, k, h) == _direct_column(form, k, h), k
+
+
+def _at(ratio, q):
+    """The ratio (c, e, num, den) at the rational number q."""
+    c, e, num, den = ratio
+    x = c * q ** e
+    for cc, ee in num:
+        x *= 1 - cc * q ** ee
+    for cc, ee in den:
+        x /= 1 - cc * q ** ee
+    return x
+
+
+@pytest.mark.parametrize("form, alpha_exp", [("A1ALSO", 0), ("AQALSO", 1)])
+def test_relation_telescopes_on_the_column_terms(form, alpha_exp):
+    """The catalog's proof of the relation, checked at rational q: the terms
+    t_m(k) of column k's chain (products of ``column`` ratios), with A_k and
+    B_k read from ``relation(k)`` and s_k from ``column_scale(k)``, satisfy
+    s_k s_(k+1) t_m(k) - A_k s_(k+1) t_m(k+1) - B_k t_m(k+2) = g_(m+1) - g_m,
+    g_m = -s_k s_(k+1) (1 - u)(1 - ax - ax(1 + qx + q^2 x) u + a^2 q^2 x^3 u^2)
+    t_m(k) / ((1 - ax)(1 + qxu)), x = q^k, u = q^m and a = q^alpha_exp."""
+    fam = catalog._FAMILIES[form]
+    for q in (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)):
+        a = q ** alpha_exp
+
+        def t(k, m):
+            return math.prod(_at(fam.column(k, n), q) for n in range(k, k + m))
+
+        def s(k):
+            return math.prod(1 - cc * q ** ee for cc, ee in fam.column_scale(k))
+
+        for k in range(fam.k0, fam.k0 + 6):
+            x = q ** k
+            exps, b, c = fam.relation(k)
+            big_a, big_b = sum(q ** e for e in exps), q ** b * (1 - q ** c)
+
+            def g(m):
+                u = q ** m
+                return (-s(k) * s(k + 1) * (1 - u)
+                        * (1 - a * x - a * x * (1 + q * x + q * q * x) * u + a * a * q * q * x ** 3 * u * u)
+                        * t(k, m) / ((1 - a * x) * (1 + q * x * u)))
+
+            assert g(0) == 0
+            for m in range(10):
+                lhs = s(k) * s(k + 1) * t(k, m) - big_a * s(k + 1) * t(k + 1, m) - big_b * t(k + 2, m)
+                assert lhs == g(m + 1) - g(m), (q, k, m)
 
 
 _PIPELINE_PAIRS = sorted({catalog.pipeline(sid)[:2] for sid in catalog._DOUBLES})
@@ -735,7 +855,7 @@ def _family(k0, s_ratio):
     """A family of double sums with S ratio ``s_ratio`` from row ``k0``,
     its columns summed term by term (``_direct``), and a valuation bound
     of 0, which no term of a seed with exponent >= 0 can fall below."""
-    return catalog._Family(rel="1", k0=k0, w_seed=(1, 0), c0=1, e0=0, s_ratio=s_ratio,
+    return catalog._Family(name="TEST", rel="1", k0=k0, w_seed=(1, 0), c0=1, e0=0, s_ratio=s_ratio,
                            column=_direct(s_ratio), bound=lambda n: 0, rhs_term=lambda n: _STOP)
 
 
@@ -792,7 +912,7 @@ def test_ratio_sum_rejects_negative_exponent(monkeypatch, negative):
     ratio[negative] = (1, -1, (), ())
     with pytest.raises(InvariantViolation, match="negative monomial exponent"):
         if negative == "single":  # SIGMA's row with its ratio replaced
-            monkeypatch.setitem(catalog._SINGLES, "SIGMA", ((0, 1, 0, (), lambda n: ratio["single"]), lambda n: 0))
+            monkeypatch.setitem(catalog._SINGLES, "SIGMA", ((0, (1, 0, (), ()), lambda n: ratio["single"]), lambda n: 0))
             eval_named("SIGMA", 10)
         else:
             catalog._ratio_sum(_family(0, lambda n: ratio["s_ratio"]),

@@ -328,32 +328,46 @@ def _column_store(column):
 
 
 def _recorded_columns(monkeypatch, corrupt=None):
-    """Route every column the ratio-chain sum computes through a recorder of
-    (store, family, k); ``corrupt`` is one (store, family, k) whose column
-    gains 1 in its constant term, in the store, for every member it serves."""
+    """Route every column the ratio-chain sum computes, summed by its chain
+    (``_column``) or derived from the two before it (``_derived``), through
+    a recorder of (store, family, k, "chain" or "derived"); ``corrupt`` is
+    one (store, family, k) whose column gains 1 in its constant term, in the
+    store, for every member it serves and every column derived from it."""
     columns = []
-    real = catalog._column
+    real_column, real_derived = catalog._column, catalog._derived
 
-    def recorded(column, k, *args):
-        col = real(column, k, *args)
-        key = (*_column_store(column), k)
-        columns.append(key)
+    def kept(key, how, col):
+        columns.append((*key, how))
         if key == corrupt:
             col[0] += 1
         return col
 
-    monkeypatch.setattr(catalog, "_column", recorded)
+    def summed(column, k, *args):
+        return kept((*_column_store(column), k), "chain", real_column(column, k, *args))
+
+    def derived(fam, k, *args):
+        return kept(("catalog", fam.name, k + 2), "derived", real_derived(fam, k, *args))
+
+    monkeypatch.setattr(catalog, "_column", summed)
+    monkeypatch.setattr(catalog, "_derived", derived)
     return columns
 
 
 def test_verify_all_sums_each_column_once(monkeypatch):
+    """Each column of each family is computed once, with no gap from k0 on:
+    A1 and AQ sum every column by its chain, A1ALSO and AQALSO their first
+    two, and derive every later one."""
     columns = _recorded_columns(monkeypatch)
     verify_all(400)
-    counts = Counter(columns)
+    counts = Counter(key[:3] for key in columns)
     assert counts and set(counts.values()) == {1}
-    assert {(store, family) for store, family, _ in counts} == {
-        ("catalog", family) for family in ("A1", "AQ", "A1ALSO", "AQALSO")
-    }
+    assert {store for store, *_ in columns} == {"catalog"}
+    for family, fam in catalog._FAMILIES.items():
+        hows = sorted((k, how) for _, f, k, how in columns if f == family)
+        ks = [k for k, _ in hows]
+        assert len(ks) > 2 and ks == list(range(fam.k0, fam.k0 + len(ks))), family
+        chained = 2 if fam.relation else len(ks)
+        assert [how for _, how in hows] == ["chain"] * chained + ["derived"] * (len(ks) - chained), family
 
 
 _A1ALSO = {"theorem-05", "theorem-06", "theorem-09", "theorem-10"}
@@ -362,28 +376,29 @@ _A1ALSO = {"theorem-05", "theorem-06", "theorem-09", "theorem-10"}
 @pytest.mark.parametrize("store", ["catalog"])
 def test_corrupted_column_fails_only_its_store(monkeypatch, store):
     """One corrupted A1ALSO column of the catalog store, the only store,
-    fails every leg reading L5, L6, L9 or L10, pipeline legs included."""
+    stops verify_all at the first column derived from it: its numerator is
+    not divisible by B_1's q^5, and the error names the family, the derived
+    column and the two it reads."""
     _recorded_columns(monkeypatch, corrupt=(store, "A1ALSO", 1))
-    failing = {(r.report_id, leg.name) for r in verify_all(400) for leg in r.legs if not leg.ok}
-    legs = {(rid, leg) for rid in _A1ALSO for leg in ("ideal", "theta", "pipeline")}
-    assert failing == legs | {("corollary-2", "identity"), ("corollary-4", "identity")}
+    with pytest.raises(InvariantViolation, match=r"^A1ALSO column 3 from columns 1 and 2: .* q\^5$"):
+        verify_all(400)
 
 
-# the reports reading each (III.4) family: theorems (ideal, theta and
-# pipeline legs) and corollaries (identity leg)
-_READERS = {
-    "A1ALSO": (_A1ALSO, {"corollary-2", "corollary-4"}),
-    "AQALSO": ({"theorem-07", "theorem-08", "theorem-11", "theorem-12"}, {"corollary-3"}),
+# the first column each (III.4) family derives, from its two chain columns
+_FIRST_DERIVED = {
+    "A1ALSO": r"^A1ALSO column 3 from columns 1 and 2: numerator not divisible by q\^5$",
+    "AQALSO": r"^AQALSO column 2 from columns 0 and 1: numerator not divisible by q\^3$",
 }
 
 
-@pytest.mark.parametrize("form", sorted(_READERS))
+@pytest.mark.parametrize("form", sorted(_FIRST_DERIVED))
 @pytest.mark.parametrize("slip", ["exponent+1", "exponent-1", "no-divisor"])
 def test_column_form_slip_fails_its_family(monkeypatch, form, slip):
     """A slip of +-1 in the monomial exponent of a family's (III.4) column
-    ratio, or a fold that drops its column scale (the 1 + q^(k+1) divisor of
-    each diagonal step, and A1ALSO's seed divisor 1 + q), fails exactly the
-    legs that read the family's double sums."""
+    ratio, or a column scale dropped (the 1 + q^(k+1) divisor of each
+    diagonal step, A1ALSO's seed divisor 1 + q, and the s_k of the
+    relation), stops verify_all at the family's first derived column, named
+    with its family and the two chain columns it reads."""
     fam = catalog._FAMILIES[form]
     if slip == "no-divisor":
         broken = fam._replace(column_scale=lambda k: ())
@@ -396,17 +411,46 @@ def test_column_form_slip_fails_its_family(monkeypatch, form, slip):
 
         broken = fam._replace(column=column)
     monkeypatch.setitem(catalog._FAMILIES, form, broken)
-    failing = {(r.report_id, leg.name) for r in verify_all(400) for leg in r.legs if not leg.ok}
-    theorems, corollaries = _READERS[form]
-    legs = {(rid, leg) for rid in theorems for leg in ("ideal", "theta", "pipeline")}
-    assert failing == legs | {(rid, "identity") for rid in corollaries}
+    with pytest.raises(InvariantViolation, match=_FIRST_DERIVED[form]):
+        verify_all(400)
+
+
+# (family, index into A_k's three exponents, then B_k's monomial and
+# binomial exponents, slip); A_k's exponent 0 slips up only
+_RELATION_SLIPS = [pytest.param(form, i, d, id=f"{form}-{('a0', 'a1', 'a2', 'b', 'c')[i]}{d:+d}")
+                   for form in ("A1ALSO", "AQALSO") for i in range(5) for d in (1, -1) if (i, d) != (0, -1)]
+
+
+@pytest.mark.parametrize("form, i, d", _RELATION_SLIPS)
+def test_relation_slip_raises_or_fails_a_leg(monkeypatch, form, i, d):
+    """A +-1 slip of one exponent of A_k = sum q^a or B_k = q^b (1 - q^c),
+    for every k, either stops verify_all(400) at a derived column of the
+    family, named, or fails some leg."""
+    fam = catalog._FAMILIES[form]
+
+    def relation(k):
+        a, b, c = fam.relation(k)
+        flat = [*a, b, c]
+        flat[i] += d
+        return tuple(flat[:3]), flat[3], flat[4]
+
+    monkeypatch.setitem(catalog._FAMILIES, form, fam._replace(relation=relation))
+    try:
+        reports = verify_all(400)
+    except InvariantViolation as err:
+        assert str(err).startswith(f"{form} column "), err
+    else:
+        assert not all(leg.ok for r in reports for leg in r.legs)
 
 
 def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
     """A fault in the ratio-chain driver that every catalog sum goes
-    through fails the pipeline leg of all twelve theorems: the alpha side
-    it is checked against is built without that driver.  (A beta side,
-    summed by the same driver, carries the same fault.)"""
+    through fails the pipeline leg of theorems 1-4, whose families A1 and
+    AQ sum every column by chain: the alpha side it is checked against is
+    built without that driver.  (A beta side, summed by the same driver,
+    carries the same fault.)  verify_all(120) also sums the A1ALSO and
+    AQALSO columns, and stops at the first derived column that the faulty
+    chain columns make indivisible."""
     real = catalog._horner
 
     def faulty(*args):
@@ -416,8 +460,10 @@ def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
         return buf
 
     monkeypatch.setattr(catalog, "_horner", faulty)
-    failing = {r.report_id for r in verify_all(120) for leg in r.legs if leg.name == "pipeline" and not leg.ok}
-    assert failing == {f"theorem-{i:02d}" for i in range(1, 13)}
+    failing = {i for i in range(1, 5) for leg in verify_theorem(i, 120).legs if leg.name == "pipeline" and not leg.ok}
+    assert failing == {1, 2, 3, 4}
+    with pytest.raises(InvariantViolation, match=r"^A1ALSO column 4 from columns 2 and 3: .* q\^7$"):
+        verify_all(120)
 
 
 def test_corrupted_alpha_item_fails_its_pipeline_legs(monkeypatch):
