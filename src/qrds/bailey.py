@@ -43,7 +43,6 @@ would repeat one sum; the alpha side checks Bailey's lemma.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -51,7 +50,7 @@ from itertools import repeat
 from operator import add
 from typing import Callable, NamedTuple
 
-from .catalog import _FAMILIES, Ratio, _factor_ratio, _Family, _Member, _ratio_sum, _sgn
+from .catalog import _FAMILIES, Ratio, _cancel, _factor_ratio, _Family, _Member, _ratio_sum, _sgn
 from .errors import (Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair,
                      check_order, lookup)
 from .series import LaurentSeries, div_binomial_into, first_mismatch, mul_binomial_into
@@ -216,13 +215,6 @@ def _add_items(buf: list, v: int, items) -> None:
     for e, c in items:
         if e - v < len(buf):
             buf[e - v] += c
-
-
-def _cancel(num, den) -> tuple[list, list]:
-    """``num`` and ``den`` with the binomials they share removed, counted with multiplicity."""
-    num, den = Counter(num), Counter(den)
-    common = num & den
-    return list((num - common).elements()), list((den - common).elements())
 
 
 def _same(va: int, a: list, vb: int, b: list) -> bool:

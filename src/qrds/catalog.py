@@ -10,16 +10,16 @@ sum is 1 + r(n0) * (1 + r(n0 + 1) * (...)) times its first term.  A double
 sum, direct or on the Bailey pipeline's beta side, has terms
 T(n, k) = S_n * P_k / (q)_{n-k}; its column k is such a chain, and the
 columns fold outwards the same way, column k + 1 entering column k with the
-ratio of the diagonal terms.  The A1 and AQ columns step term by term, with
-ratio S_(n+1) / S_n / (1 - q^(n+1-k)).  The A1ALSO and AQALSO columns are
-2phi1 series with c = 0, summed in their quadratic 2phi2 form (Gasper and
-Rahman, (III.4)), which needs about sqrt(2h) levels through q**h in place
-of about h; each such column comes times (-q;q)_k, which the fold divides
-out with one more binomial 1 + q^(k+1) per diagonal step.  Only their first
-two columns are summed as chains: each later one follows from the two
-before it by a three-term contiguous relation (Heine's, proved here on the
-(III.4) terms), about seven list passes, and each such step checks that
-its division by q^(2k+3) is exact (``InvariantViolation``).
+ratio of the diagonal terms in lowest terms (``_cancel``).  The A1 and AQ
+columns step term by term, with ratio S_(n+1) / S_n / (1 - q^(n+1-k)).  The
+A1ALSO and AQALSO columns are 2phi1 series with c = 0, summed in their
+quadratic 2phi2 form (Gasper and Rahman, (III.4)), which needs about
+sqrt(2h) levels through q**h in place of about h and gives the column times
+(-q;q)_k.  Only their first two columns are summed as chains, and divided by
+that scale once: each later one follows from the two before it by a
+three-term contiguous relation (Heine's, proved here on the (III.4) terms),
+about five list passes, and each such step checks that its division by
+q^(2k+3) is exact (``InvariantViolation``).
 Each level works on one plain int list in place with the series kernel's
 list operations; nothing is added row by row.
 
@@ -218,11 +218,6 @@ def _sgn(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _unscaled(k: int) -> tuple[tuple[int, int], ...]:
-    """No binomials: a column summed term by term is U_k itself."""
-    return ()
-
-
 class _Family(NamedTuple):
     """One limit form, keyed by its ``name``, read by the catalog's double
     sums and by ``bailey``'s limit transform alike.
@@ -232,12 +227,12 @@ class _Family(NamedTuple):
     ``s_ratio(n)`` = S_(n+1) / S_n = w_(n+1) / w_n.  T(k0, k0) = c0 *
     q^e0 / (1 - q) is the catalog's seed, w_k0 * beta'_k0 written apart
     from the pair closed forms.  Column k, U_k = sum_{n >= k} T(n, k) /
-    T(k, k), is summed as a chain whose level n steps to level n + 1 by
-    ``column(k, n)``; the chain's value is C_k = X_k U_k, X_k being the
-    product of the ``column_scale(j)`` binomials over j < k.  A family with a
-    ``relation`` has U_k = A_k U_(k+1) + B_k U_(k+2) for every k >= k0, where
-    ``relation(k)`` = (a, b, c) gives A_k = sum of q^e over e in a and
-    B_k = q^b (1 - q^c).  ``bound(n)``
+    T(k, k), is what the fold reads.  Its chain, whose level n steps to level
+    n + 1 by ``column(k, n)``, gives X_k U_k, X_k being the product of the
+    ``column_scale(j)`` binomials over j < k; only a chained column is
+    divided by it.  With a ``relation``, U_k = A_k U_(k+1) + B_k U_(k+2)
+    for every k >= k0, ``relation(k)`` = (a, b, c) giving A_k = sum of q^e
+    over e in a and B_k = q^b (1 - q^c).  ``bound(n)``
     is a proven lower bound for the valuation of every term of row n; a
     ``starred`` family's series is twice its sum's star value.  The alpha
     side is ``rhs_scale`` * sum_{n >= k0} ``rhs_term(n)`` * alpha'_n.
@@ -255,7 +250,7 @@ class _Family(NamedTuple):
     rhs_term: Callable[[int], Ratio]
     rhs_scale: int | Fraction = 1
     starred: bool = False
-    column_scale: Callable[[int], tuple[tuple[int, int], ...]] = _unscaled
+    column_scale: Callable[[int], tuple[tuple[int, int], ...]] = lambda k: ()
     relation: Callable[[int], tuple[tuple[int, ...], int, int]] | None = None
 
 
@@ -360,6 +355,13 @@ def _factor_ratio(ratio: Ratio) -> Ratio:
     return ratio
 
 
+def _cancel(num, den) -> tuple[tuple, tuple]:
+    """``num`` and ``den`` with the binomials they share removed, counted with multiplicity."""
+    den = list(den)
+    kept = [b for b in num if b not in den or den.remove(b)]  # remove() gives None
+    return tuple(kept), tuple(den)
+
+
 def _horner(ratios: list[Ratio], heads: list[list], buf: list, h: int) -> list:
     """W_0 of W_i = heads[i] + ratios[i] * W_(i+1), from the innermost W_L = ``buf``.
 
@@ -438,22 +440,17 @@ def _column(column: Callable[[int, int], Ratio], k: int, h: int, v: int, cap: in
 def _derived(fam: _Family, k: int, low: list, high: list, h: int) -> list:
     """Column k + 2 of ``fam`` through q**h from its columns k (``low``) and
     k + 1 (``high``) by ``fam.relation(k)``:
-    C_(k+2) = s_(k+1) (s_k C_k - A_k C_(k+1)) / B_k, s_j being the
-    ``column_scale(j)`` binomials.  B_k's monomial q^b is divided out by
-    dropping the numerator's b lowest coefficients, which must be 0
+    U_(k+2) = (U_k - A_k U_(k+1)) / B_k.  B_k's monomial q^b is divided out
+    by dropping the numerator's b lowest coefficients, which must be 0
     (InvariantViolation), so a wrong column or relation shows here.  The
     relation is proved above ``_FAMILIES``."""
     a, b, c = fam.relation(k)
     m = h + b + 1
     num = low[:m]
     num.extend(repeat(0, m - len(num)))
-    for cc, ee in fam.column_scale(k):
-        mul_binomial_into(num, cc, ee, m)
     for e in a:
         part = high[:m - e]
         num[e:e + len(part)] = map(sub, num[e:e + len(part)], part)
-    for cc, ee in fam.column_scale(k + 1):
-        mul_binomial_into(num, cc, ee, m)
     if any(num[:b]):
         raise InvariantViolation(
             f"{fam.name} column {k + 2} from columns {k} and {k + 1}: numerator not divisible by q^{b}")
@@ -463,7 +460,7 @@ def _derived(fam: _Family, k: int, low: list, high: list, h: int) -> list:
 
 
 def _columns(fam: _Family, need: dict[int, tuple[int, int]], cap: int) -> dict[int, list]:
-    """Column k of ``fam`` through at least q**h, for each k: (h, v) of
+    """Column U_k of ``fam`` through at least q**h, for each k: (h, v) of
     ``need``, whose keys run k0, k0 + 1, ... without a gap.
 
     Each column's chain is walked at its own (h, v), in k order, so every
@@ -471,7 +468,8 @@ def _columns(fam: _Family, need: dict[int, tuple[int, int]], cap: int) -> dict[i
     chain.  A family without a ``relation`` sums every column by its chain
     (``_column``).  One with it sums only its first two columns so and
     derives each later one from the two before it (``_derived``), about
-    seven list passes in place of about sqrt(2h) levels.  Deriving column
+    five list passes in place of about sqrt(2h) levels.  A chained column is
+    divided by its X_k once; a derived one never carries it.  Deriving column
     k + 2 loses b_k = ``relation(k)[1]`` of horizon, so the horizons are
     raised first, in one backward pass: columns k and k + 1 are needed
     through the horizon of column k + 2 plus b_k.
@@ -484,10 +482,14 @@ def _columns(fam: _Family, need: dict[int, tuple[int, int]], cap: int) -> dict[i
         top[k - 2] = max(top[k - 2], top[k] + b)
         top[k - 1] = max(top[k - 1], top[k] + b)
     columns = {}
+    scale = [b for j in range(fam.k0) for b in fam.column_scale(j)]  # X_k
     for i, k in enumerate(ks):
         h, v = need[k]
         if i < chained:
-            columns[k] = _column(fam.column, k, top[k], v, cap, fam.bound)
+            columns[k] = col = _column(fam.column, k, top[k], v, cap, fam.bound)
+            for cc, ee in scale:
+                div_binomial_into(col, cc, ee, top[k] + 1)
+            scale.extend(fam.column_scale(k))
         else:
             _walk(partial(fam.column, k), k, h, v, cap, fam.bound)
     for k in ks[chained:]:
@@ -503,6 +505,15 @@ def _seeded(seed: Ratio, order: int, chain: Callable[[int, int], list]) -> Laure
     if order < v or not c:
         return LaurentSeries.zero(order)
     return LaurentSeries(0, _horner([seed], [[]], chain(order - v, v), order - v), order)
+
+
+def _diagonal(fam: _Family, p_ratio: Callable[[int], Ratio]) -> Callable[[int], Ratio]:
+    """D_k -> D_(k+1): ``fam.s_ratio(k)`` times ``p_ratio(k)``, in lowest terms."""
+    def step(k: int) -> Ratio:
+        cs, es, ns, ds = _factor_ratio(fam.s_ratio(k))
+        cp, ep, np, dp = _factor_ratio(p_ratio(k))
+        return cs * cp, es + ep, *_cancel(ns + np, ds + dp)
+    return step
 
 
 class _Member(NamedTuple):
@@ -521,11 +532,9 @@ def _ratio_sum(fam: _Family, members: list[_Member], cap: int | None = None) -> 
     Each is the sum of T(n, k) = S_n * P_k / (q)_{n-k} over n >= k >= k0,
     where T(k0, k0) is ``seed``, S_(n+1) / S_n is ``fam.s_ratio(n)`` and
     P_(k+1) / P_k is ``p_ratio(k)``: column k is D_k * U_k with D_k = T(k, k)
-    and U_k = sum_{n >= k} T(n, k) / D_k.  ``_column`` sums X_k * U_k, the
-    chain of ``fam.column(k, n)``, where X_k is the product of the
-    ``fam.column_scale(j)`` binomials over j < k, and the columns fold as
-    the chain V_k = X_k U_k + s_ratio(k) * p_ratio(k) / (X_(k+1) / X_k) *
-    V_(k+1), the sum being seed / X_k0 * V_k0.
+    and U_k = sum_{n >= k} T(n, k) / D_k.  ``_columns`` gives U_k itself,
+    and the columns fold as the chain V_k = U_k + (D_(k+1) / D_k) * V_(k+1)
+    (``_diagonal``), the sum being seed * V_k0.
 
     The columns depend on neither ``seed`` nor ``p_ratio``, so the members
     share them: every member's diagonal is walked first, which gives the
@@ -540,29 +549,19 @@ def _ratio_sum(fam: _Family, members: list[_Member], cap: int | None = None) -> 
     """
     if cap is None:
         cap = 4 * max(m.order for m in members) + 64
-
-    def diagonal(p_ratio: Callable[[int], Ratio]) -> Callable[[int], Ratio]:
-        def step(k: int) -> Ratio:  # D_k / X_k -> D_(k+1) / X_(k+1)
-            cs, es, ns, ds = _factor_ratio(fam.s_ratio(k))
-            cp, ep, np, dp = _factor_ratio(p_ratio(k))
-            return cs * cp, es + ep, ns + np, ds + dp + fam.column_scale(k)
-        return step
-
     need: dict[int, tuple[int, int]] = {}  # k -> (highest horizon, least valuation)
     for order, seed, p_ratio in members:
         c, v = _factor_ratio(seed)[:2]
         if order >= v and c:
-            for k, h, vk in _walk(diagonal(p_ratio), fam.k0, order - v, v, cap)[1]:
+            for k, h, vk in _walk(_diagonal(fam, p_ratio), fam.k0, order - v, v, cap)[1]:
                 top, low = need.get(k, (h, vk))
                 need[k] = max(top, h), min(low, vk)
     columns = _columns(fam, need, cap)
-    unscale = tuple(b for j in range(fam.k0) for b in fam.column_scale(j))  # 1 / X_k0
 
     def fold(p_ratio: Callable[[int], Ratio], h: int, v: int) -> list:
-        return _chain(diagonal(p_ratio), fam.k0, h, v, lambda k, hk: columns[k][:hk + 1], cap)
+        return _chain(_diagonal(fam, p_ratio), fam.k0, h, v, lambda k, hk: columns[k][:hk + 1], cap)
 
-    return [_seeded((c, v, num, den + unscale), order, partial(fold, p_ratio))
-            for order, (c, v, num, den), p_ratio in members]
+    return [_seeded(seed, order, partial(fold, p_ratio)) for order, seed, p_ratio in members]
 
 
 def normalize_id(series_id: str) -> str:

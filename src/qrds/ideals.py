@@ -241,9 +241,10 @@ def sieve_counts(D: int, limit: int) -> list[int]:
     return counts
 
 
-def _ideal_counts(D: int, limit: int, restriction: str) -> list[int]:
-    """Counts for m in [0, limit] under ``restriction``, once the divisor
-    sums and the unit-orbit windows agree on every m."""
+def _ideal_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
+    """The counts for m in [0, limit] of both restrictions, "all" (the
+    divisor sums) and "neg" (the m < 0 window), once the divisor sums and
+    the unit-orbit windows agree on every m."""
     sieve = sieve_counts(D, limit)
     pos, neg = _window_counts(D, limit)
     # D = 2 has the unit 1 + sqrt(2) of norm -1, so each window carries every
@@ -255,12 +256,10 @@ def _ideal_counts(D: int, limit: int, restriction: str) -> list[int]:
             f"ideal counts disagree for D={D} at m={m}: unit-orbit windows give "
             f"{pos[m]} (+) and {neg[m]} (-), the divisor sum {sieve[m]}"
         )
-    return sieve if restriction == "all" else neg
+    return sieve, neg
 
 
-def ideal_series(
-    query: IdealQuery, order: int, weight: Coeff = 1
-) -> LaurentSeries:
+def ideal_series(query: IdealQuery, order: int, weight: Coeff = 1) -> LaurentSeries:
     """Generating function sum_m weight * count(m) * q^m over one norm class.
 
     Both counts of every norm through ``order`` are cross-checked first
@@ -271,8 +270,14 @@ def ideal_series(
     if not isinstance(weight, (int, Fraction)):
         raise TypeError(f"weight must be an int or a Fraction, got {type(weight).__name__}")
     check_order(order)
+    return _class_series(query, _ideal_counts(query.D, order), order, weight)
+
+
+def _class_series(query: IdealQuery, counts: tuple, order: int, weight: Coeff) -> LaurentSeries:
+    """``ideal_series`` read from ``counts``, the (all, neg) pair of
+    ``_ideal_counts`` of the query's field through at least ``order``."""
     start = query.residue if query.residue else query.modulus
-    counts = _ideal_counts(query.D, order, query.restriction)[start :: query.modulus]
+    counts = counts[query.restriction == "neg"][start : order + 1 : query.modulus]
     p, d = weight.numerator, weight.denominator
     scaled = map(mul, counts, repeat(p))
     coeffs = [0] * max(order + 1 - start, 0)

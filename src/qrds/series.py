@@ -265,19 +265,16 @@ class LaurentSeries:
             return LaurentSeries.zero(self.order)
         if c == 1:
             return self
+        if type(c) is int and Fraction not in map(type, self.coeffs):
+            return LaurentSeries(self.offset, map(mul, self.coeffs, repeat(c)), self.order)
         return LaurentSeries(self.offset, [_norm(c * x) for x in self.coeffs], self.order)
 
     def mul_monomial(self, c: Coeff, e: int) -> "LaurentSeries":
-        """Multiply by c * q**e."""
-        if not c:
-            return LaurentSeries.zero(None if self.order is None else self.order + e)
+        """Multiply by c * q**e: ``scale`` by c, moved by e."""
         order = None if self.order is None else self.order + e
-        if c == 1:
-            co = self.coeffs
-        elif c == -1:
-            co = list(map(neg, self.coeffs))
-        else:
-            co = [_norm(c * x) for x in self.coeffs]
+        if not c:
+            return LaurentSeries.zero(order)
+        co = list(map(neg, self.coeffs)) if c == -1 else self.scale(c).coeffs
         return LaurentSeries(self.offset + e, co, order)
 
     def mul_binomial(self, c: Coeff, e: int) -> "LaurentSeries":

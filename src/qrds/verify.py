@@ -29,9 +29,10 @@ double sum itself is summed from.
 table name every (series id, horizon) its reports read, so each catalog
 series is summed once, at the highest of its horizons, before the first
 report, and every report reads a truncation of that one sum.  The double
-sums of one family share their columns (``catalog.eval_plan``).  The alpha
-sides are cheap and each report builds its own, the same way a lone
-``verify_theorem`` does.
+sums of one family share their columns (``catalog.eval_plan``).  Each field's
+ideal counts are made and cross-checked once too, and each theorem's ideal
+leg reads its residue class from them.  The alpha sides are cheap and each
+report builds its own, as a lone ``verify_theorem`` does.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .bailey import alpha_side, bailey_step, pair_catalog
 from .catalog import eval_named, eval_plan, pipeline
 from .errors import InvariantViolation, UnknownId, check_order
 from .hecke import eval_blocks, hecke_catalog
-from .ideals import IdealQuery, ideal_series
+from .ideals import IdealQuery, _class_series, _ideal_counts, ideal_series
 from .series import LaurentSeries, first_mismatch
 
 __all__ = [
@@ -217,30 +218,36 @@ def _planned_horizons(order: int) -> dict[str, int]:
     return plan
 
 
-# The sums of the verify_all call in progress, if any: catalog series id ->
-# one sum at its planned horizon.  verify_all sets it and resets it on
-# return, so no sum outlives its call; a context variable rather than a
-# parameter keeps the report functions' signatures.
-_SOURCE: ContextVar[dict[str, LaurentSeries] | None] = ContextVar("qrds_verify_sums", default=None)
-
-
-def _planned(sums: dict[str, LaurentSeries], key: str, horizon: int) -> LaurentSeries:
-    """``sums[key]`` through q**horizon.  Asking beyond the plan is an
-    internal fault, not a reason to re-sum."""
-    f = sums.get(key)
-    planned = None if f is None else f.order
-    if planned is None or horizon > planned:
-        raise InvariantViolation(f"{key} requested through order {horizon}, planned through {planned}")
-    return f.truncate(horizon)
+# The plan of the verify_all call in progress, if any: series id -> one sum
+# at its planned horizon, and field D -> its cross-checked ideal counts.
+# verify_all sets it and resets it on return, so nothing outlives its call; a
+# context variable rather than a parameter keeps the report functions' signatures.
+_SOURCE: ContextVar[tuple[dict[str, LaurentSeries], dict[int, tuple]] | None] = ContextVar("qrds_verify_plan", default=None)
 
 
 def _series(series_id: str, horizon: int) -> LaurentSeries:
     """The catalog series through q**horizon: a truncation of the running
-    verify_all's sum, or summed directly when no plan is running."""
-    sums = _SOURCE.get()
-    if sums is None:
+    verify_all's sum, or summed directly when no plan is running.  Asking
+    beyond the plan is an internal fault, not a reason to re-sum."""
+    plan = _SOURCE.get()
+    if plan is None:
         return eval_named(series_id, horizon)
-    return _planned(sums, series_id, horizon)
+    f = plan[0].get(series_id)
+    planned = None if f is None else f.order
+    if planned is None or horizon > planned:
+        raise InvariantViolation(f"{series_id} requested through order {horizon}, planned through {planned}")
+    return f.truncate(horizon)
+
+
+def _ideals(spec: TheoremSpec, order: int) -> LaurentSeries:
+    """The theorem's weighted ideal series through q**order: its residue
+    class read from the running verify_all's counts of its field, which
+    verify_all made through this order, or counted when no plan is running."""
+    query = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
+    plan = _SOURCE.get()
+    if plan is None:
+        return ideal_series(query, order, weight=spec.weight)
+    return _class_series(query, plan[1][spec.field_d], order, spec.weight)
 
 
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
@@ -252,9 +259,7 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     series = _series(spec.series_id, base_order)
 
     dilated = series.dilate_shift(spec.dilate, spec.shift)
-    query = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
-    ideal = ideal_series(query, order, weight=spec.weight)
-    legs = [LegReport("ideal", first_mismatch(dilated, ideal, through=order))]
+    legs = [LegReport("ideal", first_mismatch(dilated, _ideals(spec, order), through=order))]
 
     theta = eval_blocks(hecke_catalog(spec.series_id), base_order)
     legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
@@ -313,15 +318,17 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
     """Every check at one horizon, reports sorted by id.
 
     Each catalog series is summed once, at the highest horizon any report
-    reads it, before the first report runs, and every report reads a
-    truncation; the double sums of one family share their columns.  Each
-    theorem's pipeline leg builds its own alpha side, as a lone
-    ``verify_theorem`` does.  A report's ``elapsed_ms`` covers its own legs,
-    alpha side included, and none of the shared sums.  The sums are dropped
-    when the call returns.
+    reads it, and each field's ideal counts are made and cross-checked once,
+    through ``order``, before the first report runs; every report reads a
+    truncation or a residue class of them.  The double sums of one family
+    share their columns.  Each theorem's pipeline leg builds its own alpha
+    side, as a lone ``verify_theorem`` does.  A report's ``elapsed_ms``
+    covers its own legs, alpha side included, and none of the shared sums
+    or counts.  Both are dropped when the call returns.
     """
     check_order(order)
-    token = _SOURCE.set(eval_plan(_planned_horizons(order)))
+    counts = {d: _ideal_counts(d, order) for d in sorted({spec.field_d for spec in _THEOREMS})}
+    token = _SOURCE.set((eval_plan(_planned_horizons(order)), counts))
     try:
         reports = [verify_corollary(j, order) for j in _COROLLARIES]
         reports.append(verify_sigma(order))

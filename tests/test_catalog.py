@@ -593,12 +593,12 @@ def test_double_rows_match_term_by_term(sid, order):
     assert shape(eval_named(sid, order)) == shape(want)
 
 
-def _direct_column(form, k, h):
+def _direct_column(form, k, h, scaled=True):
     """Column k of ``form`` summed term by term from its S ratio,
     rho_k(n) = s_ratio(n) / (1 - q^(n+1-k)), doubled for a starred form,
-    times the product of the family's ``column_scale(j)`` binomials over
-    j < k ((-q;q)_k for A1ALSO and AQALSO, 1 for A1 and AQ), as coefficients
-    of q^0..q^h: what the catalog's column must hold."""
+    and if ``scaled`` times the product of the family's ``column_scale(j)``
+    binomials over j < k ((-q;q)_k for A1ALSO and AQALSO, 1 for A1 and AQ),
+    as coefficients of q^0..q^h: what the catalog's column chain must hold."""
     fam = catalog._FAMILIES[form]
 
     def terms():
@@ -610,19 +610,24 @@ def _direct_column(form, k, h):
             n += 1
 
     total = star_sum(terms(), h).scale(2) if fam.starred else classical_sum(terms(), h)
-    for j in range(k):
+    for j in range(k if scaled else 0):
         for c, e in fam.column_scale(j):
             total = total.mul_binomial(c, e)
     return [total.coefficient(i) for i in range(h + 1)]
 
 
-def _catalog_column(form, k, h):
-    """Column k of ``form`` as the catalog sums it, at level k's least
-    valuation allowed by the form's bound, padded to q^0..q^h."""
+def _catalog_column(form, k, h, scaled=True):
+    """Column k of ``form`` as the catalog's chain sums it, at level k's
+    least valuation allowed by the form's bound, padded to q^0..q^h; unless
+    ``scaled``, divided by the family's column scale X_k."""
     fam = catalog._FAMILIES[form]
     col = catalog._column(fam.column, k, h, fam.bound(k), 4 * h + 64, fam.bound)
     assert len(col) <= h + 1
-    return col + [0] * (h + 1 - len(col))
+    col = LaurentSeries(0, col, h)
+    for j in range(0 if scaled else k):
+        for c, e in fam.column_scale(j):
+            col = col.div_binomial(c, e, order=h)
+    return [col.coefficient(i) for i in range(h + 1)]
 
 
 @pytest.mark.parametrize("form, k", [(form, k) for form in ("A1", "AQ", "A1ALSO", "AQALSO")
@@ -641,15 +646,56 @@ def test_column_matches_the_direct_column(form, k):
 def test_derived_columns_match_the_chain_and_direct_columns(form):
     """Every column k <= 40 that ``_columns`` gives through q^300, the first
     two summed by their (III.4) chains through raised horizons and every
-    later one derived by the family's relation, is the (III.4) chain column
-    and the direct S-ratio column."""
+    later one derived by the family's relation, is U_k: the (III.4) chain
+    column divided by its scale X_k, and the direct S-ratio column without
+    the scale."""
     fam, h = catalog._FAMILIES[form], 300
     need = {k: (h, fam.bound(k)) for k in range(fam.k0, 41)}
     got = catalog._columns(fam, need, 4 * 3000 + 64)
     assert sorted(got) == sorted(need)
     for k, col in got.items():
         col = col[:h + 1] + [0] * (h + 1 - len(col))
-        assert col == _catalog_column(form, k, h) == _direct_column(form, k, h), k
+        assert col == _catalog_column(form, k, h, scaled=False) == _direct_column(form, k, h, scaled=False), k
+
+
+def _shared(num, den):
+    return set(num) & set(den)
+
+
+def test_diagonal_steps_are_in_lowest_terms(monkeypatch):
+    """Every diagonal step the fold walks, for the twelve double sums and for
+    ``limit_form``'s beta side of all eight stepped pairs under each form of
+    their relation, has no binomial in both its numerator and its
+    denominator.  Of the twelve, exactly L1-L8 have S_(k+1) / S_k and
+    P_(k+1) / P_k share a binomial at every k, for the step to cancel."""
+    steps = []
+    real = catalog._diagonal
+
+    def recorded(fam, p_ratio):
+        step = real(fam, p_ratio)
+
+        def kept(k):
+            steps.append(step(k))
+            return steps[-1]
+        return kept
+
+    monkeypatch.setattr(catalog, "_diagonal", recorded)
+    catalog.eval_plan({sid: 200 for sid in catalog._DOUBLES})
+    walked = len(steps)
+    for label in bailey.pair_labels():
+        stepped = bailey.bailey_step(bailey.pair_catalog(label))
+        for form in ("A1", "A1ALSO") if stepped.rel == "1" else ("AQ", "AQALSO"):
+            before = len(steps)
+            lhs, rhs = bailey.limit_form(stepped, form, 60)
+            assert lhs == rhs and len(steps) > before, (label, form)
+    assert walked > 0 and len(steps) > walked
+    assert not any(_shared(num, den) for _, _, num, den in steps)
+    for sid, (form, pair, _) in catalog._DOUBLES.items():
+        fam, p_ratio = catalog._FAMILIES[form], catalog._P_RATIOS[pair]
+        shared = [bool(_shared(fam.s_ratio(k)[2] + p_ratio(k)[2], fam.s_ratio(k)[3] + p_ratio(k)[3]))
+                  for k in range(fam.k0, fam.k0 + 40)]
+        # L9-L12's P-ratio is 1 - q over 1 - q at k0, and shares nothing with S's
+        assert shared == [True] * 40 if int(sid[1:]) <= 8 else [True] + [False] * 39, sid
 
 
 def _at(ratio, q):

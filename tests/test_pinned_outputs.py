@@ -2,8 +2,9 @@
 
 Each digest is the sha256 of the offsets, horizons, coefficients and
 coefficient types of a series at several orders, or of the error raised;
-the ``verify_all`` digest is that of its JSON payloads without timings, and
-the pair digest that of every catalog pair's closed forms for m < 60.
+the ``verify_all`` digests are those of its JSON payloads without timings,
+at orders 400 and 1500, and the pair digest that of every catalog pair's
+closed forms for m < 60.
 Regenerate the table with ``python tests/test_pinned_outputs.py`` only when
 a change of output is intended, and say why in the change log.
 """
@@ -71,6 +72,8 @@ def verify_all_digest(order: int) -> str:
 
 
 PINNED_VERIFY_ALL_400 = "4a6b96758bd2ebb36940e4dfbd1ad1c1bc5975d28b2aef4f3cc4b5aba1f438b7"
+
+PINNED_VERIFY_ALL_1500 = "3015788254d385f1c153ecf195fb6311c7845e8b6e8650f7f854450ee7a2ebaf"
 
 PINNED_PAIRS = "166f930a803639133bcbb638d5897ba0e92e3bfddd9b0bba2f13e81f0633375d"
 
@@ -152,8 +155,13 @@ def test_verify_all_pinned():
     assert verify_all_digest(400) == PINNED_VERIFY_ALL_400
 
 
+def test_verify_all_pinned_at_1500():
+    assert verify_all_digest(1500) == PINNED_VERIFY_ALL_1500
+
+
 if __name__ == "__main__":
     print(f'PINNED_VERIFY_ALL_400 = "{verify_all_digest(400)}"\n')
+    print(f'PINNED_VERIFY_ALL_1500 = "{verify_all_digest(1500)}"\n')
     print(f'PINNED_PAIRS = "{pairs_digest()}"\n')
     print("PINNED_SERIES = {")
     for sid in catalog_ids():

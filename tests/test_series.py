@@ -315,6 +315,26 @@ def test_mul_monomial_matches_naive_loop(f, c, e):
     _check_kernel(lambda: f.mul_monomial(c, e), lambda: _ref_mul_monomial(f, c, e), f)
 
 
+def _ref_scale(f, c):
+    """The per-coefficient path: each product, an int wherever it is
+    integral; by 1, the series itself."""
+    if c == 1:
+        return f
+    out = []
+    for x in f.coeffs:
+        y = c * x
+        out.append(int(y) if isinstance(y, Fraction) and y.denominator == 1 else y)
+    return LaurentSeries(f.offset, out, f.order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon_series(), st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)]))
+def test_scale_matches_naive_loop(f, c):
+    # an int multiplier over int coefficients takes one map; a Fraction
+    # anywhere, stored with denominator 1 included, takes the per-coefficient path
+    _check_kernel(lambda: f.scale(c), lambda: _ref_scale(f, c), f)
+
+
 def _no_stored_fraction_zero(f):
     return all(type(c) is int or c for c in f.coeffs)
 

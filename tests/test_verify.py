@@ -9,6 +9,7 @@ import pytest
 
 import qrds.bailey as bailey
 import qrds.catalog as catalog
+import qrds.ideals as ideals
 import qrds.verify as verify_mod
 from qrds.catalog import eval_named, eval_plan
 from qrds.errors import InvariantViolation, UnknownId
@@ -297,12 +298,40 @@ def test_plan_guard_raises_beyond_planned_horizon(monkeypatch):
     with pytest.raises(InvariantViolation, match=r"L6 requested through order 400, planned through 399"):
         verify_all(400)
     assert verify_mod._SOURCE.get() is None  # the failed run's sums are gone
-    token = verify_mod._SOURCE.set({})
+    token = verify_mod._SOURCE.set(({}, {}))
     try:
         with pytest.raises(InvariantViolation, match="L1"):
             verify_mod._series("L1", 3)
     finally:
         verify_mod._SOURCE.reset(token)
+
+
+def test_verify_all_counts_each_field_once(monkeypatch):
+    """verify_all(400) builds each field's cross-checked ideal counts once,
+    for D = 2, 3 and 6, through its order and before the first leg; a lone
+    verify_theorem builds its own field's."""
+    events = []
+    real_counts, real_leg = ideals._ideal_counts, verify_mod.LegReport
+
+    def counts(D, limit):
+        events.append(("counts", D, limit))
+        return real_counts(D, limit)
+
+    def leg(name, mismatch):
+        events.append(("leg", name))
+        return real_leg(name, mismatch)
+
+    monkeypatch.setattr(ideals, "_ideal_counts", counts)
+    monkeypatch.setattr(verify_mod, "_ideal_counts", counts)
+    monkeypatch.setattr(verify_mod, "LegReport", leg)
+    assert all(report.ok for report in verify_all(400))
+    assert sorted(events[:3]) == [("counts", 2, 400), ("counts", 3, 400), ("counts", 6, 400)]
+    assert [e for e in events[3:] if e[0] == "counts"] == []
+    assert ("leg", "ideal") in events
+    for index, D in ((1, 2), (6, 3), (9, 6)):
+        events.clear()
+        assert verify_theorem(index, 400).ok
+        assert [e for e in events if e[0] == "counts"] == [("counts", D, 400)]
 
 
 def test_fault_injection_through_verify_all(monkeypatch):
@@ -395,10 +424,9 @@ _FIRST_DERIVED = {
 @pytest.mark.parametrize("slip", ["exponent+1", "exponent-1", "no-divisor"])
 def test_column_form_slip_fails_its_family(monkeypatch, form, slip):
     """A slip of +-1 in the monomial exponent of a family's (III.4) column
-    ratio, or a column scale dropped (the 1 + q^(k+1) divisor of each
-    diagonal step, A1ALSO's seed divisor 1 + q, and the s_k of the
-    relation), stops verify_all at the family's first derived column, named
-    with its family and the two chain columns it reads."""
+    ratio, or a column scale dropped (the X_k that converts each of the two
+    chained columns to U_k), stops verify_all at the family's first derived
+    column, named with its family and the two chain columns it reads."""
     fam = catalog._FAMILIES[form]
     if slip == "no-divisor":
         broken = fam._replace(column_scale=lambda k: ())
