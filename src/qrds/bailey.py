@@ -34,8 +34,10 @@ AQ and AQALSO require a = q.  The AQALSO form's beta side is the star
 value of a series whose terms do not die off; its columns are summed in a
 form that converges and gives them doubled.  Every alpha side decays
 quadratically and is summed through a last index proven from the closed
-forms of alpha_n.  ``alpha_side`` is that side alone, and it is what
-``verify``'s pipeline leg compares with the catalog series.  The beta side
+forms of alpha_n.  ``alpha_side`` is that side alone; ``verify``'s
+pipeline leg compares the catalog series with it, times the leg's scale
+(``_alpha_sum``): the integer sum times one combined scale, which is 1 for
+the starred form, whose 1/2 the leg's 2 cancels.  The beta side
 of each theorem is the catalog's own double sum (the same S ratio, and a
 seed and P-ratios pinned by the tests), so comparing it with the series
 would repeat one sum; the alpha side checks Bailey's lemma.
@@ -268,7 +270,7 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
         items = [(base.beta_exp(n) + u(n), _sgn(n))] if n >= base.beta_first else []
         num, den = base.beta_num(n), base.beta_den(n)
         if base is pair:  # U_n joins beta_n's closed form, less the binomials they share
-            betas, rest = [_level(items, *_cancel(num + unit, den), order)], ()
+            betas, rest = [_level(items, *_cancel((1, 0, num + unit, den))[2:], order)], ()
         else:  # beta'_n sums every beta_k, so U_n multiplies the sum
             for k, (_, buf) in enumerate(betas):
                 div_binomial_into(buf, 1, n - k, len(buf))
@@ -355,6 +357,13 @@ def alpha_side(pair: SteppedPair, form_id: str, order: int) -> LaurentSeries:
     (checked) and every binomial has constant term 1, so no level from the
     first n with n(n - 1)/2 > order on reaches q**order.
     """
+    return _alpha_sum(pair, form_id, order, 1)
+
+
+def _alpha_sum(pair: SteppedPair, form_id: str, order: int, scale: int) -> LaurentSeries:
+    """``scale`` times ``alpha_side``: the sum is kept over the integers and
+    multiplied by ``scale`` times the form's ``rhs_scale`` once, so a combined
+    scale of 1 leaves it as it is."""
     form = _checked_form(pair, form_id, order)
     base, total, n = pair.base, [0] * (order + 1), form.k0
     while n * (n - 1) // 2 <= order:
@@ -367,7 +376,7 @@ def alpha_side(pair: SteppedPair, form_id: str, order: int) -> LaurentSeries:
         v, level = _level([(x + shift + e, sgn * c) for x, c in items], num, den, order)
         total[v:] = map(add, total[v:], level)
         n += 1
-    return LaurentSeries(0, total, order).scale(form.rhs_scale)
+    return LaurentSeries(0, total, order).scale(form.rhs_scale * scale)
 
 
 def limit_form(pair, form_id: str, order: int):

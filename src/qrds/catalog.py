@@ -10,16 +10,18 @@ sum is 1 + r(n0) * (1 + r(n0 + 1) * (...)) times its first term.  A double
 sum, direct or on the Bailey pipeline's beta side, has terms
 T(n, k) = S_n * P_k / (q)_{n-k}; its column k is such a chain, and the
 columns fold outwards the same way, column k + 1 entering column k with the
-ratio of the diagonal terms in lowest terms (``_cancel``).  The A1 and AQ
-columns step term by term, with ratio S_(n+1) / S_n / (1 - q^(n+1-k)).  The
-A1ALSO and AQALSO columns are 2phi1 series with c = 0, summed in their
-quadratic 2phi2 form (Gasper and Rahman, (III.4)), which needs about
-sqrt(2h) levels through q**h in place of about h and gives the column times
-(-q;q)_k.  Only their first two columns are summed as chains, and divided by
-that scale once: each later one follows from the two before it by a
-three-term contiguous relation (Heine's, proved here on the (III.4) terms),
-about five list passes, and each such step checks that its division by
-q^(2k+3) is exact (``InvariantViolation``).
+ratio of the diagonal terms.  The A1 and AQ columns step term by term, with
+ratio S_(n+1) / S_n / (1 - q^(n+1-k)).  The A1ALSO and AQALSO columns are
+2phi1 series with c = 0, summed in their quadratic 2phi2 form (Gasper and
+Rahman, (III.4)), which needs about sqrt(2h) levels through q**h in place
+of about h and gives the column times (-q;q)_k.  Each family sums one
+column as a chain, its first, U_k0, divided by that scale once.  Every later
+column follows from the two before it by a three-term contiguous relation,
+proved here for each family from k0 - 1 on, where column k0 - 1 is a
+constant: about five list passes a column, each checking that its division
+by the relation's q^b is exact (``InvariantViolation``).  Every chain that
+is summed, column or fold, takes its ratios in lowest terms (``_cancel``),
+so A1's and AQ's first columns are plain monomial chains.
 Each level works on one plain int list in place with the series kernel's
 list operations; nothing is added row by row.
 
@@ -41,8 +43,8 @@ fold with P_k tells them apart.  ``_ratio_sum`` sums double sums of one
 family, read off its record; ``eval_plan`` sums all those a plan asks for
 in one call, whose column store lives for that call only: each column is
 computed once, through the highest horizon any member needs it at (raised,
-in a family with a relation, to what the columns derived from it need),
-and each member folds truncated copies.  ``eval_named`` of a double sum is the one-member
+for the chained column, to what the columns derived from it need), and
+each member folds truncated copies.  ``eval_named`` of a double sum is the one-member
 case, and so is ``bailey.limit_form``'s beta side; a single sum is its seed
 times one chain (``_seeded`` holds the seed step of both kinds).
 
@@ -229,13 +231,15 @@ class _Family(NamedTuple):
     from the pair closed forms.  Column k, U_k = sum_{n >= k} T(n, k) /
     T(k, k), is what the fold reads.  Its chain, whose level n steps to level
     n + 1 by ``column(k, n)``, gives X_k U_k, X_k being the product of the
-    ``column_scale(j)`` binomials over j < k; only a chained column is
-    divided by it.  With a ``relation``, U_k = A_k U_(k+1) + B_k U_(k+2)
-    for every k >= k0, ``relation(k)`` = (a, b, c) giving A_k = sum of q^e
-    over e in a and B_k = q^b (1 - q^c).  ``bound(n)``
-    is a proven lower bound for the valuation of every term of row n; a
-    ``starred`` family's series is twice its sum's star value.  The alpha
-    side is ``rhs_scale`` * sum_{n >= k0} ``rhs_term(n)`` * alpha'_n.
+    ``column_scale(j)`` binomials over j < k.  One column, U_k0, is summed
+    by its chain and divided by X_k0; every other column follows from
+    U_k = A_k U_(k+1) + B_k U_(k+2), which holds for every k >= k0 - 1,
+    ``relation(k)`` = (a, b, c) giving A_k = sum of s q^e over the signed
+    terms (s, e) of a and B_k = q^b (1 - q^c), and U_(k0-1) = ``u_below``
+    is a constant.  ``bound(n)`` is a proven lower bound for the valuation
+    of every term of row n; a ``starred`` family's series is twice its sum's
+    star value.  The alpha side is ``rhs_scale`` * sum_{n >= k0}
+    ``rhs_term(n)`` * alpha'_n.
     """
 
     name: str
@@ -246,17 +250,13 @@ class _Family(NamedTuple):
     e0: int
     s_ratio: Callable[[int], Ratio]
     column: Callable[[int, int], Ratio]
+    relation: Callable[[int], tuple[tuple[tuple[int, int], ...], int, int]]
+    u_below: int
     bound: Callable[[int], int]
     rhs_term: Callable[[int], Ratio]
     rhs_scale: int | Fraction = 1
     starred: bool = False
     column_scale: Callable[[int], tuple[tuple[int, int], ...]] = lambda k: ()
-    relation: Callable[[int], tuple[tuple[int, ...], int, int]] | None = None
-
-
-def _neg_q_step(k: int) -> tuple[tuple[int, int], ...]:
-    """The binomial 1 + q^(k+1) of (-q;q)_(k+1) / (-q;q)_k."""
-    return ((-1, k + 1),)
 
 
 # A1 and AQ sum their columns term by term, rho_k(n) = s_ratio(n) /
@@ -270,47 +270,54 @@ def _neg_q_step(k: int) -> tuple[tuple[int, int], ...]:
 # has valuation (k + 1) m + m(m - 1)/2, so a column has at most sqrt(2h)
 # levels through q**h, converges q-adically and meets bound(n) as well.
 #
-# Their columns obey a three-term relation.  With x = q^k, u = q^m and
-# alpha = 1 for A1ALSO, alpha = q for AQALSO, the chain sums
-# C_k = (-q;q)_k U_k = sum_{m >= 0} t_m(k),
-#   t_m(k) = (-1)^m q^(m(m-1)/2) (qx)^m (alpha x)_m / ((q)_m (-qx)_m).
-# Write s_k = 1 + qx for the column scale X_(k+1) / X_k and
-#   A_k = 1 + alpha (1 + q) q x^2,  B_k = q^3 x^2 (1 - alpha^2 q^2 x^2).
-# Written over t_m(k), with t_m(k+1) / t_m(k) and t_m(k+2) / t_m(k) the
-# rational functions of (q, x, u) the product form gives, the identity
+# Every family's columns obey U_k = A_k U_(k+1) + B_k U_(k+2) for k >= k0 - 1,
+# a three-term contiguous relation (Gasper and Rahman, ch. 1).  Proof: with
+# x = q^k, u = q^m, a = 1 (A1, A1ALSO) or q (AQ, AQALSO), column k's chain sums
+# C_k = X_k U_k = sum_{m >= 0} t_m(k), X_k = 1 for A1 and AQ, where
+#   A1: t_m(k) = (-1)^m q^(m(m+1)/2) x^m (x)_m / (q)_m, AQ: the same with (qx)_m,
+#   ALSO: t_m(k) = (-1)^m q^(m(m-1)/2) (qx)^m (ax)_m / ((q)_m (-qx)_m).
+# Let r_m = t_m(k) / (1 - ax), read with the first factor of (ax)_m cancelled,
+# s_k = X_(k+1) / X_k (1, or 1 + qx for ALSO), and
+#   A1:   A_k = 1 - qx + qx^2 + q^2 x^2,    B_k = q^4 x^3 (1 - qx),
+#         g_m = (1 - u)(-(1 - x) + x (1 + q^2 x) u - q^2 x^3 u^2) r_m,
+#   AQ:   A_k = 1 - qx + q^2 x^2 + q^3 x^2, B_k = q^5 x^3 (1 - q^2 x),
+#         g_m = (1 - u)(-(1 - qx) + qx (1 + q^2 x) u - q^4 x^3 u^2) r_m,
+#   ALSO: A_k = 1 + a (1 + q) q x^2,        B_k = q^3 x^2 (1 - a^2 q^2 x^2),
+#         g_m = -s_k s_(k+1) (1 - u)(1 - ax - ax (1 + qx + q^2 x) u
+#               + a^2 q^2 x^3 u^2) r_m / (1 + qxu).
+# With t_m(k+1) / r_m and t_m(k+2) / r_m the rational functions of (q, x, u)
+# the product form gives, clearing denominators shows
 #   s_k s_(k+1) t_m(k) - A_k s_(k+1) t_m(k+1) - B_k t_m(k+2) = g_(m+1) - g_m,
-#   g_m = -s_k s_(k+1) (1 - u) (1 - alpha x - alpha x (1 + qx + q^2 x) u
-#         + alpha^2 q^2 x^3 u^2) t_m(k) / ((1 - alpha x)(1 + qxu)),
-# holds by clearing denominators.  g_0 = 0, and g_m -> 0 q-adically, since
-# 1 - alpha x (alpha x = q^k, k >= 1, or q^(k+1)) and 1 + qxu have constant
-# term 1 and t_m(k) has valuation >= m(m-1)/2, so the sum over m gives
-# C_k s_k s_(k+1) = A_k s_(k+1) C_(k+1) + B_k C_(k+2), that is
-# U_k = A_k U_(k+1) + B_k U_(k+2).  It is Heine's contiguous relation
-# F(b) = (1 - b^2 z (1 + q)) F(bq) + b^2 q z^2 (1 - b^2 q^2) F(bq^2) of
-# F(b) = sum_m (b^2; q^2)_m z^m / (q)_m at b = alpha x (Gasper and Rahman,
-# ch. 1), with z = -q for A1ALSO and z = -1 for AQALSO, where F's own terms
-# do not converge; the proof above runs on the (III.4) terms instead.
+# at k = k0 - 1 too, where ax = 1.  g_0 = 0 and g_m -> 0 q-adically (r_m's
+# valuation grows as m^2 / 2, and 1 + qxu has constant term 1 for m >= 1), so
+# summing over m gives s_k s_(k+1) C_k = A_k s_(k+1) C_(k+1) + B_k C_(k+2);
+# divided by X_(k+2), that is the relation.  At k0 - 1, t_m = 0 for m >= 1, so
+# U_(k0-1) = 1 / X_(k0-1): 1, and 2 for AQALSO, whose X_0 = 1 = 2 X_(-1).
 _FAMILIES: dict[str, _Family] = {f.name: f for f in (
     _Family(name="A1", rel="1", k0=1, w_seed=(-1, 1), c0=1, e0=2,
             s_ratio=lambda n: (-1, n + 1, ((1, n),), ()),
             column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1),)),
-            bound=lambda n: n * (n + 1) // 2,
+            relation=lambda k: (((1, 0), (-1, k + 1), (1, 2 * k + 1), (1, 2 * k + 2)), 3 * k + 4, k + 1),
+            u_below=1, bound=lambda n: n * (n + 1) // 2,
             rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ((1, n),))),
     _Family(name="AQ", rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
             s_ratio=lambda n: (-1, n + 1, ((1, n + 1),), ()),
             column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1),)),
-            bound=lambda n: n * (n + 1) // 2,
+            relation=lambda k: (((1, 0), (-1, k + 1), (1, 2 * k + 2), (1, 2 * k + 3)), 3 * k + 5, k + 2),
+            u_below=1, bound=lambda n: n * (n + 1) // 2,
             rhs_term=lambda n: (_sgn(n), n * (n + 1) // 2, (), ())),
     _Family(name="A1ALSO", rel="1", k0=1, w_seed=(-2, 1), c0=2, e0=2,
             s_ratio=lambda n: (-1, 1, ((1, 2 * n),), ()),
             column=lambda k, n: (-1, n + 1, ((1, n),), ((1, n - k + 1), (-1, n + 1))),
-            column_scale=_neg_q_step, relation=lambda k: ((0, 2 * k + 1, 2 * k + 2), 2 * k + 3, 2 * k + 2),
+            column_scale=lambda k: ((-1, k + 1),), u_below=1,
+            relation=lambda k: (((1, 0), (1, 2 * k + 1), (1, 2 * k + 2)), 2 * k + 3, 2 * k + 2),
             bound=lambda n: n,
             rhs_term=lambda n: (_sgn(n), n, (), ((1, 2 * n),)), rhs_scale=2),
     _Family(name="AQALSO", rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
             s_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
             column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1), (-1, n + 1))),
-            column_scale=_neg_q_step, relation=lambda k: ((0, 2 * k + 2, 2 * k + 3), 2 * k + 3, 2 * k + 4),
+            column_scale=lambda k: ((-1, k + 1),), u_below=2,
+            relation=lambda k: (((1, 0), (1, 2 * k + 2), (1, 2 * k + 3)), 2 * k + 3, 2 * k + 4),
             bound=lambda n: 0,
             rhs_term=lambda n: (_sgn(n), 0, (), ()), rhs_scale=_HALF, starred=True),
 )}
@@ -355,11 +362,13 @@ def _factor_ratio(ratio: Ratio) -> Ratio:
     return ratio
 
 
-def _cancel(num, den) -> tuple[tuple, tuple]:
-    """``num`` and ``den`` with the binomials they share removed, counted with multiplicity."""
+def _cancel(ratio: Ratio) -> Ratio:
+    """``ratio`` in lowest terms: the binomials its numerator and denominator
+    share removed, counted with multiplicity."""
+    c, e, num, den = ratio
     den = list(den)
     kept = [b for b in num if b not in den or den.remove(b)]  # remove() gives None
-    return tuple(kept), tuple(den)
+    return c, e, tuple(kept), tuple(den)
 
 
 def _horner(ratios: list[Ratio], heads: list[list], buf: list, h: int) -> list:
@@ -417,30 +426,29 @@ def _walk(ratio: Callable[[int], Ratio], j: int, h: int, v: int, cap: int,
         j += 1
 
 
-def _chain(ratio: Callable[[int], Ratio], j: int, h: int, v: int, head: Callable[[int, int], list] | None,
-           cap: int, bound: Callable[[int], int] | None = None) -> list:
-    """W_j through q**h of the chain W_n = head(n, h_n) + ratio(n) * W_(n+1).
-
-    The levels are ``_walk``'s; with no ``head`` every head is 1.  The last
-    level's value is its head.
-    """
-    ratios, levels = _walk(ratio, j, h, v, cap, bound)
-    heads = [head(n, hn) for n, hn, _ in levels] if head else [[1]] * len(levels)
-    last = heads.pop()
-    return _horner(ratios, heads, last[:], levels[-1][1])
+def _chain(walk: tuple[list[Ratio], list[tuple[int, int, int]]],
+           head: Callable[[int, int], list] = lambda n, hn: [1]) -> list:
+    """W_j through q**h_j of the chain W_n = head(n, h_n) + ratio(n) * W_(n+1)
+    (every head 1 by default), whose ratios and levels (n, h_n, v_n) from
+    level j are ``walk``, one ``_walk``.  The last level's value is its head."""
+    ratios, levels = walk
+    heads = [head(n, hn) for n, hn, _ in levels]
+    return _horner(ratios, heads, heads.pop(), levels[-1][1])
 
 
 def _column(column: Callable[[int, int], Ratio], k: int, h: int, v: int, cap: int,
             bound: Callable[[int], int]) -> list:
     """Column k through q**h, the chain 1 + column(k, k) * (1 + column(k, k + 1)
-    * (...)), its level n at row n and level k at valuation v."""
-    return _chain(partial(column, k), k, h, v, None, cap, bound)
+    * (...)), its level n at row n and level k at valuation v, each ratio in
+    lowest terms."""
+    return _chain(_walk(lambda n: _cancel(column(k, n)), k, h, v, cap, bound))
 
 
 def _derived(fam: _Family, k: int, low: list, high: list, h: int) -> list:
     """Column k + 2 of ``fam`` through q**h from its columns k (``low``) and
     k + 1 (``high``) by ``fam.relation(k)``:
-    U_(k+2) = (U_k - A_k U_(k+1)) / B_k.  B_k's monomial q^b is divided out
+    U_(k+2) = (U_k - A_k U_(k+1)) / B_k, A_k's signed terms applied as
+    shifted subtractions or additions.  B_k's monomial q^b is divided out
     by dropping the numerator's b lowest coefficients, which must be 0
     (InvariantViolation), so a wrong column or relation shows here.  The
     relation is proved above ``_FAMILIES``."""
@@ -448,9 +456,9 @@ def _derived(fam: _Family, k: int, low: list, high: list, h: int) -> list:
     m = h + b + 1
     num = low[:m]
     num.extend(repeat(0, m - len(num)))
-    for e in a:
+    for sign, e in a:
         part = high[:m - e]
-        num[e:e + len(part)] = map(sub, num[e:e + len(part)], part)
+        num[e:e + len(part)] = map(sub if sign > 0 else add, num[e:e + len(part)], part)
     if any(num[:b]):
         raise InvariantViolation(
             f"{fam.name} column {k + 2} from columns {k} and {k + 1}: numerator not divisible by q^{b}")
@@ -465,35 +473,31 @@ def _columns(fam: _Family, need: dict[int, tuple[int, int]], cap: int) -> dict[i
 
     Each column's chain is walked at its own (h, v), in k order, so every
     bound and level-cap check fires as if that column were summed by its
-    chain.  A family without a ``relation`` sums every column by its chain
-    (``_column``).  One with it sums only its first two columns so and
-    derives each later one from the two before it (``_derived``), about
-    five list passes in place of about sqrt(2h) levels.  A chained column is
-    divided by its X_k once; a derived one never carries it.  Deriving column
+    chain.  Only U_k0 is summed so (``_column``), and divided by its X_k0
+    once.  Every later column is derived from the two before it
+    (``_derived``), about five list passes in place of about sqrt(2h)
+    levels: U_(k0+1) from the constant U_(k0-1) and U_k0.  Deriving column
     k + 2 loses b_k = ``relation(k)[1]`` of horizon, so the horizons are
     raised first, in one backward pass: columns k and k + 1 are needed
     through the horizon of column k + 2 plus b_k.
     """
     ks = sorted(need)
-    chained = len(ks) if fam.relation is None else 2
     top = {k: h for k, (h, _) in need.items()}
-    for k in reversed(ks[chained:]):
+    for k in reversed(ks[1:]):
         b = fam.relation(k - 2)[1]
-        top[k - 2] = max(top[k - 2], top[k] + b)
-        top[k - 1] = max(top[k - 1], top[k] + b)
+        for j in (k - 2, k - 1):
+            top[j] = max(top.get(j, 0), top[k] + b)
     columns = {}
-    scale = [b for j in range(fam.k0) for b in fam.column_scale(j)]  # X_k
-    for i, k in enumerate(ks):
+    for k in ks:
         h, v = need[k]
-        if i < chained:
+        if k == fam.k0:
             columns[k] = col = _column(fam.column, k, top[k], v, cap, fam.bound)
-            for cc, ee in scale:
+            for cc, ee in (b for j in range(k) for b in fam.column_scale(j)):  # X_k0
                 div_binomial_into(col, cc, ee, top[k] + 1)
-            scale.extend(fam.column_scale(k))
         else:
             _walk(partial(fam.column, k), k, h, v, cap, fam.bound)
-    for k in ks[chained:]:
-        columns[k] = _derived(fam, k - 2, columns[k - 2], columns[k - 1], top[k])
+    for k in ks[1:]:
+        columns[k] = _derived(fam, k - 2, columns.get(k - 2, [fam.u_below]), columns[k - 1], top[k])
     return columns
 
 
@@ -512,7 +516,7 @@ def _diagonal(fam: _Family, p_ratio: Callable[[int], Ratio]) -> Callable[[int], 
     def step(k: int) -> Ratio:
         cs, es, ns, ds = _factor_ratio(fam.s_ratio(k))
         cp, ep, np, dp = _factor_ratio(p_ratio(k))
-        return cs * cp, es + ep, *_cancel(ns + np, ds + dp)
+        return _cancel((cs * cp, es + ep, ns + np, ds + dp))
     return step
 
 
@@ -537,12 +541,12 @@ def _ratio_sum(fam: _Family, members: list[_Member], cap: int | None = None) -> 
     (``_diagonal``), the sum being seed * V_k0.
 
     The columns depend on neither ``seed`` nor ``p_ratio``, so the members
-    share them: every member's diagonal is walked first, which gives the
-    horizon and valuation each needs column k at, and column k is computed
-    once (``_columns``), through at least the highest of those horizons, at
-    the least of those valuations.
-    Each member then folds truncated copies along its diagonal, walked again,
-    so no member sees another's work.  ``fam.bound(n)`` is checked against
+    share them: every member's diagonal is walked first, once, which gives
+    the horizon and valuation each needs column k at, and column k is
+    computed once (``_columns``), through at least the highest of those
+    horizons, at the least of those valuations.
+    Each member then folds truncated copies by the ratios and levels of that
+    walk, so no member sees another's work.  ``fam.bound(n)`` is checked against
     the valuation of every level n of a column; at the least valuation the
     check is at least as strict as each member's own.  ``cap`` (default
     4 * the highest order + 64) bounds the levels of one chain.
@@ -550,18 +554,16 @@ def _ratio_sum(fam: _Family, members: list[_Member], cap: int | None = None) -> 
     if cap is None:
         cap = 4 * max(m.order for m in members) + 64
     need: dict[int, tuple[int, int]] = {}  # k -> (highest horizon, least valuation)
+    walks = []
     for order, seed, p_ratio in members:
         c, v = _factor_ratio(seed)[:2]
-        if order >= v and c:
-            for k, h, vk in _walk(_diagonal(fam, p_ratio), fam.k0, order - v, v, cap)[1]:
-                top, low = need.get(k, (h, vk))
-                need[k] = max(top, h), min(low, vk)
+        walks.append(_walk(_diagonal(fam, p_ratio), fam.k0, order - v, v, cap) if order >= v and c else ([], []))
+        for k, h, vk in walks[-1][1]:
+            top, low = need.get(k, (h, vk))
+            need[k] = max(top, h), min(low, vk)
     columns = _columns(fam, need, cap)
-
-    def fold(p_ratio: Callable[[int], Ratio], h: int, v: int) -> list:
-        return _chain(_diagonal(fam, p_ratio), fam.k0, h, v, lambda k, hk: columns[k][:hk + 1], cap)
-
-    return [_seeded(seed, order, partial(fold, p_ratio)) for order, seed, p_ratio in members]
+    return [_seeded(seed, order, lambda h, v, walk=walk: _chain(walk, lambda k, hk: columns[k][:hk + 1]))
+            for (order, seed, _), walk in zip(members, walks)]
 
 
 def normalize_id(series_id: str) -> str:
@@ -590,10 +592,9 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
 
     ``star_budget`` (None: 4 * order + 64; 0 is zero levels) caps the levels
     of any one ratio chain: a single sum, a fold, or a column, walked at the
-    horizon its fold needs.  A1ALSO's and AQALSO's first two columns are
-    summed through the higher horizons their derived columns need, and the
-    cap counts those longer chains.  A chain that needs more raises
-    NoStabilization.
+    horizon its fold needs.  A family's one chained column is summed through
+    the higher horizon its derived columns need, and the cap counts that
+    longer chain.  A chain that needs more raises NoStabilization.
     """
     check_order(order)
     if star_budget is not None and star_budget < 0:
@@ -602,7 +603,7 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     if key in _SINGLES:
         (n0, seed, ratio), bound = _SINGLES[key]
         cap = 4 * order + 64 if star_budget is None else star_budget
-        return _seeded(seed, order, lambda h, v: _chain(ratio, n0, h, v, None, cap, bound))
+        return _seeded(seed, order, lambda h, v: _chain(_walk(ratio, n0, h, v, cap, bound)))
     return _family_sums(_DOUBLES[key][0], {key: order}, star_budget)[key]
 
 

@@ -260,14 +260,17 @@ class LaurentSeries:
         return LaurentSeries(lo, out, order)
 
     def scale(self, c: Coeff) -> "LaurentSeries":
-        """Multiply every coefficient by the constant c."""
+        """Multiply every coefficient by the constant c.
+
+        Every coefficient that comes out integral is an int, whatever c is:
+        an integral c over int coefficients is one ``map`` (none for c = 1),
+        and anything else goes through ``_norm``.
+        """
         if not c:
             return LaurentSeries.zero(self.order)
-        if c == 1:
-            return self
-        if type(c) is int and Fraction not in map(type, self.coeffs):
-            return LaurentSeries(self.offset, map(mul, self.coeffs, repeat(c)), self.order)
-        return LaurentSeries(self.offset, [_norm(c * x) for x in self.coeffs], self.order)
+        if c != int(c) or Fraction in map(type, self.coeffs):
+            return LaurentSeries(self.offset, [_norm(c * x) for x in self.coeffs], self.order)
+        return self if c == 1 else LaurentSeries(self.offset, map(mul, self.coeffs, repeat(int(c))), self.order)
 
     def mul_monomial(self, c: Coeff, e: int) -> "LaurentSeries":
         """Multiply by c * q**e: ``scale`` by c, moved by e."""

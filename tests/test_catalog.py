@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,7 +260,7 @@ def test_z2_rogers_fine_row_matches_its_defining_sum(order):
     """Z2's catalog row, the Rogers-Fine form with term valuations
     2n^2 + 2n + 1, is its defining single sum summed term by term."""
     (n0, seed, ratio), bound = _Z2_BY_ONE_Q
-    want = catalog._seeded(seed, order, lambda h, v: catalog._chain(ratio, n0, h, v, None, 4 * order + 64, bound))
+    want = catalog._seeded(seed, order, lambda h, v: catalog._chain(catalog._walk(ratio, n0, h, v, 4 * order + 64, bound)))
     assert shape(eval_named("Z2", order)) == shape(want)
 
 
@@ -283,7 +284,7 @@ def test_level_cap_binds_at_the_longest_chain(monkeypatch, sid):
     # star_budget caps the ratios of each chain: R, the most any chain of
     # the sum walks, is enough to reach the default sum and R - 1 is not.
     # L11's longest chain is its first column, summed through the raised
-    # horizon its derived columns need (q^575 at order 300)
+    # horizon its derived columns need (q^576 at order 300)
     walk, walked = catalog._walk, []
 
     def counted(*args):
@@ -304,9 +305,9 @@ def test_level_cap_binds_at_the_longest_chain(monkeypatch, sid):
 def test_every_column_is_walked_at_its_own_horizon(monkeypatch, sid):
     """Every column's chain is walked with the family's bound once, in k
     order, derived columns included: a derived column at the horizon and
-    valuation its fold needs, a chain column through at least that horizon.
-    So every bound and level-cap check fires as if each column were summed
-    by its chain."""
+    valuation its fold needs, the one chained column, U_k0, through at least
+    that horizon.  So every bound and level-cap check fires as if each column
+    were summed by its chain."""
     walk, calls = catalog._walk, []
 
     def recorded(ratio, j, h, v, cap, bound=None):
@@ -322,7 +323,8 @@ def test_every_column_is_walked_at_its_own_horizon(monkeypatch, sid):
     assert len(columns) == len(diagonal) > 2
     for i, ((k, h, v), (kk, hk, vk)) in enumerate(zip(columns, diagonal)):
         assert (k, v) == (kk, vk)
-        assert h >= hk if fam.relation is not None and i < 2 else h == hk, (k, h, hk)
+        assert h >= hk if i == 0 else h == hk, (k, h, hk)
+    assert columns[0][0] == fam.k0
 
 
 @pytest.mark.parametrize("sid, order, value", [("SIGMA", 0, {0: 1}), ("Z2", 1, {1: 1}), ("L1", 1, {})])
@@ -499,8 +501,9 @@ raise SystemExit(1)
 """
 
 
-# AQALSO with B_k's binomial exponent slipped by one: column 2 comes out
-# wrong, and column 3, derived from it, has a numerator not divisible by q^5.
+# AQALSO with B_k's binomial exponent slipped by one: column 1, derived from
+# the constant column -1 and the chained column 0, comes out wrong, and
+# column 2, derived from it, has a numerator not divisible by q^3.
 _BROKEN_RELATION = """
 import qrds.catalog as catalog
 from qrds.errors import InvariantViolation
@@ -509,7 +512,7 @@ catalog._FAMILIES["AQALSO"] = family._replace(relation=lambda k: (*family.relati
 try:
     catalog.eval_named("L12", 200)
 except InvariantViolation as err:
-    raise SystemExit(0 if str(err) == "AQALSO column 3 from columns 1 and 2: numerator not divisible by q^5" else 2)
+    raise SystemExit(0 if str(err) == "AQALSO column 2 from columns 0 and 1: numerator not divisible by q^3" else 2)
 raise SystemExit(1)
 """
 
@@ -642,13 +645,13 @@ def test_column_matches_the_direct_column(form, k):
         assert _catalog_column(form, k, h) == want[:h + 1], h
 
 
-@pytest.mark.parametrize("form", ["A1ALSO", "AQALSO"])
+@pytest.mark.parametrize("form", ["A1", "AQ", "A1ALSO", "AQALSO"])
 def test_derived_columns_match_the_chain_and_direct_columns(form):
     """Every column k <= 40 that ``_columns`` gives through q^300, the first
-    two summed by their (III.4) chains through raised horizons and every
-    later one derived by the family's relation, is U_k: the (III.4) chain
-    column divided by its scale X_k, and the direct S-ratio column without
-    the scale."""
+    summed by its chain through a raised horizon and every later one derived
+    by the family's relation, the first of them from the constant U_(k0-1),
+    is U_k: the chain column divided by its scale X_k, and the direct
+    S-ratio column without the scale."""
     fam, h = catalog._FAMILIES[form], 300
     need = {k: (h, fam.bound(k)) for k in range(fam.k0, 41)}
     got = catalog._columns(fam, need, 4 * 3000 + 64)
@@ -698,6 +701,45 @@ def test_diagonal_steps_are_in_lowest_terms(monkeypatch):
         assert shared == [True] * 40 if int(sid[1:]) <= 8 else [True] + [False] * 39, sid
 
 
+def test_each_diagonal_is_walked_once(monkeypatch):
+    """A plan of all twelve double sums walks each member's diagonal once:
+    the walk that plans the columns' horizons is the one the fold folds by,
+    so every step k of a member's diagonal is taken once."""
+    steps = Counter()
+    real = catalog._diagonal
+
+    def recorded(fam, p_ratio):
+        step, member = real(fam, p_ratio), object()
+
+        def counted(k):
+            steps[member, k] += 1
+            return step(k)
+        return counted
+
+    monkeypatch.setattr(catalog, "_diagonal", recorded)
+    catalog.eval_plan({sid: 400 for sid in catalog._DOUBLES})
+    assert len({member for member, _ in steps}) == 12
+    assert len(steps) > 12 and set(steps.values()) == {1}
+
+
+@pytest.mark.parametrize("form", sorted(catalog._FAMILIES))
+def test_chained_column_steps_are_in_lowest_terms(monkeypatch, form):
+    """The one chained column of each family is summed with its ratios in
+    lowest terms: A1's and AQ's are plain monomials, -q^(n+1) at level n,
+    and A1ALSO's and AQALSO's carry the one divisor 1 + q^(n+1)."""
+    fam, applied, real = catalog._FAMILIES[form], [], catalog._horner
+
+    def recorded(ratios, *args):
+        applied.extend(ratios)
+        return real(ratios, *args)
+
+    monkeypatch.setattr(catalog, "_horner", recorded)
+    catalog._column(fam.column, fam.k0, 300, fam.bound(fam.k0), 4 * 300 + 64, fam.bound)
+    assert len(applied) > 10
+    for n, (c, e, num, den) in enumerate(applied, fam.k0):
+        assert (c, e, num, den) == (-1, n + 1, (), ((-1, n + 1),) if form.endswith("ALSO") else ()), n
+
+
 def _at(ratio, q):
     """The ratio (c, e, num, den) at the rational number q."""
     c, e, num, den = ratio
@@ -709,39 +751,77 @@ def _at(ratio, q):
     return x
 
 
-@pytest.mark.parametrize("form, alpha_exp", [("A1ALSO", 0), ("AQALSO", 1)])
+# g_m / (r_m (1 - u)) of each family's telescoping certificate, at
+# x = q^k, u = q^m, a = q^alpha_exp and s = s_k s_(k+1), as proved above
+# ``catalog._FAMILIES``
+_CERTIFICATES = {
+    "A1": lambda q, x, u, a, s: -(1 - x) + x * (1 + q * q * x) * u - q * q * x ** 3 * u * u,
+    "AQ": lambda q, x, u, a, s: -(1 - q * x) + q * x * (1 + q * q * x) * u - q ** 4 * x ** 3 * u * u,
+    "A1ALSO": lambda q, x, u, a, s: (-s * (1 - a * x - a * x * (1 + q * x + q * q * x) * u + a * a * q * q * x ** 3 * u * u)
+                                     / (1 + q * x * u)),
+}
+_CERTIFICATES["AQALSO"] = _CERTIFICATES["A1ALSO"]
+
+
+def _column_terms(fam, q):
+    """t(k, m), the product of the first m ratios of column k's chain at the
+    rational q; s(k), the column scale X_(k+1) / X_k; r(k, m) = t(k, m) /
+    (1 - a x) for m >= 1, read with the first numerator binomial of level k,
+    1 - a x, left out."""
+    def t(k, m):
+        return math.prod(_at(fam.column(k, n), q) for n in range(k, k + m))
+
+    def s(k):
+        return math.prod(1 - cc * q ** ee for cc, ee in fam.column_scale(k))
+
+    def r(k, m):
+        c, e, num, den = fam.column(k, k)
+        return _at((c, e, num[1:], den), q) * math.prod(_at(fam.column(k, n), q) for n in range(k + 1, k + m))
+
+    return t, s, r
+
+
+@pytest.mark.parametrize("form, alpha_exp", [("A1", 0), ("AQ", 1), ("A1ALSO", 0), ("AQALSO", 1)])
 def test_relation_telescopes_on_the_column_terms(form, alpha_exp):
-    """The catalog's proof of the relation, checked at rational q: the terms
-    t_m(k) of column k's chain (products of ``column`` ratios), with A_k and
-    B_k read from ``relation(k)`` and s_k from ``column_scale(k)``, satisfy
+    """The catalog's proof of the relation, checked at rational q from
+    k = k0 - 1 on: the terms t_m(k) of column k's chain (products of
+    ``column`` ratios), with A_k's signed terms and B_k read from
+    ``relation(k)`` and s_k from ``column_scale(k)``, satisfy
     s_k s_(k+1) t_m(k) - A_k s_(k+1) t_m(k+1) - B_k t_m(k+2) = g_(m+1) - g_m,
-    g_m = -s_k s_(k+1) (1 - u)(1 - ax - ax(1 + qx + q^2 x) u + a^2 q^2 x^3 u^2)
-    t_m(k) / ((1 - ax)(1 + qxu)), x = q^k, u = q^m and a = q^alpha_exp."""
-    fam = catalog._FAMILIES[form]
+    g_m = (1 - u) r_m times the family's certificate, r_m = t_m(k) / (1 - ax)
+    with the factor 1 - ax cancelled, so that k = k0 - 1, where ax = 1,
+    is covered too."""
+    fam, certificate = catalog._FAMILIES[form], _CERTIFICATES[form]
+    assert fam.column(fam.k0, fam.k0)[2][0] == (1, fam.k0 + alpha_exp)  # the binomial 1 - ax
     for q in (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)):
         a = q ** alpha_exp
-
-        def t(k, m):
-            return math.prod(_at(fam.column(k, n), q) for n in range(k, k + m))
-
-        def s(k):
-            return math.prod(1 - cc * q ** ee for cc, ee in fam.column_scale(k))
-
-        for k in range(fam.k0, fam.k0 + 6):
+        t, s, r = _column_terms(fam, q)
+        for k in range(fam.k0 - 1, fam.k0 + 5):
             x = q ** k
-            exps, b, c = fam.relation(k)
-            big_a, big_b = sum(q ** e for e in exps), q ** b * (1 - q ** c)
+            terms, b, c = fam.relation(k)
+            big_a, big_b = sum(sign * q ** e for sign, e in terms), q ** b * (1 - q ** c)
 
-            def g(m):
+            def g(m):  # g_0 = 0 by its factor 1 - u
                 u = q ** m
-                return (-s(k) * s(k + 1) * (1 - u)
-                        * (1 - a * x - a * x * (1 + q * x + q * q * x) * u + a * a * q * q * x ** 3 * u * u)
-                        * t(k, m) / ((1 - a * x) * (1 + q * x * u)))
+                return 0 if m == 0 else (1 - u) * certificate(q, x, u, a, s(k) * s(k + 1)) * r(k, m)
 
-            assert g(0) == 0
-            for m in range(10):
+            for m in range(12):
                 lhs = s(k) * s(k + 1) * t(k, m) - big_a * s(k + 1) * t(k + 1, m) - big_b * t(k + 2, m)
                 assert lhs == g(m + 1) - g(m), (q, k, m)
+
+
+@pytest.mark.parametrize("form", sorted(catalog._FAMILIES))
+def test_column_below_the_first_is_its_constant(form):
+    """U_(k0-1), which the first derived column reads, is ``u_below``: at
+    rational q the chain of column k0 - 1 is 1, each later term holding the
+    factor 1 - ax = 0, and its scale is X_(k0-1) = X_k0 / s_(k0-1), so
+    U_(k0-1) = s_(k0-1) / X_k0: 1, and 2 for AQALSO, whose s_(-1) = 1 + q^0."""
+    fam = catalog._FAMILIES[form]
+    k = fam.k0 - 1
+    for q in (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)):
+        t, s, _ = _column_terms(fam, q)
+        assert [t(k, m) for m in range(12)] == [1] + [0] * 11
+        assert sum(t(k, m) for m in range(12)) * s(k) / math.prod(s(j) for j in range(fam.k0)) == fam.u_below
 
 
 _PIPELINE_PAIRS = sorted({catalog.pipeline(sid)[:2] for sid in catalog._DOUBLES})
@@ -900,19 +980,35 @@ def _direct(s_ratio):
 def _family(k0, s_ratio):
     """A family of double sums with S ratio ``s_ratio`` from row ``k0``,
     its columns summed term by term (``_direct``), and a valuation bound
-    of 0, which no term of a seed with exponent >= 0 can fall below."""
-    return catalog._Family(name="TEST", rel="1", k0=k0, w_seed=(1, 0), c0=1, e0=0, s_ratio=s_ratio,
-                           column=_direct(s_ratio), bound=lambda n: 0, rhs_term=lambda n: _STOP)
+    of 0, which no term of a seed with exponent >= 0 can fall below.  It
+    keeps A1's relation, which its columns need not obey, so its sums are
+    built from ``_column``, ``_chain`` and ``_seeded`` (``_synthetic_sum``),
+    not by ``_columns``."""
+    return catalog._FAMILIES["A1"]._replace(name="TEST", k0=k0, s_ratio=s_ratio, column=_direct(s_ratio),
+                                            bound=lambda n: 0)
+
+
+def _synthetic_sum(fam, order, seed, p_ratio):
+    """The double sum of ``fam`` through q**order with first term ``seed``,
+    every column summed by its own chain at the horizon its fold level needs."""
+    cap = 4 * order + 64
+
+    def fold(h, v):
+        def column(k, hk):
+            return catalog._column(fam.column, k, hk, 0, cap, fam.bound)
+        return catalog._chain(catalog._walk(catalog._diagonal(fam, p_ratio), fam.k0, h, v, cap), column)
+
+    return catalog._seeded(seed, order, fold)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(["single", "double", "column"]),
+    st.sampled_from(["single", "double", "family", "column"]),
     st.integers(min_value=0, max_value=30),
     st.integers(min_value=0, max_value=3),
     ratios().filter(lambda r: r[0] != 0),
     st.lists(ratios(), max_size=4),
-    st.tuples(st.sampled_from(["A1ALSO", "AQALSO"]), st.integers(min_value=1, max_value=40),
+    st.tuples(st.sampled_from(sorted(catalog._FAMILIES)), st.integers(min_value=1, max_value=40),
               st.integers(min_value=0, max_value=150)),
     st.lists(ratios(), max_size=4),
     st.lists(
@@ -921,14 +1017,18 @@ def _family(k0, s_ratio):
     ),
 )
 def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss, form_k_h, ps, others):
-    # listed ratios, then a 0 multiplier ends each chain.  A double sum
-    # shares its columns, summed term by term (``_direct``), with
-    # ``others``, double sums of the same S-ratio with their own order, seed
-    # and P-ratios, each checked against its own terms.  A column of A1ALSO
-    # or AQALSO at a random k and horizon is checked against its direct
-    # S-ratio column, summed term by term.
+    # listed ratios, then a 0 multiplier ends each chain.  "double": double
+    # sums of an arbitrary S ratio, ``others`` with their own order, seed and
+    # P-ratios among them, every column summed by its chain (``_column``)
+    # term by term (``_direct``) and folded by ``_chain``.  "family": the
+    # same members summed together by ``_ratio_sum`` on a catalog family,
+    # one chained column shared by all and the rest derived, its bound
+    # relaxed to 0 for the arbitrary seeds.  "column": a column of a family
+    # at a random k and horizon against its direct S-ratio column.  Each sum
+    # is checked against its own terms.
+    form, k, h = form_k_h
     if mode == "column":
-        form, k, h = form_k_h
+        k = max(k, catalog._FAMILIES[form].k0)
         assert _catalog_column(form, k, h) == _direct_column(form, k, h)
         return
     start = _apply(LaurentSeries.one(order), order, seed)
@@ -939,17 +1039,21 @@ def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss
             want = want + term
             term = _apply(term, order, s_ratio(n))
             n += 1
-        got = catalog._seeded(seed, order, lambda h, v: catalog._chain(s_ratio, k0, h, v, None, 4 * order + 64))
+        got = catalog._seeded(
+            seed, order, lambda h, v: catalog._chain(catalog._walk(s_ratio, k0, h, v, 4 * order + 64)))
         assert shape(got) == shape(want)
         return
-    s_ratio = _listed(ss, k0, _STOP)
     members = [(order, seed, ps)] + others
-    got = catalog._ratio_sum(
-        _family(k0, s_ratio), [catalog._Member(o, sd, _listed(p, k0, _STOP)) for o, sd, p in members]
-    )
+    if mode == "double":
+        fam = _family(k0, _listed(ss, k0, _STOP))
+        got = [_synthetic_sum(fam, o, sd, _listed(p, k0, _STOP)) for o, sd, p in members]
+    else:
+        fam = catalog._FAMILIES[form]._replace(bound=lambda n: 0)
+        got = catalog._ratio_sum(fam, [catalog._Member(o, sd, _listed(p, fam.k0, _STOP)) for o, sd, p in members])
     for (o, sd, p), f in zip(members, got):
-        want = _oracle_sum(_apply(LaurentSeries.one(o), o, sd), o, k0, _listed(p, k0, _STOP), s_ratio, False)
-        assert shape(f) == shape(want)
+        start = _apply(LaurentSeries.one(o), o, sd)
+        want = _oracle_sum(start, o, fam.k0, _listed(p, fam.k0, _STOP), fam.s_ratio, fam.starred)
+        assert shape(f) == shape(want.scale(2) if fam.starred else want)
 
 
 @pytest.mark.parametrize("negative", ["p_ratio", "s_ratio", "seed", "single"])

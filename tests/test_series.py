@@ -229,9 +229,7 @@ def _ref_mul_monomial(f, c, e):
     order = None if f.order is None else f.order + e
     if not c:
         return LaurentSeries.zero(order)
-    if c == 1:
-        co = list(f.coeffs)
-    elif c == -1:
+    if c == -1:
         co = [-x for x in f.coeffs]
     else:
         co = [_ref_norm(c * x) for x in f.coeffs]
@@ -317,9 +315,7 @@ def test_mul_monomial_matches_naive_loop(f, c, e):
 
 def _ref_scale(f, c):
     """The per-coefficient path: each product, an int wherever it is
-    integral; by 1, the series itself."""
-    if c == 1:
-        return f
+    integral, by every multiplier, 1 included."""
     out = []
     for x in f.coeffs:
         y = c * x
@@ -333,6 +329,17 @@ def test_scale_matches_naive_loop(f, c):
     # an int multiplier over int coefficients takes one map; a Fraction
     # anywhere, stored with denominator 1 included, takes the per-coefficient path
     _check_kernel(lambda: f.scale(c), lambda: _ref_scale(f, c), f)
+
+
+@pytest.mark.parametrize("c", [1, 2, Fraction(1), Fraction(2)])
+def test_scale_gives_an_int_wherever_integral_for_every_multiplier(c):
+    """A stored Fraction(1, 1) comes out an int under every integral
+    multiplier, 1 included; int coefficients under the multiplier 1 give
+    the series itself."""
+    f = LaurentSeries(0, [Fraction(1, 1), Fraction(1, 3)], 5).scale(c)
+    assert [(type(x), x) for x in f.coeffs] == [(int, c), (Fraction, Fraction(c, 3))]
+    g = LaurentSeries(0, [1, 2], 5)
+    assert g.scale(c) is g if c == 1 else [(type(x), x) for x in g.scale(c).coeffs] == [(int, c), (int, 2 * c)]
 
 
 def _no_stored_fraction_zero(f):

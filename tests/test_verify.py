@@ -274,7 +274,7 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(namespace, name, wrapped)
 
-    for name in ("eval_blocks", "ideal_series", "alpha_side"):
+    for name in ("eval_blocks", "ideal_series", "_alpha_sum"):
         leg(verify_mod, name)
     for name, module in list(sys.modules.items()):  # every binding of limit_form
         if (name == "qrds" or name.startswith("qrds.")) and getattr(module, "limit_form", None) is bailey.limit_form:
@@ -282,7 +282,7 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
     verify_all(120)
     assert len(calls) == 17
     assert events and all(n_sums == 17 for _, n_sums in events)
-    assert Counter(name for name, _ in events)["alpha_side"] == 12  # one pipeline alpha side per theorem
+    assert Counter(name for name, _ in events)["_alpha_sum"] == 12  # one pipeline alpha side per theorem
     assert "limit_form" not in {name for name, _ in events}
 
 
@@ -384,8 +384,8 @@ def _recorded_columns(monkeypatch, corrupt=None):
 
 def test_verify_all_sums_each_column_once(monkeypatch):
     """Each column of each family is computed once, with no gap from k0 on:
-    A1 and AQ sum every column by its chain, A1ALSO and AQALSO their first
-    two, and derive every later one."""
+    every family sums one column, U_k0, by its chain, and derives every
+    later one."""
     columns = _recorded_columns(monkeypatch)
     verify_all(400)
     counts = Counter(key[:3] for key in columns)
@@ -395,38 +395,52 @@ def test_verify_all_sums_each_column_once(monkeypatch):
         hows = sorted((k, how) for _, f, k, how in columns if f == family)
         ks = [k for k, _ in hows]
         assert len(ks) > 2 and ks == list(range(fam.k0, fam.k0 + len(ks))), family
-        chained = 2 if fam.relation else len(ks)
-        assert [how for _, how in hows] == ["chain"] * chained + ["derived"] * (len(ks) - chained), family
+        assert [how for _, how in hows] == ["chain"] + ["derived"] * (len(ks) - 1), family
 
 
-_A1ALSO = {"theorem-05", "theorem-06", "theorem-09", "theorem-10"}
+# the first column each family derives: U_(k0+1), from the constant U_(k0-1)
+# and the chained U_k0, dividing by q^b of B_(k0-1)
+_FIRST_DERIVED = {
+    "A1": r"^A1 column 2 from columns 0 and 1: numerator not divisible by q\^4$",
+    "AQ": r"^AQ column 1 from columns -1 and 0: numerator not divisible by q\^2$",
+    "A1ALSO": r"^A1ALSO column 2 from columns 0 and 1: numerator not divisible by q\^3$",
+    "AQALSO": r"^AQALSO column 1 from columns -1 and 0: numerator not divisible by q\^1$",
+}
 
 
 @pytest.mark.parametrize("store", ["catalog"])
 def test_corrupted_column_fails_only_its_store(monkeypatch, store):
-    """One corrupted A1ALSO column of the catalog store, the only store,
-    stops verify_all at the first column derived from it: its numerator is
-    not divisible by B_1's q^5, and the error names the family, the derived
-    column and the two it reads."""
-    _recorded_columns(monkeypatch, corrupt=(store, "A1ALSO", 1))
-    with pytest.raises(InvariantViolation, match=r"^A1ALSO column 3 from columns 1 and 2: .* q\^5$"):
-        verify_all(400)
+    """In each family, one corrupted chained column U_k0 of the catalog
+    store, the only store, stops verify_all at the first column derived from
+    it, whose numerator is not divisible by q^b of B_(k0-1); the error names
+    the family, the derived column and the two it reads."""
+    for form, fam in catalog._FAMILIES.items():
+        with monkeypatch.context() as patched:
+            _recorded_columns(patched, corrupt=(store, form, fam.k0))
+            with pytest.raises(InvariantViolation, match=_FIRST_DERIVED[form]):
+                verify_all(400)
 
 
-# the first column each (III.4) family derives, from its two chain columns
-_FIRST_DERIVED = {
-    "A1ALSO": r"^A1ALSO column 3 from columns 1 and 2: numerator not divisible by q\^5$",
-    "AQALSO": r"^AQALSO column 2 from columns 0 and 1: numerator not divisible by q\^3$",
+# a slip that the derivation cannot see is caught earlier: a column ratio of
+# A1 or AQ with its exponent lowered falls below the family's bound, which
+# every column walk checks first, and AQALSO's raised one meets the q^1 of
+# its first derived column and fails the next, which divides by q^3
+_COLUMN_SLIPS = {
+    ("A1", "exponent-1"): r"^valuation 5 below its bound 6 at n=3$",
+    ("AQ", "exponent-1"): r"^valuation 0 below its bound 1 at n=1$",
+    ("AQALSO", "exponent+1"): r"^AQALSO column 2 from columns 0 and 1: numerator not divisible by q\^3$",
 }
 
 
 @pytest.mark.parametrize("form", sorted(_FIRST_DERIVED))
 @pytest.mark.parametrize("slip", ["exponent+1", "exponent-1", "no-divisor"])
 def test_column_form_slip_fails_its_family(monkeypatch, form, slip):
-    """A slip of +-1 in the monomial exponent of a family's (III.4) column
-    ratio, or a column scale dropped (the X_k that converts each of the two
-    chained columns to U_k), stops verify_all at the family's first derived
-    column, named with its family and the two chain columns it reads."""
+    """A slip of +-1 in the monomial exponent of a family's column ratio
+    stops verify_all at the family's first derived column, named with its
+    family and the two columns it reads, or at the family's bound.  The
+    column scale converts only the chained column, U_k0, by X_k0: dropping
+    it stops A1ALSO (X_1 = 1 + q) the same way and changes no report of the
+    other families, whose X_k0 is 1."""
     fam = catalog._FAMILIES[form]
     if slip == "no-divisor":
         broken = fam._replace(column_scale=lambda k: ())
@@ -438,29 +452,43 @@ def test_column_form_slip_fails_its_family(monkeypatch, form, slip):
             return c, e + d, num, den
 
         broken = fam._replace(column=column)
+    if slip == "no-divisor" and form != "A1ALSO":
+        want = [_timeless(r) for r in verify_all(400)]
+        monkeypatch.setitem(catalog._FAMILIES, form, broken)
+        assert [_timeless(r) for r in verify_all(400)] == want
+        return
     monkeypatch.setitem(catalog._FAMILIES, form, broken)
-    with pytest.raises(InvariantViolation, match=_FIRST_DERIVED[form]):
+    with pytest.raises(InvariantViolation, match=_COLUMN_SLIPS.get((form, slip), _FIRST_DERIVED[form])):
         verify_all(400)
 
 
-# (family, index into A_k's three exponents, then B_k's monomial and
-# binomial exponents, slip); A_k's exponent 0 slips up only
-_RELATION_SLIPS = [pytest.param(form, i, d, id=f"{form}-{('a0', 'a1', 'a2', 'b', 'c')[i]}{d:+d}")
-                   for form in ("A1ALSO", "AQALSO") for i in range(5) for d in (1, -1) if (i, d) != (0, -1)]
+def _relation_slips():
+    """(family, index into A_k's exponents, then B_k's monomial and binomial
+    exponents, slip).  The exponent 0 of A_k's constant term slips up only,
+    and so does B_k's binomial exponent where it is 1 at k0 - 1, the first k
+    the relation is read at: 1 - q^0 is no binomial, and the kernel rejects
+    it (ValueError)."""
+    for form, fam in sorted(catalog._FAMILIES.items()):
+        terms, _, c = fam.relation(fam.k0 - 1)
+        names = [f"a{i}" for i in range(len(terms))] + ["b", "c"]
+        for i, name in enumerate(names):
+            for d in (1, -1):
+                if d == 1 or (i != 0 and (name != "c" or c > 1)):
+                    yield pytest.param(form, i, d, id=f"{form}-{name}{d:+d}")
 
 
-@pytest.mark.parametrize("form, i, d", _RELATION_SLIPS)
+@pytest.mark.parametrize("form, i, d", list(_relation_slips()))
 def test_relation_slip_raises_or_fails_a_leg(monkeypatch, form, i, d):
-    """A +-1 slip of one exponent of A_k = sum q^a or B_k = q^b (1 - q^c),
+    """A +-1 slip of one exponent of A_k = sum s q^a or B_k = q^b (1 - q^c),
     for every k, either stops verify_all(400) at a derived column of the
     family, named, or fails some leg."""
     fam = catalog._FAMILIES[form]
 
     def relation(k):
-        a, b, c = fam.relation(k)
-        flat = [*a, b, c]
+        terms, b, c = fam.relation(k)
+        flat = [e for _, e in terms] + [b, c]
         flat[i] += d
-        return tuple(flat[:3]), flat[3], flat[4]
+        return tuple((sign, e) for (sign, _), e in zip(terms, flat)), flat[-2], flat[-1]
 
     monkeypatch.setitem(catalog._FAMILIES, form, fam._replace(relation=relation))
     try:
@@ -473,12 +501,13 @@ def test_relation_slip_raises_or_fails_a_leg(monkeypatch, form, i, d):
 
 def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
     """A fault in the ratio-chain driver that every catalog sum goes
-    through fails the pipeline leg of theorems 1-4, whose families A1 and
-    AQ sum every column by chain: the alpha side it is checked against is
-    built without that driver.  (A beta side, summed by the same driver,
-    carries the same fault.)  verify_all(120) also sums the A1ALSO and
-    AQALSO columns, and stops at the first derived column that the faulty
-    chain columns make indivisible."""
+    through fails the pipeline leg of theorems 1-3, whose sums at their base
+    horizons (5 and less) read no derived column: the alpha side it is
+    checked against is built without that driver.  (A beta side, summed by
+    the same driver, carries the same fault.)  Theorem 4's sum derives AQ
+    column 2 from the faulty chained column, and verify_all(120) A1 column
+    2, so both stop before any leg reports, at the first derived column that
+    the fault makes indivisible."""
     real = catalog._horner
 
     def faulty(*args):
@@ -488,9 +517,11 @@ def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
         return buf
 
     monkeypatch.setattr(catalog, "_horner", faulty)
-    failing = {i for i in range(1, 5) for leg in verify_theorem(i, 120).legs if leg.name == "pipeline" and not leg.ok}
-    assert failing == {1, 2, 3, 4}
-    with pytest.raises(InvariantViolation, match=r"^A1ALSO column 4 from columns 2 and 3: .* q\^7$"):
+    failing = {i for i in range(1, 4) for leg in verify_theorem(i, 120).legs if leg.name == "pipeline" and not leg.ok}
+    assert failing == {1, 2, 3}
+    with pytest.raises(InvariantViolation, match=r"^AQ column 2 from columns 0 and 1: .* q\^5$"):
+        verify_theorem(4, 120)
+    with pytest.raises(InvariantViolation, match=_FIRST_DERIVED["A1"]):
         verify_all(120)
 
 
