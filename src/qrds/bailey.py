@@ -36,7 +36,7 @@ form that converges and gives them doubled.  Every alpha side decays
 quadratically and is summed through a last index proven from the closed
 forms of alpha_n.  ``alpha_side`` is that side alone; ``verify``'s
 pipeline leg compares the catalog series with it, times the leg's scale
-(``_alpha_sum``): the integer sum times one combined scale, which is 1 for
+(``alpha_sum``): the integer sum times one combined scale, which is 1 for
 the starred form, whose 1/2 the leg's 2 cancels.  The beta side
 of each theorem is the catalog's own double sum (the same S ratio, and a
 seed and P-ratios pinned by the tests), so comparing it with the series
@@ -52,10 +52,11 @@ from itertools import repeat
 from operator import add
 from typing import Callable, NamedTuple
 
-from .catalog import _FAMILIES, Ratio, _cancel, _factor_ratio, _Family, _Member, _ratio_sum, _sgn
+from .catalog import _FAMILIES
+from .chain import Family, Member, Ratio, cancel, factor_ratio, ratio_sum, sgn
 from .errors import (Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair,
                      check_order, lookup)
-from .series import LaurentSeries, div_binomial_into, first_mismatch, mul_binomial_into
+from .series import LaurentSeries, apply_binomials_into, div_binomial_into, first_mismatch
 
 __all__ = [
     "BaileyPair",
@@ -204,10 +205,7 @@ def _level(items, num, den, order: int) -> tuple[int, list]:
     m = max(0, order + 1 - v)
     buf = [0] * min(m, max(e for e, _ in items) - v + 1)  # grows with the num product
     _add_items(buf, v, items)
-    for cc, ee in num:
-        mul_binomial_into(buf, cc, ee, m)
-    for cc, ee in den:
-        div_binomial_into(buf, cc, ee, m)
+    apply_binomials_into(buf, num, den, m)
     buf.extend(repeat(0, m - len(buf)))
     return v, buf
 
@@ -264,13 +262,12 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
         alpha = [0] * max(0, order + 1 - va)
         for k in range(n + 1):
             if k:
-                mul_binomial_into(alpha, 1, a_exp + n + k, len(alpha))
-                div_binomial_into(alpha, 1, n - k + 1, len(alpha))
+                apply_binomials_into(alpha, ((1, a_exp + n + k),), ((1, n - k + 1),), len(alpha))
             _add_items(alpha, va - u(k), base.alpha_items(k))
-        items = [(base.beta_exp(n) + u(n), _sgn(n))] if n >= base.beta_first else []
+        items = [(base.beta_exp(n) + u(n), sgn(n))] if n >= base.beta_first else []
         num, den = base.beta_num(n), base.beta_den(n)
         if base is pair:  # U_n joins beta_n's closed form, less the binomials they share
-            betas, rest = [_level(items, *_cancel((1, 0, num + unit, den))[2:], order)], ()
+            betas, rest = [_level(items, *cancel((1, 0, num + unit, den))[2:], order)], ()
         else:  # beta'_n sums every beta_k, so U_n multiplies the sum
             for k, (_, buf) in enumerate(betas):
                 div_binomial_into(buf, 1, n - k, len(buf))
@@ -280,12 +277,10 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
         beta = [0] * max(0, order + 1 - vb)
         for v, buf in betas:
             beta[v - vb:] = map(add, beta[v - vb:], buf)
-        for cc, ee in rest:
-            mul_binomial_into(beta, cc, ee, len(beta))
+        apply_binomials_into(beta, rest, (), len(beta))
         if not _same(va, alpha, vb, beta):
-            for cc, ee in unit:
-                div_binomial_into(alpha, cc, ee, len(alpha))
-                div_binomial_into(beta, cc, ee, len(beta))
+            apply_binomials_into(alpha, (), unit, len(alpha))
+            apply_binomials_into(beta, (), unit, len(beta))
             failures.append((n, first_mismatch(LaurentSeries(vb, beta, order),
                                                LaurentSeries(va, alpha, order), through=order)))
     return failures
@@ -323,7 +318,7 @@ def bailey_step(pair: BaileyPair) -> SteppedPair:
 # ---------------------------------------------------------------- limit forms
 
 
-def _checked_form(pair, form_id: str, order: int) -> _Family:
+def _checked_form(pair, form_id: str, order: int) -> Family:
     """The limit form ``form_id``, once ``pair`` and ``order`` are checked
     fit for it: ``pair`` must be a stepped catalog pair relative to the
     form's a, ``order`` >= 0, and a form summed from n = 1 needs beta_0 = 0."""
@@ -357,10 +352,10 @@ def alpha_side(pair: SteppedPair, form_id: str, order: int) -> LaurentSeries:
     (checked) and every binomial has constant term 1, so no level from the
     first n with n(n - 1)/2 > order on reaches q**order.
     """
-    return _alpha_sum(pair, form_id, order, 1)
+    return alpha_sum(pair, form_id, order, 1)
 
 
-def _alpha_sum(pair: SteppedPair, form_id: str, order: int, scale: int) -> LaurentSeries:
+def alpha_sum(pair: SteppedPair, form_id: str, order: int, scale: int) -> LaurentSeries:
     """``scale`` times ``alpha_side``: the sum is kept over the integers and
     multiplied by ``scale`` times the form's ``rhs_scale`` once, so a combined
     scale of 1 leaves it as it is."""
@@ -368,12 +363,12 @@ def _alpha_sum(pair: SteppedPair, form_id: str, order: int, scale: int) -> Laure
     base, total, n = pair.base, [0] * (order + 1), form.k0
     while n * (n - 1) // 2 <= order:
         items = base.alpha_items(n)
-        sgn, e, num, den = _factor_ratio(form.rhs_term(n))
+        sign, e, num, den = factor_ratio(form.rhs_term(n))
         shift = pair._u_exp(n)
         v = min(x for x, _ in items) + shift
         if v < n * (n - 1) // 2:
             raise InvariantViolation(f"alpha side of {base.label}: valuation {v} below n(n-1)/2 at n={n}")
-        v, level = _level([(x + shift + e, sgn * c) for x, c in items], num, den, order)
+        v, level = _level([(x + shift + e, sign * c) for x, c in items], num, den, order)
         total[v:] = map(add, total[v:], level)
         n += 1
     return LaurentSeries(0, total, order).scale(form.rhs_scale * scale)
@@ -386,7 +381,7 @@ def limit_form(pair, form_id: str, order: int):
     through q**order.  rhs is ``alpha_side``.  lhs, the beta side
     sum_n w_n beta'_n, is the double sum of terms
     w_n * q^(u(k)) beta_k / (q)_{n-k}, summed inside out as a one-member
-    ``catalog._ratio_sum`` of the form's record with P_k = q^(u(k)) beta_k.
+    ``chain.ratio_sum`` of the form's record with P_k = q^(u(k)) beta_k.
     The form lives in ``catalog._FAMILIES``: the n-step is its S ratio and
     its columns are summed by its column ratio, the same ones the catalog's
     double sums use, and every row is checked against its valuation bound.
@@ -399,7 +394,7 @@ def limit_form(pair, form_id: str, order: int):
     """
     form = _checked_form(pair, form_id, order)
     base, k0, (wc, we) = pair.base, form.k0, form.w_seed
-    seed = (_sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
+    seed = (sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
             tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-    [lhs] = _ratio_sum(form, [_Member(order, seed, pair._beta_ratio)])
+    [lhs] = ratio_sum(form, [Member(order, seed, pair._beta_ratio)])
     return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)

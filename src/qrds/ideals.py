@@ -241,7 +241,7 @@ def sieve_counts(D: int, limit: int) -> list[int]:
     return counts
 
 
-def _ideal_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
+def ideal_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
     """The counts for m in [0, limit] of both restrictions, "all" (the
     divisor sums) and "neg" (the m < 0 window), once the divisor sums and
     the unit-orbit windows agree on every m."""
@@ -263,19 +263,19 @@ def ideal_series(query: IdealQuery, order: int, weight: Coeff = 1) -> LaurentSer
     """Generating function sum_m weight * count(m) * q^m over one norm class.
 
     Both counts of every norm through ``order`` are cross-checked first
-    (see ``_ideal_counts``), so a miscount raises ``InvariantViolation``.
+    (see ``ideal_counts``), so a miscount raises ``InvariantViolation``.
     ``weight`` is an int or a Fraction; each coefficient is an int wherever
     its value is integral.
     """
     if not isinstance(weight, (int, Fraction)):
         raise TypeError(f"weight must be an int or a Fraction, got {type(weight).__name__}")
     check_order(order)
-    return _class_series(query, _ideal_counts(query.D, order), order, weight)
+    return class_series(query, ideal_counts(query.D, order), order, weight)
 
 
-def _class_series(query: IdealQuery, counts: tuple, order: int, weight: Coeff) -> LaurentSeries:
+def class_series(query: IdealQuery, counts: tuple, order: int, weight: Coeff) -> LaurentSeries:
     """``ideal_series`` read from ``counts``, the (all, neg) pair of
-    ``_ideal_counts`` of the query's field through at least ``order``."""
+    ``ideal_counts`` of the query's field through at least ``order``."""
     start = query.residue if query.residue else query.modulus
     counts = counts[query.restriction == "neg"][start : order + 1 : query.modulus]
     p, d = weight.numerator, weight.denominator

@@ -12,12 +12,14 @@ coefficients) never leave the integers.
 
 The per-coefficient work runs in C-level slice operations, not Python
 loops: ``__add__`` and ``mul_binomial`` are one ``map`` over aligned
-slices, ``div_binomial`` is a prefix sum along each residue class of the
-index mod e (see ``div_binomial_into``), and ``mul_monomial`` by +-1 only
-moves or negates.  The two binomial kernels also work in place on a bare
-coefficient list (``mul_binomial_into``, ``div_binomial_into``), which is
-how ``catalog`` sums its ratio chains without building a series per term.
-Each coefficient is the one the plain per-index loop gives, type included.
+slices, and ``div_binomial`` is a prefix sum along each residue class of
+the index mod e (see ``div_binomial_into``).  The two binomial kernels also
+work in place on a bare coefficient list (``mul_binomial_into``,
+``div_binomial_into``), and ``apply_binomials_into`` multiplies such a list
+by a list of binomials and divides it by another: that is how ``chain``
+sums its ratio chains and ``bailey`` builds its levels without building a
+series per term.  Each coefficient is the one the plain per-index loop
+gives, type included.
 
 Order propagation is conservative: an operation claims a coefficient only
 when its inputs determine it.  For a product this means
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Union
 
 Coeff = Union[int, Fraction]
@@ -116,6 +118,15 @@ def div_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
             buf[lo:hi] = map(add, buf[lo:hi], prev)
         else:
             buf[lo:hi] = map(add, buf[lo:hi], map(mul, repeat(c), prev))
+
+
+def apply_binomials_into(buf: list, num, den, m: int) -> None:
+    """Multiply ``buf`` by (1 - c * q**e) for each (c, e) of ``num``, then
+    divide it by the same for each of ``den``, in place, through index m - 1."""
+    for c, e in num:
+        mul_binomial_into(buf, c, e, m)
+    for c, e in den:
+        div_binomial_into(buf, c, e, m)
 
 
 class LaurentSeries:
@@ -275,10 +286,7 @@ class LaurentSeries:
     def mul_monomial(self, c: Coeff, e: int) -> "LaurentSeries":
         """Multiply by c * q**e: ``scale`` by c, moved by e."""
         order = None if self.order is None else self.order + e
-        if not c:
-            return LaurentSeries.zero(order)
-        co = list(map(neg, self.coeffs)) if c == -1 else self.scale(c).coeffs
-        return LaurentSeries(self.offset + e, co, order)
+        return LaurentSeries(self.offset + e, self.scale(c).coeffs, order)
 
     def mul_binomial(self, c: Coeff, e: int) -> "LaurentSeries":
         """Multiply by (1 - c * q**e), e >= 1.  Exact; order is preserved."""

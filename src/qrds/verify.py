@@ -43,11 +43,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bailey import _alpha_sum, bailey_step, pair_catalog
+from .bailey import alpha_sum, bailey_step, pair_catalog
 from .catalog import eval_named, eval_plan, pipeline
 from .errors import InvariantViolation, UnknownId, check_order
 from .hecke import eval_blocks, hecke_catalog
-from .ideals import IdealQuery, _class_series, _ideal_counts, ideal_series
+from .ideals import IdealQuery, class_series, ideal_counts, ideal_series
 from .series import LaurentSeries, first_mismatch
 
 __all__ = [
@@ -247,7 +247,7 @@ def _ideals(spec: TheoremSpec, order: int) -> LaurentSeries:
     plan = _SOURCE.get()
     if plan is None:
         return ideal_series(query, order, weight=spec.weight)
-    return _class_series(query, plan[1][spec.field_d], order, spec.weight)
+    return class_series(query, plan[1][spec.field_d], order, spec.weight)
 
 
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
@@ -265,7 +265,7 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
 
     pair_label, form_id, scale, const = pipeline(spec.series_id)
-    piped = _alpha_sum(bailey_step(pair_catalog(pair_label)), form_id, base_order, scale)
+    piped = alpha_sum(bailey_step(pair_catalog(pair_label)), form_id, base_order, scale)
     if const:
         piped = piped + LaurentSeries.monomial(const, 0)
     legs.append(LegReport("pipeline", first_mismatch(piped, series, through=base_order)))
@@ -327,7 +327,7 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
     or counts.  Both are dropped when the call returns.
     """
     check_order(order)
-    counts = {d: _ideal_counts(d, order) for d in sorted({spec.field_d for spec in _THEOREMS})}
+    counts = {d: ideal_counts(d, order) for d in sorted({spec.field_d for spec in _THEOREMS})}
     token = _SOURCE.set((eval_plan(_planned_horizons(order)), counts))
     try:
         reports = [verify_corollary(j, order) for j in _COROLLARIES]

@@ -323,7 +323,7 @@ def test_limit_form_rejects_negative_order(monkeypatch, order):
     def refuse(*args, **kwargs):
         raise AssertionError("a side was summed")
 
-    monkeypatch.setattr(bailey, "_ratio_sum", refuse)
+    monkeypatch.setattr(bailey, "ratio_sum", refuse)
     monkeypatch.setattr(bailey, "_level", refuse)
     for side in (limit_form, alpha_side):
         with pytest.raises(ValueError, match="^order must be >= 0$"):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import qrds
 import qrds.bailey as bailey
 import qrds.catalog as catalog
+import qrds.chain as chain
 from qrds.catalog import (
     catalog_ids,
     classical_sum,
@@ -108,8 +109,8 @@ def test_eval_rejects_negative_order(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a catalog chain was summed")
 
-    monkeypatch.setattr(catalog, "_ratio_sum", refuse)
-    monkeypatch.setattr(catalog, "_walk", refuse)  # every chain, a single sum's too, starts here
+    monkeypatch.setattr(chain, "ratio_sum", refuse)
+    monkeypatch.setattr(chain, "walk", refuse)  # every chain, a single sum's too, starts here
     for evaluate in (
         lambda: eval_named("SIGMA", -1),
         lambda: eval_named("L1", -1),
@@ -260,7 +261,7 @@ def test_z2_rogers_fine_row_matches_its_defining_sum(order):
     """Z2's catalog row, the Rogers-Fine form with term valuations
     2n^2 + 2n + 1, is its defining single sum summed term by term."""
     (n0, seed, ratio), bound = _Z2_BY_ONE_Q
-    want = catalog._seeded(seed, order, lambda h, v: catalog._chain(catalog._walk(ratio, n0, h, v, 4 * order + 64, bound)))
+    want = chain.seeded(seed, order, lambda h, v: chain.chain(chain.walk(ratio, n0, h, v, 4 * order + 64, bound)))
     assert shape(eval_named("Z2", order)) == shape(want)
 
 
@@ -285,14 +286,14 @@ def test_level_cap_binds_at_the_longest_chain(monkeypatch, sid):
     # the sum walks, is enough to reach the default sum and R - 1 is not.
     # L11's longest chain is its first column, summed through the raised
     # horizon its derived columns need (q^576 at order 300)
-    walk, walked = catalog._walk, []
+    walk, walked = chain.walk, []
 
     def counted(*args):
         ratios, levels = walk(*args)
         walked.append(len(ratios))
         return ratios, levels
 
-    monkeypatch.setattr(catalog, "_walk", counted)
+    monkeypatch.setattr(chain, "walk", counted)
     default = eval_named(sid, 300)
     R = max(walked)
     assert R > 1
@@ -308,14 +309,14 @@ def test_every_column_is_walked_at_its_own_horizon(monkeypatch, sid):
     valuation its fold needs, the one chained column, U_k0, through at least
     that horizon.  So every bound and level-cap check fires as if each column
     were summed by its chain."""
-    walk, calls = catalog._walk, []
+    walk, calls = chain.walk, []
 
     def recorded(ratio, j, h, v, cap, bound=None):
         ratios, levels = walk(ratio, j, h, v, cap, bound)
         calls.append((bound is not None, (j, h, v), levels))
         return ratios, levels
 
-    monkeypatch.setattr(catalog, "_walk", recorded)
+    monkeypatch.setattr(chain, "walk", recorded)
     eval_named(sid, 400)
     fam = catalog._FAMILIES[catalog._DOUBLES[sid][0]]
     diagonal = calls[0][2]  # the one member's diagonal: the need of each column
@@ -533,6 +534,29 @@ def test_valuation_bound_survives_optimized_mode(script):
     assert proc.returncode == 0, proc.stderr
 
 
+# one relation slip of each kind the derivation cannot take, at every k: an
+# extra term of A_k with exponent -1, which a slice would read from the
+# list's end; B_k's binomial exponent 0, 1 - q^0 being no binomial; and B_k's
+# monomial q^-1, whose division would drop coefficients from the list's end
+_RELATION_EXPONENT_SLIPS = {
+    "a-negative": ("A1", "L1", lambda a, b, c: ((*a, (1, -1)), b, c)),
+    "c-zero": ("AQ", "L2", lambda a, b, c: (a, b, 0)),
+    "b-negative": ("A1ALSO", "L5", lambda a, b, c: (a, -1, c)),
+}
+
+
+@pytest.mark.parametrize("slip", sorted(_RELATION_EXPONENT_SLIPS))
+def test_relation_exponents_are_checked(monkeypatch, slip):
+    """A relation whose exponents the derivation cannot take raises
+    InvariantViolation naming the family, the column and k, at k0 - 1, the
+    first k the relation is read at, whatever the columns hold."""
+    form, sid, slipped = _RELATION_EXPONENT_SLIPS[slip]
+    fam = catalog._FAMILIES[form]
+    monkeypatch.setitem(catalog._FAMILIES, form, fam._replace(relation=lambda k: slipped(*fam.relation(k))))
+    with pytest.raises(InvariantViolation, match=f"^{form} column {fam.k0 + 1}: relation at k={fam.k0 - 1} has "):
+        eval_named(sid, 200)
+
+
 # --------------------------------------------------------- inside-out sum
 #
 # The inside-out sum against rows built one term at a time with
@@ -624,7 +648,7 @@ def _catalog_column(form, k, h, scaled=True):
     least valuation allowed by the form's bound, padded to q^0..q^h; unless
     ``scaled``, divided by the family's column scale X_k."""
     fam = catalog._FAMILIES[form]
-    col = catalog._column(fam.column, k, h, fam.bound(k), 4 * h + 64, fam.bound)
+    col = chain.column(fam.column, k, h, fam.bound(k), 4 * h + 64, fam.bound)
     assert len(col) <= h + 1
     col = LaurentSeries(0, col, h)
     for j in range(0 if scaled else k):
@@ -647,14 +671,14 @@ def test_column_matches_the_direct_column(form, k):
 
 @pytest.mark.parametrize("form", ["A1", "AQ", "A1ALSO", "AQALSO"])
 def test_derived_columns_match_the_chain_and_direct_columns(form):
-    """Every column k <= 40 that ``_columns`` gives through q^300, the first
+    """Every column k <= 40 that ``chain.columns`` gives through q^300, the first
     summed by its chain through a raised horizon and every later one derived
     by the family's relation, the first of them from the constant U_(k0-1),
     is U_k: the chain column divided by its scale X_k, and the direct
     S-ratio column without the scale."""
     fam, h = catalog._FAMILIES[form], 300
     need = {k: (h, fam.bound(k)) for k in range(fam.k0, 41)}
-    got = catalog._columns(fam, need, 4 * 3000 + 64)
+    got = chain.columns(fam, need, 4 * 3000 + 64)
     assert sorted(got) == sorted(need)
     for k, col in got.items():
         col = col[:h + 1] + [0] * (h + 1 - len(col))
@@ -672,7 +696,7 @@ def test_diagonal_steps_are_in_lowest_terms(monkeypatch):
     denominator.  Of the twelve, exactly L1-L8 have S_(k+1) / S_k and
     P_(k+1) / P_k share a binomial at every k, for the step to cancel."""
     steps = []
-    real = catalog._diagonal
+    real = chain.diagonal
 
     def recorded(fam, p_ratio):
         step = real(fam, p_ratio)
@@ -682,7 +706,7 @@ def test_diagonal_steps_are_in_lowest_terms(monkeypatch):
             return steps[-1]
         return kept
 
-    monkeypatch.setattr(catalog, "_diagonal", recorded)
+    monkeypatch.setattr(chain, "diagonal", recorded)
     catalog.eval_plan({sid: 200 for sid in catalog._DOUBLES})
     walked = len(steps)
     for label in bailey.pair_labels():
@@ -706,7 +730,7 @@ def test_each_diagonal_is_walked_once(monkeypatch):
     the walk that plans the columns' horizons is the one the fold folds by,
     so every step k of a member's diagonal is taken once."""
     steps = Counter()
-    real = catalog._diagonal
+    real = chain.diagonal
 
     def recorded(fam, p_ratio):
         step, member = real(fam, p_ratio), object()
@@ -716,7 +740,7 @@ def test_each_diagonal_is_walked_once(monkeypatch):
             return step(k)
         return counted
 
-    monkeypatch.setattr(catalog, "_diagonal", recorded)
+    monkeypatch.setattr(chain, "diagonal", recorded)
     catalog.eval_plan({sid: 400 for sid in catalog._DOUBLES})
     assert len({member for member, _ in steps}) == 12
     assert len(steps) > 12 and set(steps.values()) == {1}
@@ -727,14 +751,14 @@ def test_chained_column_steps_are_in_lowest_terms(monkeypatch, form):
     """The one chained column of each family is summed with its ratios in
     lowest terms: A1's and AQ's are plain monomials, -q^(n+1) at level n,
     and A1ALSO's and AQALSO's carry the one divisor 1 + q^(n+1)."""
-    fam, applied, real = catalog._FAMILIES[form], [], catalog._horner
+    fam, applied, real = catalog._FAMILIES[form], [], chain.horner
 
     def recorded(ratios, *args):
         applied.extend(ratios)
         return real(ratios, *args)
 
-    monkeypatch.setattr(catalog, "_horner", recorded)
-    catalog._column(fam.column, fam.k0, 300, fam.bound(fam.k0), 4 * 300 + 64, fam.bound)
+    monkeypatch.setattr(chain, "horner", recorded)
+    chain.column(fam.column, fam.k0, 300, fam.bound(fam.k0), 4 * 300 + 64, fam.bound)
     assert len(applied) > 10
     for n, (c, e, num, den) in enumerate(applied, fam.k0):
         assert (c, e, num, den) == (-1, n + 1, (), ((-1, n + 1),) if form.endswith("ALSO") else ()), n
@@ -982,8 +1006,8 @@ def _family(k0, s_ratio):
     its columns summed term by term (``_direct``), and a valuation bound
     of 0, which no term of a seed with exponent >= 0 can fall below.  It
     keeps A1's relation, which its columns need not obey, so its sums are
-    built from ``_column``, ``_chain`` and ``_seeded`` (``_synthetic_sum``),
-    not by ``_columns``."""
+    built from ``chain.column``, ``chain.chain`` and ``chain.seeded``
+    (``_synthetic_sum``), not by ``chain.columns``."""
     return catalog._FAMILIES["A1"]._replace(name="TEST", k0=k0, s_ratio=s_ratio, column=_direct(s_ratio),
                                             bound=lambda n: 0)
 
@@ -995,10 +1019,10 @@ def _synthetic_sum(fam, order, seed, p_ratio):
 
     def fold(h, v):
         def column(k, hk):
-            return catalog._column(fam.column, k, hk, 0, cap, fam.bound)
-        return catalog._chain(catalog._walk(catalog._diagonal(fam, p_ratio), fam.k0, h, v, cap), column)
+            return chain.column(fam.column, k, hk, 0, cap, fam.bound)
+        return chain.chain(chain.walk(chain.diagonal(fam, p_ratio), fam.k0, h, v, cap), column)
 
-    return catalog._seeded(seed, order, fold)
+    return chain.seeded(seed, order, fold)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1019,9 +1043,9 @@ def _synthetic_sum(fam, order, seed, p_ratio):
 def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss, form_k_h, ps, others):
     # listed ratios, then a 0 multiplier ends each chain.  "double": double
     # sums of an arbitrary S ratio, ``others`` with their own order, seed and
-    # P-ratios among them, every column summed by its chain (``_column``)
-    # term by term (``_direct``) and folded by ``_chain``.  "family": the
-    # same members summed together by ``_ratio_sum`` on a catalog family,
+    # P-ratios among them, every column summed by its chain (``chain.column``)
+    # term by term (``_direct``) and folded by ``chain.chain``.  "family": the
+    # same members summed together by ``chain.ratio_sum`` on a catalog family,
     # one chained column shared by all and the rest derived, its bound
     # relaxed to 0 for the arbitrary seeds.  "column": a column of a family
     # at a random k and horizon against its direct S-ratio column.  Each sum
@@ -1039,8 +1063,8 @@ def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss
             want = want + term
             term = _apply(term, order, s_ratio(n))
             n += 1
-        got = catalog._seeded(
-            seed, order, lambda h, v: catalog._chain(catalog._walk(s_ratio, k0, h, v, 4 * order + 64)))
+        got = chain.seeded(
+            seed, order, lambda h, v: chain.chain(chain.walk(s_ratio, k0, h, v, 4 * order + 64)))
         assert shape(got) == shape(want)
         return
     members = [(order, seed, ps)] + others
@@ -1049,7 +1073,7 @@ def test_ratio_sum_matches_term_by_term_for_any_ratios(mode, order, k0, seed, ss
         got = [_synthetic_sum(fam, o, sd, _listed(p, k0, _STOP)) for o, sd, p in members]
     else:
         fam = catalog._FAMILIES[form]._replace(bound=lambda n: 0)
-        got = catalog._ratio_sum(fam, [catalog._Member(o, sd, _listed(p, fam.k0, _STOP)) for o, sd, p in members])
+        got = chain.ratio_sum(fam, [chain.Member(o, sd, _listed(p, fam.k0, _STOP)) for o, sd, p in members])
     for (o, sd, p), f in zip(members, got):
         start = _apply(LaurentSeries.one(o), o, sd)
         want = _oracle_sum(start, o, fam.k0, _listed(p, fam.k0, _STOP), fam.s_ratio, fam.starred)
@@ -1065,8 +1089,8 @@ def test_ratio_sum_rejects_negative_exponent(monkeypatch, negative):
             monkeypatch.setitem(catalog._SINGLES, "SIGMA", ((0, (1, 0, (), ()), lambda n: ratio["single"]), lambda n: 0))
             eval_named("SIGMA", 10)
         else:
-            catalog._ratio_sum(_family(0, lambda n: ratio["s_ratio"]),
-                               [catalog._Member(10, ratio["seed"], lambda k: ratio["p_ratio"])])
+            chain.ratio_sum(_family(0, lambda n: ratio["s_ratio"]),
+                            [chain.Member(10, ratio["seed"], lambda k: ratio["p_ratio"])])
 
 
 @pytest.mark.parametrize("sid", sorted(HEADS))

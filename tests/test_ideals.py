@@ -296,7 +296,7 @@ def test_ideal_series_rejects_negative_order(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a norm was counted")
 
-    monkeypatch.setattr(ideals, "_ideal_counts", refuse)
+    monkeypatch.setattr(ideals, "ideal_counts", refuse)
     with pytest.raises(ValueError, match="^order must be >= 0$"):
         ideal_series(IdealQuery(3, 0, 2, "neg"), -1)
 
@@ -353,7 +353,7 @@ def test_ideal_series_matches_per_term_assembly_at_arith_horizon():
     order = 35017
     for spec in theorem_table():
         q = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
-        counts = ideals._ideal_counts(q.D, order)[q.restriction == "neg"]
+        counts = ideals.ideal_counts(q.D, order)[q.restriction == "neg"]
         start = q.residue if q.residue else q.modulus
         terms = [(m, counts[m] * spec.weight) for m in range(start, order + 1, q.modulus)]
         want = LaurentSeries.from_items(terms, order)

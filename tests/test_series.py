@@ -229,11 +229,7 @@ def _ref_mul_monomial(f, c, e):
     order = None if f.order is None else f.order + e
     if not c:
         return LaurentSeries.zero(order)
-    if c == -1:
-        co = [-x for x in f.coeffs]
-    else:
-        co = [_ref_norm(c * x) for x in f.coeffs]
-    return LaurentSeries(f.offset + e, co, order)
+    return LaurentSeries(f.offset + e, [_ref_norm(c * x) for x in f.coeffs], order)
 
 
 def _ref_dilate_shift(f, t, s):
@@ -340,6 +336,17 @@ def test_scale_gives_an_int_wherever_integral_for_every_multiplier(c):
     assert [(type(x), x) for x in f.coeffs] == [(int, c), (Fraction, Fraction(c, 3))]
     g = LaurentSeries(0, [1, 2], 5)
     assert g.scale(c) is g if c == 1 else [(type(x), x) for x in g.scale(c).coeffs] == [(int, c), (int, 2 * c)]
+
+
+@pytest.mark.parametrize("c", [-1, 1, 2, Fraction(1, 2)])
+def test_mul_monomial_gives_an_int_wherever_integral(c):
+    """``mul_monomial`` is ``scale`` moved by e: a stored Fraction(1, 1) comes
+    out an int wherever its product with c is integral, c = -1 included."""
+    f = LaurentSeries(0, [Fraction(1, 1), Fraction(1, 3)], 5).mul_monomial(c, 2)
+    assert (f.offset, f.order) == (2, 7)
+    assert [(type(x), x) for x in f.coeffs] == [(int if c == int(c) else Fraction, c), (Fraction, Fraction(c, 3))]
+    g = LaurentSeries(0, [1, 2], 5).mul_monomial(c, 0)
+    assert [(type(x), x) for x in g.coeffs] == [(int if c == int(c) else Fraction, c), (int, 2 * c)]
 
 
 def _no_stored_fraction_zero(f):

@@ -1,9 +1,12 @@
-"""No module of the package imports or defines a name it never uses.
+"""No module of the package imports or defines a name it never uses, and
+none imports another module's private function or class.
 
 A stdlib ``ast`` scan stands in for a linter: every name an import binds
 must be read somewhere in the module or be listed in its ``__all__``, and
 every module-level private name (a ``_x`` def, class or assignment) must be
-read somewhere in the package.
+read somewhere in the package.  A private ``def`` or ``class`` is read only
+in its own module; a module-level private table (``catalog._FAMILIES``) may
+be imported by a sibling.
 """
 
 import ast
@@ -87,3 +90,33 @@ def test_scan_sees_an_unused_private_name():
         "a.py line 6: _C",
         "b.py line 2: _D",
     ]
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """Imports in ``sources`` (file name: source) of a leading-underscore
+    name that the sibling module imported from defines by ``def`` or ``class``."""
+    trees = {Path(name).stem: ast.parse(source) for name, source in sources.items()}
+    private = {
+        stem: {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _is_private(node.name)}
+        for stem, tree in trees.items()
+    }
+    return [
+        f"{stem}.py line {node.lineno}: {node.module}.{alias.name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in private
+        for alias in node.names
+        if alias.name in private[node.module]
+    ]
+
+
+def test_no_module_imports_a_private_function_or_class():
+    assert private_imports({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_scan_sees_a_private_import():
+    a = "_T = {}\ndef _f():\n    pass\nclass _C:\n    pass\ndef g():\n    pass\n"
+    b = "from .a import _T, _f, g\nfrom .a import _C as C\nfrom os import _exit\nfrom . import a\n"
+    c = "def _f():\n    pass\nfrom .b import _f as f\n"
+    assert private_imports({"a.py": a, "b.py": b, "c.py": c}) == ["b.py line 1: a._f", "b.py line 2: a._C"]

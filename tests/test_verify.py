@@ -9,6 +9,7 @@ import pytest
 
 import qrds.bailey as bailey
 import qrds.catalog as catalog
+import qrds.chain as chain
 import qrds.ideals as ideals
 import qrds.verify as verify_mod
 from qrds.catalog import eval_named, eval_plan
@@ -274,7 +275,7 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(namespace, name, wrapped)
 
-    for name in ("eval_blocks", "ideal_series", "_alpha_sum"):
+    for name in ("eval_blocks", "ideal_series", "alpha_sum"):
         leg(verify_mod, name)
     for name, module in list(sys.modules.items()):  # every binding of limit_form
         if (name == "qrds" or name.startswith("qrds.")) and getattr(module, "limit_form", None) is bailey.limit_form:
@@ -282,7 +283,7 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
     verify_all(120)
     assert len(calls) == 17
     assert events and all(n_sums == 17 for _, n_sums in events)
-    assert Counter(name for name, _ in events)["_alpha_sum"] == 12  # one pipeline alpha side per theorem
+    assert Counter(name for name, _ in events)["alpha_sum"] == 12  # one pipeline alpha side per theorem
     assert "limit_form" not in {name for name, _ in events}
 
 
@@ -311,7 +312,7 @@ def test_verify_all_counts_each_field_once(monkeypatch):
     for D = 2, 3 and 6, through its order and before the first leg; a lone
     verify_theorem builds its own field's."""
     events = []
-    real_counts, real_leg = ideals._ideal_counts, verify_mod.LegReport
+    real_counts, real_leg = ideals.ideal_counts, verify_mod.LegReport
 
     def counts(D, limit):
         events.append(("counts", D, limit))
@@ -321,8 +322,8 @@ def test_verify_all_counts_each_field_once(monkeypatch):
         events.append(("leg", name))
         return real_leg(name, mismatch)
 
-    monkeypatch.setattr(ideals, "_ideal_counts", counts)
-    monkeypatch.setattr(verify_mod, "_ideal_counts", counts)
+    monkeypatch.setattr(ideals, "ideal_counts", counts)
+    monkeypatch.setattr(verify_mod, "ideal_counts", counts)
     monkeypatch.setattr(verify_mod, "LegReport", leg)
     assert all(report.ok for report in verify_all(400))
     assert sorted(events[:3]) == [("counts", 2, 400), ("counts", 3, 400), ("counts", 6, 400)]
@@ -358,12 +359,12 @@ def _column_store(column):
 
 def _recorded_columns(monkeypatch, corrupt=None):
     """Route every column the ratio-chain sum computes, summed by its chain
-    (``_column``) or derived from the two before it (``_derived``), through
+    (``chain.column``) or derived from the two before it (``chain.derived``), through
     a recorder of (store, family, k, "chain" or "derived"); ``corrupt`` is
     one (store, family, k) whose column gains 1 in its constant term, in the
     store, for every member it serves and every column derived from it."""
     columns = []
-    real_column, real_derived = catalog._column, catalog._derived
+    real_column, real_derived = chain.column, chain.derived
 
     def kept(key, how, col):
         columns.append((*key, how))
@@ -377,8 +378,8 @@ def _recorded_columns(monkeypatch, corrupt=None):
     def derived(fam, k, *args):
         return kept(("catalog", fam.name, k + 2), "derived", real_derived(fam, k, *args))
 
-    monkeypatch.setattr(catalog, "_column", summed)
-    monkeypatch.setattr(catalog, "_derived", derived)
+    monkeypatch.setattr(chain, "column", summed)
+    monkeypatch.setattr(chain, "derived", derived)
     return columns
 
 
@@ -464,17 +465,15 @@ def test_column_form_slip_fails_its_family(monkeypatch, form, slip):
 
 def _relation_slips():
     """(family, index into A_k's exponents, then B_k's monomial and binomial
-    exponents, slip).  The exponent 0 of A_k's constant term slips up only,
-    and so does B_k's binomial exponent where it is 1 at k0 - 1, the first k
-    the relation is read at: 1 - q^0 is no binomial, and the kernel rejects
-    it (ValueError)."""
+    exponents, slip), each exponent slipped both ways.  A slip that takes an
+    exponent below 0, or B_k's binomial exponent below 1, at k0 - 1, the
+    first k the relation is read at, is refused by the derivation's own
+    check of the relation."""
     for form, fam in sorted(catalog._FAMILIES.items()):
-        terms, _, c = fam.relation(fam.k0 - 1)
-        names = [f"a{i}" for i in range(len(terms))] + ["b", "c"]
+        names = [f"a{i}" for i in range(len(fam.relation(fam.k0 - 1)[0]))] + ["b", "c"]
         for i, name in enumerate(names):
             for d in (1, -1):
-                if d == 1 or (i != 0 and (name != "c" or c > 1)):
-                    yield pytest.param(form, i, d, id=f"{form}-{name}{d:+d}")
+                yield pytest.param(form, i, d, id=f"{form}-{name}{d:+d}")
 
 
 @pytest.mark.parametrize("form, i, d", list(_relation_slips()))
@@ -508,7 +507,7 @@ def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
     column 2 from the faulty chained column, and verify_all(120) A1 column
     2, so both stop before any leg reports, at the first derived column that
     the fault makes indivisible."""
-    real = catalog._horner
+    real = chain.horner
 
     def faulty(*args):
         buf = real(*args)
@@ -516,7 +515,7 @@ def test_ratio_chain_fault_fails_every_pipeline_leg(monkeypatch):
             buf[3] += 1
         return buf
 
-    monkeypatch.setattr(catalog, "_horner", faulty)
+    monkeypatch.setattr(chain, "horner", faulty)
     failing = {i for i in range(1, 4) for leg in verify_theorem(i, 120).legs if leg.name == "pipeline" and not leg.ok}
     assert failing == {1, 2, 3}
     with pytest.raises(InvariantViolation, match=r"^AQ column 2 from columns 0 and 1: .* q\^5$"):
