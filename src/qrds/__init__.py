@@ -8,7 +8,6 @@ by coefficient.
 
 from .bailey import (
     BaileyPair,
-    SteppedPair,
     bailey_step,
     limit_form,
     pair_catalog,
@@ -69,7 +68,6 @@ __all__ = [
     "normalize_id",
     "eval_named",
     "BaileyPair",
-    "SteppedPair",
     "pair_catalog",
     "pair_labels",
     "bailey_step",

@@ -15,8 +15,8 @@ the relation coefficient-by-coefficient with both sides multiplied by the
 unit (aq)_{2n}: the alpha side is then one Horner sum in k over the closed
 forms of alpha_k, two binomial passes per k on one list, and a catalog
 beta_n cancels the binomials its denominator shares with the unit before
-any list work.  A stepped pair is its base pair plus the exponent u(n) of
-the step; nothing else of it is stored.
+any list work.  A stepped pair is a ``BaileyPair`` with ``stepped`` set: its
+closed forms are its catalog pair's, and the step adds the exponent u(n).
 
 ``bailey_step`` applies the standard iteration with both free parameters
 sent to infinity,
@@ -34,10 +34,10 @@ AQ and AQALSO require a = q.  The AQALSO form's beta side is the star
 value of a series whose terms do not die off; its columns are summed in a
 form that converges and gives them doubled.  Every alpha side decays
 quadratically and is summed through a last index proven from the closed
-forms of alpha_n.  ``alpha_side`` is that side alone; ``verify``'s
-pipeline leg compares the catalog series with it, times the leg's scale
-(``alpha_sum``): the integer sum times one combined scale, which is 1 for
-the starred form, whose 1/2 the leg's 2 cancels.  The beta side
+forms of alpha_n.  ``alpha_side`` is that side, times a scale:
+``verify``'s pipeline leg compares the catalog series with it at the leg's
+scale, and the integer sum is multiplied by one combined scale, which is 1
+for the starred form, whose 1/2 the leg's 2 cancels.  The beta side
 of each theorem is the catalog's own double sum (the same S ratio, and a
 seed and P-ratios pinned by the tests), so comparing it with the series
 would repeat one sum; the alpha side checks Bailey's lemma.
@@ -45,7 +45,7 @@ would repeat one sum; the alpha side checks Bailey's lemma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -60,7 +60,6 @@ from .series import LaurentSeries, apply_binomials_into, div_binomial_into, firs
 
 __all__ = [
     "BaileyPair",
-    "SteppedPair",
     "pair_catalog",
     "pair_labels",
     "verify_pair_relation",
@@ -83,9 +82,12 @@ class BaileyPair:
         (-1)^m * q^(beta_exp(m)) * prod(beta_num(m)) / prod(beta_den(m))
 
     for m >= beta_first, and 0 below that; num/den entries (c, e) stand for
-    binomials 1 - c q^e.  ``beta_ratio(m)`` maps beta_m -> beta_{m+1}; a
-    stepped pair's P-ratio, which ``limit_form``'s beta side chains with, is
-    built from it.
+    binomials 1 - c q^e.  ``beta_ratio(m)`` maps beta_m -> beta_{m+1}.
+
+    A ``stepped`` pair (``bailey_step``) is the image of the catalog pair
+    with the same closed forms under the step with both parameters at
+    infinity: alpha'_n = q^(u(n)) alpha_n and
+    beta'_n = sum_k q^(u(k)) beta_k / (q)_{n-k}.
     """
 
     label: str
@@ -96,6 +98,17 @@ class BaileyPair:
     beta_den: Callable[[int], list[tuple[int, int]]]
     beta_ratio: Callable[[int], Ratio]
     beta_num: Callable[[int], list[tuple[int, int]]] = lambda m: []
+    stepped: bool = False
+
+    def u(self, k: int) -> int:
+        """The step's exponent: k^2 (+ k for a = q) when stepped, else 0."""
+        return k * k + (k if self.rel == "q" else 0) if self.stepped else 0
+
+    def p_ratio(self, k: int) -> Ratio:
+        """P_(k+1) / P_k of P_k = q^(u(k)) beta_k, which ``limit_form``'s beta
+        side chains with: q^(u(k+1) - u(k)) times ``beta_ratio(k)``."""
+        c, e, num, den = self.beta_ratio(k)
+        return c, e + self.u(k + 1) - self.u(k), num, den
 
 
 class _PairFamily(NamedTuple):
@@ -244,29 +257,25 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     mismatches; empty means the relation holds through q**order for every
     checked n.
     """
-    if isinstance(pair, SteppedPair):
-        base, u = pair.base, pair._u_exp
-    elif isinstance(pair, BaileyPair):
-        base, u = pair, lambda k: 0
-    else:
+    if not isinstance(pair, BaileyPair):
         raise TypeError(f"verify_pair_relation needs a catalog pair or a stepped one, got {pair!r}")
     if n_max < 0 or order < 0:
         raise ValueError("n_max and order must be >= 0")
-    a_exp = 0 if pair.rel == "1" else 1
+    a_exp, u = (0 if pair.rel == "1" else 1), pair.u
     va = order + 1  # the least exponent of alpha'_k over k <= n
     betas: list[tuple[int, list]] = []
     failures = []
     for n in range(n_max + 1):
         unit = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # U_n
-        va = min(va, min((e for e, _ in base.alpha_items(n)), default=va) + u(n))
+        va = min(va, min((e for e, _ in pair.alpha_items(n)), default=va) + u(n))
         alpha = [0] * max(0, order + 1 - va)
         for k in range(n + 1):
             if k:
                 apply_binomials_into(alpha, ((1, a_exp + n + k),), ((1, n - k + 1),), len(alpha))
-            _add_items(alpha, va - u(k), base.alpha_items(k))
-        items = [(base.beta_exp(n) + u(n), sgn(n))] if n >= base.beta_first else []
-        num, den = base.beta_num(n), base.beta_den(n)
-        if base is pair:  # U_n joins beta_n's closed form, less the binomials they share
+            _add_items(alpha, va - u(k), pair.alpha_items(k))
+        items = [(pair.beta_exp(n) + u(n), sgn(n))] if n >= pair.beta_first else []
+        num, den = pair.beta_num(n), pair.beta_den(n)
+        if not pair.stepped:  # U_n joins beta_n's closed form, less the binomials they share
             betas, rest = [_level(items, *cancel((1, 0, num + unit, den))[2:], order)], ()
         else:  # beta'_n sums every beta_k, so U_n multiplies the sum
             for k, (_, buf) in enumerate(betas):
@@ -289,30 +298,12 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
 # ------------------------------------------------------------------ stepping
 
 
-class SteppedPair:
-    """The image of a pair under the step with both parameters at infinity:
-    alpha'_n = q^(u(n)) alpha_n with u(n) = n^2 (+ n for a = q), and beta'_n
-    as in ``bailey_step``."""
-
-    def __init__(self, base: BaileyPair):
-        if not isinstance(base, BaileyPair):
-            raise TypeError(f"SteppedPair needs a catalog pair, got {base!r}")
-        self.base = base
-        self.label = f"{base.label}*"
-        self.rel = base.rel
-
-    def _u_exp(self, k: int) -> int:
-        return k * k + (k if self.rel == "q" else 0)
-
-    def _beta_ratio(self, k: int) -> Ratio:
-        """q^(u(k+1) - u(k)) times the base pair's beta ratio at k."""
-        c, e, num, den = self.base.beta_ratio(k)
-        return c, e + self._u_exp(k + 1) - self._u_exp(k), num, den
-
-
-def bailey_step(pair: BaileyPair) -> SteppedPair:
-    """Apply one iteration step with both free parameters at infinity."""
-    return SteppedPair(pair)
+def bailey_step(pair: BaileyPair) -> BaileyPair:
+    """Apply one iteration step with both free parameters at infinity: the
+    catalog pair ``pair``, stepped and labelled with a trailing "*"."""
+    if not isinstance(pair, BaileyPair) or pair.stepped:
+        raise TypeError(f"bailey_step needs a catalog pair, got {pair!r}")
+    return replace(pair, label=pair.label + "*", stepped=True)
 
 
 # ---------------------------------------------------------------- limit forms
@@ -323,7 +314,7 @@ def _checked_form(pair, form_id: str, order: int) -> Family:
     fit for it: ``pair`` must be a stepped catalog pair relative to the
     form's a, ``order`` >= 0, and a form summed from n = 1 needs beta_0 = 0."""
     key, form = lookup(_FAMILIES, form_id, UnknownId, "unknown limit form")
-    if not isinstance(pair, SteppedPair):
+    if not isinstance(pair, BaileyPair) or not pair.stepped:
         raise TypeError(f"a limit form needs a stepped catalog pair, got {pair!r}")
     check_order(order)
     if pair.rel != form.rel:
@@ -331,43 +322,39 @@ def _checked_form(pair, form_id: str, order: int) -> Family:
             f"form {key} needs a pair relative to a = {form.rel}, "
             f"got {pair.label} (a = {pair.rel})"
         )
-    if form.k0 > 0 and pair.base.beta_first == 0:  # beta'_0 = beta_0
+    if form.k0 > 0 and pair.beta_first == 0:  # beta'_0 = beta_0
         raise Beta0NotZero(f"form {key} needs beta_0 = 0, {pair.label} has not")
     return form
 
 
-def alpha_side(pair: SteppedPair, form_id: str, order: int) -> LaurentSeries:
-    """The alpha side of the limit form ``form_id`` for the stepped pair
-    ``pair``, rhs_scale * sum_{n >= k0} rhs_term(n) * q^(u(n)) * alpha_n,
-    through q**order, with the form's fields read from ``catalog._FAMILIES``.
+def alpha_side(pair: BaileyPair, form_id: str, order: int, scale: int = 1) -> LaurentSeries:
+    """``scale`` times the alpha side of the limit form ``form_id`` for the
+    stepped pair ``pair``,
+    rhs_scale * sum_{n >= k0} rhs_term(n) * q^(u(n)) * alpha_n, through
+    q**order, with the form's fields read from ``catalog._FAMILIES``.
 
     Level n is alpha_n's closed form, shifted, signed and divided by the
     form's binomial on one int list; for a = q the form's (1 - q) cancels
-    the global 1/(1 - q) of alpha_n.  The last index is proven: an item is
-    c * q^(e + A j^2 + b j) with A < 0, least at an end of its j range, so
-    val(q^(u(n)) alpha_n), for the a = 1 / a = q pair of each family, is
-    n^2 / n^2 + n for BK, n^2 - n + 1 / n^2 for P1, n(n + 1)/2 for both P2
-    and n(n - 1)/2 + 1 / n(n - 1)/2 for P3, never below n(n - 1)/2 (checked
-    at every level: InvariantViolation).  The form's exponent is >= 0
-    (checked) and every binomial has constant term 1, so no level from the
-    first n with n(n - 1)/2 > order on reaches q**order.
+    the global 1/(1 - q) of alpha_n.  The sum is kept over the integers and
+    multiplied by ``scale`` times the form's ``rhs_scale`` once, so a
+    combined scale of 1 leaves it as it is.  The last index is proven: an
+    item is c * q^(e + A j^2 + b j) with A < 0, least at an end of its j
+    range, so val(q^(u(n)) alpha_n), for the a = 1 / a = q pair of each
+    family, is n^2 / n^2 + n for BK, n^2 - n + 1 / n^2 for P1, n(n + 1)/2
+    for both P2 and n(n - 1)/2 + 1 / n(n - 1)/2 for P3, never below
+    n(n - 1)/2 (checked at every level: InvariantViolation).  The form's
+    exponent is >= 0 (checked) and every binomial has constant term 1, so
+    no level from the first n with n(n - 1)/2 > order on reaches q**order.
     """
-    return alpha_sum(pair, form_id, order, 1)
-
-
-def alpha_sum(pair: SteppedPair, form_id: str, order: int, scale: int) -> LaurentSeries:
-    """``scale`` times ``alpha_side``: the sum is kept over the integers and
-    multiplied by ``scale`` times the form's ``rhs_scale`` once, so a combined
-    scale of 1 leaves it as it is."""
     form = _checked_form(pair, form_id, order)
-    base, total, n = pair.base, [0] * (order + 1), form.k0
+    total, n = [0] * (order + 1), form.k0
     while n * (n - 1) // 2 <= order:
-        items = base.alpha_items(n)
+        items = pair.alpha_items(n)
         sign, e, num, den = factor_ratio(form.rhs_term(n))
-        shift = pair._u_exp(n)
+        shift = pair.u(n)
         v = min(x for x, _ in items) + shift
         if v < n * (n - 1) // 2:
-            raise InvariantViolation(f"alpha side of {base.label}: valuation {v} below n(n-1)/2 at n={n}")
+            raise InvariantViolation(f"alpha side of {pair.label}: valuation {v} below n(n-1)/2 at n={n}")
         v, level = _level([(x + shift + e, sign * c) for x, c in items], num, den, order)
         total[v:] = map(add, total[v:], level)
         n += 1
@@ -385,16 +372,15 @@ def limit_form(pair, form_id: str, order: int):
     The form lives in ``catalog._FAMILIES``: the n-step is its S ratio and
     its columns are summed by its column ratio, the same ones the catalog's
     double sums use, and every row is checked against its valuation bound.
-    The k-step is q^(u(k+1) - u(k)) times the base
-    pair's beta ratio and the seed is w_k0 times beta'_k0 in closed form,
-    both apart from the catalog's P-ratios and seeds.  A starred beta side
+    The k-step is the pair's ``p_ratio`` and the seed is w_k0 times beta'_k0
+    in closed form, both apart from the catalog's P-ratios and seeds.  A starred beta side
     comes back doubled and is halved here.  ``verify`` reads only the alpha
     side: its pipeline leg checks that side against the catalog series, and
     the tests check lhs = rhs.
     """
     form = _checked_form(pair, form_id, order)
-    base, k0, (wc, we) = pair.base, form.k0, form.w_seed
-    seed = (sgn(k0) * wc, we + pair._u_exp(k0) + base.beta_exp(k0),
-            tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
-    [lhs] = ratio_sum(form, [Member(order, seed, pair._beta_ratio)])
+    k0, (wc, we) = form.k0, form.w_seed
+    seed = (sgn(k0) * wc, we + pair.u(k0) + pair.beta_exp(k0),
+            tuple(pair.beta_num(k0)), tuple(pair.beta_den(k0)))
+    [lhs] = ratio_sum(form, [Member(order, seed, pair.p_ratio)])
     return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)

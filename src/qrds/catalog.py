@@ -294,20 +294,20 @@ def pipeline(series_id: str) -> tuple[str, str, int, int]:
 def eval_named(series_id: str, order: int, star_budget: int | None = None) -> LaurentSeries:
     """Evaluate a named series exactly through q**order.
 
-    ``star_budget`` (None: 4 * order + 64; 0 is zero levels) caps the levels
-    of any one ratio chain: a single sum, a fold, or a column, walked at the
-    horizon its fold needs.  A family's one chained column is summed through
-    the higher horizon its derived columns need, and the cap counts that
-    longer chain.  A chain that needs more raises NoStabilization.
+    ``star_budget`` (None: ``chain.level_cap``'s default, 4 * order + 64;
+    0 is zero levels) caps the levels of any one ratio chain: a single sum,
+    a fold, or a column, walked at the horizon its fold needs.  A family's
+    one chained column is summed through the higher horizon its derived
+    columns need, and the cap counts that longer chain.  A chain that needs
+    more raises NoStabilization.
     """
     check_order(order)
     if star_budget is not None and star_budget < 0:
         raise ValueError("star_budget must be >= 0")
     key = normalize_id(series_id)
-    cap = 4 * order + 64 if star_budget is None else star_budget
     if key in _SINGLES:
-        return chain.single_sum(*_SINGLES[key], order, cap)
-    return _family_sums(_DOUBLES[key][0], {key: order}, cap)[key]
+        return chain.single_sum(*_SINGLES[key], order, star_budget)
+    return _family_sums(_DOUBLES[key][0], {key: order}, star_budget)[key]
 
 
 def _family_sums(form: str, horizons: dict[str, int],

@@ -260,12 +260,19 @@ def seeded(seed: Ratio, order: int, inner: Callable[[int, int], list]) -> Lauren
     return LaurentSeries(0, horner([seed], [[]], inner(order - v, v), order - v), order)
 
 
-def single_sum(row: tuple, bound: Callable[[int], int], order: int, cap: int) -> LaurentSeries:
+def level_cap(order: int, cap: int | None) -> int:
+    """The most levels one chain of a sum through q**order may take:
+    ``cap``, or 4 * order + 64 if it is None."""
+    return 4 * order + 64 if cap is None else cap
+
+
+def single_sum(row: tuple, bound: Callable[[int], int], order: int, cap: int | None) -> LaurentSeries:
     """seed * (1 + ratio(n0) * (1 + ratio(n0 + 1) * (...))) through q**order,
     ``row`` being (n0, seed, ratio), each level n checked against
-    ``bound(n)``; more than ``cap`` levels raise NoStabilization."""
+    ``bound(n)``; more than ``level_cap(order, cap)`` levels raise
+    NoStabilization."""
     n0, seed, ratio = row
-    return seeded(seed, order, lambda h, v: chain(walk(ratio, n0, h, v, cap, bound)))
+    return seeded(seed, order, lambda h, v: chain(walk(ratio, n0, h, v, level_cap(order, cap), bound)))
 
 
 def diagonal(fam: Family, p_ratio: Callable[[int], Ratio]) -> Callable[[int], Ratio]:
@@ -305,11 +312,10 @@ def ratio_sum(fam: Family, members: list[Member], cap: int | None = None) -> lis
     Each member then folds truncated copies by the ratios and levels of that
     walk, so no member sees another's work.  ``fam.bound(n)`` is checked against
     the valuation of every level n of a column; at the least valuation the
-    check is at least as strict as each member's own.  ``cap`` (default
-    4 * the highest order + 64) bounds the levels of one chain.
+    check is at least as strict as each member's own.
+    ``level_cap(highest order, cap)`` bounds the levels of one chain.
     """
-    if cap is None:
-        cap = 4 * max(m.order for m in members) + 64
+    cap = level_cap(max(m.order for m in members), cap)
     need: dict[int, tuple[int, int]] = {}  # k -> (highest horizon, least valuation)
     walks = []
     for order, seed, p_ratio in members:

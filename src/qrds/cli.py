@@ -160,23 +160,22 @@ def _cmd_bailey(args) -> int:
     pair = pair_catalog(args.pair)
     if args.step:
         pair = bailey_step(pair)
-    if not args.check:
-        print(f"{pair.label}: Bailey pair relative to a = {pair.rel}")
-        return 0
-    failures = verify_pair_relation(pair, n_max=args.nmax, order=args.order)
-    payload = {
-        "pair": pair.label,
-        "rel": pair.rel,
-        "n_max": args.nmax,
-        "order": args.order,
-        "status": "pass" if not failures else "fail",
-        "failures": [
-            {"n": n, "exp": e, "beta": str(b), "sum": str(s)}
-            for n, (e, b, s) in failures
-        ],
-    }
+    payload = {"pair": pair.label, "rel": pair.rel}
+    failures = verify_pair_relation(pair, n_max=args.nmax, order=args.order) if args.check else []
+    if args.check:
+        payload.update({
+            "n_max": args.nmax,
+            "order": args.order,
+            "status": "pass" if not failures else "fail",
+            "failures": [
+                {"n": n, "exp": e, "beta": str(b), "sum": str(s)}
+                for n, (e, b, s) in failures
+            ],
+        })
     if args.json:
         _emit_json(payload)
+    elif not args.check:
+        print(f"{pair.label}: Bailey pair relative to a = {pair.rel}")
     elif not failures:
         print(f"{pair.label}: relation holds for n <= {args.nmax} at order {args.order}")
     else:

@@ -43,7 +43,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bailey import alpha_sum, bailey_step, pair_catalog
+from .bailey import alpha_side, bailey_step, pair_catalog
 from .catalog import eval_named, eval_plan, pipeline
 from .errors import InvariantViolation, UnknownId, check_order
 from .hecke import eval_blocks, hecke_catalog
@@ -265,7 +265,7 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
 
     pair_label, form_id, scale, const = pipeline(spec.series_id)
-    piped = alpha_sum(bailey_step(pair_catalog(pair_label)), form_id, base_order, scale)
+    piped = alpha_side(bailey_step(pair_catalog(pair_label)), form_id, base_order, scale)
     if const:
         piped = piped + LaurentSeries.monomial(const, 0)
     legs.append(LegReport("pipeline", first_mismatch(piped, series, through=base_order)))

@@ -104,7 +104,7 @@ def test_stepped_pair_relation(label):
 def test_stepped_alpha_shift():
     # alpha'_n = a^n q^(n^2) alpha_n, here a = 1
     stepped = bailey_step(pair_catalog("P2A"))
-    shifted = [(e + stepped._u_exp(1), c) for e, c in stepped.base.alpha_items(1)]
+    shifted = [(e + stepped.u(1), c) for e, c in stepped.alpha_items(1)]
     assert level_items(bailey._level(shifted, (), (), 40), 10) == [(1, -1), (3, 1)]
 
 
@@ -134,7 +134,7 @@ def relation_oracle(pair, n_max: int, order: int) -> list:
     """The pair relation checked term by term, unscaled: one int list per
     alpha_k (and per beta_k for a stepped pair), divided in place by the two
     new Pochhammer factors as n advances, and the lists summed at every n."""
-    base, u = (pair.base, pair._u_exp) if isinstance(pair, bailey.SteppedPair) else (pair, lambda k: 0)
+    base, u = pair, pair.u
     a_exp = 0 if pair.rel == "1" else 1
 
     def total(levels):
@@ -153,7 +153,7 @@ def relation_oracle(pair, n_max: int, order: int) -> list:
         alphas.append(bailey._level([(e + u(n), c) for e, c in base.alpha_items(n)], (), den, order))
         items = [(base.beta_exp(n) + u(n), -1 if n % 2 else 1)] if n >= base.beta_first else []
         beta = bailey._level(items, base.beta_num(n), base.beta_den(n), order)
-        if base is pair:
+        if not pair.stepped:
             betas = [beta]
         else:
             for k, (_, buf) in enumerate(betas):
@@ -221,8 +221,8 @@ def test_relation_needs_a_catalog_pair():
     with pytest.raises(TypeError, match="needs a catalog pair or a stepped one, got 'BK1'$"):
         verify_pair_relation("BK1", n_max=-1, order=-1)  # the type is checked first
     # a twice-stepped pair cannot be built, so the relation never sees one
-    with pytest.raises(TypeError, match="needs a catalog pair, got <qrds.bailey.SteppedPair"):
-        bailey.SteppedPair(bailey_step(pair_catalog("P2A")))
+    with pytest.raises(TypeError, match=r"needs a catalog pair, got BaileyPair\(label='P2A\*'"):
+        bailey_step(bailey_step(pair_catalog("P2A")))
 
 
 @pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])
@@ -239,6 +239,22 @@ def test_relation_rejects_negative_arguments(step, n_max, order):
 def test_step_needs_a_catalog_pair(arg):
     with pytest.raises(TypeError, match=f"needs a catalog pair, got {re.escape(repr(arg))}$"):
         bailey_step(arg)
+
+
+@pytest.mark.parametrize("label", ALL_PAIRS)
+def test_step_only_sets_stepped_and_the_label(label):
+    pair = pair_catalog(label)
+    stepped = bailey_step(pair)
+    assert stepped.label == label + "*" and stepped.stepped and not pair.stepped
+    assert replace(stepped, label=pair.label, stepped=False) == pair
+
+
+def test_step_exponent():
+    # u(k) = k^2 for a = 1 and k^2 + k for a = q; 0 before the step
+    for label, want in (("P2A", [0, 1, 4, 9, 16]), ("P2B", [0, 2, 6, 12, 20])):
+        pair = pair_catalog(label)
+        assert [bailey_step(pair).u(k) for k in range(5)] == want
+        assert [pair.u(k) for k in range(5)] == [0] * 5
 
 
 # ------------------------------------------------------------ limit forms
@@ -269,6 +285,15 @@ def test_pipeline_reproduces_catalog(series_id):
     if const:
         got = got + LaurentSeries.monomial(const, 0, order)
     assert got == eval_named(series_id, order)
+
+
+@pytest.mark.parametrize("series_id", sorted(PIPELINES))
+def test_alpha_side_scale_multiplies_the_side(series_id):
+    pair_label, form_id, scale, _ = PIPELINES[series_id]
+    pair = bailey_step(pair_catalog(pair_label))
+    got = alpha_side(pair, form_id, 80, scale)
+    assert got == alpha_side(pair, form_id, 80).scale(scale)
+    assert all(type(c) is int for c in got.coeffs)
 
 
 def test_form_pair_mismatch():

@@ -141,6 +141,16 @@ def test_bailey_info(capsys):
     assert out.strip() == "P2A: Bailey pair relative to a = 1"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("--pair", "p2a"), {"pair": "P2A", "rel": "1"}),
+    (("--pair", " p3b ", "--step"), {"pair": "P3B*", "rel": "q"}),
+], ids=["base", "stepped"])
+def test_bailey_info_json(capsys, argv, want):
+    rc, out, _ = run(capsys, "bailey", *argv, "--json")
+    assert rc == 0
+    assert json.loads(out) == want
+
+
 def test_bailey_check_json(capsys):
     rc, out, _ = run(
         capsys, "bailey", "--pair", "bk2", "--check",

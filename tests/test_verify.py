@@ -275,7 +275,7 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(namespace, name, wrapped)
 
-    for name in ("eval_blocks", "ideal_series", "alpha_sum"):
+    for name in ("eval_blocks", "ideal_series", "alpha_side"):
         leg(verify_mod, name)
     for name, module in list(sys.modules.items()):  # every binding of limit_form
         if (name == "qrds" or name.startswith("qrds.")) and getattr(module, "limit_form", None) is bailey.limit_form:
@@ -283,7 +283,7 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
     verify_all(120)
     assert len(calls) == 17
     assert events and all(n_sums == 17 for _, n_sums in events)
-    assert Counter(name for name, _ in events)["alpha_sum"] == 12  # one pipeline alpha side per theorem
+    assert Counter(name for name, _ in events)["alpha_side"] == 12  # one pipeline alpha side per theorem
     assert "limit_form" not in {name for name, _ in events}
 
 
