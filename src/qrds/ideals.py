@@ -5,7 +5,10 @@ Every norm m <= N is counted two independent ways in one pass each:
 * an arithmetic one -- the number of integral ideals of Z[sqrt(D)] of norm m
   is ``sum_{d | m} chi(d)`` with chi = (Delta / .), Delta = 4D; chi has period
   |Delta|, and ``sieve_counts`` adds it along strided slices, the d past
-  sqrt(N) one nonzero residue of chi at a time, so no slice adds a zero;
+  sqrt(N) one nonzero residue of chi at a time, so no slice adds a zero.
+  Below N = 1 081 080, the least integer with 256 divisors, every count
+  lies in [0, 240], so the sieve runs on a bytearray mod 256 and each
+  slice update is one ``bytes.translate``; from there on, on a list of ints;
 * a lattice one -- the canonical representatives of u^2 - D v^2 = +-m, one
   per orbit of the fundamental totally positive unit.  ``_windows`` holds the
   two fundamental windows, one per sign of m; ``canonical_reps`` enumerates
@@ -25,6 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import isqrt
 from operator import add, mul
+from typing import Iterator
 
 from .errors import InvariantViolation, UnsupportedField, check_order
 from .series import Coeff, LaurentSeries
@@ -207,6 +211,29 @@ def _window_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
     return out
 
 
+# the least integer with 256 divisors (OEIS A002182): below it a divisor
+# sum fits in one byte (see sieve_counts)
+_BYTE_BOUND = 1_081_080
+# chi(d) = +1 or -1 added to each byte of a slice, mod 256
+_STEP = {x: bytes((i + x) % 256 for i in range(256)) for x in (1, -1)}
+
+
+def _chi_slices(delta: int, limit: int) -> Iterator[tuple[slice, int]]:
+    """The (slice, chi) updates of ``sieve_counts``, for limit >= 0."""
+    chi = [kronecker_symbol(delta, r or delta) for r in range(delta)]  # chi(0) = chi(delta) = 0
+    s = isqrt(limit)
+    for d in range(2, s + 1):
+        x = chi[d % delta]
+        if x:
+            yield slice(d, None, d), x
+    # (j0, chi(r)) for each residue r with chi(r) != 0
+    runs = [(s + 1 + (r - s - 1) % delta, x) for r, x in enumerate(chi) if x]
+    for k in range(1, limit // (s + 1) + 1):
+        stop = k * (limit // k) + 1
+        for j0, x in runs:
+            yield slice(k * j0, stop, k * delta), x
+
+
 def sieve_counts(D: int, limit: int) -> list[int]:
     """Divisor sums sum_{d | m} chi(d) for every m in [0, limit] at once.
 
@@ -220,24 +247,27 @@ def sieve_counts(D: int, limit: int) -> list[int]:
     j > s with j = r mod |Delta|.  That is at most (1 + phi(|Delta|)) sqrt(limit)
     slice updates, and the second half touches only the d with chi(d) != 0:
     a half of them for Delta = 8 and a third for 12 and 24.
+
+    Below limit 1 081 080 the counts live in a bytearray and each update is
+    one ``translate`` through a +1 or -1 table, so every byte is its count
+    mod 256.  That is the count itself: it is the number of ideals of norm m,
+    so 0 <= count <= d(m) <= 240 for every m < 1 081 080, the least integer
+    with 256 divisors, and the additions commute mod 256.  From that limit
+    on, the same updates run on a list of ints.  Either way the result is a
+    list of ints.
     """
     delta = field_spec(D).discriminant
     if limit < 0:
         return []
-    chi = [kronecker_symbol(delta, r or delta) for r in range(delta)]  # chi(0) = chi(delta) = 0
+    updates = _chi_slices(delta, limit)
+    if limit < _BYTE_BOUND:
+        counts = bytearray(b"\0" + b"\1" * limit)
+        for run, x in updates:
+            counts[run] = counts[run].translate(_STEP[x])
+        return list(counts)
     counts = [0] + [1] * limit
-    s = isqrt(limit)
-    for d in range(2, s + 1):
-        x = chi[d % delta]
-        if x:
-            counts[d::d] = map(add, counts[d::d], repeat(x))
-    # (j0, chi(r)) for each residue r with chi(r) != 0
-    runs = [(s + 1 + (r - s - 1) % delta, x) for r, x in enumerate(chi) if x]
-    for k in range(1, limit // (s + 1) + 1):
-        stop = k * (limit // k) + 1
-        for j0, x in runs:
-            run = slice(k * j0, stop, k * delta)
-            counts[run] = map(add, counts[run], repeat(x))
+    for run, x in updates:
+        counts[run] = map(add, counts[run], repeat(x))
     return counts
 
 

@@ -19,7 +19,10 @@ work in place on a bare coefficient list (``mul_binomial_into``,
 by a list of binomials and divides it by another: that is how ``chain``
 sums its ratio chains and ``bailey`` builds its levels without building a
 series per term.  Each coefficient is the one the plain per-index loop
-gives, type included.
+gives, type included.  ``first_mismatch`` cuts the compared range at the
+ends of both stored runs and compares each piece as two slices (or checks
+with ``any`` that the one stored slice is zero), so no padded copy is
+built and only a piece that differs is walked exponent by exponent.
 
 Order propagation is conservative: an operation claims a coefficient only
 when its inputs determine it.  For a product this means
@@ -438,6 +441,7 @@ def first_mismatch(
 
     Compares through ``min(a.order, b.order, through)`` (None = unbounded,
     possible only when both series are exact).  Returns None on agreement.
+    A coefficient a series does not store is returned as the int 0.
     """
     horizon = _min_order(_min_order(a.order, b.order), through)
     lo_candidates = [v for v in (a.valuation(), b.valuation()) if v is not None]
@@ -448,19 +452,27 @@ def first_mismatch(
     hi = max(his)
     if horizon is not None:
         hi = min(hi, horizon)
-    wa = _window(a, lo, hi)
-    wb = _window(b, lo, hi)
-    if wa == wb:
-        return None
-    for e, ca, cb in zip(range(lo, hi + 1), wa, wb):
-        if ca != cb:
-            return (e, ca, cb)
+    # cut [lo, hi] at both ends of both stored runs: on each piece a series
+    # either stores every coefficient or none, and the latter are zero
+    ends = {lo, hi + 1}
+    for f in (a, b):
+        ends.update((f.offset, f.offset + len(f.coeffs)))
+    cuts = sorted(e for e in ends if lo <= e <= hi + 1)
+    for s, t in zip(cuts, cuts[1:]):
+        pa, pb = _stored(a, s, t), _stored(b, s, t)
+        if pa is None or pb is None:
+            if not any(pa or pb or ()):
+                continue
+        elif pa == pb:
+            continue
+        for e, ca, cb in zip(range(s, t), pa or repeat(0), pb or repeat(0)):
+            if ca != cb:
+                return (e, ca, cb)
     return None
 
 
-def _window(f: LaurentSeries, lo: int, hi: int) -> list[Coeff]:
-    """Coefficients of q**lo .. q**hi, zeros outside the stored run."""
-    n = max(0, hi - lo + 1)
-    left = min(n, max(0, f.offset - lo))
-    body = f.coeffs[max(0, lo - f.offset) : max(0, hi - f.offset + 1)]
-    return [0] * left + body + [0] * (n - left - len(body))
+def _stored(f: LaurentSeries, s: int, t: int) -> list[Coeff] | None:
+    """The stored coefficients of q**s .. q**(t-1), or None if f stores
+    none of them; [s, t) lies inside or outside f's stored run."""
+    i = s - f.offset
+    return f.coeffs[i : i + t - s] if 0 <= i < len(f.coeffs) else None

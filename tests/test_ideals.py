@@ -201,6 +201,41 @@ def test_sieve_edge_horizons():
             assert sieve_counts(D, limit) == full[: limit + 1]
 
 
+def _divisor_counts(limit):
+    """d(m) for every m <= limit: each k <= isqrt(limit) counts 1 at k^2
+    and 2 at every larger multiple of k (the divisor pair k, m / k)."""
+    counts = [0] * (limit + 1)
+    for k in range(1, math.isqrt(limit) + 1):
+        counts[k * k] += 1
+        for m in range(k * k + k, limit + 1, k):
+            counts[m] += 2
+    return counts
+
+
+def test_byte_bound_is_the_least_integer_with_256_divisors():
+    # sieve_counts keeps a count in one byte below ideals._BYTE_BOUND: the
+    # count lies in [0, d(m)], and d(m) <= 240 for every m below it
+    bound = ideals._BYTE_BOUND
+    assert bound == 1_081_080
+    counts = _divisor_counts(bound)
+    assert counts[720_720] == 240 == math.prod(e + 1 for e in (4, 2, 1, 1, 1, 1))  # 2^4 3^2 5 7 11 13
+    assert counts[bound] == 256 == math.prod(e + 1 for e in (3, 3, 1, 1, 1, 1))  # 2^3 3^3 5 7 11 13
+    assert max(counts[:bound]) == 240  # OEIS A002182: 720720 and 1081080 are consecutive records
+
+
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_sieve_on_both_sides_of_byte_bound(D):
+    bound = ideals._BYTE_BOUND
+    below = sieve_counts(D, bound - 1)  # the bytearray path
+    past = sieve_counts(D, bound)  # the int list path
+    assert past[:bound] == below
+    assert all(type(c) is int for c in below) and all(type(c) is int for c in past)
+    rng = random.Random(D)
+    sample = [720_720, bound - 1, bound] + rng.sample(range(1, bound + 1), 6)
+    for m in sample:
+        assert past[m] == _divisor_sum(D, m), (D, m)
+
+
 # ----------------------------------------------------------- window sweep
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrds.series import LaurentSeries, UnknownCoefficient, first_mismatch
 
@@ -396,6 +396,18 @@ def _ref_first_mismatch(a, b, through):
 @settings(max_examples=300, deadline=None)
 @given(horizon_series(), horizon_series(),
        st.one_of(st.none(), st.integers(min_value=-12, max_value=60)))
+# disjoint stored runs, with and without a horizon between them
+@example(LaurentSeries(-4, [1, 2], 30), LaurentSeries(10, [3, Fraction(1, 2)], 30), None)
+@example(LaurentSeries(-4, [Fraction(1, 2)], 30), LaurentSeries(10, [3], 30), 5)
+# the mismatch lies where only one side stores coefficients, past a stored
+# Fraction(0) and a zero that equal the other side's absent ones
+@example(LaurentSeries(0, [1, Fraction(0), 0, 5], 20), LaurentSeries(0, [1], 20), None)
+@example(LaurentSeries(2, [7], None), LaurentSeries(0, [0, 0, 7, 0, 0, 0, -1], None), None)
+# one side zero
+@example(LaurentSeries.zero(10), LaurentSeries(3, [Fraction(-1, 2), 1], 10), None)
+@example(LaurentSeries(3, [2, 1], None), LaurentSeries.zero(None), 4)
+# through below both valuations
+@example(LaurentSeries(5, [1], 20), LaurentSeries(7, [2], 20), 3)
 def test_first_mismatch_matches_naive_loop(f, g, through):
     got = first_mismatch(f, g, through=through)
     want = _ref_first_mismatch(f, g, through)
