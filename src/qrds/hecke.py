@@ -15,6 +15,11 @@ exponent is a quadratic in n with leading coefficient A + D > 0, so the sum
 stops at the first row where both edges are above the horizon and neither
 falls to the next row: every later row is above the horizon too.
 
+``eval_blocks`` adds every term into one list of ints that starts at the
+least exponent of the block set (the least row edge, or a constant), and
+visits of each row only the j at or below the horizon: two tails, j <= a
+and j >= b (see ``_eval_block``).
+
 A block set bundles blocks with constant monomials, and the catalog maps
 the public series ids (SIGMA, L1..L12) to their block sets.
 """
@@ -22,6 +27,8 @@ the public series ids (SIGMA, L1..L12) to their block sets.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from math import isqrt
+from typing import Iterator
 
 from .errors import UnknownId, check_order, lookup
 from .series import LaurentSeries
@@ -74,9 +81,11 @@ class HeckeBlockSet:
         }
 
 
-def _eval_block(block: HeckeBlock, order: int, acc: dict[int, int]) -> None:
-    """Add the factor-free sum of ``block`` through q**order into ``acc``."""
-    D, E, coeff, edge = block.D, block.E, block.coeff, block.exponent
+def _rows(block: HeckeBlock, order: int) -> Iterator[tuple[int, int, int, int]]:
+    """``(row, jlo, jhi, least)`` for every row n the sum of ``block``
+    visits whose window jlo <= j <= jhi is not empty: row = A n^2 + B n + C
+    and least is the row's least exponent."""
+    edge = block.exponent
     n = block.n0
     while True:
         jlo, jhi = -n + block.p, n + block.r
@@ -86,28 +95,83 @@ def _eval_block(block: HeckeBlock, order: int, acc: dict[int, int]) -> None:
         # difference is >= 0 it stays >= 0, so every later row is above too.
         if lo > order and hi > order and edge(n + 1, jlo - 1) >= lo and edge(n + 1, jhi + 1) >= hi:
             return
-        row = block.A * n * n + block.B * n + block.C
-        for j in range(jlo, jhi + 1):
-            e = row + D * j * j + E * j
-            if e <= order:
-                acc[e] = acc.get(e, 0) + coeff
+        if jlo <= jhi:
+            yield block.A * n * n + block.B * n + block.C, jlo, jhi, min(lo, hi)
         n += 1
 
 
+def _eval_block(block: HeckeBlock, rows: list, order: int, acc: list[int], base: int) -> None:
+    """Add the factor-free sum of ``block`` through q**order into ``acc``,
+    whose entry i is the coefficient of q**(base + i); ``rows`` are its
+    ``_rows``.
+
+    In a row, e(j) = D j^2 + E j <= room = order - row is
+    P j^2 - E j + room >= 0 with P = -D > 0, whose discriminant is
+    disc = E^2 - 4 P room.  If disc <= 0 that holds for every j, and the
+    whole window is summed.  Otherwise it holds outside the roots
+    r1 < r2 = (E -+ sqrt(disc)) / (2 P).  With s = ceil(sqrt(disc)), one
+    ``isqrt`` rounded up by an exact test of s^2 against disc, an integer j
+    has j <= r1 exactly when E - 2 P j >= s, and j >= r2 exactly when
+    2 P j - E >= s.  So a = floor((E - s) / (2 P)) and
+    b = ceil((E + s) / (2 P)), and only the two tails j <= a and j >= b are
+    visited.  When a + 1 < b, e(a) <= room < e(a + 1) and
+    e(b - 1) > room >= e(b), and the j strictly between a and b are skipped
+    safely: e is concave, so on [a + 1, b - 1] it is at least
+    min(e(a + 1), e(b - 1)) > room.  The tails need no test either: e rises
+    by at least e(a + 1) - e(a) > 0 at each step left of a + 1 and falls at
+    each step right of b - 1.
+    """
+    if not rows:
+        return
+    D, E, coeff = block.D, block.E, block.coeff
+    P2, EE = -2 * D, E * E
+    # the window widens by one at each end per row, so the last row's window
+    # holds every other; col[j - j0] is the j part D j^2 + E j of the exponent
+    _, j0, j1, _ = rows[-1]
+    col = [D * j * j + E * j for j in range(j0, j1 + 1)]
+    for row, jlo, jhi, _ in rows:
+        i = row - base
+        lo, hi = jlo - j0, jhi - j0 + 1
+        disc = EE - 2 * P2 * (order - row)
+        if disc <= 0:
+            for t in col[lo:hi]:
+                acc[i + t] += coeff
+            continue
+        s = isqrt(disc)
+        s += s * s < disc
+        a, b = (E - s) // P2, -((-E - s) // P2)
+        for t in col[lo : max(lo, min(a - j0 + 1, hi))]:
+            acc[i + t] += coeff
+        for t in col[max(lo, b - j0) : hi]:
+            acc[i + t] += coeff
+
+
 def eval_blocks(blockset: HeckeBlockSet, order: int) -> LaurentSeries:
-    """Evaluate a block set exactly through q**order."""
+    """Evaluate a block set exactly through q**order.
+
+    Every term at or below the horizon is added into one list of ints over
+    [base, order], where base is the least exponent the block set reaches:
+    the least row edge of any block (a row's minimum sits at an edge) or a
+    constant's exponent.  Of each row only the two tails j <= a and j >= b
+    of ``_eval_block`` are visited; D < 0 makes the exponent concave in j,
+    so every j strictly between them lies above the horizon.
+    """
     check_order(order)
-    acc: dict[int, int] = {}
-    for c, e in blockset.constants:
-        if e <= order:
-            acc[e] = acc.get(e, 0) + c
+    blocks = []
     for block in blockset.blocks:
-        _eval_block(block, order, acc)
+        blocks.append(block)
         if block.factor is not None:
             g, h = block.factor
-            shifted = replace(block, B=block.B + g, C=block.C + h, coeff=-block.coeff, factor=None)
-            _eval_block(shifted, order, acc)
-    return LaurentSeries.from_items(acc.items(), order)
+            blocks.append(replace(block, B=block.B + g, C=block.C + h, coeff=-block.coeff, factor=None))
+    plan = [(block, list(_rows(block, order))) for block in blocks]
+    constants = [(c, e) for c, e in blockset.constants if e <= order]
+    base = min([e for _, e in constants] + [least for _, rows in plan for *_, least in rows], default=order + 1)
+    acc = [0] * (order + 1 - base)
+    for c, e in constants:
+        acc[e - base] += c
+    for block, rows in plan:
+        _eval_block(block, rows, order, acc, base)
+    return LaurentSeries(base, acc, order)
 
 
 # ------------------------------------------------------------------ catalog

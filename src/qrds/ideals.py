@@ -12,13 +12,16 @@ Every norm m <= N is counted two independent ways in one pass each:
 * a lattice one -- the canonical representatives of u^2 - D v^2 = +-m, one
   per orbit of the fundamental totally positive unit.  ``_windows`` holds the
   two fundamental windows, one per sign of m; ``canonical_reps`` enumerates
-  one for a single m, and ``_window_counts`` counts every m at once by one
-  sweep over each.
+  one for a single m, and ``_sweep`` counts every m at once by one sweep
+  over a window.
 
 For D = 2 the unit 1 + sqrt(2) has norm -1 and each sign of m carries the
 full ideal count; for D = 3 and 6 every ideal comes from exactly one sign, so
-the counts for +m and -m add up to the divisor sum.  ``ideal_series`` checks
-this on every norm through its horizon before it reads one residue class.
+the counts for +m and -m add up to the divisor sum.  ``ideal_counts`` checks
+this on every norm through its horizon, before ``ideal_series`` reads one
+residue class: for D = 2 it compares each window's list with the divisor
+sums, and for D = 3 and 6 it sweeps the m > 0 window onto a copy of the
+m < 0 list and compares that one list, so no third list of sums is built.
 """
 
 from __future__ import annotations
@@ -200,17 +203,6 @@ def _sweep(counts: list[int], A: int, B: int, c: int, x1p: int) -> None:
             counts[top - squares[hi]] += 1
 
 
-def _window_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
-    """``(pos, neg)`` with pos[a] = len(canonical_reps(D, a)) and
-    neg[a] = len(canonical_reps(D, -a)) for every a in [1, limit], from one
-    sweep over each window of ``_windows``."""
-    f = field_spec(D)
-    out = ([0] * (limit + 1), [0] * (limit + 1))
-    for counts, window in zip(out, _windows(f)):
-        _sweep(counts, *window, f.x1 + 1)
-    return out
-
-
 # the least integer with 256 divisors (OEIS A002182): below it a divisor
 # sum fits in one byte (see sieve_counts)
 _BYTE_BOUND = 1_081_080
@@ -274,17 +266,26 @@ def sieve_counts(D: int, limit: int) -> list[int]:
 def ideal_counts(D: int, limit: int) -> tuple[list[int], list[int]]:
     """The counts for m in [0, limit] of both restrictions, "all" (the
     divisor sums) and "neg" (the m < 0 window), once the divisor sums and
-    the unit-orbit windows agree on every m."""
+    the unit-orbit windows agree on every m.  For D = 3 and 6 the m > 0
+    window is swept onto a copy of the m < 0 list, so one list holds
+    pos[m] + neg[m]."""
+    f = field_spec(D)
+    x1p = f.x1 + 1
+    plus, minus = _windows(f)
     sieve = sieve_counts(D, limit)
-    pos, neg = _window_counts(D, limit)
+    neg = [0] * (limit + 1)
+    _sweep(neg, *minus, x1p)
     # D = 2 has the unit 1 + sqrt(2) of norm -1, so each window carries every
     # ideal; D = 3 and 6 have none, and each ideal lies in exactly one window
-    checks = (pos, neg) if D == 2 else (list(map(add, pos, neg)),)
+    swept = [0] * (limit + 1) if D == 2 else neg.copy()
+    _sweep(swept, *plus, x1p)
+    checks = (swept, neg) if D == 2 else (swept,)
     if any(got != sieve for got in checks):
         m = next(m for m in range(limit + 1) if any(got[m] != sieve[m] for got in checks))
+        pos = swept[m] if D == 2 else swept[m] - neg[m]
         raise InvariantViolation(
             f"ideal counts disagree for D={D} at m={m}: unit-orbit windows give "
-            f"{pos[m]} (+) and {neg[m]} (-), the divisor sum {sieve[m]}"
+            f"{pos} (+) and {neg[m]} (-), the divisor sum {sieve[m]}"
         )
     return sieve, neg
 

@@ -1,5 +1,8 @@
+import math
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrds.errors import UnknownId
 import qrds.hecke as hecke
@@ -11,8 +14,10 @@ def rows_to_sum(b, order):
 
     Along a window edge j = s*n + t (s = +-1, t = p or r) the exponent is
     (A+D) n^2 + beta n + gamma with A + D >= 1, and the factor term only adds
-    G n + H.  With |beta| and |gamma| bounded as below, every n past
-    |beta| + |gamma| + order puts both edges above the horizon, and D < 0
+    G n + H.  With |beta| and |gamma| bounded as below and
+    k = isqrt(|gamma| + order) + 1 > sqrt(|gamma| + order), every
+    n >= |beta| + k has n^2 - |beta| n - |gamma| >= n k - |gamma| >=
+    k^2 - |gamma| > order, so both edges lie above the horizon, and D < 0
     puts each row's minimum at an edge.
     """
     g, h = b.factor or (0, 0)
@@ -20,7 +25,7 @@ def rows_to_sum(b, order):
     for t in (b.p, b.r):
         beta = abs(b.B) + abs(g) + 2 * abs(b.D * t) + abs(b.E)
         gamma = abs(b.C) + abs(h) + abs(b.D) * t * t + abs(b.E * t)
-        last = max(last, beta + gamma + order + 1)
+        last = max(last, beta + math.isqrt(gamma + order) + 1)
     return last
 
 
@@ -64,6 +69,49 @@ def test_all_catalog_entries_match_brute_force(sid):
     f = eval_blocks(bs, 60)
     assert dict((e, c) for e, c in f.items() if e <= 60) == brute_block_set(bs, 60)
     assert f.order == 60
+
+
+def _dense(items, order):
+    """(offset, coeffs, order) of the series with the nonzero ``items``."""
+    if not items:
+        return order + 1, [], order
+    lo, hi = min(items), max(items)
+    return lo, [items.get(e, 0) for e in range(lo, hi + 1)], order
+
+
+@pytest.mark.parametrize("sid", sorted(hecke._CATALOG))
+def test_catalog_entries_match_brute_force_at_many_orders(sid):
+    # brute_block_set through the top horizon holds every term of a lower
+    # one, so the lower ones are its restrictions
+    bs = hecke_catalog(sid)
+    orders = list(range(151)) + random.Random(sid).sample(range(151, 3001), 20)
+    full = brute_block_set(bs, max(orders))
+    for order in orders:
+        f = eval_blocks(bs, order)
+        assert all(type(c) is int for c in f.coeffs), (sid, order)
+        want = _dense({e: c for e, c in full.items() if e <= order}, order)
+        assert (f.offset, f.coeffs, f.order) == want, (sid, order)
+
+
+def test_row_peak_exactly_at_the_horizon():
+    # e(n, j) = 2 n^2 - (j - 1)^2: row n = 5 (row part 49) peaks at j = 1
+    # with exponent 50.  At horizon 49 its roots j = 0 and j = 2 sit exactly
+    # on it and j = 1 is skipped; at 50 the peak is a double root on the
+    # horizon; at 51 the whole row is visible.
+    bs = HeckeBlockSet((HeckeBlock(0, 0, 0, A=2, B=0, C=-1, D=-1, E=2),))
+    for order in (49, 50, 51):
+        f = eval_blocks(bs, order)
+        assert (f.offset, f.coeffs, f.order) == _dense(brute_block_set(bs, order), order), order
+
+
+def test_block_below_q0_starts_the_list_there():
+    # e(n, j) = 2 n^2 - j^2 - 7 reaches q^-7 at n = 0 and a constant q^-9
+    # lies lower still
+    bs = HeckeBlockSet((HeckeBlock(0, 0, 0, A=2, B=0, C=-7, D=-1, E=0),), constants=((3, -9), (1, 0)))
+    for order in (0, 1, 5, 40, 300):
+        f = eval_blocks(bs, order)
+        assert f.offset == -9 and f.coefficient(-9) == 3 and f.coefficient(-7) == 1
+        assert (f.offset, f.coeffs, f.order) == _dense(brute_block_set(bs, order), order), order
 
 
 def test_l5_head():
@@ -135,7 +183,12 @@ def blocks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(block=blocks(), order=st.integers(0, 60))
+@given(block=blocks(), order=st.integers(0, 300))
+# rows whose left root, or right root, lies left of every window of the
+# block, and a row with an empty window (j = 2..1 at n = 0)
+@example(block=HeckeBlock(0, 0, 0, A=2, B=0, C=0, D=-1, E=-2), order=0)
+@example(block=HeckeBlock(0, 0, 1, A=2, B=-2, C=-11, D=-1, E=-19), order=62)
+@example(block=HeckeBlock(0, 2, 1, A=2, B=0, C=0, D=-1, E=0), order=0)
 def test_eval_blocks_matches_brute_force(block, order):
     bs = HeckeBlockSet((block,))
     f = eval_blocks(bs, order)

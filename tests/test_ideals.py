@@ -11,7 +11,6 @@ from qrds.errors import InvariantViolation, UnsupportedField
 from qrds.ideals import (
     FieldSpec,
     IdealQuery,
-    _window_counts,
     canonical_reps,
     field_spec,
     ideal_series,
@@ -239,6 +238,17 @@ def test_sieve_on_both_sides_of_byte_bound(D):
 # ----------------------------------------------------------- window sweep
 
 
+def _window_counts(D, limit):
+    """(pos, neg) with pos[a] = len(canonical_reps(D, a)) and neg[a] =
+    len(canonical_reps(D, -a)) for a in [1, limit], one ``ideals._sweep``
+    over each window of ``ideals._windows``."""
+    f = field_spec(D)
+    out = ([0] * (limit + 1), [0] * (limit + 1))
+    for counts, window in zip(out, ideals._windows(f)):
+        ideals._sweep(counts, *window, f.x1 + 1)
+    return out
+
+
 def test_window_counts_match_canonical_reps():
     for D in (2, 3, 6):
         pos, neg = _window_counts(D, 3000)
@@ -417,14 +427,15 @@ def _corrupt(monkeypatch, which, m):
 
         monkeypatch.setattr(ideals, "sieve_counts", sieve)
     else:
-        real_windows = ideals._window_counts
+        real_sweep = ideals._sweep
 
-        def windows(D, limit):
-            pos, neg = real_windows(D, limit)
-            (pos if which == "pos" else neg)[m] += 1
-            return pos, neg
+        def sweep(counts, A, B, c, x1p):
+            real_sweep(counts, A, B, c, x1p)
+            # the windows are (1, D, y1) for m > 0 and (D, 1, D y1) for m < 0
+            if (A, B, c) == ideals._windows(field_spec(max(A, B)))[which == "neg"]:
+                counts[m] += 1
 
-        monkeypatch.setattr(ideals, "_window_counts", windows)
+        monkeypatch.setattr(ideals, "_sweep", sweep)
 
 
 @pytest.mark.parametrize("which", ["sieve", "pos", "neg"])
@@ -436,6 +447,18 @@ def test_cross_check_catches_one_corrupted_count(monkeypatch, D, which):
     for restriction in ("all", "neg"):
         with pytest.raises(InvariantViolation, match=rf"D={D} at m=1001\b"):
             ideal_series(IdealQuery(D, 0, 2, restriction), 2000)
+
+
+def test_cross_check_catches_a_corrupted_pos_count_on_the_copied_list(monkeypatch):
+    # for D = 3 and 6 the m > 0 window is swept onto a copy of the m < 0
+    # list: a count of +1 there must show at a norm the m < 0 window holds
+    assert (len(canonical_reps(3, 11)), len(canonical_reps(3, -11))) == (0, 2)
+    _corrupt(monkeypatch, "pos", 11)
+    with pytest.raises(InvariantViolation) as caught:
+        ideals.ideal_counts(3, 100)
+    assert str(caught.value) == (
+        "ideal counts disagree for D=3 at m=11: unit-orbit windows give 1 (+) and 2 (-), the divisor sum 2"
+    )
 
 
 @pytest.mark.parametrize(
