@@ -13,10 +13,11 @@ the closed-form items of alpha_n or beta_n on a list through q**order,
 times and divided by binomials in place.  ``verify_pair_relation`` checks
 the relation coefficient-by-coefficient with both sides multiplied by the
 unit (aq)_{2n}: the alpha side is then one Horner sum in k over the closed
-forms of alpha_k, two binomial passes per k on one list, and a catalog
-beta_n cancels the binomials its denominator shares with the unit before
-any list work.  A stepped pair is a ``BaileyPair`` with ``stepped`` set: its
-closed forms are its catalog pair's, and the step adds the exponent u(n).
+forms of alpha_k, two binomial passes per k on one list that starts at the
+least exponent of the alpha_k added so far, and a catalog beta_n cancels
+the binomials its denominator shares with the unit before any list work.
+A stepped pair is a ``BaileyPair`` with ``stepped`` set: its closed forms
+are its catalog pair's, and the step adds the exponent u(n).
 
 ``bailey_step`` applies the standard iteration with both free parameters
 sent to infinity,
@@ -248,7 +249,11 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     sum_k alpha_k (aq^(n+k+1))_{n-k} / (q)_{n-k}, is one Horner sum in k on
     one int list: from alpha_0, each step multiplies by 1 - aq^(n+k),
     divides by 1 - q^(n-k+1) and adds alpha_k's closed-form items, so no
-    alpha_k is ever a list of its own.  A catalog beta_n comes from its
+    alpha_k is ever a list of its own.  Both binomials have constant term 1,
+    so the list starts at the least exponent of alpha'_0 .. alpha'_k and
+    gains leading zeros only when alpha'_k reaches lower; no pass runs over
+    the zeros below it.  Each alpha'_k's items, shifted by u(k) and cut at
+    q**order, are built once per call.  A catalog beta_n comes from its
     closed form, with the binomials its denominator shares with U_n
     cancelled first; a stepped beta'_n = sum_k q^(u(k)) beta_k / (q)_{n-k}
     keeps one list per beta_k, divided by 1 - q^(n-k) in place as n
@@ -262,17 +267,22 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     if n_max < 0 or order < 0:
         raise ValueError("n_max and order must be >= 0")
     a_exp, u = (0 if pair.rel == "1" else 1), pair.u
-    va = order + 1  # the least exponent of alpha'_k over k <= n
+    alphas = []  # (least exponent, items) of alpha'_k through q**order
+    for k in range(n_max + 1):
+        items = [(e + u(k), c) for e, c in pair.alpha_items(k) if e + u(k) <= order]
+        alphas.append((min((e for e, _ in items), default=order + 1), items))
     betas: list[tuple[int, list]] = []
     failures = []
     for n in range(n_max + 1):
         unit = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # U_n
-        va = min(va, min((e for e, _ in pair.alpha_items(n)), default=va) + u(n))
-        alpha = [0] * max(0, order + 1 - va)
-        for k in range(n + 1):
+        alpha, va = [], order + 1  # alpha[i] is the coefficient of q^(va + i), through q**order
+        for k, (vk, items) in enumerate(alphas[:n + 1]):
             if k:
                 apply_binomials_into(alpha, ((1, a_exp + n + k),), ((1, n - k + 1),), len(alpha))
-            _add_items(alpha, va - u(k), pair.alpha_items(k))
+            if vk < va:
+                alpha[:0] = repeat(0, va - vk)
+                va = vk
+            _add_items(alpha, va, items)
         items = [(pair.beta_exp(n) + u(n), sgn(n))] if n >= pair.beta_first else []
         num, den = pair.beta_num(n), pair.beta_den(n)
         if not pair.stepped:  # U_n joins beta_n's closed form, less the binomials they share

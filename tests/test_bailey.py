@@ -181,6 +181,11 @@ MUTANTS = {
     "alpha@5": lambda p: _with_alpha_item(p, 5, [(-3, -1)]),
     "beta_den@4": lambda p: _with_beta_den(p, 4, [(1, 3)]),
     "beta_exp@2": lambda p: _with_beta_exp_raised(p, 2),
+    # below every alpha'_k with k < 4 (test_low_alpha_item_lies_below_every_earlier_alpha),
+    # so the Horner sum grows at its front at k = 4
+    "alpha@4_low": lambda p: _with_alpha_item(p, 4, [(-40, 1)]),
+    # the Horner sum of an a = 1 pair starts from a nonzero alpha_0
+    "alpha@0": lambda p: _with_alpha_item(p, 0, [(1, 1)]),
 }
 SIZES = [(8, 60)] + [(n_max, order) for order in (0, 1, 3) for n_max in (0, 1, 6)]
 
@@ -199,6 +204,16 @@ def test_relation_matches_its_oracle(label, step):
             assert failures == relation_oracle(pair, n_max, order), (name, n_max, order)
         if name != "none":
             assert verify_pair_relation(pair, n_max=8, order=60), name  # every mutant is seen
+
+
+@pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])
+@pytest.mark.parametrize("label", ALL_PAIRS)
+def test_low_alpha_item_lies_below_every_earlier_alpha(label, step):
+    pair = MUTANTS["alpha@4_low"](pair_catalog(label))
+    if step:
+        pair = bailey_step(pair)
+    low = min(e for e, _ in pair.alpha_items(4)) + pair.u(4)
+    assert all(low < e + pair.u(k) for k in range(4) for e, _ in pair.alpha_items(k))
 
 
 @pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])

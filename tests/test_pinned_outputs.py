@@ -4,7 +4,9 @@ Each digest is the sha256 of the offsets, horizons, coefficients and
 coefficient types of a series at several orders, or of the error raised;
 the ``verify_all`` digests are those of its JSON payloads without timings,
 at orders 400 and 1500, and the pair digest that of every catalog pair's
-closed forms for m < 60.
+closed forms for m < 60.  The long-list digests pin Z2, Z3 and Z4 through
+q^1000 and SIGMA's lacunarity report at 10^4, where the kernel's passes run
+over long lists.
 Regenerate the table with ``python tests/test_pinned_outputs.py`` only when
 a change of output is intended, and say why in the change log.
 """
@@ -16,12 +18,15 @@ import pytest
 
 from qrds.bailey import bailey_step, limit_form, pair_catalog, pair_labels
 from qrds.catalog import catalog_ids, eval_named
-from qrds.verify import verify_all
+from qrds.verify import lacunarity_report, verify_all
 
 SERIES_ORDERS = tuple(range(41)) + (97, 200, 333)
 FORM_ORDERS = (0, 7, 60, 150)
 PAIR_LEVELS = 60
 FORMS = ("A1", "A1ALSO", "AQ", "AQALSO")
+LONG_IDS = ("Z2", "Z3", "Z4")
+LONG_ORDER = 1000
+LACUNARITY_ORDER = 10000
 
 
 def _canon(f) -> str:
@@ -64,6 +69,15 @@ def pairs_digest() -> str:
     return h.hexdigest()
 
 
+def long_digest(sid: str) -> str:
+    return hashlib.sha256(_canon(eval_named(sid, LONG_ORDER)).encode()).hexdigest()
+
+
+def lacunarity_digest() -> str:
+    report = lacunarity_report("SIGMA", LACUNARITY_ORDER)
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def verify_all_digest(order: int) -> str:
     payloads = [report.to_payload() for report in verify_all(order)]
     for payload in payloads:
@@ -76,6 +90,14 @@ PINNED_VERIFY_ALL_400 = "4a6b96758bd2ebb36940e4dfbd1ad1c1bc5975d28b2aef4f3cc4b5a
 PINNED_VERIFY_ALL_1500 = "3015788254d385f1c153ecf195fb6311c7845e8b6e8650f7f854450ee7a2ebaf"
 
 PINNED_PAIRS = "166f930a803639133bcbb638d5897ba0e92e3bfddd9b0bba2f13e81f0633375d"
+
+PINNED_LACUNARITY = "1ddbb1117ab6ee9c4616b35c01394af5191b1999dd5c4f521c04a7164ae238ba"
+
+PINNED_LONG = {
+    "Z2": "5a618c5d3160981a4772896440a92952e3f05614791ba29abed022d7d4a028b9",
+    "Z3": "bf2d379b37e5a6ef102533ea8f87e42007742ffdeef664d6f6a35d2f7324e9fe",
+    "Z4": "1d2a1bdbef42c040b8a2a73df7f51b71e23ff8049cffc2cd3b9ddb6579c7fbd4",
+}
 
 PINNED_SERIES = {
     "SIGMA": "acbae69e9c57a6418c14d4aedbf959f19d07f91053460ae798b6119a95863b9d",
@@ -151,6 +173,15 @@ def test_pairs_pinned():
     assert pairs_digest() == PINNED_PAIRS
 
 
+@pytest.mark.parametrize("sid", LONG_IDS)
+def test_long_series_pinned(sid):
+    assert long_digest(sid) == PINNED_LONG[sid]
+
+
+def test_lacunarity_pinned():
+    assert lacunarity_digest() == PINNED_LACUNARITY
+
+
 def test_verify_all_pinned():
     assert verify_all_digest(400) == PINNED_VERIFY_ALL_400
 
@@ -163,6 +194,11 @@ if __name__ == "__main__":
     print(f'PINNED_VERIFY_ALL_400 = "{verify_all_digest(400)}"\n')
     print(f'PINNED_VERIFY_ALL_1500 = "{verify_all_digest(1500)}"\n')
     print(f'PINNED_PAIRS = "{pairs_digest()}"\n')
+    print(f'PINNED_LACUNARITY = "{lacunarity_digest()}"\n')
+    print("PINNED_LONG = {")
+    for sid in LONG_IDS:
+        print(f'    "{sid}": "{long_digest(sid)}",')
+    print("}\n")
     print("PINNED_SERIES = {")
     for sid in catalog_ids():
         print(f'    "{sid}": "{series_digest(sid)}",')

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qrds.series import LaurentSeries, UnknownCoefficient, first_mismatch
+import qrds.series as series
+from qrds.series import LaurentSeries, UnknownCoefficient, div_binomial_into, first_mismatch
 
 
 def poly(*items):
@@ -264,7 +265,8 @@ def horizon_series(draw):
     return f.truncate(draw(st.integers(min_value=offset - 3, max_value=offset + len(co) + 15)))
 
 
-multipliers = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+# Fraction(1) and Fraction(-1) make products where the int units do not
+multipliers = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(1), Fraction(-1)])
 # up to past every series length, so div_binomial meets both its strided
 # (e*e <= 4*m) and its block-wise branch
 exponents = st.integers(min_value=1, max_value=80)
@@ -375,6 +377,41 @@ def test_div_binomial_switches_strategy_on_exponent():
     for e in (1, 2, 12, 13, 20, 40, 41):
         for c in (1, -1, 2):
             assert shape(f.div_binomial(c, e)) == shape(_ref_div_binomial(f, c, e, None))
+
+
+def _ref_div_list(buf, c, e, m):
+    """The per-index loop of ``div_binomial_into`` on a bare list."""
+    out = buf + [0] * (m - len(buf))
+    for i in range(e, m):
+        out[i] = out[i] + c * out[i - e]
+    return out
+
+
+@pytest.mark.parametrize("m", [41, 1000])
+@pytest.mark.parametrize("c", [-1, Fraction(-1)], ids=["int", "Fraction"])
+def test_div_by_one_plus_q_e_matches_the_loop_around_the_crossover(c, m):
+    # an int c = -1 takes one block pass from e = _NEG_BLOCK_MIN_E on and
+    # two unit passes below it; a Fraction(-1) takes the general route, whose
+    # products give Fractions as the loop's do; e >= m leaves the list padded
+    x = series._NEG_BLOCK_MIN_E
+    rng = random.Random(m)
+    ints = [rng.randint(-9, 9) for _ in range(m - 3)]  # padded by the kernel
+    mixed = [Fraction(v, 2) if i % 7 == 3 else v for i, v in enumerate(ints)]
+    for e in (1, 2, x - 2, x - 1, x, x + 1, 2 * x, m - 1, m, m + 5):
+        for buf in (ints, mixed):
+            got = buf[:]
+            div_binomial_into(got, c, e, m)
+            want = _ref_div_list(buf, c, e, m)
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (e, buf is mixed)
+
+
+@pytest.mark.parametrize("c", [1, -1, 2])
+def test_div_binomial_into_rejects_a_list_longer_than_its_horizon(c):
+    # its tail past the horizon would stay undivided
+    buf = [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="^coefficient list of length 4 is longer than the horizon 3$"):
+        div_binomial_into(buf, c, 1, 3)
+    assert buf == [1, 2, 3, 4]
 
 
 def _ref_first_mismatch(a, b, through):
