@@ -12,12 +12,13 @@ coefficients) never leave the integers.
 
 The per-coefficient work runs in C-level slice operations, not Python
 loops: ``__add__`` and ``mul_binomial`` are one ``map`` over aligned
-slices, and ``div_binomial`` is a prefix sum along each residue class of
-the index mod e (see ``div_binomial_into``); division by 1 + q**e is one
-pass of block differences from a fixed exponent on, and below it a
-multiplication by 1 - q**e before a unit prefix sum.  The two binomial
+slices, and ``div_binomial`` by 1 - q**e or 1 + q**e is a prefix sum along
+each residue class of the index mod e or one pass of block sums or
+differences (see ``div_binomial_into``); division by any other binomial,
+which no engine path makes, is the per-index loop.  The two binomial
 kernels also work in place on a bare coefficient list (``mul_binomial_into``,
-``div_binomial_into``), and ``apply_binomials_into`` multiplies such a list
+``div_binomial_into``), and refuse a list longer than its horizon, whose
+tail they would leave as it is; ``apply_binomials_into`` multiplies such a list
 by a list of binomials and divides it by another: that is how ``chain``
 sums its ratio chains and ``bailey`` builds its levels without building a
 series per term.  Each coefficient is the one the plain per-index loop
@@ -62,17 +63,27 @@ def _norm(x: Coeff) -> Coeff:
     return x
 
 
+def _check_horizon(buf: list, e: int, m: int) -> None:
+    """The arguments both binomial kernels refuse: an exponent below 1, and a
+    list longer than the horizon m, whose tail the kernel would leave as it is."""
+    if e < 1:
+        raise ValueError("binomial exponent must be >= 1")
+    if len(buf) > m:
+        raise ValueError(f"coefficient list of length {len(buf)} is longer than the horizon {m}")
+
+
 def mul_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
     """Multiply the coefficient list ``buf`` by (1 - c * q**e) in place.
 
     Index i stands for q**i; coefficients from index ``m`` on are beyond the
-    horizon and are not produced.  ``buf`` grows by up to e zeros first.
-    Every right-hand slice is a copy taken before the assignment, so the
-    update reads the old coefficients.  Only an int c of 1 or -1 skips the
-    products; a ``Fraction`` c makes them, as the per-index loop does.
+    horizon and are not produced.  ``buf`` grows by up to e zeros first; a
+    ``buf`` longer than ``m`` raises ``ValueError``, as its tail would stay
+    unmultiplied.  Every right-hand slice is a copy taken before the
+    assignment, so the update reads the old coefficients.  Only an int c of
+    1 or -1 skips the products; a ``Fraction`` c makes them, as the
+    per-index loop does.
     """
-    if e < 1:
-        raise ValueError("binomial exponent must be >= 1")
+    _check_horizon(buf, e, m)
     n = len(buf)
     m = min(n + e, m)
     if m <= e:
@@ -80,10 +91,8 @@ def mul_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
     if m > n:
         buf.extend(repeat(0, m - n))
     low = buf[:m - e]
-    if type(c) is int and c == 1:
-        buf[e:m] = map(sub, buf[e:m], low)
-    elif type(c) is int and c == -1:
-        buf[e:m] = map(add, buf[e:m], low)
+    if type(c) is int and c in (1, -1):
+        buf[e:m] = map(sub if c == 1 else add, buf[e:m], low)
     else:
         buf[e:m] = map(sub, buf[e:m], map(mul, repeat(c), low))
 
@@ -103,48 +112,34 @@ def div_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
     """Divide the coefficient list ``buf`` by (1 - c * q**e) in place, through index m - 1.
 
     ``buf`` is padded with zeros to length ``m``; a longer ``buf`` raises
-    ``ValueError``, as its tail would stay undivided.  The quotient satisfies
-    out[i] = buf[i] + c * out[i - e]: a prefix sum along each residue class
-    of the index mod e.  With e*e <= 4*m there are few long classes, summed
-    one strided slice at a time by ``accumulate``; otherwise there are few
-    blocks of e consecutive indices, each updated from the block before it
-    by one ``map``.  Division by 1 + q**e (an int c = -1) takes one block
-    pass, out[i] = buf[i] - out[i - e], from e = ``_NEG_BLOCK_MIN_E`` on;
-    below that it is multiplication by 1 - q**e and division by
-    1 - q**(2e), which keeps it on the unit prefix sum.  A ``Fraction`` c
-    takes the general route even when it is 1 or -1, as the loop's c * x
-    makes every coefficient it reaches a ``Fraction``.
+    ``ValueError``, as its tail would stay undivided.  The quotient is the
+    per-index loop out[i] = buf[i] + c * out[i - e], which every c but an
+    int 1 or -1 takes as it is (no engine path passes another c; a
+    ``Fraction`` c makes the loop's products even when it is 1 or -1).  An
+    int unit c takes slice passes instead.  With c = 1 and e*e <= 4*m there
+    are few long residue classes of the index mod e, each summed as one
+    strided slice by ``accumulate``; otherwise there are few blocks of e
+    consecutive indices, each updated from the block before it by one
+    ``map`` of ``add`` (c = 1) or ``sub`` (c = -1).  Division by 1 + q**e
+    with e below ``_NEG_BLOCK_MIN_E`` is multiplication by 1 - q**e and
+    division by 1 - q**(2e), which keeps it on the c = 1 routes.
     """
-    if e < 1:
-        raise ValueError("binomial exponent must be >= 1")
-    if len(buf) > m:
-        raise ValueError(f"coefficient list of length {len(buf)} is longer than the horizon {m}")
+    _check_horizon(buf, e, m)
     buf.extend(repeat(0, m - len(buf)))
-    int_c = type(c) is int
-    if int_c and c == -1:
-        if e >= _NEG_BLOCK_MIN_E:
-            for lo in range(e, m, e):
-                buf[lo:lo + e] = map(sub, buf[lo:lo + e], buf[lo - e:lo])
-            return
+    if type(c) is not int or c not in (1, -1):
+        for i in range(e, m):
+            buf[i] += c * buf[i - e]
+        return
+    if c == -1 and e < _NEG_BLOCK_MIN_E:
         mul_binomial_into(buf, 1, e, m)
         c, e = 1, 2 * e
-    if e >= m:
+    if c == 1 and e * e <= 4 * m:
+        for r in range(e):
+            buf[r:m:e] = accumulate(buf[r:m:e])
         return
-    if e * e <= 4 * m:
-        if int_c and c == 1:
-            for r in range(e):
-                buf[r:m:e] = accumulate(buf[r:m:e])
-        else:
-            for r in range(e):
-                buf[r:m:e] = accumulate(buf[r:m:e], lambda acc, x: x + c * acc)
-        return
+    op = add if c == 1 else sub
     for lo in range(e, m, e):
-        hi = min(lo + e, m)
-        prev = buf[lo - e:hi - e]
-        if int_c and c == 1:
-            buf[lo:hi] = map(add, buf[lo:hi], prev)
-        else:
-            buf[lo:hi] = map(add, buf[lo:hi], map(mul, repeat(c), prev))
+        buf[lo:lo + e] = map(op, buf[lo:lo + e], buf[lo - e:lo])
 
 
 def apply_binomials_into(buf: list, num, den, m: int) -> None:

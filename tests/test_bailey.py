@@ -9,6 +9,7 @@ import pytest
 
 import qrds.bailey as bailey
 import qrds.catalog as catalog
+import qrds.series as series
 from qrds.bailey import (
     alpha_side,
     bailey_step,
@@ -374,13 +375,10 @@ class _StreakSumCalled(Exception):
     pass
 
 
-def test_no_engine_path_uses_a_streak_sum(monkeypatch):
-    # every binding of classical_sum / star_sum in a qrds module or class,
-    # found by identity, raises: the engine must not reach either of them
-    def refuse(*args, **kwargs):
-        raise _StreakSumCalled
-
-    sums = {id(catalog.classical_sum), id(catalog.star_sum)}
+def _patch_every_binding(monkeypatch, wrap, *funcs):
+    """Set every binding of each of ``funcs`` in a qrds module or class, found
+    by identity, to ``wrap(func)``, so no import path gets round the patch."""
+    wrapped = {id(f): wrap(f) for f in funcs}
     for name, module in list(sys.modules.items()):
         if name != "qrds" and not name.startswith("qrds."):
             continue
@@ -389,8 +387,17 @@ def test_no_engine_path_uses_a_streak_sum(monkeypatch):
         ]
         for ns in namespaces:
             for attr, value in list(vars(ns).items()):
-                if id(value) in sums:
-                    monkeypatch.setattr(ns, attr, refuse)
+                if id(value) in wrapped:
+                    monkeypatch.setattr(ns, attr, wrapped[id(value)])
+
+
+def test_no_engine_path_uses_a_streak_sum(monkeypatch):
+    # every binding of classical_sum / star_sum raises: the engine must not
+    # reach either of them
+    def refuse(*args, **kwargs):
+        raise _StreakSumCalled
+
+    _patch_every_binding(monkeypatch, lambda f: refuse, catalog.classical_sum, catalog.star_sum)
     assert catalog.classical_sum is refuse and catalog.star_sum is refuse
 
     assert all(report.ok for report in verify_all(120))
@@ -404,3 +411,32 @@ def test_no_engine_path_uses_a_streak_sum(monkeypatch):
             assert lhs == rhs, (label, form_id)
             done += 1
     assert done == 16
+
+
+def test_every_engine_binomial_kernel_call_has_an_int_unit_c(monkeypatch):
+    # div_binomial_into has slice routes only for an int c of 1 or -1 and
+    # runs the per-index loop for every other c, so the engine must pass no other
+    seen = []
+
+    def record(kernel):
+        def recorded(buf, c, e, m):
+            seen.append(c)
+            return kernel(buf, c, e, m)
+        return recorded
+
+    kernels = (series.mul_binomial_into, series.div_binomial_into)
+    _patch_every_binding(monkeypatch, record, *kernels)
+    assert kernels[0] is not series.mul_binomial_into and kernels[1] is not series.div_binomial_into
+
+    assert all(report.ok for report in verify_all(120))
+    for label in ALL_PAIRS:
+        for pair in (pair_catalog(label), bailey_step(pair_catalog(label))):
+            assert verify_pair_relation(pair, 8, 60) == []
+    for sid in catalog.catalog_ids():
+        eval_named(sid, 60)
+    for sid in sorted(catalog._DOUBLES):
+        label, form_id, _, _ = catalog.pipeline(sid)
+        lhs, rhs = limit_form(bailey_step(pair_catalog(label)), form_id, 60)
+        assert lhs == rhs, sid
+    assert len(seen) > 1000
+    assert {(type(c), c) for c in seen} == {(int, 1), (int, -1)}

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qrds.series as series
-from qrds.series import LaurentSeries, UnknownCoefficient, div_binomial_into, first_mismatch
+from qrds.series import LaurentSeries, UnknownCoefficient, div_binomial_into, first_mismatch, mul_binomial_into
 
 
 def poly(*items):
@@ -267,8 +268,9 @@ def horizon_series(draw):
 
 # Fraction(1) and Fraction(-1) make products where the int units do not
 multipliers = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(1), Fraction(-1)])
-# up to past every series length, so div_binomial meets both its strided
-# (e*e <= 4*m) and its block-wise branch
+# up to past every series length, so an int c = 1 meets both the strided
+# (e*e <= 4*m) and the block-wise route of div_binomial, and c = -1 both
+# sides of _NEG_BLOCK_MIN_E; every other multiplier takes the per-index loop
 exponents = st.integers(min_value=1, max_value=80)
 
 
@@ -387,22 +389,38 @@ def _ref_div_list(buf, c, e, m):
     return out
 
 
-@pytest.mark.parametrize("m", [41, 1000])
-@pytest.mark.parametrize("c", [-1, Fraction(-1)], ids=["int", "Fraction"])
-def test_div_by_one_plus_q_e_matches_the_loop_around_the_crossover(c, m):
-    # an int c = -1 takes one block pass from e = _NEG_BLOCK_MIN_E on and
-    # two unit passes below it; a Fraction(-1) takes the general route, whose
-    # products give Fractions as the loop's do; e >= m leaves the list padded
-    x = series._NEG_BLOCK_MIN_E
+def _assert_div_list_matches_the_loop(c, m, exponents):
+    """``div_binomial_into`` against ``_ref_div_list`` at each exponent, types
+    compared, on an int list and a mixed one, both padded by the kernel."""
     rng = random.Random(m)
-    ints = [rng.randint(-9, 9) for _ in range(m - 3)]  # padded by the kernel
+    ints = [rng.randint(-9, 9) for _ in range(m - 3)]
     mixed = [Fraction(v, 2) if i % 7 == 3 else v for i, v in enumerate(ints)]
-    for e in (1, 2, x - 2, x - 1, x, x + 1, 2 * x, m - 1, m, m + 5):
+    for e in exponents:
         for buf in (ints, mixed):
             got = buf[:]
             div_binomial_into(got, c, e, m)
             want = _ref_div_list(buf, c, e, m)
             assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (e, buf is mixed)
+
+
+@pytest.mark.parametrize("m", [41, 1000])
+@pytest.mark.parametrize("c", [-1, Fraction(-1)], ids=["int", "Fraction"])
+def test_div_by_one_plus_q_e_matches_the_loop_around_the_crossover(c, m):
+    # an int c = -1 takes one block pass from e = _NEG_BLOCK_MIN_E on and
+    # two unit passes below it; a Fraction(-1) takes the per-index loop, whose
+    # products give Fractions; e >= m leaves the list padded
+    x = series._NEG_BLOCK_MIN_E
+    _assert_div_list_matches_the_loop(c, m, (1, 2, x - 2, x - 1, x, x + 1, 2 * x, m - 1, m, m + 5))
+
+
+@pytest.mark.parametrize("m", [41, 1000])
+@pytest.mark.parametrize("c", [1, 2, -3, Fraction(1, 2)], ids=["1", "2", "-3", "half"])
+def test_div_binomial_into_matches_the_loop_on_both_sides_of_the_strided_bound(c, m):
+    # an int c = 1 sums residue classes while e*e <= 4*m and whole blocks of
+    # e past it, the last one partial, as m is a multiple of none of these e;
+    # every other c takes the per-index loop
+    b = math.isqrt(4 * m)  # the largest e with e*e <= 4*m
+    _assert_div_list_matches_the_loop(c, m, (1, 2, b - 1, b, b + 1, b + 2, m // 3, m - 1, m, m + 5))
 
 
 @pytest.mark.parametrize("c", [1, -1, 2])
@@ -411,6 +429,15 @@ def test_div_binomial_into_rejects_a_list_longer_than_its_horizon(c):
     buf = [1, 2, 3, 4]
     with pytest.raises(ValueError, match="^coefficient list of length 4 is longer than the horizon 3$"):
         div_binomial_into(buf, c, 1, 3)
+    assert buf == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("c", [1, -1, 2])
+def test_mul_binomial_into_rejects_a_list_longer_than_its_horizon(c):
+    # its tail past the horizon would stay unmultiplied
+    buf = [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="^coefficient list of length 4 is longer than the horizon 2$"):
+        mul_binomial_into(buf, c, 1, 2)
     assert buf == [1, 2, 3, 4]
 
 
