@@ -7,6 +7,9 @@ A pair (alpha, beta) relative to ``a`` (here always a = 1 or a = q) satisfies
 The eight catalog pairs are four families (``_PairFamily``: BK, P1, P2, P3)
 times two relations, a = 1 (BK1, P1A, P2A, P3A) and a = q (BK2, P1B, P2B,
 P3B), with one alpha shape per relation (``_alpha_one``, ``_alpha_q``).
+A pair is its closed forms of alpha_m and beta_m, and nothing else: every
+beta ratio is the quotient of two closed forms (``BaileyPair.p_ratio``), so
+each reader of beta reads the same forms.
 
 Every side is built on bare int lists by one level builder, ``_level``:
 the closed-form items of alpha_n or beta_n on a list through q**order,
@@ -83,7 +86,9 @@ class BaileyPair:
         (-1)^m * q^(beta_exp(m)) * prod(beta_num(m)) / prod(beta_den(m))
 
     for m >= beta_first, and 0 below that; num/den entries (c, e) stand for
-    binomials 1 - c q^e.  ``beta_ratio(m)`` maps beta_m -> beta_{m+1}.
+    binomials 1 - c q^e.  These closed forms are all the pair's beta data:
+    ``p(m)`` and ``p_ratio(k)``, which every beta side reads, are built from
+    them.
 
     A ``stepped`` pair (``bailey_step``) is the image of the catalog pair
     with the same closed forms under the step with both parameters at
@@ -97,7 +102,6 @@ class BaileyPair:
     beta_first: int
     beta_exp: Callable[[int], int]
     beta_den: Callable[[int], list[tuple[int, int]]]
-    beta_ratio: Callable[[int], Ratio]
     beta_num: Callable[[int], list[tuple[int, int]]] = lambda m: []
     stepped: bool = False
 
@@ -105,11 +109,20 @@ class BaileyPair:
         """The step's exponent: k^2 (+ k for a = q) when stepped, else 0."""
         return k * k + (k if self.rel == "q" else 0) if self.stepped else 0
 
+    def p(self, m: int) -> Ratio:
+        """P_m = q^(u(m)) beta_m as the ratio (sign, exponent, num, den) of its
+        closed form; the sign is 0 below ``beta_first``."""
+        return (sgn(m) if m >= self.beta_first else 0, self.u(m) + self.beta_exp(m),
+                tuple(self.beta_num(m)), tuple(self.beta_den(m)))
+
     def p_ratio(self, k: int) -> Ratio:
-        """P_(k+1) / P_k of P_k = q^(u(k)) beta_k, which ``limit_form``'s beta
-        side chains with: q^(u(k+1) - u(k)) times ``beta_ratio(k)``."""
-        c, e, num, den = self.beta_ratio(k)
-        return c, e + self.u(k + 1) - self.u(k), num, den
+        """P_(k+1) / P_k, which ``limit_form``'s beta side chains with: the
+        quotient of the two closed forms, in lowest terms (``cancel``).  At
+        k = beta_first - 1 it is the quotient of the forms as written, P_k
+        being 0; no sum reads a ratio below its form's k0."""
+        _, e, num, den = self.p(k)
+        _, e1, num1, den1 = self.p(k + 1)
+        return cancel((-1, e1 - e, num1 + den, den1 + num))
 
 
 class _PairFamily(NamedTuple):
@@ -118,8 +131,8 @@ class _PairFamily(NamedTuple):
     Every alpha_m is a sum of terms c * q^e * sum_j q^(A j^2 + b j): ``_full``
     (b = ``b_full``, -n <= j <= n) or ``_off`` (b = ``b_off``, -n <= j < n,
     e raised by ``delta``), in the shapes of ``_alpha_one`` and ``_alpha_q``.
-    The beta fields are the a = 1 pair's; the a = q pair's at m are these at
-    m + 1, with beta_first 0 in place of 1.
+    The beta closed forms are the a = 1 pair's; the a = q pair's at m are
+    these at m + 1, with beta_first 0 in place of 1.
     """
 
     labels: tuple[str, str]
@@ -129,7 +142,6 @@ class _PairFamily(NamedTuple):
     delta: int
     beta_exp: Callable[[int], int]
     beta_den: Callable[[int], list[tuple[int, int]]]
-    beta_ratio: Callable[[int], Ratio]
     beta_num: Callable[[int], list[tuple[int, int]]] = lambda m: []
 
 
@@ -165,20 +177,16 @@ _PAIR_FAMILIES = (
     _PairFamily(("BK1", "BK2"), A=-2, b_full=0, b_off=-2, delta=0,
                 beta_exp=lambda m: 0,
                 beta_num=lambda m: _range_factors(m - 1, 2, 1),
-                beta_den=lambda m: _range_factors(2 * m - 1, 1, 1),
-                beta_ratio=lambda m: (-1, 0, ((1, 2 * m - 1),), ((1, 2 * m), (1, 2 * m + 1)))),
+                beta_den=lambda m: _range_factors(2 * m - 1, 1, 1)),
     _PairFamily(("P1A", "P1B"), A=-2, b_full=-2, b_off=0, delta=1,
                 beta_exp=lambda m: 1 - m,
-                beta_den=lambda m: _range_factors(m - 1, 2, 2) + [(1, 2 * m - 1)],
-                beta_ratio=lambda m: (-1, -1, ((1, 2 * m - 1),), ((1, 2 * m), (1, 2 * m + 1)))),
+                beta_den=lambda m: _range_factors(m - 1, 2, 2) + [(1, 2 * m - 1)]),
     _PairFamily(("P2A", "P2B"), A=-4, b_full=-1, b_off=-3, delta=0,
                 beta_exp=lambda m: -(m * (m - 1) // 2),
-                beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)],
-                beta_ratio=lambda m: (-1, -m, ((1, 2 * m - 1),), ((1, m), (1, 2 * m + 1)))),
+                beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)]),
     _PairFamily(("P3A", "P3B"), A=-4, b_full=-3, b_off=-1, delta=1,
                 beta_exp=lambda m: 1 - m * (m + 1) // 2,
-                beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)],
-                beta_ratio=lambda m: (-1, -m - 1, ((1, 2 * m - 1),), ((1, m), (1, 2 * m + 1)))),
+                beta_den=lambda m: _range_factors(m - 1, 1, 1) + [(1, 2 * m - 1)]),
 )
 
 
@@ -187,7 +195,7 @@ def _pairs(f: _PairFamily) -> tuple[BaileyPair, BaileyPair]:
     def at_next(g: Callable) -> Callable:
         return lambda m: g(m + 1)
 
-    beta = (f.beta_exp, f.beta_den, f.beta_ratio, f.beta_num)
+    beta = (f.beta_exp, f.beta_den, f.beta_num)
     return (BaileyPair(f.labels[0], "1", partial(_alpha_one, f), 1, *beta),
             BaileyPair(f.labels[1], "q", partial(_alpha_q, f), 0, *map(at_next, beta)))
 
@@ -274,7 +282,7 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     betas: list[tuple[int, list]] = []
     failures = []
     for n in range(n_max + 1):
-        unit = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # U_n
+        unit = tuple((1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1))  # U_n
         alpha, va = [], order + 1  # alpha[i] is the coefficient of q^(va + i), through q**order
         for k, (vk, items) in enumerate(alphas[:n + 1]):
             if k:
@@ -283,8 +291,8 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
                 alpha[:0] = repeat(0, va - vk)
                 va = vk
             _add_items(alpha, va, items)
-        items = [(pair.beta_exp(n) + u(n), sgn(n))] if n >= pair.beta_first else []
-        num, den = pair.beta_num(n), pair.beta_den(n)
+        c, e, num, den = pair.p(n)
+        items = [(e, c)] if c else []
         if not pair.stepped:  # U_n joins beta_n's closed form, less the binomials they share
             betas, rest = [_level(items, *cancel((1, 0, num + unit, den))[2:], order)], ()
         else:  # beta'_n sums every beta_k, so U_n multiplies the sum
@@ -382,15 +390,15 @@ def limit_form(pair, form_id: str, order: int):
     The form lives in ``catalog._FAMILIES``: the n-step is its S ratio and
     its columns are summed by its column ratio, the same ones the catalog's
     double sums use, and every row is checked against its valuation bound.
-    The k-step is the pair's ``p_ratio`` and the seed is w_k0 times beta'_k0
-    in closed form, both apart from the catalog's P-ratios and seeds.  A starred beta side
-    comes back doubled and is halved here.  ``verify`` reads only the alpha
-    side: its pipeline leg checks that side against the catalog series, and
-    the tests check lhs = rhs.
+    The k-step is the pair's ``p_ratio`` and the seed is w_k0 times
+    P_k0 = beta'_k0, both read off the pair's beta closed forms apart from
+    the catalog's P-ratios and seeds, so lhs = rhs also checks those forms
+    at every k the chain walks.  A starred beta side comes back doubled and
+    is halved here.  ``verify`` reads only the alpha side: its pipeline leg
+    checks that side against the catalog series, and the tests check
+    lhs = rhs.
     """
     form = _checked_form(pair, form_id, order)
-    k0, (wc, we) = form.k0, form.w_seed
-    seed = (sgn(k0) * wc, we + pair.u(k0) + pair.beta_exp(k0),
-            tuple(pair.beta_num(k0)), tuple(pair.beta_den(k0)))
-    [lhs] = ratio_sum(form, [Member(order, seed, pair.p_ratio)])
+    (wc, we), (c, e, num, den) = form.w_seed, pair.p(form.k0)
+    [lhs] = ratio_sum(form, [Member(order, (c * wc, we + e, num, den), pair.p_ratio)])
     return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)

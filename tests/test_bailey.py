@@ -82,13 +82,20 @@ def _apply_ratio(f: LaurentSeries, ratio, order: int) -> LaurentSeries:
 
 @pytest.mark.parametrize("label", ALL_PAIRS)
 def test_beta_ratio_matches_closed_form(label):
-    pair = pair_catalog(label)
-    order = 60
-    for m in range(pair.beta_first, 11):
-        v, buf = beta_level(pair, m, order + 20)
-        stepped = _apply_ratio(LaurentSeries(v, buf, order + 20), pair.beta_ratio(m), order)
-        v, buf = beta_level(pair, m + 1, order)
-        assert stepped.truncate(order) == LaurentSeries(v, buf, order), (label, m)
+    # the beta ratio p_ratio(k) maps P_k = q^(u(k)) beta_k, read off the
+    # closed forms here, to P_(k+1), base and stepped, in lowest terms; each
+    # k is checked through q^200 and through 200 past P_(k+1)'s exponent
+    def p(pair, m, order):
+        v, buf = beta_level(pair, m, order - pair.u(m))
+        return LaurentSeries(v + pair.u(m), buf, order)
+
+    for pair in (pair_catalog(label), bailey_step(pair_catalog(label))):
+        for k in range(pair.beta_first, 41):
+            c, e, num, den = ratio = pair.p_ratio(k)
+            order = max(200, pair.u(k + 1) + pair.beta_exp(k + 1) + 200)
+            got = _apply_ratio(p(pair, k, order - min(e, 0)), ratio, order)
+            assert got.truncate(order) == p(pair, k + 1, order), (pair.label, k)
+            assert c == -1 and not set(num) & set(den), (pair.label, k)
 
 
 @pytest.mark.parametrize("label", ALL_PAIRS)
@@ -229,6 +236,17 @@ def test_relation_catches_a_corrupted_beta_factor(label, step):
     failures = verify_pair_relation(pair, n_max=8, order=60)
     assert [n for n, _ in failures] == ([4, 5, 6, 7, 8] if step else [4])
     assert failures == relation_oracle(pair, 8, 60)
+
+
+def test_one_slip_in_a_beta_closed_form_fails_both_readers(monkeypatch):
+    # beta_exp one too high at m = 4: the relation of the stepped pair fails
+    # from n = 4 on, and the limit form's beta side, which chains the ratios
+    # of the same closed forms, leaves its alpha side
+    monkeypatch.setitem(bailey._PAIRS, "P2A", _with_beta_exp_raised(pair_catalog("P2A"), 4))
+    stepped = bailey_step(pair_catalog("P2A"))
+    assert [n for n, _ in verify_pair_relation(stepped, n_max=8, order=300)] == [4, 5, 6, 7, 8]
+    lhs, rhs = limit_form(stepped, "A1", 300)
+    assert lhs != rhs
 
 
 def test_relation_needs_a_catalog_pair():

@@ -874,12 +874,16 @@ def _beta(pair, m, order):
 
 
 def _stepped_p_ratio(stepped):
-    """P_(k+1) / P_k of P_k = q^(u(k)) beta_k: u(k + 1) - u(k) is 2k + 1, plus 1 for a = q."""
+    """P_(k+1) / P_k of P_k = q^(u(k)) beta_k, the quotient of the two closed
+    forms with the binomials they share dropped here, as multisets:
+    u(k + 1) - u(k) is 2k + 1, plus 1 for a = q."""
     u = 2 if stepped.rel == "q" else 1
 
     def p_ratio(k):
-        c, e, num, den = stepped.beta_ratio(k)
-        return (c, e + 2 * k + u, num, den)
+        e = stepped.beta_exp(k + 1) - stepped.beta_exp(k) + 2 * k + u
+        num = Counter(stepped.beta_num(k + 1) + stepped.beta_den(k))
+        den = Counter(stepped.beta_den(k + 1) + stepped.beta_num(k))
+        return -1, e, tuple((num - den).elements()), tuple((den - num).elements())
 
     return p_ratio
 
@@ -898,13 +902,20 @@ def test_pipeline_rejects_a_single_sum(sid):
 @pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
 def test_double_table_matches_its_pipeline(sid):
     """Each id's seed and P-ratio, transcribed apart from ``bailey``, agree
-    with its limit form's weight seed and its stepped pair (k0, the S ratio
-    and the star flag are the form's own, one record for both).
+    with its limit form's weight seed and with the ratio of its stepped
+    pair's closed forms (k0, the S ratio and the star flag are the form's
+    own, one record for both).
 
-    Every entry of these ratios is affine in n, and two affine maps that
-    agree at two n agree at every n; n = 10**3 and 10**6 also catch an entry
-    that bends only past the first 80 n, such as a floor division by a large
-    constant.  So the catalog sum is the pipeline's beta side at every
+    The pair's P_k = q^(u(k)) beta_k is a monomial whose exponent is
+    quadratic in k times runs of binomials whose ends are affine in k, so
+    every entry of P_(k+1) / P_k in lowest terms (``p_ratio``) is affine in
+    k.  Each entry of the catalog's ratio is checked against the line
+    through its values at two small n, at n = 10**3 and 10**6: an entry that
+    bends only past the first 200 n, such as a floor division by a large
+    constant, fails there.  Two affine maps that agree at two n agree at
+    every n, and the two here agree, once the catalog's is reduced, at every
+    n from k0 to 199.  Below k0 no sum reads a ratio, and an a = 1 pair's
+    P_0 is 0.  So the catalog sum is the pipeline's beta side at every
     order, and ``verify`` does not sum that side again."""
     form_id, label, _ = catalog._DOUBLES[sid]
     fam, p_ratio = catalog._FAMILIES[form_id], catalog._P_RATIOS[label]
@@ -913,9 +924,16 @@ def test_double_table_matches_its_pipeline(sid):
     seed = (-wc if k0 % 2 else wc, we + stepped.u(k0) + base.beta_exp(k0),
             tuple(base.beta_num(k0)), tuple(base.beta_den(k0)))
     assert (fam.c0, fam.e0, (), ((1, 1),)) == seed
-    stepped_ratio = _stepped_p_ratio(stepped)
-    for n in (*range(80), 10**3, 10**6):
-        assert p_ratio(n) == stepped_ratio(n) == stepped.p_ratio(n)
+    for n in range(k0, 200):
+        assert chain.cancel(p_ratio(n)) == stepped.p_ratio(n), n
+
+    def entries(n):
+        c, e, num, den = p_ratio(n)
+        return (len(num), len(den)), (c, e, *(x for b in num + den for x in b))
+
+    (shape, low), (_, high) = entries(k0 + 1), entries(k0 + 2)
+    for n in (10**3, 10**6):
+        assert entries(n) == (shape, tuple(a + (n - k0 - 1) * (b - a) for a, b in zip(low, high))), n
 
 
 def test_one_s_ratio_feeds_the_catalog_and_the_beta_side(monkeypatch):

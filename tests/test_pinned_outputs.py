@@ -54,7 +54,7 @@ def form_digest(label: str, form_id: str) -> str:
 
 def pairs_digest() -> str:
     """rel and beta_first of each pair, then per m: alpha_m's items summed
-    into a sorted exponent -> coefficient list, and beta_m's fields and ratio."""
+    into a sorted exponent -> coefficient list, and beta_m's closed-form fields."""
     h = hashlib.sha256()
     for label in pair_labels():
         pair = pair_catalog(label)
@@ -63,8 +63,7 @@ def pairs_digest() -> str:
             alpha: dict[int, int] = {}
             for e, c in pair.alpha_items(m):
                 alpha[e] = alpha.get(e, 0) + c
-            fields = (sorted(alpha.items()), pair.beta_exp(m), pair.beta_num(m),
-                      pair.beta_den(m), pair.beta_ratio(m))
+            fields = (sorted(alpha.items()), pair.beta_exp(m), pair.beta_num(m), pair.beta_den(m))
             h.update(repr(fields).encode())
     return h.hexdigest()
 
@@ -89,7 +88,7 @@ PINNED_VERIFY_ALL_400 = "4a6b96758bd2ebb36940e4dfbd1ad1c1bc5975d28b2aef4f3cc4b5a
 
 PINNED_VERIFY_ALL_1500 = "3015788254d385f1c153ecf195fb6311c7845e8b6e8650f7f854450ee7a2ebaf"
 
-PINNED_PAIRS = "166f930a803639133bcbb638d5897ba0e92e3bfddd9b0bba2f13e81f0633375d"
+PINNED_PAIRS = "435c25db81ebcf3a504d6df9e8155f0336aa67b7a15a8d9cf3928eaf5826a2db"
 
 PINNED_LACUNARITY = "1ddbb1117ab6ee9c4616b35c01394af5191b1999dd5c4f521c04a7164ae238ba"
 

@@ -7,9 +7,15 @@ every module-level private name (a ``_x`` def, class or assignment) must be
 read somewhere in the package.  A private ``def`` or ``class`` is read only
 in its own module; a module-level private table (``catalog._FAMILIES``) may
 be imported by a sibling.
+
+``code_lines`` is the package's one count of code lines: non-blank lines
+outside comments and docstrings.  ``python tests/test_unused_imports.py``
+prints it per module and for the package.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -36,6 +42,39 @@ def unused_imports(source: str) -> list[str]:
         ):
             used.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold a token other than a comment or
+    layout (every line of a multi-line token), less the lines of each
+    module, class and function docstring."""
+    lines = {row for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type not in _LAYOUT for row in range(tok.start[0], tok.end[0] + 1)}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
+def test_code_lines_counts_code_only():
+    src = '''"""Module
+docstring."""
+
+# a comment
+x = 1  # code, then a comment
+class C:
+    """One line."""
+
+    def f(self):
+        return """a
+string"""
+'''
+    assert code_lines(src) == 5  # x, class, def, and both lines of the returned string
 
 
 def _is_private(name: str) -> bool:
@@ -120,3 +159,12 @@ def test_scan_sees_a_private_import():
     b = "from .a import _T, _f, g\nfrom .a import _C as C\nfrom os import _exit\nfrom . import a\n"
     c = "def _f():\n    pass\nfrom .b import _f as f\n"
     assert private_imports({"a.py": a, "b.py": b, "c.py": c}) == ["b.py line 1: a._f", "b.py line 2: a._C"]
+
+
+if __name__ == "__main__":
+    total = 0
+    for path in SOURCES:
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{path.name:<16}{count:>6}")
+    print(f"{'total':<16}{total:>6}")
