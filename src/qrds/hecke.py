@@ -171,7 +171,7 @@ def eval_blocks(blockset: HeckeBlockSet, order: int) -> LaurentSeries:
         acc[e - base] += c
     for block, rows in plan:
         _eval_block(block, rows, order, acc, base)
-    return LaurentSeries(base, acc, order)
+    return LaurentSeries._adopt(base, acc, order)
 
 
 # ------------------------------------------------------------------ catalog

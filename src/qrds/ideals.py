@@ -5,7 +5,7 @@ Every norm m <= N is counted two independent ways in one pass each:
 * an arithmetic one -- the number of integral ideals of Z[sqrt(D)] of norm m
   is ``sum_{d | m} chi(d)`` with chi = (Delta / .), Delta = 4D; chi has period
   |Delta|, and ``sieve_counts`` adds it along strided slices, the d past
-  sqrt(N) one nonzero residue of chi at a time, so no slice adds a zero.
+  sqrt(|Delta| N) one nonzero residue of chi at a time, so no slice adds a zero.
   Below N = 1 081 080, the least integer with 256 divisors, every count
   lies in [0, 240], so the sieve runs on a bytearray mod 256 and each
   slice update is one ``bytes.translate``; from there on, on a list of ints;
@@ -213,7 +213,7 @@ _STEP = {x: bytes((i + x) % 256 for i in range(256)) for x in (1, -1)}
 def _chi_slices(delta: int, limit: int) -> Iterator[tuple[slice, int]]:
     """The (slice, chi) updates of ``sieve_counts``, for limit >= 0."""
     chi = [kronecker_symbol(delta, r or delta) for r in range(delta)]  # chi(0) = chi(delta) = 0
-    s = isqrt(limit)
+    s = min(limit, isqrt(delta * limit))
     for d in range(2, s + 1):
         x = chi[d % delta]
         if x:
@@ -231,14 +231,19 @@ def sieve_counts(D: int, limit: int) -> list[int]:
 
     chi = (Delta / .) has period |Delta| (8, 12 and 24 are fundamental
     discriminants), so it is tabulated once per residue.  The pairs (d, k)
-    with d k <= limit split at s = isqrt(limit): each d <= s with chi(d) != 0
-    adds chi(d) along counts[d::d] (d = 1 sets the initial list of ones);
-    for each k <= limit // (s + 1), the d in
+    with d k <= limit split at s = min(limit, isqrt(|Delta| limit)): each
+    d <= s with chi(d) != 0 adds chi(d) along counts[d::d] (d = 1 sets the
+    initial list of ones); for each k <= limit // (s + 1), the d in
     (s, limit // k] are taken one nonzero residue r of chi at a time, so
     chi(r) is added along counts[k j0 : : k |Delta|] with j0 the least
-    j > s with j = r mod |Delta|.  That is at most (1 + phi(|Delta|)) sqrt(limit)
-    slice updates, and the second half touches only the d with chi(d) != 0:
-    a half of them for Delta = 8 and a third for 12 and 24.
+    j > s with j = r mod |Delta|.  Each pair is still touched once, and only
+    the d with chi(d) != 0 are: a half of them for Delta = 8 and a third for
+    12 and 24.  The first half makes about phi(|Delta|) s / |Delta| slice
+    updates and the second phi(|Delta|) limit / s, so this s, the balance
+    point of the two, makes about 2 phi(|Delta|) sqrt(limit / |Delta|) in
+    all, where s = isqrt(limit) would make up to
+    (1 + phi(|Delta|)) sqrt(limit).  Below limit = |Delta|, s = limit and the
+    second half is empty.
 
     Below limit 1 081 080 the counts live in a bytearray and each update is
     one ``translate`` through a +1 or -1 table, so every byte is its count
@@ -316,4 +321,4 @@ def class_series(query: IdealQuery, counts: tuple, order: int, weight: Coeff) ->
         coeffs[:: query.modulus] = scaled
     else:
         coeffs[:: query.modulus] = [cp // d if cp % d == 0 else Fraction(cp, d) for cp in scaled]
-    return LaurentSeries(start, coeffs, order)
+    return LaurentSeries._adopt(start, coeffs, order)

@@ -25,7 +25,12 @@ series per term.  Each coefficient is the one the plain per-index loop
 gives, type included.  ``first_mismatch`` cuts the compared range at the
 ends of both stored runs and compares each piece as two slices (or checks
 with ``any`` that the one stored slice is zero), so no padded copy is
-built and only a piece that differs is walked exponent by exponent.
+built and only a piece that differs is walked exponent by exponent; a piece
+that is a series' whole stored run is compared without copying it.
+
+A series owns its coefficient list.  ``LaurentSeries(...)`` copies what it
+is given; an operation that has just built a list hands it over through the
+private ``_adopt``, which trims it in place under the same rules.
 
 Order propagation is conservative: an operation claims a coefficient only
 when its inputs determine it.  For a product this means
@@ -157,9 +162,18 @@ class LaurentSeries:
     __slots__ = ("offset", "coeffs", "order")
 
     def __init__(self, offset: int, coeffs: Iterable[Coeff], order: int | None = None):
-        co = list(coeffs)
-        # trim leading zeros (raising offset) and trailing zeros, in place,
-        # so that the owned copy is the only one
+        self._own(offset, list(coeffs), order)
+
+    @classmethod
+    def _adopt(cls, offset: int, co: list, order: int | None = None) -> "LaurentSeries":
+        """The series of ``co``, a list its caller has just built and hands
+        over: trimmed in place as ``__init__`` trims its copy, not copied."""
+        f = object.__new__(cls)
+        f._own(offset, co, order)
+        return f
+
+    def _own(self, offset: int, co: list, order: int | None) -> None:
+        # trim leading zeros (raising offset) and trailing zeros, in place
         lo = 0
         while lo < len(co) and not co[lo]:
             lo += 1
@@ -262,7 +276,7 @@ class LaurentSeries:
         k = min(len(other.coeffs), len(out) - b)
         if k > 0:
             out[b:b + k] = map(add, out[b:b + k], other.coeffs[:k])
-        return LaurentSeries(lo, out, order)
+        return LaurentSeries._adopt(lo, out, order)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
@@ -290,7 +304,7 @@ class LaurentSeries:
             # (a.offset+i) + (b.offset+j) - lo == i + j
             for j in range(min(len(bco), hi - lo - i + 1)):
                 out[i + j] += av * bco[j]
-        return LaurentSeries(lo, out, order)
+        return LaurentSeries._adopt(lo, out, order)
 
     def scale(self, c: Coeff) -> "LaurentSeries":
         """Multiply every coefficient by the constant c.
@@ -302,7 +316,7 @@ class LaurentSeries:
         if not c:
             return LaurentSeries.zero(self.order)
         if c != int(c) or Fraction in map(type, self.coeffs):
-            return LaurentSeries(self.offset, [_norm(c * x) for x in self.coeffs], self.order)
+            return LaurentSeries._adopt(self.offset, [_norm(c * x) for x in self.coeffs], self.order)
         return self if c == 1 else LaurentSeries(self.offset, map(mul, self.coeffs, repeat(int(c))), self.order)
 
     def mul_monomial(self, c: Coeff, e: int) -> "LaurentSeries":
@@ -327,7 +341,7 @@ class LaurentSeries:
             return self
         out = co[:m]
         mul_binomial_into(out, c, e, m)
-        return LaurentSeries(self.offset, out, self.order)
+        return LaurentSeries._adopt(self.offset, out, self.order)
 
     def div_binomial(self, c: Coeff, e: int, order: int | None = None) -> "LaurentSeries":
         """Divide by (1 - c * q**e), e >= 1, truncating at ``order``.
@@ -352,7 +366,7 @@ class LaurentSeries:
             return LaurentSeries.zero(order)
         out = self.coeffs[:m]
         div_binomial_into(out, c, e, m)
-        return LaurentSeries(self.offset, out, order)
+        return LaurentSeries._adopt(self.offset, out, order)
 
     def truncate(self, order: int | None) -> "LaurentSeries":
         """Restrict the knowledge horizon to ``order`` (drops higher terms)."""
@@ -363,7 +377,7 @@ class LaurentSeries:
         if self.order is not None and self.order <= order:
             return self
         keep = max(0, order - self.offset + 1)
-        return LaurentSeries(self.offset, self.coeffs[:keep], order)
+        return LaurentSeries._adopt(self.offset, self.coeffs[:keep], order)
 
     def dilate_shift(self, t: int, s: int) -> "LaurentSeries":
         """Return q**s * f(q**t): exponent e maps to t*e + s."""
@@ -374,12 +388,12 @@ class LaurentSeries:
             return LaurentSeries.zero(order)
         out: list[Coeff] = [0] * ((len(self.coeffs) - 1) * t + 1)
         out[::t] = self.coeffs
-        return LaurentSeries(t * self.offset + s, out, order)
+        return LaurentSeries._adopt(t * self.offset + s, out, order)
 
     def alternate(self) -> "LaurentSeries":
         """Substitute q -> -q (negate coefficients at odd exponents)."""
         co = [(-c if (self.offset + i) % 2 else c) for i, c in enumerate(self.coeffs)]
-        return LaurentSeries(self.offset, co, self.order)
+        return LaurentSeries._adopt(self.offset, co, self.order)
 
     # ------------------------------------------------------------- comparison
 
@@ -492,6 +506,10 @@ def first_mismatch(
 
 def _stored(f: LaurentSeries, s: int, t: int) -> list[Coeff] | None:
     """The stored coefficients of q**s .. q**(t-1), or None if f stores
-    none of them; [s, t) lies inside or outside f's stored run."""
+    none of them; [s, t) lies inside or outside f's stored run.  The whole
+    run is f's own list, not a copy: the caller only reads it."""
     i = s - f.offset
-    return f.coeffs[i : i + t - s] if 0 <= i < len(f.coeffs) else None
+    co = f.coeffs
+    if not 0 <= i < len(co):
+        return None
+    return co if i == 0 and t - s == len(co) else co[i : i + t - s]

@@ -114,6 +114,15 @@ def test_block_below_q0_starts_the_list_there():
         assert (f.offset, f.coeffs, f.order) == _dense(brute_block_set(bs, order), order), order
 
 
+def test_eval_blocks_returns_a_list_of_its_own():
+    bs = hecke_catalog("L4")
+    f, g = eval_blocks(bs, 200), eval_blocks(bs, 200)
+    assert f.coeffs is not g.coeffs
+    before = (f.offset, list(f.coeffs), f.order)
+    g.coeffs[0] += 1
+    assert (f.offset, f.coeffs, f.order) == before
+
+
 def test_l5_head():
     f = eval_blocks(hecke_catalog("L5"), 20)
     assert {e: c for e, c in f.items()} == L5_HEAD

@@ -178,16 +178,37 @@ def _chi_sieve(D, limit):
 
 
 def test_sieve_split_in_every_residue_class():
-    # the d > isqrt(limit) half starts each residue r of chi at the least
-    # j > s = isqrt(limit) with j = r mod Delta; limits (Delta t + r)^2 - 1
-    # and (Delta t + r)^2 put s + 1 in every residue class
+    # the pairs (d, k) split at s = min(limit, isqrt(Delta limit)), and the
+    # d > s half starts each residue r of chi at the least j > s with
+    # j = r mod Delta
     for D in (2, 3, 6):
         delta = field_spec(D).discriminant
         ref = _chi_sieve(D, (3 * delta) ** 2)
+        limits = set()
         for t in (1, 2):
             for r in range(delta):
-                for limit in ((delta * t + r) ** 2 - 1, (delta * t + r) ** 2):
-                    assert sieve_counts(D, limit) == ref[: limit + 1], (D, limit)
+                # the least and the largest limit with isqrt(Delta limit) + 1
+                # = Delta t + r, which puts s + 1 in every residue class
+                x = delta * t + r - 1
+                for limit in (-(-x * x // delta), ((x + 1) ** 2 - 1) // delta):
+                    assert min(limit, math.isqrt(delta * limit)) == x, (D, limit)
+                    limits.add(limit)
+                # and the limits that put isqrt(limit) + 1 in every class
+                limits.update(((delta * t + r) ** 2 - 1, (delta * t + r) ** 2))
+        for limit in sorted(limits):
+            assert sieve_counts(D, limit) == ref[: limit + 1], (D, limit)
+
+
+def test_sieve_below_delta_has_no_far_half():
+    # below limit = Delta, s = limit: every d <= limit is a slice of its own
+    # multiples, and no slice steps by k Delta
+    for D in (2, 3, 6):
+        delta = field_spec(D).discriminant
+        ref = _chi_sieve(D, delta)
+        for limit in range(delta + 1):
+            if limit < delta:
+                assert all(run.start == run.step for run, _ in ideals._chi_slices(delta, limit))
+            assert sieve_counts(D, limit) == ref[: limit + 1], (D, limit)
 
 
 def test_sieve_edge_horizons():
@@ -350,6 +371,19 @@ def test_ideal_series_zero_residue_starts_at_modulus():
     q = IdealQuery(3, 0, 2, "neg")
     f = ideal_series(q, 10)
     assert f.valuation() == 2  # m = 0 is never queried
+
+
+@pytest.mark.parametrize("weight", [1, 3, Fraction(1, 2)])
+def test_class_series_owns_its_coefficients(weight):
+    counts = ideals.ideal_counts(6, 300)
+    kept = [list(c) for c in counts]
+    f = ideals.class_series(IdealQuery(6, 5, 8, "all"), counts, 300, weight)
+    assert all(f.coeffs is not c for c in counts)
+    before = (f.offset, list(f.coeffs), f.order)
+    for c in counts:
+        c[5::8] = [9] * len(c[5::8])
+    assert (f.offset, f.coeffs, f.order) == before
+    assert dict(f.items()) == {m: weight * kept[0][m] for m in range(5, 301, 8) if kept[0][m]}
 
 
 def test_query_validation():

@@ -45,6 +45,67 @@ def test_constructor_rejects_coefficient_beyond_order():
         LaurentSeries(0, [1, 1, 1], 1)
 
 
+_ADOPT_CASES = [
+    (2, [0, 0, 3, 0, 1, 0, 0], None),  # leading and trailing zeros, exact
+    (-3, [0, 5, Fraction(1, 2), 0], 10),
+    (4, [0, 0, 0], 9),  # all zero: offset order + 1
+    (4, [0, Fraction(0)], None),  # all zero and exact: offset 0
+    (0, [], 3),
+    (7, [1, -2, 3], None),
+]
+
+
+@pytest.mark.parametrize("offset, co, order", _ADOPT_CASES)
+def test_adopt_trims_as_the_constructor_does(offset, co, order):
+    want = LaurentSeries(offset, co, order)
+    raw = list(co)
+    got = LaurentSeries._adopt(offset, raw, order)
+    assert got.coeffs is raw  # owned, not copied
+    assert (got.offset, got.coeffs, got.order) == (want.offset, want.coeffs, want.order)
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("offset, co, order", [(0, [1, 1, 1], 1), (3, [0, 2, 0, 0], 3), (-2, [0, 0, 1], -1)])
+def test_adopt_rejects_a_coefficient_past_the_order_as_the_constructor_does(offset, co, order):
+    with pytest.raises(ValueError) as want:
+        LaurentSeries(offset, co, order)
+    with pytest.raises(ValueError) as got:
+        LaurentSeries._adopt(offset, list(co), order)
+    assert str(got.value) == str(want.value)
+
+
+def _owned_results():
+    """(name, result, its inputs) for every operation that adopts a list it
+    built, and for mul_monomial(1, e), which must copy: scale(1) is the input."""
+    f = LaurentSeries(1, [1, -1, 2, 0, 3], 12)
+    g = LaurentSeries(0, [4, 1, 0, 0, 0, 0, 5], 9)
+    h = LaurentSeries(-1, [Fraction(1, 2), 3], None)
+    return [
+        ("dilate_shift", f.dilate_shift(3, 2), (f,)),
+        ("truncate", f.truncate(3), (f,)),
+        ("add", f + g, (f, g)),
+        ("mul", f * g, (f, g)),
+        ("scale", h.scale(Fraction(2, 3)), (h,)),
+        ("mul_binomial", f.mul_binomial(1, 2), (f,)),
+        ("mul_binomial c=3", f.mul_binomial(3, 1), (f,)),
+        ("div_binomial", f.div_binomial(1, 2), (f,)),
+        ("div_binomial c=-1", g.div_binomial(-1, 20, order=40), (g,)),
+        ("alternate", f.alternate(), (f,)),
+        ("mul_monomial", f.mul_monomial(1, 4), (f,)),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in _owned_results()])
+def test_results_own_their_coefficients(name):
+    [(_, out, inputs)] = [r for r in _owned_results() if r[0] == name]
+    assert all(out.coeffs is not f.coeffs for f in inputs)
+    before = (out.offset, list(out.coeffs), out.order)
+    for f in inputs:
+        f.coeffs[0] += 7
+        f.coeffs.append(1)
+    assert (out.offset, out.coeffs, out.order) == before
+
+
 def test_zero_and_empty_conventions():
     z = LaurentSeries.zero(10)
     assert z.is_zero() and z.order == 10 and z.valuation() is None
@@ -439,6 +500,42 @@ def test_mul_binomial_into_rejects_a_list_longer_than_its_horizon(c):
     with pytest.raises(ValueError, match="^coefficient list of length 4 is longer than the horizon 2$"):
         mul_binomial_into(buf, c, 1, 2)
     assert buf == [1, 2, 3, 4]
+
+
+def _snapshot(*fs):
+    return [(f.coeffs, list(f.coeffs)) for f in fs]
+
+
+@pytest.mark.parametrize("offset", [-3, 0, 7])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_first_mismatch_locates_a_whole_run_differing_at_either_end(offset, n):
+    run = [i % 5 - 2 or 3 for i in range(n)]
+    for i in (0, n - 1):
+        changed = list(run)
+        changed[i] += 1
+        a, b = LaurentSeries(offset, run, offset + n + 5), LaurentSeries(offset, changed, offset + n + 5)
+        seen = _snapshot(a, b)
+        assert first_mismatch(a, b) == (offset + i, run[i], changed[i])
+        assert first_mismatch(b, a) == (offset + i, changed[i], run[i])
+        assert all(co is f.coeffs and co == was for (co, was), f in zip(seen, (a, b)))
+
+
+@pytest.mark.parametrize("offset", [-3, 0, 7])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_first_mismatch_finds_equal_whole_runs_equal(offset, n):
+    run = [i % 5 - 2 or 3 for i in range(n)]
+    a, b = LaurentSeries(offset, run, None), LaurentSeries(offset, run, None)
+    assert a.coeffs is not b.coeffs
+    # a run one longer than the other, its last coefficient past the
+    # shorter one's horizon: one side is a whole run, the other a slice
+    c = LaurentSeries(offset, run + [9], offset + n + 3)
+    d = LaurentSeries(offset, run, offset + n - 1)
+    seen = _snapshot(a, b, c, d)
+    for f, g in ((a, b), (b, a), (c, d), (d, c), (a, d), (d, a)):
+        assert first_mismatch(f, g) is None
+    assert first_mismatch(a, c, through=offset + n - 1) is None
+    assert first_mismatch(a, c) == (offset + n, 0, 9)
+    assert all(co is f.coeffs and co == was for (co, was), f in zip(seen, (a, b, c, d)))
 
 
 def _ref_first_mismatch(a, b, through):
