@@ -38,13 +38,14 @@ AQ and AQALSO require a = q.  The AQALSO form's beta side is the star
 value of a series whose terms do not die off; its columns are summed in a
 form that converges and gives them doubled.  Every alpha side decays
 quadratically and is summed through a last index proven from the closed
-forms of alpha_n.  ``alpha_side`` is that side, times a scale:
-``verify``'s pipeline leg compares the catalog series with it at the leg's
-scale, and the integer sum is multiplied by one combined scale, which is 1
-for the starred form, whose 1/2 the leg's 2 cancels.  The beta side
-of each theorem is the catalog's own double sum (the same S ratio, and a
-seed and P-ratios pinned by the tests), so comparing it with the series
-would repeat one sum; the alpha side checks Bailey's lemma.
+forms of alpha_n.  ``alpha_side`` is that side as an int series, for
+AQALSO written for the doubled sum, so it is the catalog series less its
+constant: ``verify``'s pipeline leg compares the two as they are.
+``limit_form`` is the one place that halves a starred form's sides, to
+its star value.  The beta side of each theorem is the catalog's own double
+sum (the same S ratio, and a seed and P-ratios pinned by the tests), so
+comparing it with the series would repeat one sum; the alpha side checks
+Bailey's lemma.
 """
 
 from __future__ import annotations
@@ -345,17 +346,16 @@ def _checked_form(pair, form_id: str, order: int) -> Family:
     return form
 
 
-def alpha_side(pair: BaileyPair, form_id: str, order: int, scale: int = 1) -> LaurentSeries:
-    """``scale`` times the alpha side of the limit form ``form_id`` for the
-    stepped pair ``pair``,
-    rhs_scale * sum_{n >= k0} rhs_term(n) * q^(u(n)) * alpha_n, through
-    q**order, with the form's fields read from ``catalog._FAMILIES``.
+def alpha_side(pair: BaileyPair, form_id: str, order: int) -> LaurentSeries:
+    """The alpha side of the limit form ``form_id`` for the stepped pair
+    ``pair``, sum_{n >= k0} rhs_term(n) * q^(u(n)) * alpha_n, through
+    q**order, with the form's fields read from ``catalog._FAMILIES``; for a
+    starred form, the side of the doubled sum.
 
-    Level n is alpha_n's closed form, shifted, signed and divided by the
-    form's binomial on one int list; for a = q the form's (1 - q) cancels
-    the global 1/(1 - q) of alpha_n.  The sum is kept over the integers and
-    multiplied by ``scale`` times the form's ``rhs_scale`` once, so a
-    combined scale of 1 leaves it as it is.  The last index is proven: an
+    Level n is alpha_n's closed form, shifted, multiplied by the form's
+    coefficient and divided by its binomial on one int list; for a = q the
+    form's (1 - q) cancels the global 1/(1 - q) of alpha_n.  The sum stays
+    in the integers and the series adopts its list.  The last index is proven: an
     item is c * q^(e + A j^2 + b j) with A < 0, least at an end of its j
     range, so val(q^(u(n)) alpha_n), for the a = 1 / a = q pair of each
     family, is n^2 / n^2 + n for BK, n^2 - n + 1 / n^2 for P1, n(n + 1)/2
@@ -376,7 +376,7 @@ def alpha_side(pair: BaileyPair, form_id: str, order: int, scale: int = 1) -> La
         v, level = _level([(x + shift + e, sign * c) for x, c in items], num, den, order)
         total[v:] = map(add, total[v:], level)
         n += 1
-    return LaurentSeries(0, total, order).scale(form.rhs_scale * scale)
+    return LaurentSeries._adopt(0, total, order)
 
 
 def limit_form(pair, form_id: str, order: int):
@@ -393,12 +393,14 @@ def limit_form(pair, form_id: str, order: int):
     The k-step is the pair's ``p_ratio`` and the seed is w_k0 times
     P_k0 = beta'_k0, both read off the pair's beta closed forms apart from
     the catalog's P-ratios and seeds, so lhs = rhs also checks those forms
-    at every k the chain walks.  A starred beta side comes back doubled and
-    is halved here.  ``verify`` reads only the alpha side: its pipeline leg
+    at every k the chain walks.  Both sides are the form's value: a starred
+    form's sides come doubled from the engine and are halved here, the one
+    place they are.  ``verify`` reads only the alpha side: its pipeline leg
     checks that side against the catalog series, and the tests check
     lhs = rhs.
     """
     form = _checked_form(pair, form_id, order)
     (wc, we), (c, e, num, den) = form.w_seed, pair.p(form.k0)
     [lhs] = ratio_sum(form, [Member(order, (c * wc, we + e, num, den), pair.p_ratio)])
-    return (lhs.scale(Fraction(1, 2)) if form.starred else lhs), alpha_side(pair, form_id, order)
+    rhs = alpha_side(pair, form_id, order)
+    return (lhs.scale(Fraction(1, 2)), rhs.scale(Fraction(1, 2))) if form.starred else (lhs, rhs)

@@ -15,9 +15,12 @@ P3B L4/L12, and P1A, BK1, BK2 and P1B L5..L8.  A family is its limit form's
 one record: its S side is the form's own, which ``bailey``'s beta side reads
 from here, and the record also holds the form's alpha side.  The seeds
 (c0, e0) and the P-ratios are written apart from ``bailey``'s pair closed
-forms (the tests pin the two); ``pipeline`` reads an id's pair, form, scale
-and constant off the same table, and ``verify`` checks each double sum
-against that pipeline's alpha side, which no ratio chain computes.
+forms (the tests pin the two); ``pipeline`` reads an id's pair, form and
+constant off the same table, and ``verify`` checks each double sum, less
+its constant, against that pipeline's alpha side, which no ratio chain
+computes.  The starred sums L7, L8, L11 and L12 are kept doubled, as their
+series are, and AQALSO's alpha side is written for the doubled sum, so
+neither side is scaled on this path.
 
 The A1 and AQ columns step term by term, with ratio S_(n+1) / S_n /
 (1 - q^(n+1-k)).  The A1ALSO and AQALSO columns are 2phi1 series with
@@ -66,9 +69,10 @@ _VANISH_STREAK = 4
 def classical_sum(terms: Iterable[LaurentSeries], order: int) -> LaurentSeries:
     """Sum outer terms until four in a row vanish below the horizon.
 
-    Raises NoStabilization if terms are still visible after 4*order + 64 of them.
+    Raises NoStabilization if terms are still visible after
+    ``chain.level_cap(order, None)`` of them.
     """
-    budget = 4 * order + 64
+    budget = chain.level_cap(order, None)
     total = LaurentSeries.zero(order)
     streak = 0
     count = 0
@@ -97,10 +101,10 @@ def star_sum(
 
     Once T_n + T_(n-1) == 0 (mod q^(order+1)) holds for four consecutive n,
     the partial sums alternate between S and S + T_n; the star value is
-    their average.  Raises NoStabilization if the budget runs out first.
+    their average.  Raises NoStabilization if the budget
+    (``chain.level_cap(order, budget)``) runs out first.
     """
-    if budget is None:
-        budget = 4 * order + 64
+    budget = chain.level_cap(order, budget)
     total = LaurentSeries.zero(order)
     prev_total = total
     prev_term: LaurentSeries | None = None
@@ -231,14 +235,14 @@ _FAMILIES: dict[str, chain.Family] = {f.name: f for f in (
                  column_scale=lambda k: ((-1, k + 1),), u_below=1,
                  relation=lambda k: (((1, 0), (1, 2 * k + 1), (1, 2 * k + 2)), 2 * k + 3, 2 * k + 2),
                  bound=lambda n: n,
-                 rhs_term=lambda n: (chain.sgn(n), n, (), ((1, 2 * n),)), rhs_scale=2),
+                 rhs_term=lambda n: (2 * chain.sgn(n), n, (), ((1, 2 * n),))),
     chain.Family(name="AQALSO", rel="q", k0=0, w_seed=(1, 0), c0=1, e0=0,
                  s_ratio=lambda n: (-1, 0, ((1, 2 * n + 2),), ()),
                  column=lambda k, n: (-1, n + 1, ((1, n + 1),), ((1, n - k + 1), (-1, n + 1))),
                  column_scale=lambda k: ((-1, k + 1),), u_below=2,
                  relation=lambda k: (((1, 0), (1, 2 * k + 2), (1, 2 * k + 3)), 2 * k + 3, 2 * k + 4),
                  bound=lambda n: 0,
-                 rhs_term=lambda n: (chain.sgn(n), 0, (), ()), rhs_scale=_HALF, starred=True),
+                 rhs_term=lambda n: (chain.sgn(n), 0, (), ()), starred=True),
 )}
 
 # P_(k+1) / P_k of each pair, P_k being its stepped beta_k
@@ -279,16 +283,16 @@ def catalog_ids() -> tuple[str, ...]:
     return tuple(sorted(_SINGLES)) + tuple(sorted(_DOUBLES))
 
 
-def pipeline(series_id: str) -> tuple[str, str, int, int]:
-    """(pair label, limit form, scale, constant) of a double sum: the series
-    is scale times the limit form's value for the stepped pair, plus the
-    constant.  The scale is 2 for a starred family, whose sum is doubled.
+def pipeline(series_id: str) -> tuple[str, str, int]:
+    """(pair label, limit form, constant) of a double sum: the series is the
+    limit form's alpha side for the stepped pair (``bailey.alpha_side``,
+    doubled for a starred form, as the series is), plus the constant.
     Raises UnknownId for an id that is not a double sum."""
     key = normalize_id(series_id)
     if key not in _DOUBLES:
         raise UnknownId(f"{key} is not a double sum")
     form, label, const = _DOUBLES[key]
-    return label, form, 2 if _FAMILIES[form].starred else 1, const
+    return label, form, const
 
 
 def eval_named(series_id: str, order: int, star_budget: int | None = None) -> LaurentSeries:

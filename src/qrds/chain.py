@@ -40,12 +40,12 @@ The four starred sums (L7, L8, L11, L12) are star values of series whose
 terms do not die off, but their columns, in the quadratic 2phi2 form of
 Gasper and Rahman's (III.4), converge q-adically, and the transform's
 prefactor 1 / (2 (-q;q)_k) makes each column the doubled one: the sums come
-doubled and stay in the integers, with no star tail to detect.
+doubled and stay in the integers, with no star tail to detect.  The doubled
+value is the one the engine keeps; only ``bailey.limit_form`` halves it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import add, sub
@@ -80,9 +80,10 @@ class Family(NamedTuple):
     ``relation(k)`` = (a, b, c) giving A_k = sum of s q^e over the signed
     terms (s, e) of a and B_k = q^b (1 - q^c), and U_(k0-1) = ``u_below``
     is a constant.  ``bound(n)`` is a proven lower bound for the valuation
-    of every term of row n; a ``starred`` family's series is twice its sum's
-    star value.  The alpha side is ``rhs_scale`` * sum_{n >= k0}
-    ``rhs_term(n)`` * alpha'_n.
+    of every term of row n.  The alpha side is sum_{n >= k0} ``rhs_term(n)``
+    * alpha'_n.  A ``starred`` family's beta side sums every column doubled,
+    so its series and its alpha side are both twice its sum's star value;
+    only ``bailey.limit_form`` halves them.
     """
 
     name: str
@@ -97,7 +98,6 @@ class Family(NamedTuple):
     u_below: int
     bound: Callable[[int], int]
     rhs_term: Callable[[int], Ratio]
-    rhs_scale: int | Fraction = 1
     starred: bool = False
     column_scale: Callable[[int], tuple[tuple[int, int], ...]] = lambda k: ()
 
@@ -253,11 +253,12 @@ def columns(fam: Family, need: dict[int, tuple[int, int]], cap: int) -> dict[int
 def seeded(seed: Ratio, order: int, inner: Callable[[int, int], list]) -> LaurentSeries:
     """``seed`` times ``inner(h, v)``, h and v being what the seed leaves of
     q**order and its exponent; 0, with no chain summed, if the seed is 0 or
-    above q**order."""
+    above q**order.  ``inner`` hands over a list no one else holds, which
+    ``horner`` works on in place and the series adopts uncopied."""
     c, v = factor_ratio(seed)[:2]
     if order < v or not c:
         return LaurentSeries.zero(order)
-    return LaurentSeries(0, horner([seed], [[]], inner(order - v, v), order - v), order)
+    return LaurentSeries._adopt(0, horner([seed], [[]], inner(order - v, v), order - v), order)
 
 
 def level_cap(order: int, cap: int | None) -> int:

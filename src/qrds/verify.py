@@ -9,10 +9,10 @@ descriptions of the same coefficients:
                   (building it cross-checks the field's two ideal counts,
                   and a disagreement raises ``InvariantViolation``);
 * ``theta``     — the series equals its indefinite theta-function form;
-* ``pipeline``  — the series, scaled and shifted, equals the alpha side of
-                  its Bailey pair's limit transform after the iteration
-                  step: the closed forms of alpha_n, summed through a proven
-                  last index (``bailey.alpha_side``).
+* ``pipeline``  — the series equals the alpha side of its Bailey pair's
+                  limit transform after the iteration step, plus a
+                  constant: the closed forms of alpha_n, summed through a
+                  proven last index (``bailey.alpha_side``).
 
 ``verify_theorem`` runs all three legs and reports the first mismatching
 coefficient of any leg, exactly — there are no tolerances anywhere.
@@ -21,9 +21,9 @@ The pipeline leg checks Bailey's lemma, the step of the proof that the
 catalog sum does not already make: the transform's beta side is the
 catalog's double sum itself (the same seed and ratios, pinned by the
 tests), while its alpha side is built from the closed forms of alpha_n and
-shares no code path with the catalog sum.  The pair, form, scale and
-constant come from ``catalog.pipeline``, which reads them off the row the
-double sum itself is summed from.
+shares no code path with the catalog sum.  The pair, form and constant
+come from ``catalog.pipeline``, which reads them off the row the double
+sum itself is summed from.
 
 ``verify_all`` plans its run: the theorem table and the corollary-term
 table name every (series id, horizon) its reports read, so each catalog
@@ -264,8 +264,8 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     theta = eval_blocks(hecke_catalog(spec.series_id), base_order)
     legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
 
-    pair_label, form_id, scale, const = pipeline(spec.series_id)
-    piped = alpha_side(bailey_step(pair_catalog(pair_label)), form_id, base_order, scale)
+    pair_label, form_id, const = pipeline(spec.series_id)
+    piped = alpha_side(bailey_step(pair_catalog(pair_label)), form_id, base_order)
     if const:
         piped = piped + LaurentSeries.monomial(const, 0)
     legs.append(LegReport("pipeline", first_mismatch(piped, series, through=base_order)))

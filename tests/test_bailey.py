@@ -322,12 +322,40 @@ def test_pipeline_reproduces_catalog(series_id):
 
 
 @pytest.mark.parametrize("series_id", sorted(PIPELINES))
-def test_alpha_side_scale_multiplies_the_side(series_id):
-    pair_label, form_id, scale, _ = PIPELINES[series_id]
+def test_alpha_side_is_the_catalog_series_less_its_constant(series_id):
+    # a starred form's alpha side is written for the doubled sum, as the
+    # series is, so no pipeline scales it
+    pair_label, form_id, _, const = PIPELINES[series_id]
+    for order in (0, 7, 60, 300):
+        got = alpha_side(bailey_step(pair_catalog(pair_label)), form_id, order)
+        assert all(type(c) is int for c in got.coeffs), order
+        assert got.order == order
+        assert got + LaurentSeries.monomial(const, 0, order) == eval_named(series_id, order), order
+
+
+@pytest.mark.parametrize("series_id", ["L7", "L8", "L11", "L12"])
+@pytest.mark.parametrize("order", [0, 7, 60, 300])
+def test_limit_form_halves_both_starred_sides(series_id, order):
+    # limit_form is the form's star value; twice it is the doubled alpha
+    # side and the catalog series less its constant
+    pair_label, form_id, _, const = PIPELINES[series_id]
     pair = bailey_step(pair_catalog(pair_label))
-    got = alpha_side(pair, form_id, 80, scale)
-    assert got == alpha_side(pair, form_id, 80).scale(scale)
-    assert all(type(c) is int for c in got.coeffs)
+    lhs, rhs = limit_form(pair, form_id, order)
+    assert rhs.scale(2) == alpha_side(pair, form_id, order)
+    assert lhs.scale(2) + LaurentSeries.monomial(const, 0, order) == eval_named(series_id, order)
+
+
+@pytest.mark.parametrize("series_id", sorted(PIPELINES))
+def test_alpha_side_returns_a_list_of_its_own(series_id):
+    pair_label, form_id, _, _ = PIPELINES[series_id]
+    pair = bailey_step(pair_catalog(pair_label))
+    f, g = alpha_side(pair, form_id, 200), alpha_side(pair, form_id, 200)
+    assert f.coeffs is not g.coeffs
+    before = (f.offset, list(f.coeffs), f.order)
+    g.coeffs[0] += 1
+    g.coeffs.append(1)
+    assert (f.offset, f.coeffs, f.order) == before
+    assert alpha_side(pair, form_id, 200) == f
 
 
 def test_form_pair_mismatch():
@@ -453,7 +481,7 @@ def test_every_engine_binomial_kernel_call_has_an_int_unit_c(monkeypatch):
     for sid in catalog.catalog_ids():
         eval_named(sid, 60)
     for sid in sorted(catalog._DOUBLES):
-        label, form_id, _, _ = catalog.pipeline(sid)
+        label, form_id, _ = catalog.pipeline(sid)
         lhs, rhs = limit_form(bailey_step(pair_catalog(label)), form_id, 60)
         assert lhs == rhs, sid
     assert len(seen) > 1000

@@ -890,7 +890,10 @@ def _stepped_p_ratio(stepped):
 
 @pytest.mark.parametrize("sid", sorted(catalog._DOUBLES))
 def test_pipeline_is_the_acceptance_row(sid):
-    assert catalog.pipeline(sid) == catalog.pipeline(sid.lower()) == PIPELINES[sid]
+    label, form_id, scale, const = PIPELINES[sid]
+    assert catalog.pipeline(sid) == catalog.pipeline(sid.lower()) == (label, form_id, const)
+    # the gate scales limit_form's star value back to the doubled series
+    assert scale == (2 if catalog._FAMILIES[form_id].starred else 1)
 
 
 @pytest.mark.parametrize("sid", ["SIGMA", "Z2", "Z3", "Z4", "Z5"])
@@ -967,6 +970,26 @@ def test_family_members_in_any_order_match_eval_named(form):
         assert {sid: shape(f) for sid, f in got.items()} == want
 
 
+@pytest.mark.parametrize("sid", catalog_ids())
+@pytest.mark.parametrize("order", [0, 1, 200])
+def test_eval_named_returns_a_list_of_its_own(sid, order):
+    """The series adopts the list its chain built: a single sum's innermost
+    head is a fresh [1], a fold's is a slice of a column, so no result
+    shares a list with another call's, nor one family member's with
+    another's."""
+    f, g = eval_named(sid, order), eval_named(sid, order)
+    assert f.coeffs is not g.coeffs
+    before = (f.offset, list(f.coeffs), f.order)
+    g.coeffs[:0] = [5]
+    g.coeffs.append(1)
+    assert (f.offset, f.coeffs, f.order) == before
+    assert shape(eval_named(sid, order)) == shape(f)
+    if sid in catalog._DOUBLES:
+        form = catalog._DOUBLES[sid][0]
+        members = catalog._family_sums(form, {m: order for m, row in catalog._DOUBLES.items() if row[0] == form})
+        assert len({id(m.coeffs) for m in members.values()}) == len(members)
+
+
 def _alpha_by_terms(stepped, form, order):
     def terms():
         n = form.k0
@@ -977,7 +1000,7 @@ def _alpha_by_terms(stepped, form, order):
     total = star_sum(terms(), order) if form.starred else classical_sum(terms(), order)
     if stepped.rel == "q":  # cancels the global 1/(1 - q) of alpha_n
         total = total.mul_binomial(1, 1)
-    return total.scale(form.rhs_scale)
+    return total
 
 
 @pytest.mark.parametrize("label, form_id", _PIPELINE_PAIRS)
@@ -991,7 +1014,9 @@ def test_stepped_rows_match_term_by_term(label, form_id, order):
     want = _oracle_sum(seed, order, k0, _stepped_p_ratio(stepped), form.s_ratio, form.starred)
     lhs, rhs = bailey.limit_form(stepped, form_id, order)
     assert shape(lhs) == shape(want)
-    assert shape(rhs) == shape(_alpha_by_terms(stepped, form, order))
+    alpha = _alpha_by_terms(stepped, form, order)
+    assert shape(bailey.alpha_side(stepped, form_id, order)) == shape(alpha)
+    assert shape(rhs) == shape(alpha.scale(Fraction(1, 2)) if form.starred else alpha)
 
 
 binomials = st.tuples(st.sampled_from([1, -1, 0, 3]), st.integers(min_value=1, max_value=12))

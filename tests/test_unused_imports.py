@@ -9,8 +9,11 @@ in its own module; a module-level private table (``catalog._FAMILIES``) may
 be imported by a sibling.
 
 ``code_lines`` is the package's one count of code lines: non-blank lines
-outside comments and docstrings.  ``python tests/test_unused_imports.py``
-prints it per module and for the package.
+outside comments and docstrings.  ``knobs`` counts the package's defaults a
+caller can set: the parameters with a default of public functions and
+methods, and the defaulted fields of public classes.
+``python tests/test_unused_imports.py`` prints both per module and for the
+package; neither has a threshold.
 """
 
 import ast
@@ -75,6 +78,56 @@ class C:
 string"""
 '''
     assert code_lines(src) == 5  # x, class, def, and both lines of the returned string
+
+
+def _defaults(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def knobs(source: str) -> int:
+    """The parameters with a default of the module-level functions of
+    ``source`` and of the methods of its classes, counting only names not
+    starting with ``_`` and ``__init__``, plus the annotated class-body
+    fields with a default of those classes (NamedTuple and dataclass
+    fields).  A private class counts nothing, nor does a nested function."""
+    count = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            count += _defaults(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_") or item.name == "__init__":
+                        count += _defaults(item)
+                elif isinstance(item, ast.AnnAssign) and item.value is not None:
+                    count += 1
+    return count
+
+
+def test_knobs_counts_public_defaults_only():
+    src = '''def f(a, b=1, *, c=2, d):
+    def inner(x=0):
+        return x
+def _g(a=1):
+    pass
+class C(NamedTuple):
+    x: int
+    y: int = 0
+    z = 5
+    def __init__(self, a=1, b=2):
+        pass
+    def m(self, k=3):
+        pass
+    def _p(self, k=3):
+        pass
+    def __call__(self, k=3):
+        pass
+class _D:
+    w: int = 1
+    def __init__(self, a=1):
+        pass
+'''
+    assert knobs(src) == 6  # f's b and c, C's y, __init__'s a and b, m's k
 
 
 def _is_private(name: str) -> bool:
@@ -162,9 +215,10 @@ def test_scan_sees_a_private_import():
 
 
 if __name__ == "__main__":
-    total = 0
+    totals = [0, 0]
+    print(f"{'module':<16}{'lines':>6}{'knobs':>6}")
     for path in SOURCES:
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.name:<16}{count:>6}")
-    print(f"{'total':<16}{total:>6}")
+        counts = code_lines(path.read_text()), knobs(path.read_text())
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(f"{path.name:<16}{counts[0]:>6}{counts[1]:>6}")
+    print(f"{'total':<16}{totals[0]:>6}{totals[1]:>6}")
