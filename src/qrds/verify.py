@@ -25,21 +25,21 @@ shares no code path with the catalog sum.  The pair, form and constant
 come from ``catalog.pipeline``, which reads them off the row the double
 sum itself is summed from.
 
-``verify_all`` plans its run: the theorem table and the corollary-term
-table name every (series id, horizon) its reports read, so each catalog
-series is summed once, at the highest of its horizons, before the first
-report, and every report reads a truncation of that one sum.  The double
-sums of one family share their columns (``catalog.eval_plan``).  Each field's
-ideal counts are made and cross-checked once too, and each theorem's ideal
-leg reads its residue class from them.  The alpha sides are cheap and each
-report builds its own, as a lone ``verify_theorem`` does.
+Every report reads one explicit plan, made before its first leg: each
+catalog series it reads, summed once at the highest horizon it is read at,
+and each field's cross-checked ideal counts, from which each theorem's
+ideal leg reads its residue class.  A read beyond the plan raises
+``InvariantViolation``.  ``verify_all`` makes one plan for all 17 reports,
+summing the double sums of one family together so that they share their
+columns (``catalog.eval_plan``); a lone report makes its own, summing each
+series through ``eval_named``.  The alpha sides are cheap and each report
+builds its own.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +47,7 @@ from .bailey import alpha_side, bailey_step, pair_catalog
 from .catalog import eval_named, eval_plan, pipeline
 from .errors import InvariantViolation, UnknownId, check_order
 from .hecke import eval_blocks, hecke_catalog
-from .ideals import IdealQuery, class_series, ideal_counts, ideal_series
+from .ideals import IdealQuery, class_series, ideal_counts
 from .series import LaurentSeries, first_mismatch
 
 __all__ = [
@@ -161,16 +161,13 @@ class VerificationReport:
         }
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def base_order_for(spec: TheoremSpec | _Term, order: int) -> int:
-    """Smallest base horizon whose dilation covers exponents through order.
+    """Smallest base horizon whose dilation covers exponents through order:
+    ceil((order - shift) / dilate), and at least 0.
 
     ``spec`` is anything with ``dilate`` and ``shift``: a theorem entry or a
     corollary term."""
-    return max(0, _ceil_div(order - spec.shift, spec.dilate))
+    return max(0, -((spec.shift - order) // spec.dilate))
 
 
 @dataclass(frozen=True)
@@ -206,60 +203,66 @@ _COROLLARIES: dict[int, _Corollary] = {
 _SIGMA = _Term("SIGMA")
 
 
-def _planned_horizons(order: int) -> dict[str, int]:
-    """Highest base horizon at which verify_all's reports read each series."""
-    terms = [_SIGMA, *_THEOREMS]
-    for cor in _COROLLARIES.values():
-        terms.extend(cor.lhs + cor.rhs)
-    plan: dict[str, int] = {}
+@dataclass(frozen=True)
+class _Plan:
+    """What a run of reports reads, made before its first report: each
+    catalog series once, keyed by id, and each field's cross-checked ideal
+    counts, keyed by D.  Reading beyond the plan is an internal fault, not a
+    reason to sum or count again."""
+
+    order: int
+    sums: dict[str, LaurentSeries]
+    counts: dict[int, tuple]
+
+    def series(self, series_id: str, horizon: int) -> LaurentSeries:
+        """The catalog series through q**horizon, a truncation of its sum."""
+        f = self.sums.get(series_id)
+        _check_planned(series_id, horizon, None if f is None else f.order)
+        return f.truncate(horizon)
+
+    def ideals(self, spec: TheoremSpec) -> LaurentSeries:
+        """The theorem's weighted ideal series through q**order, a residue
+        class of its field's counts."""
+        counts = self.counts.get(spec.field_d)
+        planned = None if counts is None else len(counts[0]) - 1
+        _check_planned(f"ideal counts of D={spec.field_d}", self.order, planned)
+        query = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
+        return class_series(query, counts, self.order, spec.weight)
+
+
+def _check_planned(what: str, horizon: int, planned: int | None) -> None:
+    if planned is None or horizon > planned:
+        raise InvariantViolation(f"{what} requested through order {horizon}, planned through {planned}")
+
+
+def _plan(order: int, terms, sum_all) -> _Plan:
+    """The plan of the reports that read ``terms`` at ``order``: each series
+    summed once by ``sum_all``, at the highest base horizon any term reads
+    it, and the ideal counts of each theorem's field through ``order``."""
+    horizons: dict[str, int] = {}
     for term in terms:
         h = base_order_for(term, order)
-        plan[term.series_id] = max(plan.get(term.series_id, h), h)
-    return plan
+        horizons[term.series_id] = max(horizons.get(term.series_id, h), h)
+    fields = sorted({term.field_d for term in terms if isinstance(term, TheoremSpec)})
+    counts = {d: ideal_counts(d, order) for d in fields}
+    return _Plan(order, sum_all(horizons), counts)
 
 
-# The plan of the verify_all call in progress, if any: series id -> one sum
-# at its planned horizon, and field D -> its cross-checked ideal counts.
-# verify_all sets it and resets it on return, so nothing outlives its call; a
-# context variable rather than a parameter keeps the report functions' signatures.
-_SOURCE: ContextVar[tuple[dict[str, LaurentSeries], dict[int, tuple]] | None] = ContextVar("qrds_verify_plan", default=None)
+def _sum_each(horizons: dict[str, int]) -> dict[str, LaurentSeries]:
+    """Each series on its own, through ``eval_named``: a lone report's sums."""
+    return {sid: eval_named(sid, h) for sid, h in horizons.items()}
 
 
-def _series(series_id: str, horizon: int) -> LaurentSeries:
-    """The catalog series through q**horizon: a truncation of the running
-    verify_all's sum, or summed directly when no plan is running.  Asking
-    beyond the plan is an internal fault, not a reason to re-sum."""
-    plan = _SOURCE.get()
-    if plan is None:
-        return eval_named(series_id, horizon)
-    f = plan[0].get(series_id)
-    planned = None if f is None else f.order
-    if planned is None or horizon > planned:
-        raise InvariantViolation(f"{series_id} requested through order {horizon}, planned through {planned}")
-    return f.truncate(horizon)
+def _timed(report_id: str, plan: _Plan, legs: list[LegReport], t0: float) -> VerificationReport:
+    return VerificationReport(report_id, plan.order, legs, int((time.perf_counter() - t0) * 1000))
 
 
-def _ideals(spec: TheoremSpec, order: int) -> LaurentSeries:
-    """The theorem's weighted ideal series through q**order: its residue
-    class read from the running verify_all's counts of its field, which
-    verify_all made through this order, or counted when no plan is running."""
-    query = IdealQuery(spec.field_d, spec.residue, spec.modulus, spec.restriction)
-    plan = _SOURCE.get()
-    if plan is None:
-        return ideal_series(query, order, weight=spec.weight)
-    return class_series(query, plan[1][spec.field_d], order, spec.weight)
-
-
-def verify_theorem(index: int, order: int = 400) -> VerificationReport:
-    """Check one dilation/ideal entry at the given horizon, all legs exact."""
-    check_order(order)
-    spec = _theorem(index)
-    t0 = time.perf_counter()
-    base_order = base_order_for(spec, order)
-    series = _series(spec.series_id, base_order)
+def _theorem_report(spec: TheoremSpec, plan: _Plan, t0: float) -> VerificationReport:
+    base_order = base_order_for(spec, plan.order)
+    series = plan.series(spec.series_id, base_order)
 
     dilated = series.dilate_shift(spec.dilate, spec.shift)
-    legs = [LegReport("ideal", first_mismatch(dilated, _ideals(spec, order), through=order))]
+    legs = [LegReport("ideal", first_mismatch(dilated, plan.ideals(spec), through=plan.order))]
 
     theta = eval_blocks(hecke_catalog(spec.series_id), base_order)
     legs.append(LegReport("theta", first_mismatch(series, theta, through=base_order)))
@@ -269,21 +272,35 @@ def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     if const:
         piped = piped + LaurentSeries.monomial(const, 0)
     legs.append(LegReport("pipeline", first_mismatch(piped, series, through=base_order)))
-
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(f"theorem-{index:02d}", order, legs, elapsed)
+    return _timed(f"theorem-{spec.index:02d}", plan, legs, t0)
 
 
-def _term_sum(terms: tuple[_Term, ...], order: int) -> LaurentSeries:
-    """Sum of the dilated, shifted, scaled terms, exact through q**order."""
+def verify_theorem(index: int, order: int = 400) -> VerificationReport:
+    """Check one dilation/ideal entry at the given horizon, all legs exact."""
+    check_order(order)
+    spec = _theorem(index)
+    t0 = time.perf_counter()
+    return _theorem_report(spec, _plan(order, [spec], _sum_each), t0)
+
+
+def _term_sum(terms: tuple[_Term, ...], plan: _Plan) -> LaurentSeries:
+    """Sum of the dilated, shifted, scaled terms, exact through q**plan.order."""
     total = None
     for term in terms:
-        base = _series(term.series_id, base_order_for(term, order))
+        base = plan.series(term.series_id, base_order_for(term, plan.order))
         out = base.dilate_shift(term.dilate, term.shift)
         if term.coeff != 1:
             out = out.scale(term.coeff)
         total = out if total is None else total + out
     return total
+
+
+def _corollary_report(index: int, cor: _Corollary, plan: _Plan, t0: float) -> VerificationReport:
+    lhs = _term_sum(cor.lhs, plan)
+    if cor.alternate:
+        lhs = lhs.alternate()
+    rhs = _term_sum(cor.rhs, plan)
+    return _timed(f"corollary-{index}", plan, [LegReport("identity", first_mismatch(lhs, rhs, through=plan.order))], t0)
 
 
 def verify_corollary(index: int, order: int = 400) -> VerificationReport:
@@ -294,47 +311,41 @@ def verify_corollary(index: int, order: int = 400) -> VerificationReport:
     cor = _COROLLARIES.get(index)
     if cor is None:
         raise UnknownId(f"corollary index must be 1..{len(_COROLLARIES)}, got {index}")
-    lhs = _term_sum(cor.lhs, order)
-    if cor.alternate:
-        lhs = lhs.alternate()
-    rhs = _term_sum(cor.rhs, order)
-    legs = [LegReport("identity", first_mismatch(lhs, rhs, through=order))]
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(f"corollary-{index}", order, legs, elapsed)
+    return _corollary_report(index, cor, _plan(order, cor.lhs + cor.rhs, _sum_each), t0)
+
+
+def _sigma_report(plan: _Plan, t0: float) -> VerificationReport:
+    series = plan.series("SIGMA", plan.order)
+    theta = eval_blocks(hecke_catalog("SIGMA"), plan.order)
+    return _timed("sigma", plan, [LegReport("theta", first_mismatch(series, theta, through=plan.order))], t0)
 
 
 def verify_sigma(order: int = 400) -> VerificationReport:
     """Check the weighted-count single sum against its indefinite theta form."""
     check_order(order)
     t0 = time.perf_counter()
-    series = _term_sum((_SIGMA,), order)
-    theta = eval_blocks(hecke_catalog("SIGMA"), order)
-    legs = [LegReport("theta", first_mismatch(series, theta, through=order))]
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("sigma", order, legs, elapsed)
+    return _sigma_report(_plan(order, [_SIGMA], _sum_each), t0)
 
 
 def verify_all(order: int = 400) -> list[VerificationReport]:
     """Every check at one horizon, reports sorted by id.
 
-    Each catalog series is summed once, at the highest horizon any report
-    reads it, and each field's ideal counts are made and cross-checked once,
-    through ``order``, before the first report runs; every report reads a
-    truncation or a residue class of them.  The double sums of one family
-    share their columns.  Each theorem's pipeline leg builds its own alpha
-    side, as a lone ``verify_theorem`` does.  A report's ``elapsed_ms``
-    covers its own legs, alpha side included, and none of the shared sums
-    or counts.  Both are dropped when the call returns.
+    One plan serves all 17 reports: before the first report runs, each
+    catalog series is summed once, at the highest horizon any report reads
+    it, and each field's ideal counts are made and cross-checked once,
+    through ``order``; every report reads a truncation or a residue class of
+    them.  The double sums of one family share their columns
+    (``catalog.eval_plan``).  Each theorem's pipeline leg builds its own
+    alpha side, as a lone ``verify_theorem`` does.  A report's
+    ``elapsed_ms`` covers its own legs, alpha side included, and none of
+    the plan.
     """
     check_order(order)
-    counts = {d: ideal_counts(d, order) for d in sorted({spec.field_d for spec in _THEOREMS})}
-    token = _SOURCE.set((eval_plan(_planned_horizons(order)), counts))
-    try:
-        reports = [verify_corollary(j, order) for j in _COROLLARIES]
-        reports.append(verify_sigma(order))
-        reports.extend(verify_theorem(i, order) for i in range(1, 13))
-    finally:
-        _SOURCE.reset(token)
+    terms = [_SIGMA, *_THEOREMS, *(term for cor in _COROLLARIES.values() for term in cor.lhs + cor.rhs)]
+    plan = _plan(order, terms, eval_plan)
+    reports = [_corollary_report(j, cor, plan, time.perf_counter()) for j, cor in _COROLLARIES.items()]
+    reports.append(_sigma_report(plan, time.perf_counter()))
+    reports.extend(_theorem_report(spec, plan, time.perf_counter()) for spec in _THEOREMS)
     return sorted(reports, key=lambda r: r.report_id)
 
 

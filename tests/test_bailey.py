@@ -23,6 +23,8 @@ from qrds.errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
 from qrds.series import LaurentSeries, div_binomial_into, first_mismatch
 from qrds.verify import verify_all
 
+from test_acceptance import PIPELINES  # the acceptance gate's own pipeline rows
+
 ALL_PAIRS = ("BK1", "BK2", "P1A", "P1B", "P2A", "P2B", "P3A", "P3B")
 ALL_FORMS = ("A1", "A1ALSO", "AQ", "AQALSO")
 
@@ -292,22 +294,6 @@ def test_step_exponent():
 
 
 # ------------------------------------------------------------ limit forms
-
-PIPELINES = {
-    "L1": ("P2A", "A1", 1, 0),
-    "L2": ("P2B", "AQ", 1, 0),
-    "L3": ("P3A", "A1", 1, 0),
-    "L4": ("P3B", "AQ", 1, -1),
-    "L5": ("P1A", "A1ALSO", 1, 0),
-    "L6": ("BK1", "A1ALSO", 1, 0),
-    "L7": ("BK2", "AQALSO", 2, 0),
-    "L8": ("P1B", "AQALSO", 2, -1),
-    "L9": ("P2A", "A1ALSO", 1, 0),
-    "L10": ("P3A", "A1ALSO", 1, 0),
-    "L11": ("P2B", "AQALSO", 2, 0),
-    "L12": ("P3B", "AQALSO", 2, -2),
-}
-
 
 @pytest.mark.parametrize("series_id", sorted(PIPELINES))
 def test_pipeline_reproduces_catalog(series_id):

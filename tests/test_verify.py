@@ -196,9 +196,9 @@ def test_fault_injection_corollary(monkeypatch):
 
 def _recorded_sums(monkeypatch, corrupt=None):
     """Route verify's catalog sums through a recorder of (series id, horizon):
-    ``eval_named`` outside a plan, and the family driver ``eval_plan`` inside
-    one.  ``corrupt`` maps a series id to one exponent whose coefficient
-    gains 1 whenever visible."""
+    ``eval_named`` for a lone report's plan, and the family driver
+    ``eval_plan`` for verify_all's.  ``corrupt`` maps a series id to one
+    exponent whose coefficient gains 1 whenever visible."""
     calls = []
 
     def spoiled(series_id, f):
@@ -275,7 +275,7 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(namespace, name, wrapped)
 
-    for name in ("eval_blocks", "ideal_series", "alpha_side"):
+    for name in ("eval_blocks", "class_series", "alpha_side"):
         leg(verify_mod, name)
     for name, module in list(sys.modules.items()):  # every binding of limit_form
         if (name == "qrds" or name.startswith("qrds.")) and getattr(module, "limit_form", None) is bailey.limit_form:
@@ -288,23 +288,53 @@ def test_verify_all_sums_every_series_before_the_first_leg(monkeypatch):
 
 
 def test_plan_guard_raises_beyond_planned_horizon(monkeypatch):
-    real = verify_mod._planned_horizons
+    real = verify_mod.eval_plan
 
-    def under_planned(order):
-        plan = real(order)
-        plan["L6"] -= 1
-        return plan
+    def under_planned(horizons):
+        return real({**horizons, "L6": horizons["L6"] - 1})
 
-    monkeypatch.setattr(verify_mod, "_planned_horizons", under_planned)
+    monkeypatch.setattr(verify_mod, "eval_plan", under_planned)
     with pytest.raises(InvariantViolation, match=r"L6 requested through order 400, planned through 399"):
         verify_all(400)
-    assert verify_mod._SOURCE.get() is None  # the failed run's sums are gone
-    token = verify_mod._SOURCE.set(({}, {}))
-    try:
-        with pytest.raises(InvariantViolation, match="L1"):
-            verify_mod._series("L1", 3)
-    finally:
-        verify_mod._SOURCE.reset(token)
+    # the failed run's sums are gone: the plan is a local of its call
+    assert not [v for v in vars(verify_mod).values() if isinstance(v, verify_mod._Plan)]
+    with pytest.raises(InvariantViolation, match="L1"):
+        verify_mod._Plan(3, {}, {}).series("L1", 3)
+
+
+def test_plan_guard_raises_beyond_planned_counts(monkeypatch):
+    """Ideal counts made through less than the plan's order, or a field the
+    plan lacks, raise naming D and both orders, as a sum read beyond the
+    plan does, planned and alone alike."""
+    real = verify_mod.ideal_counts
+    monkeypatch.setattr(verify_mod, "ideal_counts", lambda D, limit: real(D, limit - (D == 3)))
+    short = r"^ideal counts of D=3 requested through order 400, planned through 399$"
+    with pytest.raises(InvariantViolation, match=short):
+        verify_all(400)
+    with pytest.raises(InvariantViolation, match=short):
+        verify_theorem(6, 400)
+    monkeypatch.undo()
+    missing = r"^ideal counts of D=2 requested through order 3, planned through None$"
+    with pytest.raises(InvariantViolation, match=missing):
+        verify_mod._Plan(3, {}, {}).ideals(theorem_table()[0])
+
+
+def test_lone_report_is_independent_of_a_running_plan(monkeypatch):
+    """A lone verify_theorem(1, 1500), run from a leg of verify_all(400),
+    reads its own plan and not the running one, which was counted through
+    400 only: it reports as it does alone."""
+    alone = _timeless(verify_theorem(1, 1500))
+    nested, real = [], verify_mod.eval_blocks
+
+    def wrapped(*args):
+        if not nested:
+            nested.append(None)  # the nested report's own theta leg runs unwrapped
+            nested[0] = _timeless(verify_theorem(1, 1500))
+        return real(*args)
+
+    monkeypatch.setattr(verify_mod, "eval_blocks", wrapped)
+    assert all(report.ok for report in verify_all(400))
+    assert nested == [alone]
 
 
 def test_verify_all_counts_each_field_once(monkeypatch):
@@ -551,7 +581,7 @@ def test_every_leg_rejects_another_theorems_series(monkeypatch, theorem_sums):
     """Negative control: at order 400 the series of each theorem passes all
     three legs of its own theorem and fails all three of every other one."""
     for sid, f in theorem_sums.items():
-        monkeypatch.setattr(verify_mod, "_series", lambda _, horizon, f=f: f.truncate(horizon))
+        monkeypatch.setattr(verify_mod, "eval_named", lambda _, horizon, star_budget=None, f=f: f.truncate(horizon))
         for spec in theorem_table():
             legs = verify_theorem(spec.index, 400).legs
             assert [leg.ok for leg in legs] == [sid == spec.series_id] * 3, (sid, spec.index)
@@ -562,7 +592,7 @@ def test_unused_pipeline_fails_every_pipeline_leg(monkeypatch, theorem_sums, lab
     """Negative control: a valid pair/form combination that no theorem uses,
     put in place of each theorem's own, fails its pipeline leg at order 400."""
     assert (label, form_id) not in {catalog.pipeline(sid)[:2] for sid in theorem_sums}
-    monkeypatch.setattr(verify_mod, "_series", lambda sid, horizon: theorem_sums[sid].truncate(horizon))
+    monkeypatch.setattr(verify_mod, "eval_named", lambda sid, horizon, star_budget=None: theorem_sums[sid].truncate(horizon))
     real = verify_mod.pipeline
     monkeypatch.setattr(verify_mod, "pipeline", lambda sid: (label, form_id, *real(sid)[2:]))
     for spec in theorem_table():
