@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 from .catalog import _FAMILIES
 from .chain import Family, Member, Ratio, cancel, factor_ratio, ratio_sum, sgn
 from .errors import (Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair,
-                     check_order, lookup)
+                     check_int, check_order, lookup)
 from .series import LaurentSeries, apply_binomials_into, div_binomial_into, first_mismatch
 
 __all__ = [
@@ -273,6 +273,8 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     """
     if not isinstance(pair, BaileyPair):
         raise TypeError(f"verify_pair_relation needs a catalog pair or a stepped one, got {pair!r}")
+    check_int(n_max, "n_max")
+    check_int(order, "order")
     if n_max < 0 or order < 0:
         raise ValueError("n_max and order must be >= 0")
     a_exp, u = (0 if pair.rel == "1" else 1), pair.u

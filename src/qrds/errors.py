@@ -1,11 +1,13 @@
-"""Domain-level exceptions shared across the package, and its two input rules.
+"""Domain-level exceptions shared across the package, and its input rules.
 
 The one arithmetic-level error, UnknownCoefficient, lives in ``series``;
 everything tied to catalogs, summation control, field data, or internal
 invariants is collected here so modules can share them without import cycles.
 
 The input rules are written once, here: ``lookup`` reads a name in a registry
-case- and space-insensitively, and ``check_order`` refuses a horizon below 0.
+case- and space-insensitively, ``check_int`` refuses anything but an int
+(``TypeError``), and ``check_order`` refuses a horizon that is not an int or
+is below 0.
 """
 
 __all__ = [
@@ -66,7 +68,14 @@ def lookup(table: dict, name, error: type[Exception], what: str) -> tuple:
         raise error(f"{what} {name!r}") from None
 
 
+def check_int(value, name: str) -> None:
+    """``value`` must be an int; a bool, a float or a Fraction is not one."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def check_order(order: int) -> None:
-    """A horizon q**order needs order >= 0."""
+    """A horizon q**order needs an int order >= 0."""
+    check_int(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")

@@ -7,26 +7,32 @@ exponent ``<= order`` and unknown beyond it.  ``order = None`` means the
 series is an exact Laurent polynomial (known everywhere, zero off-support).
 
 Coefficients are Python ints whenever possible and ``fractions.Fraction``
-otherwise; the hot loops (``mul_binomial`` / ``div_binomial`` with int unit
-coefficients) never leave the integers.
+otherwise; a scalar (``scale``, ``monomial``) is an int or a Fraction, never
+a float.
+
+A binomial is 1 - c * q**e with e >= 1 and c the int 1 or -1: the
+q-Pochhammer factors 1 - q**e and 1 + q**e of a q-hypergeometric term ratio
+are the only binomials the engine writes.  Every binomial operation refuses
+any other c, 0, 2, ``Fraction(1)`` and ``True`` included, with
+``ValueError`` before it touches its input, so every binomial pass is
+additions and subtractions alone.
 
 The per-coefficient work runs in C-level slice operations, not Python
 loops: ``__add__`` and ``mul_binomial`` are one ``map`` over aligned
-slices, and ``div_binomial`` by 1 - q**e or 1 + q**e is a prefix sum along
-each residue class of the index mod e or one pass of block sums or
-differences (see ``div_binomial_into``); division by any other binomial,
-which no engine path makes, is the per-index loop.  The two binomial
-kernels also work in place on a bare coefficient list (``mul_binomial_into``,
-``div_binomial_into``), and refuse a list longer than its horizon, whose
-tail they would leave as it is; ``apply_binomials_into`` multiplies such a list
-by a list of binomials and divides it by another: that is how ``chain``
-sums its ratio chains and ``bailey`` builds its levels without building a
-series per term.  Each coefficient is the one the plain per-index loop
-gives, type included.  ``first_mismatch`` cuts the compared range at the
-ends of both stored runs and compares each piece as two slices (or checks
-with ``any`` that the one stored slice is zero), so no padded copy is
-built and only a piece that differs is walked exponent by exponent; a piece
-that is a series' whole stored run is compared without copying it.
+slices, and ``div_binomial`` is a prefix sum along each residue class of
+the index mod e or one pass of block sums or differences (see
+``div_binomial_into``).  The two binomial kernels also work in place on a
+bare coefficient list (``mul_binomial_into``, ``div_binomial_into``), and
+refuse a list longer than its horizon, whose tail they would leave as it
+is; ``apply_binomials_into`` multiplies such a list by a list of binomials
+and divides it by another: that is how ``chain`` sums its ratio chains and
+``bailey`` builds its levels without building a series per term.  Each
+coefficient is the one the plain per-index loop gives, type included.
+``first_mismatch`` cuts the compared range at the ends of both stored runs
+and compares each piece as two slices (or checks with ``any`` that the one
+stored slice is zero), so no padded copy is built and only a piece that
+differs is walked exponent by exponent; a piece that is a series' whole
+stored run is compared without copying it.
 
 A series owns its coefficient list.  ``LaurentSeries(...)`` copies what it
 is given; an operation that has just built a list hands it over through the
@@ -68,38 +74,42 @@ def _norm(x: Coeff) -> Coeff:
     return x
 
 
-def _check_horizon(buf: list, e: int, m: int) -> None:
-    """The arguments both binomial kernels refuse: an exponent below 1, and a
-    list longer than the horizon m, whose tail the kernel would leave as it is."""
+def _check_binomial(c: int, e: int) -> None:
+    """The binomials every binomial operation refuses: c anything but the
+    int 1 or -1 (a bool, a float or a Fraction is not one), or e below 1."""
+    if type(c) is not int or c not in (1, -1):
+        raise ValueError(f"binomial coefficient must be the int 1 or -1, got {c!r}")
     if e < 1:
         raise ValueError("binomial exponent must be >= 1")
+
+
+def _check_horizon(buf: list, c: int, e: int, m: int) -> None:
+    """The arguments both binomial kernels refuse: a binomial ``_check_binomial``
+    refuses, and a list longer than the horizon m, whose tail the kernel
+    would leave as it is."""
+    _check_binomial(c, e)
     if len(buf) > m:
         raise ValueError(f"coefficient list of length {len(buf)} is longer than the horizon {m}")
 
 
-def mul_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
-    """Multiply the coefficient list ``buf`` by (1 - c * q**e) in place.
+def mul_binomial_into(buf: list, c: int, e: int, m: int) -> None:
+    """Multiply the coefficient list ``buf`` by (1 - c * q**e) in place, c = 1 or -1.
 
     Index i stands for q**i; coefficients from index ``m`` on are beyond the
     horizon and are not produced.  ``buf`` grows by up to e zeros first; a
     ``buf`` longer than ``m`` raises ``ValueError``, as its tail would stay
-    unmultiplied.  Every right-hand slice is a copy taken before the
-    assignment, so the update reads the old coefficients.  Only an int c of
-    1 or -1 skips the products; a ``Fraction`` c makes them, as the
-    per-index loop does.
+    unmultiplied.  The update is one ``map`` of ``sub`` (c = 1) or ``add``
+    (c = -1) over a copy of the low slice taken before the assignment, so
+    it reads the old coefficients.
     """
-    _check_horizon(buf, e, m)
+    _check_horizon(buf, c, e, m)
     n = len(buf)
     m = min(n + e, m)
     if m <= e:
         return
     if m > n:
         buf.extend(repeat(0, m - n))
-    low = buf[:m - e]
-    if type(c) is int and c in (1, -1):
-        buf[e:m] = map(sub if c == 1 else add, buf[e:m], low)
-    else:
-        buf[e:m] = map(sub, buf[e:m], map(mul, repeat(c), low))
+    buf[e:m] = map(sub if c == 1 else add, buf[e:m], buf[:m - e])
 
 
 # Division by 1 + q**e with e at least this takes one block pass; below it,
@@ -113,28 +123,23 @@ def mul_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
 _NEG_BLOCK_MIN_E = 14
 
 
-def div_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
-    """Divide the coefficient list ``buf`` by (1 - c * q**e) in place, through index m - 1.
+def div_binomial_into(buf: list, c: int, e: int, m: int) -> None:
+    """Divide the coefficient list ``buf`` by (1 - c * q**e) in place, c = 1
+    or -1, through index m - 1.
 
     ``buf`` is padded with zeros to length ``m``; a longer ``buf`` raises
     ``ValueError``, as its tail would stay undivided.  The quotient is the
-    per-index loop out[i] = buf[i] + c * out[i - e], which every c but an
-    int 1 or -1 takes as it is (no engine path passes another c; a
-    ``Fraction`` c makes the loop's products even when it is 1 or -1).  An
-    int unit c takes slice passes instead.  With c = 1 and e*e <= 4*m there
-    are few long residue classes of the index mod e, each summed as one
-    strided slice by ``accumulate``; otherwise there are few blocks of e
-    consecutive indices, each updated from the block before it by one
-    ``map`` of ``add`` (c = 1) or ``sub`` (c = -1).  Division by 1 + q**e
-    with e below ``_NEG_BLOCK_MIN_E`` is multiplication by 1 - q**e and
-    division by 1 - q**(2e), which keeps it on the c = 1 routes.
+    per-index loop out[i] = buf[i] + c * out[i - e], made by slice passes.
+    With c = 1 and e*e <= 4*m there are few long residue classes of the
+    index mod e, each summed as one strided slice by ``accumulate``;
+    otherwise there are few blocks of e consecutive indices, each updated
+    from the block before it by one ``map`` of ``add`` (c = 1) or ``sub``
+    (c = -1).  Division by 1 + q**e with e below ``_NEG_BLOCK_MIN_E`` is
+    multiplication by 1 - q**e and division by 1 - q**(2e), which keeps it
+    on the c = 1 routes.
     """
-    _check_horizon(buf, e, m)
+    _check_horizon(buf, c, e, m)
     buf.extend(repeat(0, m - len(buf)))
-    if type(c) is not int or c not in (1, -1):
-        for i in range(e, m):
-            buf[i] += c * buf[i - e]
-        return
     if c == -1 and e < _NEG_BLOCK_MIN_E:
         mul_binomial_into(buf, 1, e, m)
         c, e = 1, 2 * e
@@ -149,7 +154,10 @@ def div_binomial_into(buf: list, c: Coeff, e: int, m: int) -> None:
 
 def apply_binomials_into(buf: list, num, den, m: int) -> None:
     """Multiply ``buf`` by (1 - c * q**e) for each (c, e) of ``num``, then
-    divide it by the same for each of ``den``, in place, through index m - 1."""
+    divide it by the same for each of ``den``, in place, through index m - 1.
+    Every binomial is checked before the first pass."""
+    for c, e in (*num, *den):
+        _check_binomial(c, e)
     for c, e in num:
         mul_binomial_into(buf, c, e, m)
     for c, e in den:
@@ -203,9 +211,8 @@ class LaurentSeries:
 
     @classmethod
     def monomial(cls, c: Coeff = 1, e: int = 0, order: int | None = None) -> "LaurentSeries":
-        if order is not None and e > order:
-            return cls.zero(order)
-        return cls(e, [_norm(c)], order)
+        """c * q**e: q**e scaled by c, zero if e lies beyond ``order``."""
+        return (cls.zero(order) if order is not None and e > order else cls(e, [1], order)).scale(c)
 
     @classmethod
     def from_items(cls, items: Iterable[tuple[int, Coeff]], order: int | None = None) -> "LaurentSeries":
@@ -309,10 +316,12 @@ class LaurentSeries:
     def scale(self, c: Coeff) -> "LaurentSeries":
         """Multiply every coefficient by the constant c.
 
-        Every coefficient that comes out integral is an int, whatever c is:
-        an integral c over int coefficients is one ``map`` (none for c = 1),
-        and anything else goes through ``_norm``.
+        c is an int or a Fraction.  Every coefficient that comes out integral
+        is an int, whatever c is: an integral c over int coefficients is one
+        ``map`` (none for c = 1), and anything else goes through ``_norm``.
         """
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"scalar must be an int or a Fraction, got {type(c).__name__}")
         if not c:
             return LaurentSeries.zero(self.order)
         if c != int(c) or Fraction in map(type, self.coeffs):
@@ -324,43 +333,31 @@ class LaurentSeries:
         order = None if self.order is None else self.order + e
         return LaurentSeries(self.offset + e, self.scale(c).coeffs, order)
 
-    def mul_binomial(self, c: Coeff, e: int) -> "LaurentSeries":
-        """Multiply by (1 - c * q**e), e >= 1.  Exact; order is preserved."""
-        if e < 1:
-            raise ValueError("binomial exponent must be >= 1")
-        if self.is_zero() or not c:
-            return self
-        co = self.coeffs
-        n = len(co)
-        if self.order is None:
-            m = n + e
-        else:
-            m = min(n + e, self.order - self.offset + 1)
+    def mul_binomial(self, c: int, e: int) -> "LaurentSeries":
+        """Multiply by (1 - c * q**e), c = 1 or -1, e >= 1.  Exact; order is preserved."""
+        _check_binomial(c, e)
+        m = len(self.coeffs) + e
+        if self.order is not None:
+            m = min(m, self.order - self.offset + 1)
         if m <= e:
-            # the shifted copy lies entirely beyond the horizon
+            # the shifted copy lies entirely beyond the horizon (or is zero)
             return self
-        out = co[:m]
+        out = self.coeffs[:m]
         mul_binomial_into(out, c, e, m)
         return LaurentSeries._adopt(self.offset, out, self.order)
 
-    def div_binomial(self, c: Coeff, e: int, order: int | None = None) -> "LaurentSeries":
-        """Divide by (1 - c * q**e), e >= 1, truncating at ``order``.
+    def div_binomial(self, c: int, e: int, order: int | None = None) -> "LaurentSeries":
+        """Divide by (1 - c * q**e), c = 1 or -1, e >= 1, truncating at ``order``.
 
         The quotient is an infinite series, so a finite horizon is required:
         either the series already has one or ``order`` must be given.
         """
-        if e < 1:
-            raise ValueError("binomial exponent must be >= 1")
-        if order is None:
-            order = self.order
-        elif self.order is not None:
-            order = min(order, self.order)
+        _check_binomial(c, e)
+        order = _min_order(order, self.order)
         if self.is_zero():
             return LaurentSeries.zero(order)
         if order is None:
             raise ValueError("dividing by a binomial needs a truncation order")
-        if not c:
-            return self.truncate(order)
         m = order - self.offset + 1
         if m <= 0:
             return LaurentSeries.zero(order)

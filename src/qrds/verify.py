@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bailey import alpha_side, bailey_step, pair_catalog
-from .catalog import eval_named, eval_plan, pipeline
+from .catalog import eval_named, eval_plan, normalize_id, pipeline
 from .errors import InvariantViolation, UnknownId, check_order
 from .hecke import eval_blocks, hecke_catalog
 from .ideals import IdealQuery, class_series, ideal_counts
@@ -363,8 +363,11 @@ def check_support_residue(index: int, order: int = 400) -> bool:
 
 
 def lacunarity_report(series_id: str, order: int) -> dict:
-    """Dyadic nonzero-density profile of a named series; descriptive only."""
-    f = eval_named(series_id, order)
+    """Dyadic nonzero-density profile of a named series; descriptive only.
+    The id is read as ``normalize_id`` reads it and reported as its key."""
+    check_order(order)
+    key = normalize_id(series_id)
+    f = eval_named(key, order)
 
     def window(lo: int, hi: int) -> list:  # the coefficients of q^lo .. q^hi
         return f.coeffs[max(0, lo - f.offset):max(0, hi + 1 - f.offset)]
@@ -385,7 +388,7 @@ def lacunarity_report(series_id: str, order: int) -> dict:
         lo *= 2
     values = Counter(map(str, filter(None, window(0, order))))
     return {
-        "id": series_id,
+        "id": key,
         "order": order,
         "windows": windows,
         "values": dict(sorted(values.items(), key=lambda kv: (len(kv[0]), kv[0]))),

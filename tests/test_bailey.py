@@ -446,8 +446,8 @@ def test_no_engine_path_uses_a_streak_sum(monkeypatch):
 
 
 def test_every_engine_binomial_kernel_call_has_an_int_unit_c(monkeypatch):
-    # div_binomial_into has slice routes only for an int c of 1 or -1 and
-    # runs the per-index loop for every other c, so the engine must pass no other
+    # a binomial is 1 - c * q**e with c the int 1 or -1, and the kernels
+    # refuse any other c: every call the engine makes must pass one of the two
     seen = []
 
     def record(kernel):

@@ -3,10 +3,10 @@
 Each digest is the sha256 of the offsets, horizons, coefficients and
 coefficient types of a series at several orders, or of the error raised;
 the ``verify_all`` digests are those of its JSON payloads without timings,
-at orders 400 and 1500, and the pair digest that of every catalog pair's
-closed forms for m < 60.  The long-list digests pin Z2, Z3 and Z4 through
-q^1000 and SIGMA's lacunarity report at 10^4, where the kernel's passes run
-over long lists.
+at orders 400, 1500 and 3000, and the pair digest that of every catalog
+pair's closed forms for m < 60.  The long-list digests pin Z2, Z3, Z4 and Z5
+through q^1000 (Z5's chain of q^1 steps runs the longest lists) and SIGMA's
+lacunarity report at 10^4, where the kernel's passes run over long lists.
 Regenerate the table with ``python tests/test_pinned_outputs.py`` only when
 a change of output is intended, and say why in the change log.
 """
@@ -24,7 +24,7 @@ SERIES_ORDERS = tuple(range(41)) + (97, 200, 333)
 FORM_ORDERS = (0, 7, 60, 150)
 PAIR_LEVELS = 60
 FORMS = ("A1", "A1ALSO", "AQ", "AQALSO")
-LONG_IDS = ("Z2", "Z3", "Z4")
+LONG_IDS = ("Z2", "Z3", "Z4", "Z5")
 LONG_ORDER = 1000
 LACUNARITY_ORDER = 10000
 
@@ -88,6 +88,8 @@ PINNED_VERIFY_ALL_400 = "4a6b96758bd2ebb36940e4dfbd1ad1c1bc5975d28b2aef4f3cc4b5a
 
 PINNED_VERIFY_ALL_1500 = "3015788254d385f1c153ecf195fb6311c7845e8b6e8650f7f854450ee7a2ebaf"
 
+PINNED_VERIFY_ALL_3000 = "5157b5a0d3fd17728d4a999098cd9c4aa820bb45ed75966d47e484eba5fa974d"
+
 PINNED_PAIRS = "435c25db81ebcf3a504d6df9e8155f0336aa67b7a15a8d9cf3928eaf5826a2db"
 
 PINNED_LACUNARITY = "1ddbb1117ab6ee9c4616b35c01394af5191b1999dd5c4f521c04a7164ae238ba"
@@ -96,6 +98,7 @@ PINNED_LONG = {
     "Z2": "5a618c5d3160981a4772896440a92952e3f05614791ba29abed022d7d4a028b9",
     "Z3": "bf2d379b37e5a6ef102533ea8f87e42007742ffdeef664d6f6a35d2f7324e9fe",
     "Z4": "1d2a1bdbef42c040b8a2a73df7f51b71e23ff8049cffc2cd3b9ddb6579c7fbd4",
+    "Z5": "26ec3add508b0e26b52cbebba1e0755a17ac6ae1795733cc6592603ee9688335",
 }
 
 PINNED_SERIES = {
@@ -189,9 +192,14 @@ def test_verify_all_pinned_at_1500():
     assert verify_all_digest(1500) == PINNED_VERIFY_ALL_1500
 
 
+def test_verify_all_pinned_at_3000():
+    assert verify_all_digest(3000) == PINNED_VERIFY_ALL_3000
+
+
 if __name__ == "__main__":
     print(f'PINNED_VERIFY_ALL_400 = "{verify_all_digest(400)}"\n')
     print(f'PINNED_VERIFY_ALL_1500 = "{verify_all_digest(1500)}"\n')
+    print(f'PINNED_VERIFY_ALL_3000 = "{verify_all_digest(3000)}"\n')
     print(f'PINNED_PAIRS = "{pairs_digest()}"\n')
     print(f'PINNED_LACUNARITY = "{lacunarity_digest()}"\n')
     print("PINNED_LONG = {")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qrds.series as series
-from qrds.series import LaurentSeries, UnknownCoefficient, div_binomial_into, first_mismatch, mul_binomial_into
+from qrds.series import (LaurentSeries, UnknownCoefficient, apply_binomials_into, div_binomial_into, first_mismatch,
+                         mul_binomial_into)
 
 
 def poly(*items):
@@ -87,7 +89,7 @@ def _owned_results():
         ("mul", f * g, (f, g)),
         ("scale", h.scale(Fraction(2, 3)), (h,)),
         ("mul_binomial", f.mul_binomial(1, 2), (f,)),
-        ("mul_binomial c=3", f.mul_binomial(3, 1), (f,)),
+        ("mul_binomial c=-1", f.mul_binomial(-1, 1), (f,)),
         ("div_binomial", f.div_binomial(1, 2), (f,)),
         ("div_binomial c=-1", g.div_binomial(-1, 20, order=40), (g,)),
         ("alternate", f.alternate(), (f,)),
@@ -249,7 +251,7 @@ def _ref_mul_binomial(f, c, e):
     co = f.coeffs
     n = len(co)
     m = n + e if f.order is None else min(n + e, f.order - f.offset + 1)
-    if not co or not c or m <= e:
+    if not co or m <= e:
         return f
     out = co[:m] + [0] * (m - n)
     for i in range(e, m):
@@ -262,8 +264,6 @@ def _ref_div_binomial(f, c, e, order):
         order = f.order
     if not f.coeffs:
         return LaurentSeries.zero(order)
-    if not c:
-        return f.truncate(order)
     m = order - f.offset + 1
     if m <= 0:
         return LaurentSeries.zero(order)
@@ -327,11 +327,11 @@ def horizon_series(draw):
     return f.truncate(draw(st.integers(min_value=offset - 3, max_value=offset + len(co) + 15)))
 
 
-# Fraction(1) and Fraction(-1) make products where the int units do not
-multipliers = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(1), Fraction(-1)])
-# up to past every series length, so an int c = 1 meets both the strided
+# a binomial is 1 - c * q**e with c the int 1 or -1 (any other c raises)
+multipliers = st.sampled_from([1, -1])
+# up to past every series length, so c = 1 meets both the strided
 # (e*e <= 4*m) and the block-wise route of div_binomial, and c = -1 both
-# sides of _NEG_BLOCK_MIN_E; every other multiplier takes the per-index loop
+# sides of _NEG_BLOCK_MIN_E
 exponents = st.integers(min_value=1, max_value=80)
 
 
@@ -438,7 +438,7 @@ def test_div_binomial_switches_strategy_on_exponent():
     # m = 41 coefficients: e = 12 sums strided classes, e = 13 whole blocks
     f = LaurentSeries(0, list(range(1, 30)), 40)
     for e in (1, 2, 12, 13, 20, 40, 41):
-        for c in (1, -1, 2):
+        for c in (1, -1):
             assert shape(f.div_binomial(c, e)) == shape(_ref_div_binomial(f, c, e, None))
 
 
@@ -450,41 +450,47 @@ def _ref_div_list(buf, c, e, m):
     return out
 
 
-def _assert_div_list_matches_the_loop(c, m, exponents):
-    """``div_binomial_into`` against ``_ref_div_list`` at each exponent, types
-    compared, on an int list and a mixed one, both padded by the kernel."""
+def _lists(m):
+    """An int list of m - 3 coefficients, and the same list with every
+    seventh coefficient a Fraction."""
     rng = random.Random(m)
     ints = [rng.randint(-9, 9) for _ in range(m - 3)]
-    mixed = [Fraction(v, 2) if i % 7 == 3 else v for i, v in enumerate(ints)]
+    return {"int": ints, "Fraction": [Fraction(v, 2) if i % 7 == 3 else v for i, v in enumerate(ints)]}
+
+
+def _assert_div_list_matches_the_loop(c, m, exponents, bufs):
+    """``div_binomial_into`` against ``_ref_div_list`` at each exponent, types
+    compared, on each list of ``bufs``, padded by the kernel."""
     for e in exponents:
-        for buf in (ints, mixed):
+        for buf in bufs:
             got = buf[:]
             div_binomial_into(got, c, e, m)
             want = _ref_div_list(buf, c, e, m)
-            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (e, buf is mixed)
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (e, buf)
 
 
 @pytest.mark.parametrize("m", [41, 1000])
-@pytest.mark.parametrize("c", [-1, Fraction(-1)], ids=["int", "Fraction"])
-def test_div_by_one_plus_q_e_matches_the_loop_around_the_crossover(c, m):
-    # an int c = -1 takes one block pass from e = _NEG_BLOCK_MIN_E on and
-    # two unit passes below it; a Fraction(-1) takes the per-index loop, whose
-    # products give Fractions; e >= m leaves the list padded
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_div_by_one_plus_q_e_matches_the_loop_around_the_crossover(kind, m):
+    # c = -1 takes one block pass from e = _NEG_BLOCK_MIN_E on and two unit
+    # passes below it, on an int list and on one holding Fractions alike;
+    # e >= m leaves the list padded
     x = series._NEG_BLOCK_MIN_E
-    _assert_div_list_matches_the_loop(c, m, (1, 2, x - 2, x - 1, x, x + 1, 2 * x, m - 1, m, m + 5))
+    _assert_div_list_matches_the_loop(-1, m, (1, 2, x - 2, x - 1, x, x + 1, 2 * x, m - 1, m, m + 5), [_lists(m)[kind]])
 
 
 @pytest.mark.parametrize("m", [41, 1000])
-@pytest.mark.parametrize("c", [1, 2, -3, Fraction(1, 2)], ids=["1", "2", "-3", "half"])
+@pytest.mark.parametrize("c", [1, -1], ids=["1", "-1"])
 def test_div_binomial_into_matches_the_loop_on_both_sides_of_the_strided_bound(c, m):
-    # an int c = 1 sums residue classes while e*e <= 4*m and whole blocks of
-    # e past it, the last one partial, as m is a multiple of none of these e;
-    # every other c takes the per-index loop
+    # c = 1 sums residue classes while e*e <= 4*m and whole blocks of e past
+    # it, the last one partial, as m is a multiple of none of these e; c = -1
+    # meets both sides of _NEG_BLOCK_MIN_E at m = 41
     b = math.isqrt(4 * m)  # the largest e with e*e <= 4*m
-    _assert_div_list_matches_the_loop(c, m, (1, 2, b - 1, b, b + 1, b + 2, m // 3, m - 1, m, m + 5))
+    _assert_div_list_matches_the_loop(c, m, (1, 2, b - 1, b, b + 1, b + 2, m // 3, m - 1, m, m + 5),
+                                      _lists(m).values())
 
 
-@pytest.mark.parametrize("c", [1, -1, 2])
+@pytest.mark.parametrize("c", [1, -1])
 def test_div_binomial_into_rejects_a_list_longer_than_its_horizon(c):
     # its tail past the horizon would stay undivided
     buf = [1, 2, 3, 4]
@@ -493,13 +499,65 @@ def test_div_binomial_into_rejects_a_list_longer_than_its_horizon(c):
     assert buf == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("c", [1, -1, 2])
+@pytest.mark.parametrize("c", [1, -1])
 def test_mul_binomial_into_rejects_a_list_longer_than_its_horizon(c):
     # its tail past the horizon would stay unmultiplied
     buf = [1, 2, 3, 4]
     with pytest.raises(ValueError, match="^coefficient list of length 4 is longer than the horizon 2$"):
         mul_binomial_into(buf, c, 1, 2)
     assert buf == [1, 2, 3, 4]
+
+
+def _binomial_operations(c, e, buf, f):
+    """Every binomial operation once, with the binomial (c, e): both list
+    kernels and ``apply_binomials_into`` on ``buf`` (a unit binomial first
+    in each of its lists), and both methods on ``f``."""
+    return {
+        "mul_binomial_into": lambda: mul_binomial_into(buf, c, e, 8),
+        "div_binomial_into": lambda: div_binomial_into(buf, c, e, 8),
+        "apply_binomials_into num": lambda: apply_binomials_into(buf, [(1, 2), (c, e)], [(1, 1)], 8),
+        "apply_binomials_into den": lambda: apply_binomials_into(buf, [(1, 2)], [(-1, 1), (c, e)], 8),
+        "mul_binomial": lambda: f.mul_binomial(c, e),
+        "div_binomial": lambda: f.div_binomial(c, e),
+    }
+
+
+_OPERATIONS = list(_binomial_operations(1, 1, [], None))
+
+
+@pytest.mark.parametrize("c", [0, 2, -3, Fraction(1, 2), Fraction(1), Fraction(-1), True, 1.0], ids=repr)
+@pytest.mark.parametrize("op", _OPERATIONS)
+def test_binomial_operations_refuse_a_c_that_is_not_an_int_unit(op, c):
+    """A binomial is 1 - c * q**e with c the int 1 or -1; any other c is
+    refused before the list or series is touched, on a zero series too."""
+    for f in (LaurentSeries(0, [1, 2, 3], 7), LaurentSeries.zero(7), LaurentSeries.zero(None)):
+        buf, before = [1, 2, 3], shape(f)
+        with pytest.raises(ValueError, match=f"^binomial coefficient must be the int 1 or -1, got {re.escape(repr(c))}$"):
+            _binomial_operations(c, 1, buf, f)[op]()
+        assert buf == [1, 2, 3] and shape(f) == before
+
+
+@pytest.mark.parametrize("op", _OPERATIONS)
+def test_binomial_operations_refuse_an_exponent_below_one(op):
+    for e in (0, -1):
+        buf, f = [1, 2, 3], LaurentSeries(0, [1, 2, 3], 7)
+        with pytest.raises(ValueError, match="^binomial exponent must be >= 1$"):
+            _binomial_operations(1, e, buf, f)[op]()
+        assert buf == [1, 2, 3] and shape(f) == (0, 7, [(int, 1), (int, 2), (int, 3)])
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, "2", None, complex(1)], ids=repr)
+def test_scalars_are_ints_or_fractions(c):
+    # a float would store inexact coefficients in an exact series
+    f = LaurentSeries(0, [2, 4], 10)
+    with pytest.raises(TypeError, match=r"^scalar must be an int or a Fraction, got \w+$"):
+        f.scale(c)
+    with pytest.raises(TypeError, match=r"^scalar must be an int or a Fraction, got \w+$"):
+        f.mul_monomial(c, 2)
+    for e in (0, 4):  # q**4 lies beyond the horizon 3
+        with pytest.raises(TypeError, match=r"^scalar must be an int or a Fraction, got \w+$"):
+            LaurentSeries.monomial(c, e, 3)
+    assert shape(f) == (0, 10, [(int, 2), (int, 4)])
 
 
 def _snapshot(*fs):

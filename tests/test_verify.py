@@ -1,5 +1,6 @@
 """End-to-end verification reports: legs, payloads, fault detection."""
 
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -12,8 +13,11 @@ import qrds.catalog as catalog
 import qrds.chain as chain
 import qrds.ideals as ideals
 import qrds.verify as verify_mod
+from qrds.bailey import bailey_step, limit_form, pair_catalog, verify_pair_relation
 from qrds.catalog import eval_named, eval_plan
 from qrds.errors import InvariantViolation, UnknownId
+from qrds.hecke import eval_blocks, hecke_catalog
+from qrds.ideals import IdealQuery, ideal_series
 from qrds.series import LaurentSeries
 from qrds.verify import (
     base_order_for,
@@ -152,6 +156,44 @@ def test_negative_order_raises_before_any_sum(monkeypatch):
     for check in checks:
         with pytest.raises(ValueError, match="order must be >= 0"):
             check()
+
+
+def _order_entries():
+    """(name, entry as a function of one horizon) for every public entry
+    point that takes one; ``verify_pair_relation`` once per horizon argument."""
+    stepped = bailey_step(pair_catalog("BK1"))
+    entries = [
+        ("verify_all", verify_all),
+        ("verify_sigma", verify_sigma),
+        ("lacunarity_report", lambda n: lacunarity_report("SIGMA", n)),
+        ("eval_named", lambda n: eval_named("SIGMA", n)),
+        ("eval_blocks", lambda n: eval_blocks(hecke_catalog("SIGMA"), n)),
+        ("ideal_series", lambda n: ideal_series(IdealQuery(2, 7, 32), n)),
+        ("limit_form", lambda n: limit_form(stepped, "A1", n)),
+        ("verify_pair_relation order", lambda n: verify_pair_relation(stepped, 5, n)),
+        ("verify_pair_relation n_max", lambda n: verify_pair_relation(stepped, n, 5)),
+    ]
+    entries += [(f"verify_corollary {j}", lambda n, j=j: verify_corollary(j, n)) for j in range(1, 5)]
+    entries += [(f"verify_theorem {i}", lambda n, i=i: verify_theorem(i, n)) for i in range(1, 13)]
+    entries += [(f"check_support_residue {i}", lambda n, i=i: check_support_residue(i, n)) for i in range(1, 13)]
+    return entries
+
+
+@pytest.mark.parametrize("order", [True, False, 10.0, 5.5, Fraction(10), "10", None], ids=repr)
+def test_a_horizon_that_is_not_an_int_raises_before_any_sum(monkeypatch, order):
+    # a bool is an int to isinstance, and verify_theorem(1, True) once
+    # reported the order true; a float failed deep inside with an unrelated error
+    _no_sums(monkeypatch)
+    for name, entry in _order_entries():
+        with pytest.raises(TypeError, match=f"^(order|n_max) must be an int, got {re.escape(repr(order))}$"):
+            entry(order)
+
+
+def test_lacunarity_report_reads_its_id_as_every_entry_point_does():
+    assert lacunarity_report(" z5 ", 16) == lacunarity_report("Z5", 16)
+    assert lacunarity_report("sigma", 16)["id"] == "SIGMA"
+    with pytest.raises(UnknownId, match="^\"unknown series id 'L13'\"$"):
+        lacunarity_report("L13", 16)
 
 
 def test_fault_injection(monkeypatch):
@@ -602,7 +644,7 @@ def test_unused_pipeline_fails_every_pipeline_leg(monkeypatch, theorem_sums, lab
 
 def test_lacunarity_report_shape():
     payload = lacunarity_report("sigma", 100)
-    assert payload["id"] == "sigma"
+    assert payload["id"] == "SIGMA"
     assert payload["order"] == 100
     wins = payload["windows"]
     assert [w["lo"] for w in wins] == [1, 2, 4, 8, 16, 32, 64]
