@@ -13,7 +13,9 @@ each reader of beta reads the same forms.
 
 Every side is built on bare int lists by one level builder, ``_level``:
 the closed-form items of alpha_n or beta_n on a list through q**order,
-times and divided by binomials in place.  ``verify_pair_relation`` checks
+times and divided by binomials in place.  Every binomial pass here, the
+relation check's included, goes through the series' one list kernel,
+``apply_binomials_into``.  ``verify_pair_relation`` checks
 the relation coefficient-by-coefficient with both sides multiplied by the
 unit (aq)_{2n}: the alpha side is then one Horner sum in k over the closed
 forms of alpha_k, two binomial passes per k on one list that starts at the
@@ -61,7 +63,7 @@ from .catalog import _FAMILIES
 from .chain import Family, Member, Ratio, cancel, factor_ratio, ratio_sum, sgn
 from .errors import (Beta0NotZero, FormPairMismatch, InvariantViolation, UnknownId, UnknownPair,
                      check_int, check_order, lookup)
-from .series import LaurentSeries, apply_binomials_into, div_binomial_into, first_mismatch
+from .series import LaurentSeries, apply_binomials_into, first_mismatch
 
 __all__ = [
     "BaileyPair",
@@ -300,7 +302,7 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
             betas, rest = [_level(items, *cancel((1, 0, num + unit, den))[2:], order)], ()
         else:  # beta'_n sums every beta_k, so U_n multiplies the sum
             for k, (_, buf) in enumerate(betas):
-                div_binomial_into(buf, 1, n - k, len(buf))
+                apply_binomials_into(buf, (), ((1, n - k),), len(buf))
             betas.append(_level(items, num, den, order))
             rest = unit
         vb = min(v for v, _ in betas)

@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import chain
-from .errors import NoStabilization, UnknownId, check_order, lookup
+from .errors import NoStabilization, UnknownId, check_int, check_order, lookup
 from .series import LaurentSeries
 
 _HALF = Fraction(1, 2)
@@ -306,8 +306,10 @@ def eval_named(series_id: str, order: int, star_budget: int | None = None) -> La
     more raises NoStabilization.
     """
     check_order(order)
-    if star_budget is not None and star_budget < 0:
-        raise ValueError("star_budget must be >= 0")
+    if star_budget is not None:
+        check_int(star_budget, "star_budget")
+        if star_budget < 0:
+            raise ValueError("star_budget must be >= 0")
     key = normalize_id(series_id)
     if key in _SINGLES:
         return chain.single_sum(*_SINGLES[key], order, star_budget)

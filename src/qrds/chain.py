@@ -8,8 +8,10 @@ sum is 1 + r(n0) * (1 + r(n0 + 1) * (...)) times its first term
 side, has terms T(n, k) = S_n * P_k / (q)_{n-k}; its column k is such a
 chain, and the columns fold outwards the same way, column k + 1 entering
 column k with the ratio of the diagonal terms (``ratio_sum``).  Each level
-works on one plain int list in place with the series kernel's list
-operations; nothing is added row by row.
+works on one plain int list in place; every binomial pass, a level's
+ratio, a column's scale or a derived column's division, goes through the
+series' one list kernel, ``apply_binomials_into``, and nothing is added row
+by row.
 
 A family (``Family``) is one limit form's record: its S ratio, its column
 ratio and scale, the three-term relation of its columns, its valuation
@@ -52,7 +54,7 @@ from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .errors import InvariantViolation, NoStabilization
-from .series import LaurentSeries, apply_binomials_into, div_binomial_into
+from .series import LaurentSeries, apply_binomials_into
 
 # a ratio is (c, e, num, den): multiply by c*q^e, then by (1 - cc*q^ee) for
 # each (cc, ee) in num, then divide by the same for each entry of den
@@ -214,7 +216,7 @@ def derived(fam: Family, k: int, low: list, high: list, h: int) -> list:
         raise InvariantViolation(
             f"{fam.name} column {k + 2} from columns {k} and {k + 1}: numerator not divisible by q^{b}")
     del num[:b]
-    div_binomial_into(num, 1, c, h + 1)
+    apply_binomials_into(num, (), ((1, c),), h + 1)
     return num
 
 

@@ -6,9 +6,12 @@ invariants is collected here so modules can share them without import cycles.
 
 The input rules are written once, here: ``lookup`` reads a name in a registry
 case- and space-insensitively, ``check_int`` refuses anything but an int
-(``TypeError``), and ``check_order`` refuses a horizon that is not an int or
-is below 0.
+and ``check_exact`` anything but an int or a Fraction (``TypeError``, a bool
+included), and ``check_order`` refuses a horizon that is not an int or is
+below 0.
 """
+
+from fractions import Fraction
 
 __all__ = [
     "UnknownId",
@@ -72,6 +75,12 @@ def check_int(value, name: str) -> None:
     """``value`` must be an int; a bool, a float or a Fraction is not one."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def check_exact(value, name: str) -> None:
+    """``value`` must be an int or a Fraction; a bool or a float is not one."""
+    if type(value) not in (int, Fraction):
+        raise TypeError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
 
 
 def check_order(order: int) -> None:

@@ -33,7 +33,7 @@ from math import isqrt
 from operator import add, mul
 from typing import Iterator
 
-from .errors import InvariantViolation, UnsupportedField, check_order
+from .errors import InvariantViolation, UnsupportedField, check_exact, check_int, check_order
 from .series import Coeff, LaurentSeries
 
 __all__ = [
@@ -143,6 +143,7 @@ def canonical_reps(D: int, m: int) -> list[tuple[int, int]]:
     window implies, and the margin is checked empty afterwards.
     """
     f = field_spec(D)
+    check_int(m, "m")
     if m == 0:
         raise ValueError("m must be nonzero")
     A, B, c = _windows(f)[m < 0]
@@ -254,6 +255,7 @@ def sieve_counts(D: int, limit: int) -> list[int]:
     list of ints.
     """
     delta = field_spec(D).discriminant
+    check_int(limit, "limit")
     if limit < 0:
         return []
     updates = _chi_slices(delta, limit)
@@ -300,11 +302,10 @@ def ideal_series(query: IdealQuery, order: int, weight: Coeff = 1) -> LaurentSer
 
     Both counts of every norm through ``order`` are cross-checked first
     (see ``ideal_counts``), so a miscount raises ``InvariantViolation``.
-    ``weight`` is an int or a Fraction; each coefficient is an int wherever
-    its value is integral.
+    ``weight`` is an int or a Fraction, not a bool; each coefficient is an
+    int wherever its value is integral.
     """
-    if not isinstance(weight, (int, Fraction)):
-        raise TypeError(f"weight must be an int or a Fraction, got {type(weight).__name__}")
+    check_exact(weight, "weight")
     check_order(order)
     return class_series(query, ideal_counts(query.D, order), order, weight)
 

@@ -7,27 +7,31 @@ exponent ``<= order`` and unknown beyond it.  ``order = None`` means the
 series is an exact Laurent polynomial (known everywhere, zero off-support).
 
 Coefficients are Python ints whenever possible and ``fractions.Fraction``
-otherwise; a scalar (``scale``, ``monomial``) is an int or a Fraction, never
-a float.
+otherwise, and ``LaurentSeries(...)`` refuses any other coefficient type
+(``TypeError``); a scalar (``scale``, ``monomial``) is an int or a
+Fraction, never a float or a bool.
 
 A binomial is 1 - c * q**e with e >= 1 and c the int 1 or -1: the
 q-Pochhammer factors 1 - q**e and 1 + q**e of a q-hypergeometric term ratio
 are the only binomials the engine writes.  Every binomial operation refuses
-any other c, 0, 2, ``Fraction(1)`` and ``True`` included, with
-``ValueError`` before it touches its input, so every binomial pass is
-additions and subtractions alone.
+any other c, 0, 2, ``Fraction(1)`` and ``True`` included, and any e that is
+not an int >= 1, with ``ValueError`` before it touches its input, so every
+binomial pass is additions and subtractions alone.
 
 The per-coefficient work runs in C-level slice operations, not Python
-loops: ``__add__`` and ``mul_binomial`` are one ``map`` over aligned
-slices, and ``div_binomial`` is a prefix sum along each residue class of
-the index mod e or one pass of block sums or differences (see
-``div_binomial_into``).  The two binomial kernels also work in place on a
-bare coefficient list (``mul_binomial_into``, ``div_binomial_into``), and
-refuse a list longer than its horizon, whose tail they would leave as it
-is; ``apply_binomials_into`` multiplies such a list by a list of binomials
-and divides it by another: that is how ``chain`` sums its ratio chains and
-``bailey`` builds its levels without building a series per term.  Each
-coefficient is the one the plain per-index loop gives, type included.
+loops: ``__add__`` and a binomial product are one ``map`` over aligned
+slices, and a binomial quotient is a prefix sum along each residue class
+of the index mod e or one pass of block sums or differences (see
+``_div_into``).  Every binomial pass goes through one list kernel,
+``apply_binomials_into``, which multiplies a bare coefficient list by a
+list of binomials and divides it by another, in place: that is how
+``chain`` sums its ratio chains, ``bailey`` builds its levels and
+``mul_binomial``/``div_binomial`` work, without building a series per
+term.  It checks each binomial and the horizon once, before its first
+pass, and refuses a list longer than the horizon, whose tail it would
+leave as it is; the pass bodies ``_mul_into`` and ``_div_into`` check
+nothing.  Each coefficient is the one the plain per-index loop gives, type
+included.
 ``first_mismatch`` cuts the compared range at the ends of both stored runs
 and compares each piece as two slices (or checks with ``any`` that the one
 stored slice is zero), so no padded copy is built and only a piece that
@@ -53,6 +57,8 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Union
 
+from .errors import check_exact
+
 Coeff = Union[int, Fraction]
 
 __all__ = [
@@ -76,33 +82,19 @@ def _norm(x: Coeff) -> Coeff:
 
 def _check_binomial(c: int, e: int) -> None:
     """The binomials every binomial operation refuses: c anything but the
-    int 1 or -1 (a bool, a float or a Fraction is not one), or e below 1."""
+    int 1 or -1, or e anything but an int >= 1 (a bool, a float or a
+    Fraction is not an int)."""
     if type(c) is not int or c not in (1, -1):
         raise ValueError(f"binomial coefficient must be the int 1 or -1, got {c!r}")
-    if e < 1:
-        raise ValueError("binomial exponent must be >= 1")
+    if type(e) is not int or e < 1:
+        raise ValueError(f"binomial exponent must be an int >= 1, got {e!r}")
 
 
-def _check_horizon(buf: list, c: int, e: int, m: int) -> None:
-    """The arguments both binomial kernels refuse: a binomial ``_check_binomial``
-    refuses, and a list longer than the horizon m, whose tail the kernel
-    would leave as it is."""
-    _check_binomial(c, e)
-    if len(buf) > m:
-        raise ValueError(f"coefficient list of length {len(buf)} is longer than the horizon {m}")
-
-
-def mul_binomial_into(buf: list, c: int, e: int, m: int) -> None:
-    """Multiply the coefficient list ``buf`` by (1 - c * q**e) in place, c = 1 or -1.
-
-    Index i stands for q**i; coefficients from index ``m`` on are beyond the
-    horizon and are not produced.  ``buf`` grows by up to e zeros first; a
-    ``buf`` longer than ``m`` raises ``ValueError``, as its tail would stay
-    unmultiplied.  The update is one ``map`` of ``sub`` (c = 1) or ``add``
-    (c = -1) over a copy of the low slice taken before the assignment, so
-    it reads the old coefficients.
-    """
-    _check_horizon(buf, c, e, m)
+def _mul_into(buf: list, c: int, e: int, m: int) -> None:
+    """Multiply ``buf`` by (1 - c * q**e) in place through index m - 1,
+    ``buf`` grown by up to e zeros first: one ``map`` of ``sub`` (c = 1) or
+    ``add`` (c = -1) over a copy of the low slice taken before the
+    assignment, so it reads the old coefficients."""
     n = len(buf)
     m = min(n + e, m)
     if m <= e:
@@ -123,25 +115,22 @@ def mul_binomial_into(buf: list, c: int, e: int, m: int) -> None:
 _NEG_BLOCK_MIN_E = 14
 
 
-def div_binomial_into(buf: list, c: int, e: int, m: int) -> None:
-    """Divide the coefficient list ``buf`` by (1 - c * q**e) in place, c = 1
-    or -1, through index m - 1.
+def _div_into(buf: list, c: int, e: int, m: int) -> None:
+    """Divide ``buf`` by (1 - c * q**e) in place through index m - 1,
+    ``buf`` padded with zeros to length m.
 
-    ``buf`` is padded with zeros to length ``m``; a longer ``buf`` raises
-    ``ValueError``, as its tail would stay undivided.  The quotient is the
-    per-index loop out[i] = buf[i] + c * out[i - e], made by slice passes.
-    With c = 1 and e*e <= 4*m there are few long residue classes of the
-    index mod e, each summed as one strided slice by ``accumulate``;
-    otherwise there are few blocks of e consecutive indices, each updated
-    from the block before it by one ``map`` of ``add`` (c = 1) or ``sub``
-    (c = -1).  Division by 1 + q**e with e below ``_NEG_BLOCK_MIN_E`` is
-    multiplication by 1 - q**e and division by 1 - q**(2e), which keeps it
-    on the c = 1 routes.
+    The quotient is the per-index loop out[i] = buf[i] + c * out[i - e],
+    made by slice passes.  With c = 1 and e*e <= 4*m there are few long
+    residue classes of the index mod e, each summed as one strided slice by
+    ``accumulate``; otherwise there are few blocks of e consecutive indices,
+    each updated from the block before it by one ``map`` of ``add`` (c = 1)
+    or ``sub`` (c = -1).  Division by 1 + q**e with e below
+    ``_NEG_BLOCK_MIN_E`` is multiplication by 1 - q**e and division by
+    1 - q**(2e), which keeps it on the c = 1 routes.
     """
-    _check_horizon(buf, c, e, m)
     buf.extend(repeat(0, m - len(buf)))
     if c == -1 and e < _NEG_BLOCK_MIN_E:
-        mul_binomial_into(buf, 1, e, m)
+        _mul_into(buf, 1, e, m)
         c, e = 1, 2 * e
     if c == 1 and e * e <= 4 * m:
         for r in range(e):
@@ -153,15 +142,24 @@ def div_binomial_into(buf: list, c: int, e: int, m: int) -> None:
 
 
 def apply_binomials_into(buf: list, num, den, m: int) -> None:
-    """Multiply ``buf`` by (1 - c * q**e) for each (c, e) of ``num``, then
-    divide it by the same for each of ``den``, in place, through index m - 1.
-    Every binomial is checked before the first pass."""
+    """Multiply the coefficient list ``buf`` by (1 - c * q**e) for each
+    (c, e) of ``num``, then divide it by the same for each of ``den``, in
+    place, through index m - 1; index i stands for q**i.
+
+    This is the one binomial list kernel.  Every binomial is checked
+    (``_check_binomial``), and so is the horizon, once, before the first
+    pass: a ``buf`` longer than m raises ``ValueError``, as its tail would
+    stay unmultiplied or undivided.  The passes check nothing.  A product
+    grows ``buf`` by up to e zeros, and a quotient pads it to length m.
+    """
     for c, e in (*num, *den):
         _check_binomial(c, e)
+    if len(buf) > m:
+        raise ValueError(f"coefficient list of length {len(buf)} is longer than the horizon {m}")
     for c, e in num:
-        mul_binomial_into(buf, c, e, m)
+        _mul_into(buf, c, e, m)
     for c, e in den:
-        div_binomial_into(buf, c, e, m)
+        _div_into(buf, c, e, m)
 
 
 class LaurentSeries:
@@ -170,12 +168,19 @@ class LaurentSeries:
     __slots__ = ("offset", "coeffs", "order")
 
     def __init__(self, offset: int, coeffs: Iterable[Coeff], order: int | None = None):
-        self._own(offset, list(coeffs), order)
+        co = list(coeffs)
+        bad = set(map(type, co)) - {int, Fraction}
+        if bad:
+            raise TypeError(f"coefficients must be ints or Fractions, got {', '.join(sorted(t.__name__ for t in bad))}")
+        self._own(offset, co, order)
 
     @classmethod
     def _adopt(cls, offset: int, co: list, order: int | None = None) -> "LaurentSeries":
         """The series of ``co``, a list its caller has just built and hands
-        over: trimmed in place as ``__init__`` trims its copy, not copied."""
+        over: trimmed in place as ``__init__`` trims its copy, not copied.
+        Its coefficients are not checked: every caller builds the list from
+        the ints and Fractions of series and scalars already checked, by
+        additions, products and exact divisions."""
         f = object.__new__(cls)
         f._own(offset, co, order)
         return f
@@ -316,12 +321,12 @@ class LaurentSeries:
     def scale(self, c: Coeff) -> "LaurentSeries":
         """Multiply every coefficient by the constant c.
 
-        c is an int or a Fraction.  Every coefficient that comes out integral
-        is an int, whatever c is: an integral c over int coefficients is one
-        ``map`` (none for c = 1), and anything else goes through ``_norm``.
+        c is an int or a Fraction, not a bool (``errors.check_exact``).  Every
+        coefficient that comes out integral is an int, whatever c is: an
+        integral c over int coefficients is one ``map`` (none for c = 1), and
+        anything else goes through ``_norm``.
         """
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"scalar must be an int or a Fraction, got {type(c).__name__}")
+        check_exact(c, "scalar")
         if not c:
             return LaurentSeries.zero(self.order)
         if c != int(c) or Fraction in map(type, self.coeffs):
@@ -343,7 +348,7 @@ class LaurentSeries:
             # the shifted copy lies entirely beyond the horizon (or is zero)
             return self
         out = self.coeffs[:m]
-        mul_binomial_into(out, c, e, m)
+        apply_binomials_into(out, ((c, e),), (), m)
         return LaurentSeries._adopt(self.offset, out, self.order)
 
     def div_binomial(self, c: int, e: int, order: int | None = None) -> "LaurentSeries":
@@ -362,7 +367,7 @@ class LaurentSeries:
         if m <= 0:
             return LaurentSeries.zero(order)
         out = self.coeffs[:m]
-        div_binomial_into(out, c, e, m)
+        apply_binomials_into(out, (), ((c, e),), m)
         return LaurentSeries._adopt(self.offset, out, order)
 
     def truncate(self, order: int | None) -> "LaurentSeries":

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .bailey import alpha_side, bailey_step, pair_catalog
 from .catalog import eval_named, eval_plan, normalize_id, pipeline
-from .errors import InvariantViolation, UnknownId, check_order
+from .errors import InvariantViolation, UnknownId, check_int, check_order
 from .hecke import eval_blocks, hecke_catalog
 from .ideals import IdealQuery, class_series, ideal_counts
 from .series import LaurentSeries, first_mismatch
@@ -102,10 +102,14 @@ def theorem_table() -> tuple[TheoremSpec, ...]:
     return _THEOREMS
 
 
-def _theorem(index: int) -> TheoremSpec:
-    if not 1 <= index <= len(_THEOREMS):
-        raise UnknownId(f"theorem index must be 1..{len(_THEOREMS)}, got {index}")
-    return _THEOREMS[index - 1]
+def _entry(table: tuple, index: int, what: str):
+    """Entry ``index``, counted from 1, of the theorem or corollary table: the
+    index must be an int (``TypeError``, a bool included) in range
+    (``UnknownId``)."""
+    check_int(index, f"{what} index")
+    if not 1 <= index <= len(table):
+        raise UnknownId(f"{what} index must be 1..{len(table)}, got {index}")
+    return table[index - 1]
 
 
 def _mm_payload(mm):
@@ -190,15 +194,16 @@ class _Corollary:
     alternate: bool = False
 
 
-_COROLLARIES: dict[int, _Corollary] = {
-    1: _Corollary(
+# corollaries 1 to 4, in order
+_COROLLARIES: tuple[_Corollary, ...] = (
+    _Corollary(
         (_Term("Z2"),),
         (_Term("L1", 4, -2), _Term("L2", 4, 1), _Term("L3", 4, -4), _Term("L4", 4, -1)),
     ),
-    2: _Corollary((_Term("Z3", coeff=2),), (_Term("L5", 2, -2, -1), _Term("L6", 2, -1))),
-    3: _Corollary((_Term("Z4"),), (_Term("L7", 2, 0), _Term("L8", 2, -1)), alternate=True),
-    4: _Corollary((_Term("Z5", 2, 0, -2),), (_Term("L6"),)),
-}
+    _Corollary((_Term("Z3", coeff=2),), (_Term("L5", 2, -2, -1), _Term("L6", 2, -1))),
+    _Corollary((_Term("Z4"),), (_Term("L7", 2, 0), _Term("L8", 2, -1)), alternate=True),
+    _Corollary((_Term("Z5", 2, 0, -2),), (_Term("L6"),)),
+)
 
 _SIGMA = _Term("SIGMA")
 
@@ -278,7 +283,7 @@ def _theorem_report(spec: TheoremSpec, plan: _Plan, t0: float) -> VerificationRe
 def verify_theorem(index: int, order: int = 400) -> VerificationReport:
     """Check one dilation/ideal entry at the given horizon, all legs exact."""
     check_order(order)
-    spec = _theorem(index)
+    spec = _entry(_THEOREMS, index, "theorem")
     t0 = time.perf_counter()
     return _theorem_report(spec, _plan(order, [spec], _sum_each), t0)
 
@@ -308,9 +313,7 @@ def verify_corollary(index: int, order: int = 400) -> VerificationReport:
     series Z2..Z5 and the double sums."""
     check_order(order)
     t0 = time.perf_counter()
-    cor = _COROLLARIES.get(index)
-    if cor is None:
-        raise UnknownId(f"corollary index must be 1..{len(_COROLLARIES)}, got {index}")
+    cor = _entry(_COROLLARIES, index, "corollary")
     return _corollary_report(index, cor, _plan(order, cor.lhs + cor.rhs, _sum_each), t0)
 
 
@@ -341,9 +344,9 @@ def verify_all(order: int = 400) -> list[VerificationReport]:
     the plan.
     """
     check_order(order)
-    terms = [_SIGMA, *_THEOREMS, *(term for cor in _COROLLARIES.values() for term in cor.lhs + cor.rhs)]
+    terms = [_SIGMA, *_THEOREMS, *(term for cor in _COROLLARIES for term in cor.lhs + cor.rhs)]
     plan = _plan(order, terms, eval_plan)
-    reports = [_corollary_report(j, cor, plan, time.perf_counter()) for j, cor in _COROLLARIES.items()]
+    reports = [_corollary_report(j, cor, plan, time.perf_counter()) for j, cor in enumerate(_COROLLARIES, 1)]
     reports.append(_sigma_report(plan, time.perf_counter()))
     reports.extend(_theorem_report(spec, plan, time.perf_counter()) for spec in _THEOREMS)
     return sorted(reports, key=lambda r: r.report_id)
@@ -358,7 +361,7 @@ def check_support_residue(index: int, order: int = 400) -> bool:
     theorem's row decides it at every order, whatever the series'
     coefficients are, and no series is summed; ``order`` is only checked."""
     check_order(order)
-    spec = _theorem(index)
+    spec = _entry(_THEOREMS, index, "theorem")
     return spec.dilate % spec.modulus == 0 and (spec.shift - spec.residue) % spec.modulus == 0
 
 

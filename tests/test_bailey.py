@@ -20,7 +20,7 @@ from qrds.bailey import (
 )
 from qrds.catalog import eval_named
 from qrds.errors import Beta0NotZero, FormPairMismatch, UnknownId, UnknownPair
-from qrds.series import LaurentSeries, div_binomial_into, first_mismatch
+from qrds.series import LaurentSeries, apply_binomials_into, first_mismatch
 from qrds.verify import verify_all
 
 from test_acceptance import PIPELINES  # the acceptance gate's own pipeline rows
@@ -157,8 +157,8 @@ def relation_oracle(pair, n_max: int, order: int) -> list:
     alphas, betas, failures = [], [], []
     for n in range(n_max + 1):
         for k, (_, buf) in enumerate(alphas):
-            div_binomial_into(buf, 1, n - k, len(buf))
-            div_binomial_into(buf, 1, a_exp + n + k, len(buf))
+            apply_binomials_into(buf, (), ((1, n - k),), len(buf))
+            apply_binomials_into(buf, (), ((1, a_exp + n + k),), len(buf))
         den = [(1, a_exp + i) for i in range(1 - a_exp, 2 * n + 1)]  # (aq)_{2n}, and 1 - q for a = q
         alphas.append(bailey._level([(e + u(n), c) for e, c in base.alpha_items(n)], (), den, order))
         items = [(base.beta_exp(n) + u(n), -1 if n % 2 else 1)] if n >= base.beta_first else []
@@ -167,7 +167,7 @@ def relation_oracle(pair, n_max: int, order: int) -> list:
             betas = [beta]
         else:
             for k, (_, buf) in enumerate(betas):
-                div_binomial_into(buf, 1, n - k, len(buf))
+                apply_binomials_into(buf, (), ((1, n - k),), len(buf))
             betas.append(beta)
         mm = first_mismatch(total(betas), total(alphas), through=order)
         if mm is not None:
@@ -446,19 +446,20 @@ def test_no_engine_path_uses_a_streak_sum(monkeypatch):
 
 
 def test_every_engine_binomial_kernel_call_has_an_int_unit_c(monkeypatch):
-    # a binomial is 1 - c * q**e with c the int 1 or -1, and the kernels
-    # refuse any other c: every call the engine makes must pass one of the two
+    # a binomial is 1 - c * q**e with c the int 1 or -1, and the one list
+    # kernel refuses any other c: every binomial the engine passes it must
+    # have one of the two
     seen = []
 
     def record(kernel):
-        def recorded(buf, c, e, m):
-            seen.append(c)
-            return kernel(buf, c, e, m)
+        def recorded(buf, num, den, m):
+            seen.extend(c for c, _ in (*num, *den))
+            return kernel(buf, num, den, m)
         return recorded
 
-    kernels = (series.mul_binomial_into, series.div_binomial_into)
-    _patch_every_binding(monkeypatch, record, *kernels)
-    assert kernels[0] is not series.mul_binomial_into and kernels[1] is not series.div_binomial_into
+    kernel = series.apply_binomials_into
+    _patch_every_binding(monkeypatch, record, kernel)
+    assert kernel is not series.apply_binomials_into
 
     assert all(report.ok for report in verify_all(120))
     for label in ALL_PAIRS:
@@ -472,3 +473,41 @@ def test_every_engine_binomial_kernel_call_has_an_int_unit_c(monkeypatch):
         assert lhs == rhs, sid
     assert len(seen) > 1000
     assert {(type(c), c) for c in seen} == {(int, 1), (int, -1)}
+
+
+def test_each_binomial_is_checked_once_per_call(monkeypatch):
+    """Every binomial pass goes through ``apply_binomials_into``, which checks
+    each of its binomials once, before its first pass, and the pass bodies
+    check nothing: over verify_all, a stepped pair relation and a method
+    call, ``_check_binomial`` runs once per binomial per call, the kernel's
+    and the method's (whose early returns come before any pass)."""
+    checks, expected = [0], [0]
+
+    def count_checks(check):
+        def counted(c, e):
+            checks[0] += 1
+            return check(c, e)
+        return counted
+
+    def count_binomials(kernel):
+        def counted(buf, num, den, m):
+            expected[0] += len(num) + len(den)
+            return kernel(buf, num, den, m)
+        return counted
+
+    def count_method(method):
+        def counted(self, c, e, *args):
+            expected[0] += 1
+            return method(self, c, e, *args)
+        return counted
+
+    monkeypatch.setattr(series, "_check_binomial", count_checks(series._check_binomial))
+    _patch_every_binding(monkeypatch, count_binomials, series.apply_binomials_into)
+    _patch_every_binding(monkeypatch, count_method, LaurentSeries.mul_binomial, LaurentSeries.div_binomial)
+
+    assert all(report.ok for report in verify_all(400))
+    assert verify_pair_relation(bailey_step(pair_catalog("P2A")), 15, 200) == []
+    f = LaurentSeries(0, [1, 2, 3], 40)
+    assert f.div_binomial(-1, 2) == f.mul_binomial(1, 2).div_binomial(1, 4)
+    assert expected[0] > 1000
+    assert checks[0] == expected[0]

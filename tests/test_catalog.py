@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -148,6 +149,20 @@ def test_eval_plan_keeps_the_highest_horizon_of_an_id(monkeypatch, first, second
 def test_eval_rejects_negative_star_budget(sid, budget):
     with pytest.raises(ValueError, match="star_budget must be >= 0"):
         eval_named(sid, 10, star_budget=budget)
+
+
+@pytest.mark.parametrize("sid", ["L7", "SIGMA"])
+@pytest.mark.parametrize("budget", [2.5, 200.0, True, False, Fraction(20), "20"], ids=repr)
+def test_eval_rejects_a_star_budget_that_is_not_an_int(monkeypatch, sid, budget):
+    # eval_named("L7", 30, star_budget=2.5) once raised NoStabilization "no
+    # last level within 2.5 levels from n=0.5", and 200.0 and True were taken
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain was summed")
+
+    monkeypatch.setattr(chain, "single_sum", refuse)
+    monkeypatch.setattr(chain, "ratio_sum", refuse)
+    with pytest.raises(TypeError, match=f"^star_budget must be an int, got {re.escape(repr(budget))}$"):
+        eval_named(sid, 30, star_budget=budget)
 
 
 def test_order_zero():

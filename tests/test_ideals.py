@@ -1,4 +1,5 @@
 import math
+import re
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -221,6 +222,17 @@ def test_sieve_edge_horizons():
             assert sieve_counts(D, limit) == full[: limit + 1]
 
 
+@pytest.mark.parametrize("bad", [True, False, 10.0, 7.0, Fraction(10), "10"], ids=repr)
+def test_a_limit_or_norm_that_is_not_an_int_raises(bad):
+    # sieve_counts(2, True) was [0, 1] and canonical_reps(2, True) [(1, 0)];
+    # sieve_counts(2, 10.0) and canonical_reps(2, 7.0) failed deep inside
+    # with unrelated errors
+    for D in (2, 3, 6):
+        for name, count in (("limit", sieve_counts), ("limit", ideals.ideal_counts), ("m", canonical_reps)):
+            with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+                count(D, bad)
+
+
 def _divisor_counts(limit):
     """d(m) for every m <= limit: each k <= isqrt(limit) counts 1 at k^2
     and 2 at every larger multiple of k (the divisor pair k, m / k)."""
@@ -439,9 +451,9 @@ def test_ideal_series_matches_per_term_assembly_at_arith_horizon():
         assert _typed(ideal_series(q, order, weight=spec.weight)) == _typed(want), spec.index
 
 
-@pytest.mark.parametrize("weight", [0.5, 2.0, Decimal("0.5"), "1/2"])
+@pytest.mark.parametrize("weight", [0.5, 2.0, Decimal("0.5"), "1/2", True, False])
 def test_ideal_series_rejects_non_rational_weight(weight):
-    # a float weight would make float coefficients
+    # a float weight would make float coefficients, and True was taken as 1
     with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
         ideal_series(IdealQuery(2, 15, 32, "all"), 200, weight=weight)
 

@@ -7,17 +7,22 @@ at orders 400, 1500 and 3000, and the pair digest that of every catalog
 pair's closed forms for m < 60.  The long-list digests pin Z2, Z3, Z4 and Z5
 through q^1000 (Z5's chain of q^1 steps runs the longest lists) and SIGMA's
 lacunarity report at 10^4, where the kernel's passes run over long lists.
+The ideal digests are those of the standard output of the seven
+``qrds ideals ... --order 40000`` queries the CI console-script step runs.
 Regenerate the table with ``python tests/test_pinned_outputs.py`` only when
 a change of output is intended, and say why in the change log.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
 from qrds.bailey import bailey_step, limit_form, pair_catalog, pair_labels
 from qrds.catalog import catalog_ids, eval_named
+from qrds.cli import main
 from qrds.verify import lacunarity_report, verify_all
 
 SERIES_ORDERS = tuple(range(41)) + (97, 200, 333)
@@ -27,6 +32,16 @@ FORMS = ("A1", "A1ALSO", "AQ", "AQALSO")
 LONG_IDS = ("Z2", "Z3", "Z4", "Z5")
 LONG_ORDER = 1000
 LACUNARITY_ORDER = 10000
+IDEAL_ORDER = 40000
+IDEAL_QUERIES = (
+    "--d 3 --residue 0 --modulus 2 --neg-norm --weight 2",
+    "--d 6 --residue 5 --modulus 48",
+    "--d 2 --residue 15 --modulus 32 --weight 1/2",
+    "--d 3 --residue 1 --modulus 6",
+    "--d 3 --residue 4 --modulus 6",
+    "--d 6 --residue 7 --modulus 16",
+    "--d 6 --residue 15 --modulus 16",
+)
 
 
 def _canon(f) -> str:
@@ -77,6 +92,16 @@ def lacunarity_digest() -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+def ideals_digest(query: str) -> str:
+    """sha256 of what ``qrds ideals <query> --order IDEAL_ORDER`` prints."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        status = main(["ideals", *query.split(), "--order", str(IDEAL_ORDER)])
+    if status != 0:
+        raise RuntimeError(f"qrds ideals {query} exited with {status}")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def verify_all_digest(order: int) -> str:
     payloads = [report.to_payload() for report in verify_all(order)]
     for payload in payloads:
@@ -99,6 +124,16 @@ PINNED_LONG = {
     "Z3": "bf2d379b37e5a6ef102533ea8f87e42007742ffdeef664d6f6a35d2f7324e9fe",
     "Z4": "1d2a1bdbef42c040b8a2a73df7f51b71e23ff8049cffc2cd3b9ddb6579c7fbd4",
     "Z5": "26ec3add508b0e26b52cbebba1e0755a17ac6ae1795733cc6592603ee9688335",
+}
+
+PINNED_IDEALS = {
+    "--d 3 --residue 0 --modulus 2 --neg-norm --weight 2": "bef8b75c9289027b0644b80e7ffd962f5a2b155f948387e85e4b931632672b33",
+    "--d 6 --residue 5 --modulus 48": "d5df89362c68977119af415a8b517db7c55ffdf78e95c08dfca3c1b59a4c1fdf",
+    "--d 2 --residue 15 --modulus 32 --weight 1/2": "0eec9d4dcbfb1b3f9a0a303de30c646d813d9c490e8439e01cc95954cbcd7a67",
+    "--d 3 --residue 1 --modulus 6": "8d875941e257096e4e1132562fb59210b377e7cee30600da3c2bc1bac76ed68d",
+    "--d 3 --residue 4 --modulus 6": "2d0fc5905c38256525aaf5f497602f71e1c470d5afce05513e90e86324fa028f",
+    "--d 6 --residue 7 --modulus 16": "d3d9d0c8e0eae54db4821dea5c00929bbf32319c677bbdece6520edaf5193e82",
+    "--d 6 --residue 15 --modulus 16": "aae5ea0ff060580b493e2cfc4851fea340b729704e9b6c1ec2bff32c0341950c",
 }
 
 PINNED_SERIES = {
@@ -157,6 +192,11 @@ PINNED_FORMS = {
 }
 
 
+@pytest.mark.parametrize("query", IDEAL_QUERIES)
+def test_ideals_pinned(query):
+    assert ideals_digest(query) == PINNED_IDEALS[query]
+
+
 @pytest.mark.parametrize("sid", catalog_ids())
 def test_series_pinned(sid):
     assert series_digest(sid) == PINNED_SERIES[sid]
@@ -205,6 +245,10 @@ if __name__ == "__main__":
     print("PINNED_LONG = {")
     for sid in LONG_IDS:
         print(f'    "{sid}": "{long_digest(sid)}",')
+    print("}\n")
+    print("PINNED_IDEALS = {")
+    for query in IDEAL_QUERIES:
+        print(f'    "{query}": "{ideals_digest(query)}",')
     print("}\n")
     print("PINNED_SERIES = {")
     for sid in catalog_ids():

@@ -3,14 +3,14 @@ import random
 import re
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qrds.series as series
-from qrds.series import (LaurentSeries, UnknownCoefficient, apply_binomials_into, div_binomial_into, first_mismatch,
-                         mul_binomial_into)
+from qrds.series import LaurentSeries, UnknownCoefficient, apply_binomials_into, first_mismatch
 
 
 def poly(*items):
@@ -443,7 +443,7 @@ def test_div_binomial_switches_strategy_on_exponent():
 
 
 def _ref_div_list(buf, c, e, m):
-    """The per-index loop of ``div_binomial_into`` on a bare list."""
+    """The per-index loop of a binomial division on a bare list."""
     out = buf + [0] * (m - len(buf))
     for i in range(e, m):
         out[i] = out[i] + c * out[i - e]
@@ -459,12 +459,13 @@ def _lists(m):
 
 
 def _assert_div_list_matches_the_loop(c, m, exponents, bufs):
-    """``div_binomial_into`` against ``_ref_div_list`` at each exponent, types
-    compared, on each list of ``bufs``, padded by the kernel."""
+    """``apply_binomials_into`` dividing by the one binomial (c, e) against
+    ``_ref_div_list`` at each exponent, types compared, on each list of
+    ``bufs``, padded by the kernel."""
     for e in exponents:
         for buf in bufs:
             got = buf[:]
-            div_binomial_into(got, c, e, m)
+            apply_binomials_into(got, (), ((c, e),), m)
             want = _ref_div_list(buf, c, e, m)
             assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (e, buf)
 
@@ -481,7 +482,7 @@ def test_div_by_one_plus_q_e_matches_the_loop_around_the_crossover(kind, m):
 
 @pytest.mark.parametrize("m", [41, 1000])
 @pytest.mark.parametrize("c", [1, -1], ids=["1", "-1"])
-def test_div_binomial_into_matches_the_loop_on_both_sides_of_the_strided_bound(c, m):
+def test_division_matches_the_loop_on_both_sides_of_the_strided_bound(c, m):
     # c = 1 sums residue classes while e*e <= 4*m and whole blocks of e past
     # it, the last one partial, as m is a multiple of none of these e; c = -1
     # meets both sides of _NEG_BLOCK_MIN_E at m = 41
@@ -490,33 +491,27 @@ def test_div_binomial_into_matches_the_loop_on_both_sides_of_the_strided_bound(c
                                       _lists(m).values())
 
 
-@pytest.mark.parametrize("c", [1, -1])
-def test_div_binomial_into_rejects_a_list_longer_than_its_horizon(c):
-    # its tail past the horizon would stay undivided
+@pytest.mark.parametrize("num, den", [((), ()), ([(1, 1)], ()), ([(-1, 1)], ()), ((), [(1, 1)]), ((), [(-1, 1)])],
+                         ids=["none", "mul c=1", "mul c=-1", "div c=1", "div c=-1"])
+def test_apply_binomials_into_rejects_a_list_longer_than_its_horizon(num, den):
+    # its tail past the horizon would stay unmultiplied or undivided; the
+    # horizon is checked once, before the first pass, with no pass too
     buf = [1, 2, 3, 4]
     with pytest.raises(ValueError, match="^coefficient list of length 4 is longer than the horizon 3$"):
-        div_binomial_into(buf, c, 1, 3)
-    assert buf == [1, 2, 3, 4]
-
-
-@pytest.mark.parametrize("c", [1, -1])
-def test_mul_binomial_into_rejects_a_list_longer_than_its_horizon(c):
-    # its tail past the horizon would stay unmultiplied
-    buf = [1, 2, 3, 4]
-    with pytest.raises(ValueError, match="^coefficient list of length 4 is longer than the horizon 2$"):
-        mul_binomial_into(buf, c, 1, 2)
+        apply_binomials_into(buf, num, den, 3)
     assert buf == [1, 2, 3, 4]
 
 
 def _binomial_operations(c, e, buf, f):
-    """Every binomial operation once, with the binomial (c, e): both list
-    kernels and ``apply_binomials_into`` on ``buf`` (a unit binomial first
-    in each of its lists), and both methods on ``f``."""
+    """Every binomial operation once, with the binomial (c, e):
+    ``apply_binomials_into`` on ``buf`` with (c, e) alone in either list,
+    and after a unit binomial in each of its lists, and both methods on
+    ``f``."""
     return {
-        "mul_binomial_into": lambda: mul_binomial_into(buf, c, e, 8),
-        "div_binomial_into": lambda: div_binomial_into(buf, c, e, 8),
-        "apply_binomials_into num": lambda: apply_binomials_into(buf, [(1, 2), (c, e)], [(1, 1)], 8),
-        "apply_binomials_into den": lambda: apply_binomials_into(buf, [(1, 2)], [(-1, 1), (c, e)], 8),
+        "apply_binomials_into num": lambda: apply_binomials_into(buf, [(c, e)], [], 8),
+        "apply_binomials_into den": lambda: apply_binomials_into(buf, [], [(c, e)], 8),
+        "apply_binomials_into num after units": lambda: apply_binomials_into(buf, [(1, 2), (c, e)], [(1, 1)], 8),
+        "apply_binomials_into den after units": lambda: apply_binomials_into(buf, [(1, 2)], [(-1, 1), (c, e)], 8),
         "mul_binomial": lambda: f.mul_binomial(c, e),
         "div_binomial": lambda: f.div_binomial(c, e),
     }
@@ -537,18 +532,22 @@ def test_binomial_operations_refuse_a_c_that_is_not_an_int_unit(op, c):
         assert buf == [1, 2, 3] and shape(f) == before
 
 
+@pytest.mark.parametrize("e", [0, -1, True, 2.0, Fraction(2)], ids=repr)
 @pytest.mark.parametrize("op", _OPERATIONS)
-def test_binomial_operations_refuse_an_exponent_below_one(op):
-    for e in (0, -1):
-        buf, f = [1, 2, 3], LaurentSeries(0, [1, 2, 3], 7)
-        with pytest.raises(ValueError, match="^binomial exponent must be >= 1$"):
+def test_binomial_operations_refuse_an_exponent_that_is_not_an_int_from_one(op, e):
+    """e is an int >= 1: a bool, a float or a Fraction is refused as c is,
+    before the list or series is touched, on a zero series too."""
+    for f in (LaurentSeries(0, [1, 2, 3], 7), LaurentSeries.zero(7), LaurentSeries.zero(None)):
+        buf, before = [1, 2, 3], shape(f)
+        with pytest.raises(ValueError, match=f"^binomial exponent must be an int >= 1, got {re.escape(repr(e))}$"):
             _binomial_operations(1, e, buf, f)[op]()
-        assert buf == [1, 2, 3] and shape(f) == (0, 7, [(int, 1), (int, 2), (int, 3)])
+        assert buf == [1, 2, 3] and shape(f) == before
 
 
-@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, "2", None, complex(1)], ids=repr)
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, "2", None, complex(1), True, False], ids=repr)
 def test_scalars_are_ints_or_fractions(c):
-    # a float would store inexact coefficients in an exact series
+    # a float would store inexact coefficients in an exact series, and
+    # scale(True) was taken as 1
     f = LaurentSeries(0, [2, 4], 10)
     with pytest.raises(TypeError, match=r"^scalar must be an int or a Fraction, got \w+$"):
         f.scale(c)
@@ -558,6 +557,19 @@ def test_scalars_are_ints_or_fractions(c):
         with pytest.raises(TypeError, match=r"^scalar must be an int or a Fraction, got \w+$"):
             LaurentSeries.monomial(c, e, 3)
     assert shape(f) == (0, 10, [(int, 2), (int, 4)])
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, complex(1), Decimal("0.5"), True, False, "1", None], ids=repr)
+def test_an_exact_series_refuses_a_coefficient_that_is_not_an_int_or_a_fraction(bad):
+    # LaurentSeries(0, [0.5], 3).coeffs and LaurentSeries.from_items([(0, 0.5)], 3).coeffs
+    # were both [0.5]; from_items builds through the constructor
+    msg = f"^coefficients must be ints or Fractions, got {type(bad).__name__}$"
+    for co in ([bad], [1, Fraction(1, 2), bad, 0]):
+        with pytest.raises(TypeError, match=msg):
+            LaurentSeries(0, co, 3)
+    if type(bad) in (float, complex, Decimal):  # 0 + bad is one of these too
+        with pytest.raises(TypeError, match=msg):
+            LaurentSeries.from_items([(0, 1), (1, bad)], 3)
 
 
 def _snapshot(*fs):

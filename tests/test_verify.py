@@ -111,11 +111,25 @@ def test_payload_schema():
 
 def test_unknown_indices():
     for bad in (0, 13, -1):
-        with pytest.raises(UnknownId):
+        with pytest.raises(UnknownId, match=f"^'theorem index must be 1..12, got {bad}'$"):
             verify_theorem(bad)
+        with pytest.raises(UnknownId, match=f"^'theorem index must be 1..12, got {bad}'$"):
+            check_support_residue(bad)
     for bad in (0, 5):
-        with pytest.raises(UnknownId):
+        with pytest.raises(UnknownId, match=f"^'corollary index must be 1..4, got {bad}'$"):
             verify_corollary(bad)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 2.0, Fraction(1), "1", None], ids=repr)
+def test_an_index_that_is_not_an_int_raises_before_any_sum(monkeypatch, index):
+    # verify_theorem(True, 20) once reported "theorem-01", verify_corollary
+    # (2.0, 20) "corollary-2.0", and verify_theorem(1.0, 20) failed with an
+    # unrelated error; the theorem and corollary tables share one lookup
+    _no_sums(monkeypatch)
+    for what, entry in (("theorem", verify_theorem), ("corollary", verify_corollary),
+                        ("theorem", check_support_residue)):
+        with pytest.raises(TypeError, match=f"^{what} index must be an int, got {re.escape(repr(index))}$"):
+            entry(index, 20)
 
 
 def _no_sums(monkeypatch):
