@@ -276,9 +276,9 @@ def verify_pair_relation(pair, n_max: int = 25, order: int = 300) -> list[tuple[
     if not isinstance(pair, BaileyPair):
         raise TypeError(f"verify_pair_relation needs a catalog pair or a stepped one, got {pair!r}")
     check_int(n_max, "n_max")
-    check_int(order, "order")
-    if n_max < 0 or order < 0:
-        raise ValueError("n_max and order must be >= 0")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    check_order(order)
     a_exp, u = (0 if pair.rel == "1" else 1), pair.u
     alphas = []  # (least exponent, items) of alpha'_k through q**order
     for k in range(n_max + 1):

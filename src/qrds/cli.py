@@ -10,14 +10,18 @@ Subcommands:
 * ``report``  — descriptive coefficient-density report
 
 Exit codes: 0 all requested checks passed (or output produced), 1 at least
-one check failed, 2 bad usage (unknown id or pair, bad weight, negative
-order, ...), 3 an internal fault, 141 (128 + SIGPIPE) the reader closed
-stdout before the output was written.  Arguments are checked before any
-computation starts, so an exception the engine raises itself, such as
-``InvariantViolation``, a ratio chain past its level budget
-(``NoStabilization``), a form/pair mismatch in the pipeline table
-(``FormPairMismatch``) or a ``ValueError`` from a broken invariant, is never
-taken for bad usage: it is reported as ``internal error: ...`` with its
+one check failed, 2 bad usage, 3 an internal fault, 141 (128 + SIGPIPE) the
+reader closed stdout before the output was written.  Bad usage is argparse's
+alone: each argument's ``type=`` applies the engine's own rule (an order
+below 0, a modulus below 1, a weight that is not a rational number, an id or
+pair outside its registry), and the one rule that reads two arguments,
+residue in [0, modulus), is checked right after parsing; each prints a usage
+line and ``error: argument --x: ...`` before any computation starts.  So
+every exception the engine raises itself, such as ``InvariantViolation``, a
+ratio chain past its level budget (``NoStabilization``), a form/pair
+mismatch in the pipeline table (``FormPairMismatch``), a name missing from
+one of its own tables (``UnknownId``, ``UnknownPair``) or a ``ValueError``
+from a broken invariant, is reported as ``internal error: ...`` with its
 traceback.
 """
 
@@ -46,11 +50,41 @@ from .verify import (
 )
 
 
-class UsageError(Exception):
-    """A command-line argument outside its domain."""
+def _known(find):
+    """argparse ``type=`` reading a name with the engine's lookup ``find``:
+    its unknown-name error is argparse's error message."""
+    def parse(text: str):
+        try:
+            return find(text)
+        except (UnknownId, UnknownPair) as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return parse
 
 
-_USAGE_ERRORS = (UsageError, UnknownId, UnknownPair)
+def _int_at_least(low: int):
+    """argparse ``type=`` for an int >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _hecke_id(text: str) -> str:
+    """The key of a series id that has a block set."""
+    hecke_catalog(text)
+    return normalize_id(text)
+
+
+def _parse_weight(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"weight {text!r} has a zero denominator") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"weight {text!r} is not a rational number") from None
 
 
 def _emit_json(payload) -> None:
@@ -68,63 +102,35 @@ def _emit_series(f: LaurentSeries, head: dict, as_csv: bool) -> None:
 
 
 def _cmd_series(args) -> int:
-    sid = normalize_id(args.id)
-    f = eval_named(sid, args.order)
-    _emit_series(f, {"id": sid}, args.csv)
+    f = eval_named(args.id, args.order)
+    _emit_series(f, {"id": args.id}, args.csv)
     return 0
 
 
 def _cmd_hecke(args) -> int:
-    sid = normalize_id(args.id)
-    block_set = hecke_catalog(sid)
+    block_set = hecke_catalog(args.id)
     f = eval_blocks(block_set, args.order)
     if args.csv:
         _emit_series(f, {}, True)
     else:
-        _emit_json({"id": sid, **block_set.to_payload(), "series": f.to_payload()})
+        _emit_json({"id": args.id, **block_set.to_payload(), "series": f.to_payload()})
     return 0
 
 
-def _parse_weight(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise UsageError(f"weight {text!r} has a zero denominator") from None
-    except ValueError:
-        raise UsageError(f"weight {text!r} is not a rational number") from None
-
-
-def _check_args(args) -> None:
-    """Reject out-of-domain arguments before any computation starts."""
-    if getattr(args, "order", 0) < 0:
-        raise UsageError("--order must be >= 0")
-    if getattr(args, "nmax", 0) < 0:
-        raise UsageError("--nmax must be >= 0")
-    if args.command == "ideals":
-        if args.modulus < 1:
-            raise UsageError("--modulus must be >= 1")
-        if not 0 <= args.residue < args.modulus:
-            raise UsageError("--residue must lie in [0, modulus)")
-        _parse_weight(args.weight)
-    if args.command == "report" and not args.lacunarity:
-        raise UsageError("choose a report kind (--lacunarity)")
-
-
 def _cmd_ideals(args) -> int:
-    weight = _parse_weight(args.weight)
     query = IdealQuery(
         args.d,
         args.residue,
         args.modulus,
         "neg" if args.neg_norm else "all",
     )
-    f = ideal_series(query, args.order, weight=weight)
+    f = ideal_series(query, args.order, weight=args.weight)
     head = {
         "d": args.d,
         "residue": args.residue,
         "modulus": args.modulus,
         "restriction": query.restriction,
-        "weight": str(weight),
+        "weight": str(args.weight),
     }
     _emit_series(f, head, args.csv)
     return 0
@@ -157,9 +163,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bailey(args) -> int:
-    pair = pair_catalog(args.pair)
-    if args.step:
-        pair = bailey_step(pair)
+    pair = bailey_step(args.pair) if args.step else args.pair
     payload = {"pair": pair.label, "rel": pair.rel}
     failures = verify_pair_relation(pair, n_max=args.nmax, order=args.order) if args.check else []
     if args.check:
@@ -185,7 +189,7 @@ def _cmd_bailey(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _emit_json(lacunarity_report(normalize_id(args.id), args.order))
+    _emit_json(lacunarity_report(args.id, args.order))
     return 0
 
 
@@ -194,7 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qrds",
         description="Exact q-series identities: double sums, theta forms, ideal counts.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
+    nonneg = _int_at_least(0)
 
     def add_format(p):
         fmt = p.add_mutually_exclusive_group()
@@ -202,14 +207,15 @@ def _build_parser() -> argparse.ArgumentParser:
         fmt.add_argument("--csv", action="store_true", help="CSV output: exp,num,den")
 
     p = sub.add_parser("series", help="evaluate a named series exactly")
-    p.add_argument("--id", required=True, help=f"one of {', '.join(catalog_ids())}")
-    p.add_argument("--order", type=int, required=True, help="highest exponent to compute")
+    p.add_argument("--id", type=_known(normalize_id), required=True,
+                   help=f"one of {', '.join(catalog_ids())}")
+    p.add_argument("--order", type=nonneg, required=True, help="highest exponent to compute")
     add_format(p)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("hecke", help="evaluate an indefinite theta form with its block table")
-    p.add_argument("--id", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--id", type=_known(_hecke_id), required=True)
+    p.add_argument("--order", type=nonneg, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_hecke)
 
@@ -217,11 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, choices=(2, 3, 6),
                    help="squarefree part of the field")
     p.add_argument("--residue", type=int, required=True)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--modulus", type=_int_at_least(1), required=True)
+    p.add_argument("--order", type=nonneg, required=True)
     p.add_argument("--neg-norm", action="store_true",
                    help="count representatives of negative norm")
-    p.add_argument("--weight", default="1", help="rational weight, e.g. 1/2")
+    p.add_argument("--weight", type=_parse_weight, default="1", help="rational weight, e.g. 1/2")
     add_format(p)
     p.set_defaults(func=_cmd_ideals)
 
@@ -231,24 +237,26 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--corollary", type=int, choices=range(1, 5), metavar="1..4")
     which.add_argument("--sigma", action="store_true")
     which.add_argument("--all", action="store_true")
-    p.add_argument("--order", type=int, default=400)
+    p.add_argument("--order", type=nonneg, default=400)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bailey", help="inspect or check a Bailey pair")
-    p.add_argument("--pair", required=True, help=f"one of {', '.join(pair_labels())}")
+    p.add_argument("--pair", type=_known(pair_catalog), required=True,
+                   help=f"one of {', '.join(pair_labels())}")
     p.add_argument("--check", action="store_true", help="verify the defining relation")
     p.add_argument("--step", action="store_true",
                    help="apply the iteration step (both parameters to infinity) first")
-    p.add_argument("--nmax", type=int, default=25)
-    p.add_argument("--order", type=int, default=300)
+    p.add_argument("--nmax", type=nonneg, default=25)
+    p.add_argument("--order", type=nonneg, default=300)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bailey)
 
     p = sub.add_parser("report", help="descriptive series reports")
-    p.add_argument("--lacunarity", action="store_true", help="dyadic nonzero-density profile")
-    p.add_argument("--id", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--lacunarity", action="store_true", required=True,
+                   help="dyadic nonzero-density profile")
+    p.add_argument("--id", type=_known(normalize_id), required=True)
+    p.add_argument("--order", type=nonneg, required=True)
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -257,11 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return 2
+    if args.command == "ideals" and not 0 <= args.residue < args.modulus:
+        parser.error(f"argument --residue: must lie in [0, {args.modulus}), got {args.residue}")
     try:
-        _check_args(args)
         status = args.func(args)
         sys.stdout.flush()
         return status
@@ -269,11 +275,6 @@ def main(argv=None) -> int:
         # the reader closed stdout early; keep the interpreter's last flush quiet
         sys.stdout = open(os.devnull, "w")
         return 141  # 128 + SIGPIPE
-    except _USAGE_ERRORS as exc:
-        # str() of a KeyError subclass is the repr of its message
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()

@@ -70,6 +70,7 @@ _FIELDS = {
 
 
 def field_spec(D: int) -> FieldSpec:
+    check_int(D, "D")
     try:
         return _FIELDS[D]
     except KeyError:
@@ -91,6 +92,8 @@ class IdealQuery:
 
     def __post_init__(self):
         field_spec(self.D)
+        check_int(self.residue, "residue")
+        check_int(self.modulus, "modulus")
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         if not 0 <= self.residue < self.modulus:

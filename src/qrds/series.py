@@ -57,7 +57,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Union
 
-from .errors import check_exact
+from .errors import check_exact, check_int
 
 Coeff = Union[int, Fraction]
 
@@ -224,6 +224,7 @@ class LaurentSeries:
         """Build from (exponent, coefficient) pairs; repeats accumulate."""
         acc: dict[int, Coeff] = {}
         for e, c in items:
+            check_exact(c, "coefficient")
             if order is not None and e > order:
                 continue
             acc[e] = acc.get(e, 0) + c
@@ -383,6 +384,8 @@ class LaurentSeries:
 
     def dilate_shift(self, t: int, s: int) -> "LaurentSeries":
         """Return q**s * f(q**t): exponent e maps to t*e + s."""
+        check_int(t, "t")
+        check_int(s, "s")
         if t < 1:
             raise ValueError("dilation factor must be a positive integer")
         order = None if self.order is None else t * self.order + s

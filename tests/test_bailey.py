@@ -262,10 +262,14 @@ def test_relation_needs_a_catalog_pair():
 
 
 @pytest.mark.parametrize("step", [False, True], ids=["base", "stepped"])
-@pytest.mark.parametrize("n_max, order", [(-1, 10), (2, -1), (-1, -1)])
-def test_relation_rejects_negative_arguments(step, n_max, order):
+@pytest.mark.parametrize("n_max, order, msg", [
+    (-1, 10, "n_max must be >= 0"),
+    (2, -1, "order must be >= 0"),  # errors.check_order's own message
+    (-1, -1, "n_max must be >= 0"),
+])
+def test_relation_rejects_negative_arguments(step, n_max, order, msg):
     pair = pair_catalog("P2A")
-    with pytest.raises(ValueError, match="^n_max and order must be >= 0$"):
+    with pytest.raises(ValueError, match=f"^{msg}$"):
         verify_pair_relation(bailey_step(pair) if step else pair, n_max=n_max, order=order)
 
 

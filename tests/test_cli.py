@@ -13,7 +13,9 @@ import pytest
 
 import qrds
 import qrds.cli as cli
+import qrds.bailey as bailey
 import qrds.catalog as catalog
+import qrds.hecke as hecke
 from qrds.catalog import eval_named
 from qrds.cli import main
 from qrds.errors import (
@@ -31,6 +33,30 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+ENGINE = (
+    "eval_named", "eval_blocks", "ideal_series", "verify_all", "verify_theorem",
+    "verify_corollary", "verify_sigma", "bailey_step", "verify_pair_relation", "lacunarity_report",
+)
+
+
+def usage_error(capsys, monkeypatch, *argv):
+    """Run ``main`` on bad usage with every engine entry point the CLI calls
+    made to fail: argparse exits 2 before any of them runs and prints nothing
+    to stdout.  Returns the last stderr line, argparse's error line."""
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine must not run on bad arguments")
+
+    for name in ENGINE:
+        monkeypatch.setattr(cli, name, engine)
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert err.startswith("usage: qrds")
+    return err.splitlines()[-1]
+
+
 def coeff_map(payload: dict) -> dict:
     out = {}
     for row in payload["coefficients"]:
@@ -42,10 +68,8 @@ def coeff_map(payload: dict) -> dict:
 L5_HEAD = {2: 2, 5: 2, 7: 2, 10: 2, 14: 4, 17: 2, 23: 4, 25: 2, 26: 2}
 
 
-def test_no_command(capsys):
-    rc, _, err = run(capsys)
-    assert rc == 2
-    assert "usage" in err
+def test_no_command(capsys, monkeypatch):
+    assert usage_error(capsys, monkeypatch) == "qrds: error: the following arguments are required: command"
 
 
 def test_series_json(capsys):
@@ -185,68 +209,61 @@ def test_report_lacunarity(capsys):
     assert [w["lo"] for w in payload["windows"]] == [1, 2, 4, 8, 16, 32, 64]
 
 
-def test_usage_error_unknown_series(capsys):
-    rc, _, err = run(capsys, "series", "--id", "L99", "--order", "10")
-    assert rc == 2
-    assert err.startswith("error:")
-    assert "L99" in err
+def test_usage_error_unknown_series(capsys, monkeypatch):
+    assert usage_error(capsys, monkeypatch, "series", "--id", "L99", "--order", "10") == (
+        "qrds series: error: argument --id: unknown series id 'L99'"
+    )
 
 
-def test_usage_error_unknown_pair(capsys):
-    rc, _, err = run(capsys, "bailey", "--pair", "zzz")
-    assert rc == 2
-    assert "zzz" in err
+def test_usage_error_unknown_pair(capsys, monkeypatch):
+    assert usage_error(capsys, monkeypatch, "bailey", "--pair", "zzz") == (
+        "qrds bailey: error: argument --pair: unknown Bailey pair 'zzz'"
+    )
 
 
-def test_usage_error_bad_weight(capsys):
-    for weight in ("a/b", "1/0"):
-        rc, _, err = run(
-            capsys, "ideals", "--d", "2", "--residue", "0", "--modulus", "1",
-            "--order", "10", "--weight", weight,
+def test_usage_error_bad_weight(capsys, monkeypatch):
+    for weight, rule in (("a/b", "is not a rational number"), ("1/0", "has a zero denominator")):
+        argv = ("ideals", "--d", "2", "--residue", "0", "--modulus", "1", "--order", "10", "--weight", weight)
+        assert usage_error(capsys, monkeypatch, *argv) == (
+            f"qrds ideals: error: argument --weight: weight '{weight}' {rule}"
         )
-        assert rc == 2, weight
-        assert err.startswith("error:"), weight
 
 
-def test_usage_error_bailey_negative_nmax(capsys):
-    rc, out, err = run(capsys, "bailey", "--pair", "p2a", "--check", "--nmax", "-2")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error:")
+def test_usage_error_bailey_negative_nmax(capsys, monkeypatch):
+    assert usage_error(capsys, monkeypatch, "bailey", "--pair", "p2a", "--check", "--nmax", "-2") == (
+        "qrds bailey: error: argument --nmax: must be >= 0, got -2"
+    )
 
 
-def test_usage_error_bailey_negative_order(capsys):
-    rc, out, err = run(capsys, "bailey", "--pair", "p2a", "--check", "--order", "-1")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error:")
+def test_usage_error_bailey_negative_order(capsys, monkeypatch):
+    assert usage_error(capsys, monkeypatch, "bailey", "--pair", "p2a", "--check", "--order", "-1") == (
+        "qrds bailey: error: argument --order: must be >= 0, got -1"
+    )
 
 
-def test_usage_error_report_kind(capsys):
-    rc, _, err = run(capsys, "report", "--id", "sigma", "--order", "10")
-    assert rc == 2
-    assert "--lacunarity" in err
+def test_usage_error_report_kind(capsys, monkeypatch):
+    assert usage_error(capsys, monkeypatch, "report", "--id", "sigma", "--order", "10") == (
+        "qrds report: error: the following arguments are required: --lacunarity"
+    )
 
 
-@pytest.mark.parametrize("argv", [
-    ("series", "--id", "L5", "--order", "-1"),
-    ("hecke", "--id", "L5", "--order", "-3"),
-    ("verify", "--sigma", "--order", "-1"),
-    ("report", "--lacunarity", "--id", "sigma", "--order", "-1"),
-    ("ideals", "--d", "2", "--residue", "0", "--modulus", "0", "--order", "10"),
-    ("ideals", "--d", "2", "--residue", "3", "--modulus", "3", "--order", "10"),
-    ("ideals", "--d", "2", "--residue", "-1", "--modulus", "3", "--order", "10"),
-])
-def test_usage_error_checked_before_computing(capsys, monkeypatch, argv):
-    def engine(*args, **kwargs):
-        raise AssertionError("the engine must not run on bad arguments")
-
-    for name in ("eval_named", "eval_blocks", "verify_sigma", "lacunarity_report", "ideal_series"):
-        monkeypatch.setattr(cli, name, engine)
-    rc, out, err = run(capsys, *argv)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error:")
+@pytest.mark.parametrize("argv, line", [
+    (("series", "--id", "L5", "--order", "-1"), "qrds series: error: argument --order: must be >= 0, got -1"),
+    (("hecke", "--id", "L5", "--order", "-3"), "qrds hecke: error: argument --order: must be >= 0, got -3"),
+    (("verify", "--sigma", "--order", "-1"), "qrds verify: error: argument --order: must be >= 0, got -1"),
+    (("report", "--lacunarity", "--id", "sigma", "--order", "-1"),
+     "qrds report: error: argument --order: must be >= 0, got -1"),
+    (("ideals", "--d", "2", "--residue", "0", "--modulus", "0", "--order", "10"),
+     "qrds ideals: error: argument --modulus: must be >= 1, got 0"),
+    (("ideals", "--d", "2", "--residue", "3", "--modulus", "3", "--order", "10"),
+     "qrds: error: argument --residue: must lie in [0, 3), got 3"),
+    (("ideals", "--d", "2", "--residue", "-1", "--modulus", "3", "--order", "10"),
+     "qrds: error: argument --residue: must lie in [0, 3), got -1"),
+    (("hecke", "--id", "z2", "--order", "5"), "qrds hecke: error: argument --id: no block set for id 'z2'"),
+], ids=["series-order", "hecke-order", "verify-order", "report-order", "modulus", "residue-high",
+        "residue-low", "hecke-id"])
+def test_usage_error_checked_before_computing(capsys, monkeypatch, argv, line):
+    assert usage_error(capsys, monkeypatch, *argv) == line
 
 
 @pytest.mark.parametrize(
@@ -267,13 +284,23 @@ def test_internal_value_error_is_not_usage(capsys, monkeypatch, error):
     assert err.startswith(f"internal error: {error.__name__}: coefficient stored beyond declared order")
 
 
-def test_internal_table_fault_is_not_usage(capsys, monkeypatch):
+@pytest.mark.parametrize("table, key, entry, theorem, error", [
     # no argument reaches limit_form's pair check, so a mismatch is the table's fault
-    monkeypatch.setitem(catalog._DOUBLES, "L1", ("A1", "P2B", 0))
-    rc, out, err = run(capsys, "verify", "--theorem", "1")
+    (catalog._DOUBLES, "L1", ("A1", "P2B", 0), "1", "FormPairMismatch"),
+    # every id and pair argparse accepted is in the tables, so a missing
+    # entry is one too, not an unknown name on the command line
+    (hecke._CATALOG, "L3", None, "3", "UnknownId"),
+    (bailey._PAIRS, "P3A", None, "3", "UnknownPair"),
+], ids=["form-pair", "block-set", "pair"])
+def test_internal_table_fault_is_not_usage(capsys, monkeypatch, table, key, entry, theorem, error):
+    if entry is None:
+        monkeypatch.delitem(table, key)
+    else:
+        monkeypatch.setitem(table, key, entry)
+    rc, out, err = run(capsys, "verify", "--theorem", theorem, "--order", "50")
     assert rc == 3
     assert out == ""
-    assert err.startswith("internal error: FormPairMismatch")
+    assert err.startswith(f"internal error: {error}")
 
 
 def test_reader_closing_stdout_early_is_not_a_fault():

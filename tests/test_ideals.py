@@ -32,6 +32,28 @@ def test_field_table():
         field_spec(5)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "2"], ids=repr)
+def test_field_spec_refuses_a_d_that_is_not_an_int(bad):
+    # field_spec(2.0) returned D = 2's field: _FIELDS[2.0] hashes as 2
+    with pytest.raises(TypeError, match=f"^D must be an int, got {re.escape(repr(bad))}$"):
+        field_spec(bad)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("D", (2.0, 7, 32)),
+    ("residue", (2, 7.0, 32)),
+    ("residue", (2, True, 32)),
+    ("modulus", (2, 7, 32.0)),
+    ("modulus", (2, 0, True)),
+], ids=["float-D", "float-residue", "bool-residue", "float-modulus", "bool-modulus"])
+def test_ideal_query_refuses_a_field_residue_or_modulus_that_is_not_an_int(name, args):
+    # IdealQuery(2.0, 7, 32), IdealQuery(2, 7.0, 32) and IdealQuery(2, True, 32)
+    # were all accepted, and ideal_series summed D = 2's counts for the first
+    bad = args[("D", "residue", "modulus").index(name)]
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+        IdealQuery(*args)
+
+
 # ------------------------------------------------------------ the character
 
 

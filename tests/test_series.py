@@ -425,6 +425,16 @@ def test_dilate_shift_matches_naive_loop(f, t, s):
     _check_kernel(lambda: f.dilate_shift(t, s), lambda: _ref_dilate_shift(f, t, s), f)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2", None], ids=repr)
+def test_dilate_shift_refuses_a_factor_or_shift_that_is_not_an_int(bad):
+    # dilate_shift(True, 1) was taken as t = 1, and dilate_shift(2.0, 1)
+    # failed on multiplying a list by a float
+    f = LaurentSeries(0, [1, 2], 10)
+    for name, args in (("t", (bad, 1)), ("s", (2, bad))):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            f.dilate_shift(*args)
+
+
 def test_dilate_shift_copies_stored_zeros():
     # the one difference from the loop: a stored Fraction(0) is copied as it
     # is, where the loop left an int 0 (equal values either way)
@@ -561,15 +571,16 @@ def test_scalars_are_ints_or_fractions(c):
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, complex(1), Decimal("0.5"), True, False, "1", None], ids=repr)
 def test_an_exact_series_refuses_a_coefficient_that_is_not_an_int_or_a_fraction(bad):
-    # LaurentSeries(0, [0.5], 3).coeffs and LaurentSeries.from_items([(0, 0.5)], 3).coeffs
-    # were both [0.5]; from_items builds through the constructor
+    # LaurentSeries(0, [0.5], 3).coeffs was [0.5], and from_items([(0, True)], 3).coeffs
+    # was [1]: the items of one exponent were summed from the int 0 before any check
     msg = f"^coefficients must be ints or Fractions, got {type(bad).__name__}$"
     for co in ([bad], [1, Fraction(1, 2), bad, 0]):
         with pytest.raises(TypeError, match=msg):
             LaurentSeries(0, co, 3)
-    if type(bad) in (float, complex, Decimal):  # 0 + bad is one of these too
+    msg = f"^coefficient must be an int or a Fraction, got {type(bad).__name__}$"
+    for items in ([(0, bad)], [(0, 1), (1, bad)], [(0, 1), (0, bad)], [(5, bad)]):  # q**5 lies past the horizon
         with pytest.raises(TypeError, match=msg):
-            LaurentSeries.from_items([(0, 1), (1, bad)], 3)
+            LaurentSeries.from_items(items, 3)
 
 
 def _snapshot(*fs):
