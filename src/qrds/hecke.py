@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 from math import isqrt
 from typing import Iterator
 
-from .errors import UnknownId, check_order, lookup
+from .errors import UnknownId, check_int, check_order, lookup
 from .series import LaurentSeries
 
 __all__ = [
@@ -39,6 +39,12 @@ __all__ = [
     "eval_blocks",
     "hecke_catalog",
 ]
+
+
+def _check_pair(pair, name: str) -> None:
+    """``pair`` must be a tuple of two ints; a bool or a float is not one."""
+    if type(pair) is not tuple or len(pair) != 2 or any(type(x) is not int for x in pair):
+        raise TypeError(f"{name} must be a pair of ints, got {pair!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,10 @@ class HeckeBlock:
     factor: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name in ("n0", "p", "r", "A", "B", "C", "D", "E", "coeff"):
+            check_int(getattr(self, name), name)
+        if self.factor is not None:
+            _check_pair(self.factor, "factor")
         if self.A <= 0 or self.D >= 0:
             raise ValueError("need A > 0 and D < 0")
         if self.A + self.D <= 0:
@@ -73,6 +83,10 @@ class HeckeBlock:
 class HeckeBlockSet:
     blocks: tuple[HeckeBlock, ...]
     constants: tuple[tuple[int, int], ...] = ()  # (coefficient, exponent)
+
+    def __post_init__(self):
+        for constant in self.constants:
+            _check_pair(constant, "constant")
 
     def to_payload(self) -> dict:
         return {

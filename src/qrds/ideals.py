@@ -6,9 +6,10 @@ Every norm m <= N is counted two independent ways in one pass each:
   is ``sum_{d | m} chi(d)`` with chi = (Delta / .), Delta = 4D; chi has period
   |Delta|, and ``sieve_counts`` adds it along strided slices, the d past
   sqrt(|Delta| N) one nonzero residue of chi at a time, so no slice adds a zero.
-  Below N = 1 081 080, the least integer with 256 divisors, every count
-  lies in [0, 240], so the sieve runs on a bytearray mod 256 and each
-  slice update is one ``bytes.translate``; from there on, on a list of ints;
+  A count is at most the product of a + 1 over the split primes p^a || m,
+  which first reaches 256 at m = 169 680 381 125 (Delta = 24), so below
+  that the sieve runs on a bytearray mod 256 and each slice update is one
+  ``bytes.translate``; a larger limit is refused;
 * a lattice one -- the canonical representatives of u^2 - D v^2 = +-m, one
   per orbit of the fundamental totally positive unit.  ``_windows`` holds the
   two fundamental windows, one per sign of m; ``canonical_reps`` enumerates
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from operator import add, mul
+from operator import mul
 from typing import Iterator
 
 from .errors import InvariantViolation, UnsupportedField, check_exact, check_int, check_order
@@ -207,9 +208,12 @@ def _sweep(counts: list[int], A: int, B: int, c: int, x1p: int) -> None:
             counts[top - squares[hi]] += 1
 
 
-# the least integer with 256 divisors (OEIS A002182): below it a divisor
-# sum fits in one byte (see sieve_counts)
-_BYTE_BOUND = 1_081_080
+# A count is prod_{p split} (a_p + 1) * prod_{p inert} [a_p even] over the
+# p^a_p || m, so at most prod_{p split} (a_p + 1), and it fits in one byte
+# below the least m whose split part reaches 256 divisors: 568 817 087 951
+# for Delta = 8, 1 461 516 258 059 for 12 and 169 680 381 125 =
+# 5^3 19 23 29 43 47 53 for 24, the least of the three (see sieve_counts)
+_BYTE_BOUND = 169_680_381_125
 # chi(d) = +1 or -1 added to each byte of a slice, mod 256
 _STEP = {x: bytes((i + x) % 256 for i in range(256)) for x in (1, -1)}
 
@@ -249,28 +253,27 @@ def sieve_counts(D: int, limit: int) -> list[int]:
     (1 + phi(|Delta|)) sqrt(limit).  Below limit = |Delta|, s = limit and the
     second half is empty.
 
-    Below limit 1 081 080 the counts live in a bytearray and each update is
-    one ``translate`` through a +1 or -1 table, so every byte is its count
-    mod 256.  That is the count itself: it is the number of ideals of norm m,
-    so 0 <= count <= d(m) <= 240 for every m < 1 081 080, the least integer
-    with 256 divisors, and the additions commute mod 256.  From that limit
-    on, the same updates run on a list of ints.  Either way the result is a
+    The counts live in a bytearray, each update one ``translate`` through a
+    +1 or -1 table, so every byte holds its count mod 256 (the additions
+    commute mod 256).  That is the count itself.  The count of norm m is the
+    number of ideals of norm m, prod_{p split} (a_p + 1) times
+    prod_{p inert} [a_p even] over the p^a_p || m (Cohen, GTM 138, ch. 5),
+    so it lies in [0, prod_{p split} (a_p + 1)], and that product first
+    reaches 256 at ``_BYTE_BOUND`` = 169 680 381 125 (Delta = 24; later for
+    8 and 12).  A limit from there on raises ``ValueError`` before anything
+    is allocated: its bytearray alone would take 170 GB.  The result is a
     list of ints.
     """
     delta = field_spec(D).discriminant
     check_int(limit, "limit")
+    if limit >= _BYTE_BOUND:
+        raise ValueError(f"limit must be below {_BYTE_BOUND}, got {limit}")
     if limit < 0:
         return []
-    updates = _chi_slices(delta, limit)
-    if limit < _BYTE_BOUND:
-        counts = bytearray(b"\0" + b"\1" * limit)
-        for run, x in updates:
-            counts[run] = counts[run].translate(_STEP[x])
-        return list(counts)
-    counts = [0] + [1] * limit
-    for run, x in updates:
-        counts[run] = map(add, counts[run], repeat(x))
-    return counts
+    counts = bytearray(b"\0" + b"\1" * limit)
+    for run, x in _chi_slices(delta, limit):
+        counts[run] = counts[run].translate(_STEP[x])
+    return list(counts)
 
 
 def ideal_counts(D: int, limit: int) -> tuple[list[int], list[int]]:

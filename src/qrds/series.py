@@ -9,7 +9,10 @@ series is an exact Laurent polynomial (known everywhere, zero off-support).
 Coefficients are Python ints whenever possible and ``fractions.Fraction``
 otherwise, and ``LaurentSeries(...)`` refuses any other coefficient type
 (``TypeError``); a scalar (``scale``, ``monomial``) is an int or a
-Fraction, never a float or a bool.
+Fraction, never a float or a bool.  An offset or exponent is an int, and a
+horizon (an ``order``, ``truncate``'s or ``first_mismatch``'s ``through``)
+an int or None, negative ones included; anything else, a bool or an
+integral float included, raises ``TypeError``.
 
 A binomial is 1 - c * q**e with e >= 1 and c the int 1 or -1: the
 q-Pochhammer factors 1 - q**e and 1 + q**e of a q-hypergeometric term ratio
@@ -78,6 +81,12 @@ def _norm(x: Coeff) -> Coeff:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def _check_optional_order(order, name: str = "order") -> None:
+    """A horizon is None (exact) or an int, negative ones included."""
+    if order is not None:
+        check_int(order, name)
 
 
 def _check_binomial(c: int, e: int) -> None:
@@ -172,6 +181,8 @@ class LaurentSeries:
         bad = set(map(type, co)) - {int, Fraction}
         if bad:
             raise TypeError(f"coefficients must be ints or Fractions, got {', '.join(sorted(t.__name__ for t in bad))}")
+        check_int(offset, "offset")
+        _check_optional_order(order)
         self._own(offset, co, order)
 
     @classmethod
@@ -217,13 +228,17 @@ class LaurentSeries:
     @classmethod
     def monomial(cls, c: Coeff = 1, e: int = 0, order: int | None = None) -> "LaurentSeries":
         """c * q**e: q**e scaled by c, zero if e lies beyond ``order``."""
+        check_int(e, "exponent")
+        _check_optional_order(order)
         return (cls.zero(order) if order is not None and e > order else cls(e, [1], order)).scale(c)
 
     @classmethod
     def from_items(cls, items: Iterable[tuple[int, Coeff]], order: int | None = None) -> "LaurentSeries":
         """Build from (exponent, coefficient) pairs; repeats accumulate."""
+        _check_optional_order(order)
         acc: dict[int, Coeff] = {}
         for e, c in items:
+            check_int(e, "exponent")
             check_exact(c, "coefficient")
             if order is not None and e > order:
                 continue
@@ -253,6 +268,7 @@ class LaurentSeries:
 
     def coefficient(self, e: int) -> Coeff:
         """Coefficient of q**e; raises beyond the knowledge horizon."""
+        check_int(e, "exponent")
         if self.order is not None and e > self.order:
             raise UnknownCoefficient(f"exponent {e} beyond tracked order {self.order}")
         i = e - self.offset
@@ -336,6 +352,7 @@ class LaurentSeries:
 
     def mul_monomial(self, c: Coeff, e: int) -> "LaurentSeries":
         """Multiply by c * q**e: ``scale`` by c, moved by e."""
+        check_int(e, "exponent")
         order = None if self.order is None else self.order + e
         return LaurentSeries(self.offset + e, self.scale(c).coeffs, order)
 
@@ -359,6 +376,7 @@ class LaurentSeries:
         either the series already has one or ``order`` must be given.
         """
         _check_binomial(c, e)
+        _check_optional_order(order)
         order = _min_order(order, self.order)
         if self.is_zero():
             return LaurentSeries.zero(order)
@@ -373,6 +391,7 @@ class LaurentSeries:
 
     def truncate(self, order: int | None) -> "LaurentSeries":
         """Restrict the knowledge horizon to ``order`` (drops higher terms)."""
+        _check_optional_order(order)
         if order is None:
             if self.order is None:
                 return self
@@ -481,6 +500,7 @@ def first_mismatch(
     possible only when both series are exact).  Returns None on agreement.
     A coefficient a series does not store is returned as the int 0.
     """
+    _check_optional_order(through, "through")
     horizon = _min_order(_min_order(a.order, b.order), through)
     lo_candidates = [v for v in (a.valuation(), b.valuation()) if v is not None]
     if not lo_candidates:

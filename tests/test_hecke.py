@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -153,6 +155,32 @@ def test_block_validation():
         HeckeBlock(0, 0, 0, A=1, B=0, C=0, D=-1, E=0)  # A + D = 0
     with pytest.raises(ValueError):
         HeckeBlock(0, 0, 0, A=2, B=0, C=0, D=-1, E=0, coeff=0)
+
+
+@pytest.mark.parametrize("bad", [0.5, 6.0, True, False, Fraction(6), "6"], ids=repr)
+def test_a_block_field_or_constant_that_is_not_an_int_raises(bad):
+    # coeff=0.5 put [0.5, 0, 0, 1.0, 0] into SIGMA's first block's series, a
+    # constant (0.5, 0) put [0.5], coeff=True counted as 1, and A=6.0 or
+    # factor=(4, 1.0) failed deep inside eval_blocks
+    fields = dict(n0=0, p=0, r=0, A=6, B=1, C=0, D=-4, E=0)
+    for name in (*fields, "coeff"):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            HeckeBlock(**{**fields, name: bad})
+    block = HeckeBlock(**fields)
+    for pair in ((4, bad), (bad, 1)):
+        with pytest.raises(TypeError, match=f"^factor must be a pair of ints, got {re.escape(repr(pair))}$"):
+            HeckeBlock(**fields, factor=pair)
+        with pytest.raises(TypeError, match=f"^constant must be a pair of ints, got {re.escape(repr(pair))}$"):
+            HeckeBlockSet((block,), constants=((1, 0), pair))
+
+
+@pytest.mark.parametrize("pair", [[4, 1], (4,), (4, 1, 0), 4], ids=repr)
+def test_a_factor_or_constant_that_is_not_a_pair_raises(pair):
+    fields = dict(n0=0, p=0, r=0, A=6, B=1, C=0, D=-4, E=0)
+    with pytest.raises(TypeError, match=f"^factor must be a pair of ints, got {re.escape(repr(pair))}$"):
+        HeckeBlock(**fields, factor=pair)
+    with pytest.raises(TypeError, match=f"^constant must be a pair of ints, got {re.escape(repr(pair))}$"):
+        HeckeBlockSet((), constants=(pair,))
 
 
 def test_falling_edges_above_horizon_do_not_stop_the_sum():

@@ -255,39 +255,89 @@ def test_a_limit_or_norm_that_is_not_an_int_raises(bad):
                 count(D, bad)
 
 
-def _divisor_counts(limit):
-    """d(m) for every m <= limit: each k <= isqrt(limit) counts 1 at k^2
-    and 2 at every larger multiple of k (the divisor pair k, m / k)."""
-    counts = [0] * (limit + 1)
-    for k in range(1, math.isqrt(limit) + 1):
-        counts[k * k] += 1
-        for m in range(k * k + k, limit + 1, k):
-            counts[m] += 2
-    return counts
+def _split_primes(D, k):
+    """The first k primes p with chi(p) = (Delta / p) = 1."""
+    delta = field_spec(D).discriminant
+    primes = []
+    p = 2
+    while len(primes) < k:
+        if all(p % q for q in range(2, math.isqrt(p) + 1)) and kronecker_symbol(delta, p) == 1:
+            primes.append(p)
+        p += 1
+    return primes
 
 
-def test_byte_bound_is_the_least_integer_with_256_divisors():
-    # sieve_counts keeps a count in one byte below ideals._BYTE_BOUND: the
-    # count lies in [0, d(m)], and d(m) <= 240 for every m below it
-    bound = ideals._BYTE_BOUND
-    assert bound == 1_081_080
-    counts = _divisor_counts(bound)
-    assert counts[720_720] == 240 == math.prod(e + 1 for e in (4, 2, 1, 1, 1, 1))  # 2^4 3^2 5 7 11 13
-    assert counts[bound] == 256 == math.prod(e + 1 for e in (3, 3, 1, 1, 1, 1))  # 2^3 3^3 5 7 11 13
-    assert max(counts[:bound]) == 240  # OEIS A002182: 720720 and 1081080 are consecutive records
+def _least_norm_reaching(D, target):
+    """The least m whose split prime powers p^a || m have prod (a + 1) >= target.
+
+    Such an m is a product of split primes alone, the smallest ones, with
+    exponents non-increasing along them: any other prime or order makes m
+    larger.  A target up to 256 needs at most 8 primes, each a + 1 >= 2.
+    """
+    primes = _split_primes(D, 8)
+    best = None
+
+    def walk(i, m, size, cap):
+        nonlocal best
+        if size >= target:
+            best = m if best is None else min(best, m)
+            return
+        if i == len(primes):
+            return
+        for a in range(1, cap + 1):
+            m *= primes[i]
+            if best is not None and m >= best:
+                return
+            walk(i + 1, m, size * (a + 1), a)
+
+    walk(0, 1, 1, target)
+    return best
+
+
+def test_byte_bound_is_the_least_norm_whose_split_part_has_256_divisors():
+    # a count is prod_{p split} (a_p + 1) prod_{p inert} [a_p even], so at most
+    # prod_{p split} (a_p + 1), and sieve_counts keeps it in one byte below the
+    # least m where that reaches 256, in any of the three fields
+    least = {D: _least_norm_reaching(D, 256) for D in (2, 3, 6)}
+    assert least == {2: 568_817_087_951, 3: 1_461_516_258_059, 6: 169_680_381_125}
+    assert ideals._BYTE_BOUND == min(least.values()) == 5**3 * 19 * 23 * 29 * 43 * 47 * 53
 
 
 @pytest.mark.parametrize("D", [2, 3, 6])
-def test_sieve_on_both_sides_of_byte_bound(D):
-    bound = ideals._BYTE_BOUND
-    below = sieve_counts(D, bound - 1)  # the bytearray path
-    past = sieve_counts(D, bound)  # the int list path
-    assert past[:bound] == below
-    assert all(type(c) is int for c in below) and all(type(c) is int for c in past)
+def test_least_norm_search_matches_the_sieve(D):
+    # the same search finds where the sieved counts first reach each threshold
+    limit = 1_081_079
+    counts = sieve_counts(D, limit)
+    for target in (8, 12, 16, 20, 24):
+        least = _least_norm_reaching(D, target)
+        first = next((m for m, c in enumerate(counts) if c >= target), None)
+        assert first == (least if least <= limit else None), (D, target)
+        assert least > limit or counts[least] == _divisor_sum(D, least) >= target
+    if D == 3:
+        # no count of 20 below the limit: the first one is past it
+        assert _least_norm_reaching(3, 20) == 1_338_623
+
+
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_sieve_past_the_old_divisor_bound(D):
+    # past 1 081 080, the least integer with 256 divisors, every count still
+    # fits in a byte: the bound is on the split part of m alone
+    limit = 1_100_000
+    counts = sieve_counts(D, limit)
+    assert len(counts) == limit + 1 and all(type(c) is int for c in counts)
     rng = random.Random(D)
-    sample = [720_720, bound - 1, bound] + rng.sample(range(1, bound + 1), 6)
+    sample = [720_720, 1_081_079, 1_081_080, limit] + rng.sample(range(1, limit + 1), 5)
     for m in sample:
-        assert past[m] == _divisor_sum(D, m), (D, m)
+        assert counts[m] == _divisor_sum(D, m), (D, m)
+
+
+@pytest.mark.parametrize("D", [2, 3, 6])
+def test_sieve_refuses_a_limit_at_the_byte_bound(D):
+    # only the bound itself and past it: a limit just below would allocate
+    # a bytearray of 170 GB
+    for limit in (ideals._BYTE_BOUND, ideals._BYTE_BOUND + 1, 10**20):
+        with pytest.raises(ValueError, match=f"^limit must be below {ideals._BYTE_BOUND}, got {limit}$"):
+            sieve_counts(D, limit)
 
 
 # ----------------------------------------------------------- window sweep

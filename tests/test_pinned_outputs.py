@@ -8,7 +8,9 @@ pair's closed forms for m < 60.  The long-list digests pin Z2, Z3, Z4 and Z5
 through q^1000 (Z5's chain of q^1 steps runs the longest lists) and SIGMA's
 lacunarity report at 10^4, where the kernel's passes run over long lists.
 The ideal digests are those of the standard output of the seven
-``qrds ideals ... --order 40000`` queries the CI console-script step runs.
+``qrds ideals ... --order 40000`` queries the CI console-script step runs,
+and the sieve digests those of ``sieve_counts`` through 1 100 000 in each
+field, past 1 081 080, the least integer with 256 divisors.
 Regenerate the table with ``python tests/test_pinned_outputs.py`` only when
 a change of output is intended, and say why in the change log.
 """
@@ -23,6 +25,7 @@ import pytest
 from qrds.bailey import bailey_step, limit_form, pair_catalog, pair_labels
 from qrds.catalog import catalog_ids, eval_named
 from qrds.cli import main
+from qrds.ideals import sieve_counts
 from qrds.verify import lacunarity_report, verify_all
 
 SERIES_ORDERS = tuple(range(41)) + (97, 200, 333)
@@ -42,6 +45,8 @@ IDEAL_QUERIES = (
     "--d 6 --residue 7 --modulus 16",
     "--d 6 --residue 15 --modulus 16",
 )
+SIEVE_ORDER = 1_100_000
+SIEVE_FIELDS = (2, 3, 6)
 
 
 def _canon(f) -> str:
@@ -102,6 +107,10 @@ def ideals_digest(query: str) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def sieve_digest(D: int) -> str:
+    return hashlib.sha256(repr(sieve_counts(D, SIEVE_ORDER)).encode()).hexdigest()
+
+
 def verify_all_digest(order: int) -> str:
     payloads = [report.to_payload() for report in verify_all(order)]
     for payload in payloads:
@@ -134,6 +143,12 @@ PINNED_IDEALS = {
     "--d 3 --residue 4 --modulus 6": "2d0fc5905c38256525aaf5f497602f71e1c470d5afce05513e90e86324fa028f",
     "--d 6 --residue 7 --modulus 16": "d3d9d0c8e0eae54db4821dea5c00929bbf32319c677bbdece6520edaf5193e82",
     "--d 6 --residue 15 --modulus 16": "aae5ea0ff060580b493e2cfc4851fea340b729704e9b6c1ec2bff32c0341950c",
+}
+
+PINNED_SIEVE = {
+    2: "48bc1cff9680177b2abdba3715ada10a36c2f52ab7986b7ca49362fc68dfa4e0",
+    3: "be890637161dea3ca8b4a9961b07b4acfec375a4ac55c7a14f22293c667f484b",
+    6: "127c955174b184f87c843f216d79ce48d88001d6cba6017ada2379d67c271841",
 }
 
 PINNED_SERIES = {
@@ -197,6 +212,11 @@ def test_ideals_pinned(query):
     assert ideals_digest(query) == PINNED_IDEALS[query]
 
 
+@pytest.mark.parametrize("D", SIEVE_FIELDS)
+def test_sieve_pinned(D):
+    assert sieve_digest(D) == PINNED_SIEVE[D]
+
+
 @pytest.mark.parametrize("sid", catalog_ids())
 def test_series_pinned(sid):
     assert series_digest(sid) == PINNED_SERIES[sid]
@@ -249,6 +269,10 @@ if __name__ == "__main__":
     print("PINNED_IDEALS = {")
     for query in IDEAL_QUERIES:
         print(f'    "{query}": "{ideals_digest(query)}",')
+    print("}\n")
+    print("PINNED_SIEVE = {")
+    for D in SIEVE_FIELDS:
+        print(f'    {D}: "{sieve_digest(D)}",')
     print("}\n")
     print("PINNED_SERIES = {")
     for sid in catalog_ids():

@@ -583,6 +583,49 @@ def test_an_exact_series_refuses_a_coefficient_that_is_not_an_int_or_a_fraction(
             LaurentSeries.from_items(items, 3)
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, False, Fraction(2), "2"], ids=repr)
+def test_an_offset_exponent_or_horizon_that_is_not_an_int_raises(bad):
+    # LaurentSeries(2.0, [1], 5) printed "offset": 2.0 and "exp": 2.0 in its
+    # payload, LaurentSeries.zero(2.5) stored order 2.5 and an offset True
+    # was taken; truncate(1.5), first_mismatch(..., through=1.5) and
+    # coefficient(1.0) failed deep inside on a slice or a list index
+    def raises(name):
+        return pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$")
+
+    f = LaurentSeries(0, [1, 2, 3], 5)
+    calls = {
+        "offset": [lambda: LaurentSeries(bad, [1], 5), lambda: LaurentSeries(bad, [], None)],
+        "order": [
+            lambda: LaurentSeries(0, [1], bad),
+            lambda: LaurentSeries.zero(bad),
+            lambda: LaurentSeries.one(bad),
+            lambda: LaurentSeries.monomial(1, 0, bad),
+            lambda: LaurentSeries.from_items([(0, 1)], bad),
+            lambda: f.truncate(bad),
+            lambda: f.div_binomial(1, 1, bad),
+        ],
+        "exponent": [
+            lambda: LaurentSeries.monomial(1, bad, 5),
+            lambda: LaurentSeries.monomial(1, bad, 1),  # past the horizon, where no series is built
+            lambda: LaurentSeries.from_items([(0, 1), (bad, 1)], 5),
+            lambda: LaurentSeries.from_items([(bad, 1)], 1),
+            lambda: f.coefficient(bad),
+            lambda: f.mul_monomial(1, bad),
+        ],
+        "through": [lambda: first_mismatch(f, f, through=bad)],
+    }
+    for name, cases in calls.items():
+        for call in cases:
+            with raises(name):
+                call()
+    assert (f.offset, f.order, f.coeffs) == (0, 5, [1, 2, 3])
+    # dilate_shift makes negative horizons, and they stay legal
+    g = f.dilate_shift(2, -14)
+    assert (g.offset, g.order, g.coeffs) == (-14, -4, [1, 0, 2, 0, 3])
+    assert g.truncate(-11).coeffs == [1, 0, 2] and LaurentSeries.zero(-4).order == -4
+    assert first_mismatch(g, LaurentSeries(-14, [1], -13), through=-13) is None
+
+
 def _snapshot(*fs):
     return [(f.coeffs, list(f.coeffs)) for f in fs]
 

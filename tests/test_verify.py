@@ -11,10 +11,12 @@ import pytest
 import qrds.bailey as bailey
 import qrds.catalog as catalog
 import qrds.chain as chain
+import qrds.hecke as hecke
 import qrds.ideals as ideals
 import qrds.verify as verify_mod
-from qrds.bailey import bailey_step, limit_form, pair_catalog, verify_pair_relation
+from qrds.bailey import bailey_step, limit_form, pair_catalog, pair_labels, verify_pair_relation
 from qrds.catalog import eval_named, eval_plan
+from qrds.cli import main
 from qrds.errors import InvariantViolation, UnknownId
 from qrds.hecke import eval_blocks, hecke_catalog
 from qrds.ideals import IdealQuery, ideal_series
@@ -29,6 +31,9 @@ from qrds.verify import (
     verify_sigma,
     verify_theorem,
 )
+
+from test_acceptance import PIPELINES  # the acceptance gate's own pipeline rows
+from test_pinned_outputs import IDEAL_QUERIES  # the CI console-script step's queries
 
 
 def test_theorem_table_shape():
@@ -695,3 +700,32 @@ def test_lacunarity_report_matches_a_count_by_coefficient(series_id):
     payload, want = lacunarity_report(series_id, 300), _lacunarity_by_coefficient(series_id, 300)
     assert payload == want and list(payload["values"]) == list(want["values"])  # in JSON order too
     assert any(w["nonzero"] < w["size"] for w in payload["windows"])
+
+
+def test_no_float_or_bool_reaches_a_series_on_any_engine_path(monkeypatch, capsys):
+    # both constructors, LaurentSeries(...) and _adopt, end in _own
+    seen = []
+    own = LaurentSeries._own
+
+    def recording(self, offset, co, order):
+        seen.append((type(offset), type(order), set(map(type, co))))
+        own(self, offset, co, order)
+
+    monkeypatch.setattr(LaurentSeries, "_own", recording)
+    verify_all(400)
+    for label in pair_labels():
+        pair = pair_catalog(label)
+        verify_pair_relation(pair, 25, 300)
+        verify_pair_relation(bailey_step(pair), 15, 200)
+    for pair_label, form_id, *_ in PIPELINES.values():
+        limit_form(bailey_step(pair_catalog(pair_label)), form_id, 100)
+    lacunarity_report("SIGMA", 10**4)
+    for sid in sorted(hecke._CATALOG):
+        eval_blocks(hecke_catalog(sid), 2000)
+    for query in IDEAL_QUERIES:
+        assert main(["ideals", *query.split(), "--order", "4000"]) == 0
+    capsys.readouterr()
+    assert len(seen) > 100
+    assert {offset for offset, _, _ in seen} == {int}
+    assert {order for _, order, _ in seen} <= {int, type(None)}
+    assert set().union(*(types for *_, types in seen)) == {int, Fraction}
